@@ -296,7 +296,13 @@ class BasePlanner:
         )
 
     def _remeasure_population(self) -> None:
+        """Measure the population under the new environment. A plan its table
+        lacks is repaired first, as every plan entering the search is; members
+        that land on one plan stay separate members."""
+        rows = self.twin.current_table().rows
         for member in self.population:
+            if member.plan not in rows:
+                member.plan = self.twin.repair(member.plan)
             member.ft = self._measure(member.plan)
             member.fa = member.g1 = member.g2 = None
 

@@ -6,7 +6,6 @@ the original direction so reported medians keep their native units.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -15,8 +14,8 @@ import numpy as np
 
 from .planner import RunTrace
 
-# Exact rank-permutation enumeration is used while the number of group
-# assignments stays below this; beyond it the normal approximation takes over.
+# The exact null distribution is used while the number of group assignments
+# stays below this; beyond it the normal approximation takes over.
 _EXACT_LIMIT = 200_000
 
 _BOOTSTRAP_SEED = 0x51AB
@@ -117,15 +116,23 @@ def wilcoxon_rank_sum(xs, ys) -> float:
     observed2 = sum(doubled[:n1])
     mean2 = n1 * (total + 1)
 
-    if math.comb(total, n1) <= _EXACT_LIMIT:
+    splits = math.comb(total, n1)
+    if splits <= _EXACT_LIMIT:
+        # Under the null every split of the pooled ranks is equally likely;
+        # count the splits by the rank sum of the smaller side, whose distance
+        # from its own mean equals that of xs.
         deviation = abs(observed2 - mean2)
-        extreme = 0
-        count = 0
-        for combo in itertools.combinations(range(total), n1):
-            count += 1
-            if abs(sum(doubled[i] for i in combo) - mean2) >= deviation:
-                extreme += 1
-        return extreme / count
+        m = min(n1, n2)
+        mean_m = m * (total + 1)
+        by_sum: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(m)]
+        for i, rank2 in enumerate(doubled):
+            for k in range(min(i + 1, m), 0, -1):
+                into = by_sum[k]
+                for sum2, count in by_sum[k - 1].items():
+                    into[sum2 + rank2] = into.get(sum2 + rank2, 0) + count
+        extreme = sum(count for sum2, count in by_sum[m].items()
+                      if abs(sum2 - mean_m) >= deviation)
+        return extreme / splits
 
     tie_sizes: dict[int, int] = {}
     for rank2 in doubled:

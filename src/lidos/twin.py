@@ -15,6 +15,9 @@ from .space import ConfigSpace, OptionSpec, Plan
 
 DIRECTIONS = ("minimize", "maximize")
 
+# Plans per block when `synth_landscape` measures distances to the basins.
+_SYNTH_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class Environment:
@@ -50,10 +53,16 @@ class MeasurementTable:
         self.environment = environment
         self.option_names = option_names
         self.rows = rows
-        self._sorted_plans: list[Plan] | None = None
-        self._plan_matrix: np.ndarray | None = None
         self._validated_for: ConfigSpace | None = None
-        self._repair_cache: dict[Plan, Plan] = {}
+        # Nearest-plan search state, built on the first search: the plans in
+        # lexicographic order, their values as one contiguous float column per
+        # option, two row-length work buffers, and the memo of answers under
+        # `_nearest_scale`.
+        self._sorted_plans: list[Plan] = []
+        self._columns: np.ndarray | None = None
+        self._dist = self._term = np.empty(0)
+        self._nearest: dict[Plan, Plan] = {}
+        self._nearest_scale: tuple[float, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -79,15 +88,48 @@ class MeasurementTable:
                     "outside the config space"
                 )
         self._validated_for = space
-        self._repair_cache = {}
 
-    def plan_matrix(self) -> tuple[list[Plan], np.ndarray]:
-        """Lexicographically sorted plans plus their float matrix (for repair)."""
-        if self._sorted_plans is None:
+    def nearest(self, plan: Plan, scale: tuple[float, ...]) -> Plan:
+        """The measured plan nearest to `plan` by Euclidean distance after
+        multiplying each option by its `scale`; ties go to the
+        lexicographically lowest plan. Answers are memoized per scale.
+
+        The distance is summed option by option over the columns, which can
+        differ from a row-wise sum in the last bits; every row within a
+        rounding slack of the minimum is re-scored with the row-wise formula,
+        so the answer is the argmin of that formula over the whole table.
+        """
+        if scale is not self._nearest_scale and scale != self._nearest_scale:
+            self._nearest = {}
+            self._nearest_scale = scale
+        found = self._nearest.get(plan)
+        if found is not None:
+            return found
+        if self._columns is None:
             self._sorted_plans = sorted(self.rows)
-            self._plan_matrix = np.asarray(self._sorted_plans, dtype=float)
-        assert self._plan_matrix is not None
-        return self._sorted_plans, self._plan_matrix
+            self._columns = np.asarray(list(zip(*self._sorted_plans)), dtype=float)
+            self._dist = np.empty(len(self._sorted_plans))
+            self._term = np.empty(len(self._sorted_plans))
+        dist, term = self._dist, self._term
+        dist.fill(0.0)
+        for column, value, s in zip(self._columns, map(float, plan), scale):
+            if s:
+                np.subtract(column, value, out=term)
+                np.multiply(term, s, out=term)
+                np.square(term, out=term)
+                np.add(dist, term, out=dist)
+        best = int(np.argmin(dist))
+        # Both sums add non-negative terms, so each is within (options - 1)
+        # roundings of the exact distance; 16x that covers both with margin.
+        bound = dist[best] * (1.0 + 16 * len(plan) * np.finfo(float).eps)
+        close = np.flatnonzero(dist <= bound)
+        if len(close) > 1:
+            rows = np.ascontiguousarray(self._columns[:, close].T)
+            diff = (rows - np.asarray(plan, dtype=float)) * np.asarray(scale)
+            best = int(close[np.argmin((diff * diff).sum(axis=1))])
+        found = self._sorted_plans[best]
+        self._nearest[plan] = found
+        return found
 
 
 def load_measurements(path: str | Path, env: Environment) -> MeasurementTable:
@@ -197,21 +239,14 @@ class CyberTwin:
     def repair(self, plan: Plan) -> Plan:
         """Map a plan to the nearest measured plan of the current environment.
 
-        Plans already in the table pass through; ties resolve to the
-        lexicographically lowest plan. Nearest-plan lookups are memoized on the
-        table (off-table offspring recur a lot on sparse datasets).
+        Plans already in the table pass through; others go to the table's
+        nearest-plan search under the space's normalized distance, which the
+        table memoizes (off-table offspring recur a lot on sparse datasets).
         """
         table = self.current_table()
         if plan in table.rows:
             return plan
-        cached = table._repair_cache.get(plan)
-        if cached is not None:
-            return cached
-        plans, matrix = table.plan_matrix()
-        diff = (matrix - np.asarray(plan, dtype=float)) * np.asarray(self.space.scale)
-        nearest = plans[int(np.argmin((diff * diff).sum(axis=1)))]
-        table._repair_cache[plan] = nearest
-        return nearest
+        return table.nearest(plan, self.space.scale)
 
 
 def synth_landscape(n_options: int = 6, domain_size: int = 5, n_peaks: int = 40,
@@ -267,7 +302,14 @@ def synth_landscape(n_options: int = 6, domain_size: int = 5, n_peaks: int = 40,
     sigma = float(seps.min()) / 2.5
     depths = [1.0 - 0.5 * j / (n_peaks - 1) for j in range(n_peaks)]
 
-    d2 = (((plan_arr[:, None, :] - center_arr[None, :, :]) * scale) ** 2).sum(axis=2)
+    # Squared distances to every center, a block of plans at a time so the
+    # (plans x peaks x options) differences never exist all at once.
+    d2 = np.empty((len(plans), n_peaks))
+    for start in range(0, len(plans), _SYNTH_BLOCK):
+        block = plan_arr[start:start + _SYNTH_BLOCK]
+        d2[start:start + _SYNTH_BLOCK] = (
+            ((block[:, None, :] - center_arr[None, :, :]) * scale) ** 2
+        ).sum(axis=2)
     kernel = np.exp(-d2 / sigma**2)
 
     tables = []

@@ -181,3 +181,43 @@ class TestDeriveSeed:
         assert derive_seed(0) == int.from_bytes(
             __import__("hashlib").sha256(b"0").digest()[:8], "big"
         )
+
+
+class TestDifferentRowSets:
+    """Environments may measure different plans of one space; keeping the
+    population across a change must repair the plans the new table lacks."""
+
+    def parity_twin(self):
+        domains = (tuple(range(4)),) * 3
+        space = make_space(*domains)
+        rng = random.Random(3)
+        rows_a, rows_b = {}, {}
+        for plan in itertools.product(*domains):
+            (rows_a if sum(plan) % 2 else rows_b)[plan] = rng.uniform(0, 10)
+        ta = make_table(space, rows_a, env_id="A")
+        tb = make_table(space, rows_b, env_id="B")
+        assert ta.implied_space() == tb.implied_space() == space
+        return space, make_twin(space, ta, tb, current="A"), rows_b
+
+    @pytest.mark.parametrize("kind", PLANNER_KINDS)
+    def test_change_to_disjoint_rows(self, kind):
+        space, twin, rows_b = self.parity_twin()
+        planner = make_planner(kind, space, twin, PlannerParams(), seed=5)
+        planner.init_run()
+        planner.run_scenario_leg(20)
+        planner.on_environment_change("B")
+        assert all(m.plan in rows_b for m in planner.population)
+        assert all(m.ft == rows_b[m.plan] for m in planner.population)
+        assert len(planner.population) == PlannerParams().population_size
+        planner.run_scenario_leg(20)
+        after = planner.trace.measurements_after_change(1)
+        assert after and all(e.environment_id == "B" for e in after)
+
+    def test_remeasured_plan_is_the_repaired_plan(self):
+        space, twin, rows_b = self.parity_twin()
+        planner = make_planner("pseudo_dynamic", space, twin, PlannerParams(), seed=5)
+        planner.init_run()
+        old_plans = [m.plan for m in planner.population]
+        planner.on_environment_change("B")
+        for old, member in zip(old_plans, planner.population):
+            assert member.plan == twin.repair(old)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import replace
 from pathlib import Path
 
@@ -365,3 +366,26 @@ class TestCli:
         assert group.direction == "maximize"
         # Raw table values are negative of the canonical trace values.
         assert all(v <= 0 for v in group.values)
+
+
+def test_run_with_different_row_sets(tmp_path):
+    """Two 4^3 tables split by the parity of sum(plan): every planner keeps
+    running across the change."""
+    header = "o1,o2,o3,performance\n"
+    rows = {"a": [header], "b": [header]}
+    for i, plan in enumerate(itertools.product(range(4), repeat=3)):
+        rows["a" if sum(plan) % 2 else "b"].append(
+            ",".join(map(str, plan)) + f",{(i * 37) % 11 + 0.5}\n")
+    for name, lines in rows.items():
+        (tmp_path / f"env_{name}.csv").write_text("".join(lines), encoding="utf-8")
+    manifest = tmp_path / "scenario.txt"
+    manifest.write_text(
+        "system: parity\nseed: 1\nrepetitions: 2\nk: 20\nstride: 5\n"
+        "planners: lidos, lidos_sta, pseudo_dynamic, stationary\n"
+        "environment: A env_a.csv minimize\nenvironment: B env_b.csv minimize\n"
+        "leg: A 20\nleg: B 20\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert cli_main(["run", "--scenario", str(manifest), "--out", str(out)]) == 0
+    assert (out / "traces.csv").stat().st_size > 0

@@ -94,6 +94,28 @@ class TestWilcoxon:
                 ranksums(xs, ys).pvalue, abs=1e-10
             )
 
+    def test_small_tie_free_samples_match_scipy_exact(self):
+        from scipy.stats import mannwhitneyu
+
+        rng = random.Random(31)
+        for _ in range(40):
+            n1, n2 = rng.randint(1, 10), rng.randint(1, 10)
+            xs = [rng.uniform(0, 1) for _ in range(n1)]
+            ys = [rng.uniform(0.1, 1.1) for _ in range(n2)]
+            assert wilcoxon_rank_sum(xs, ys) == pytest.approx(
+                mannwhitneyu(xs, ys, method="exact").pvalue, abs=1e-12
+            )
+
+    def test_exact_path_at_its_limit(self):
+        # C(20, 10) = 184,756 splits, the largest exact case the benchmark
+        # runs; the smaller side may be either sample.
+        rng = random.Random(8)
+        xs = [rng.choice((0, 1, 1, 2, 4)) for _ in range(10)]
+        ys = [rng.choice((0, 1, 2, 3, 4)) for _ in range(10)]
+        assert wilcoxon_rank_sum(xs, ys) == exact_rank_sum_p(xs, ys)
+        assert wilcoxon_rank_sum(xs[:3], ys + xs[3:]) == exact_rank_sum_p(xs[:3], ys + xs[3:])
+        assert wilcoxon_rank_sum(ys + xs[3:], xs[:3]) == exact_rank_sum_p(ys + xs[3:], xs[:3])
+
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             wilcoxon_rank_sum([], [1.0])

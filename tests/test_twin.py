@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from lidos.twin import CyberTwin, Environment, load_measurements, synth_landscape
@@ -163,6 +165,94 @@ class TestRepair:
         space = make_space((0, 1, 2, 3, 4), (0, 1))
         twin = make_twin(space, make_table(space, {(0, 0): 1.0, (4, 1): 2.0}), current="e")
         assert twin.repair((3, 1)) == (4, 1)
+
+
+def brute_force_nearest(rows, plan, scale):
+    """Nearest measured plan by the row-wise formula over the whole table;
+    argmin takes the first minimum, so the lexicographically lowest plan wins
+    ties."""
+    plans = sorted(rows)
+    diff = (np.asarray(plans, dtype=float) - np.asarray(plan, dtype=float)) * np.asarray(scale)
+    return plans[int(np.argmin((diff * diff).sum(axis=1)))]
+
+
+def brute_force_repair(rows, plan, scale):
+    return plan if plan in rows else brute_force_nearest(rows, plan, scale)
+
+
+def random_domain(rng):
+    """Mostly non-dyadic spans, some single-value (zero-span) options."""
+    shape = rng.random()
+    if shape < 0.15:
+        return (rng.randint(-3, 5),)
+    if shape < 0.3:
+        return (0, 1, 2, 3)
+    if shape < 0.45:
+        return (1, 2, 4, 8, 9)
+    return tuple(sorted(rng.sample(range(-4, 12), rng.randint(2, 5))))
+
+
+class TestRepairOracle:
+    """Seeded property loops: repair answers what the brute-force formula
+    answers, on first searches, memo hits and after environment switches."""
+
+    def test_random_sparse_tables(self):
+        rng = random.Random(2024)
+        for _ in range(60):
+            n_options = rng.randint(1, 12)
+            space = make_space(*(random_domain(rng) for _ in range(n_options)))
+            rows = {space.random_plan(rng): rng.random() for _ in range(rng.randint(1, 80))}
+            twin = make_twin(space, make_table(space, rows), current="e")
+            queries = [space.random_plan(rng) for _ in range(25)]
+            for plan in queries + queries[::-1]:
+                assert twin.repair(plan) == brute_force_repair(rows, plan, space.scale)
+
+    def test_tie_heavy_layouts(self):
+        # Every row is the query plus a signed permutation of one step vector,
+        # so all rows lie at one distance. Summed in different orders, the
+        # float distances disagree in the last bits (numpy sums rows of 8 or
+        # more in a pairwise order); the answer is what the row-wise formula
+        # makes of them.
+        rng = random.Random(7)
+        for n_options, span in ((4, 3), (7, 6), (8, 6), (9, 5), (12, 6), (16, 7)):
+            space = make_space(*(tuple(range(span + 1)),) * n_options)
+            query = tuple(rng.randint(3, span - 3) if span > 5 else 1
+                          for _ in range(n_options))
+            base = [rng.choice((0, 1, 1, 2, 3)) for _ in range(n_options)]
+            rows = {}
+            for _ in range(300):
+                step = rng.sample(base, n_options)
+                plan = tuple(q + d * rng.choice((-1, 1)) for q, d in zip(query, step))
+                if space.validate_plan(plan) and plan != query:
+                    rows[plan] = 0.0
+            twin = make_twin(space, make_table(space, rows), current="e")
+            expected = brute_force_repair(rows, query, space.scale)
+            assert twin.repair(query) == expected
+            assert twin.repair(query) == expected
+
+    def test_environment_switches(self):
+        rng = random.Random(99)
+        for _ in range(20):
+            space = make_space(*(random_domain(rng) for _ in range(rng.randint(1, 10))))
+            rows_a = {space.random_plan(rng): 1.0 for _ in range(40)}
+            rows_b = {space.random_plan(rng): 2.0 for _ in range(40)}
+            twin = make_twin(space, make_table(space, rows_a, env_id="A"),
+                             make_table(space, rows_b, env_id="B"))
+            queries = [space.random_plan(rng) for _ in range(15)]
+            for env_id, rows in (("A", rows_a), ("B", rows_b), ("A", rows_a)):
+                twin.set_environment(env_id)
+                for plan in queries:
+                    assert twin.repair(plan) == brute_force_repair(rows, plan, space.scale)
+
+    def test_table_answers_per_scale(self):
+        rng = random.Random(5)
+        space = make_space((0, 1, 2, 3), (0, 2, 5), (1, 2, 4, 8, 9))
+        rows = {space.random_plan(rng): 0.0 for _ in range(12)}
+        table = make_table(space, rows)
+        queries = [space.random_plan(rng) for _ in range(30)]
+        for scale in (space.scale, (1.0, 1.0, 1.0), (0.0, 0.5, 1.0), space.scale):
+            for plan in queries:
+                assert table.nearest(plan, scale) == brute_force_nearest(rows, plan, scale)
 
 
 class TestSynthLandscape:
