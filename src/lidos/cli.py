@@ -4,8 +4,6 @@ emit trajectory tables, and generate synthetic landscape datasets."""
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -13,9 +11,10 @@ from pathlib import Path
 from .harness import (
     ScenarioSpec,
     bundle_from_traces,
+    csv_text,
+    emit_trajectories,
     parse_scenario,
     run_scenario,
-    trajectories_csv_text,
     write_atomic,
     write_bundle_outputs,
 )
@@ -115,8 +114,7 @@ def _cmd_summarize(args) -> int:
 def _cmd_trajectories(args) -> int:
     spec = _load_spec(args)
     bundle = bundle_from_traces(spec, Path(args.out) / "traces.csv")
-    write_atomic(Path(args.out) / "trajectories.csv",
-                 trajectories_csv_text(bundle, spec.trajectory_stride))
+    emit_trajectories(bundle, Path(args.out) / "trajectories.csv", spec.trajectory_stride)
     print(f"trajectories written in {Path(args.out).resolve()}")
     return 0
 
@@ -154,12 +152,10 @@ def _cmd_synth(args) -> int:
 
 
 def _table_csv_text(table: MeasurementTable) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(table.option_names) + ["performance"])
-    for plan in sorted(table.rows):
-        writer.writerow(list(plan) + [repr(table.rows[plan])])
-    return buf.getvalue()
+    return csv_text(
+        list(table.option_names) + ["performance"],
+        (list(plan) + [repr(table.rows[plan])] for plan in sorted(table.rows)),
+    )
 
 
 if __name__ == "__main__":

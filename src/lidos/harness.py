@@ -8,6 +8,7 @@ import io
 import math
 import os
 import random
+import secrets
 import statistics
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -365,26 +366,26 @@ def summarize_bundle(bundle: ResultBundle, rng: random.Random | None = None) -> 
 # -- trace serialization -------------------------------------------------------
 
 
-def traces_csv_text(bundle: ResultBundle) -> str:
+def csv_text(header, rows) -> str:
+    """A header row and then the rows, as CSV text with bare newline line
+    ends; every CSV the program writes goes through here."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRACE_HEADER)
-    for label in bundle.labels:
-        for rep in range(bundle.spec.repetitions):
-            for event in bundle.traces[(label, rep)].events:
-                writer.writerow(
-                    [
-                        label,
-                        rep,
-                        event.measurement_index,
-                        event.environment_id,
-                        "" if event.ft is None else repr(event.ft),
-                        "" if event.best_ft is None else repr(event.best_ft),
-                        int(event.adaptation_sent),
-                        int(event.env_change),
-                    ]
-                )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def traces_csv_text(bundle: ResultBundle) -> str:
+    return csv_text(TRACE_HEADER, (
+        [label, rep, event.measurement_index, event.environment_id,
+         "" if event.ft is None else repr(event.ft),
+         "" if event.best_ft is None else repr(event.best_ft),
+         int(event.adaptation_sent), int(event.env_change)]
+        for label in bundle.labels
+        for rep in range(bundle.spec.repetitions)
+        for event in bundle.traces[(label, rep)].events
+    ))
 
 
 def read_traces_csv(path: str | Path) -> tuple[tuple[str, ...], dict[tuple[str, int], RunTrace]]:
@@ -396,15 +397,17 @@ def read_traces_csv(path: str | Path) -> tuple[tuple[str, ...], dict[tuple[str, 
         header = tuple(next(reader, ()))
         if header != TRACE_HEADER:
             raise ValueError(f"{path}: unexpected trace header {header!r}")
-        for row in reader:
+        for lineno, row in enumerate(reader, 2):
             if not row:
                 continue
+            if len(row) != len(TRACE_HEADER):
+                raise ValueError(
+                    f"{path}:{lineno}: expected {len(TRACE_HEADER)} cells, got {len(row)}"
+                )
             label, rep_s, index_s, env, ft_s, best_s, sent_s, change_s = row
-            key = (label, int(rep_s))
-            if label not in labels:
-                labels.append(label)
-            traces.setdefault(key, RunTrace()).events.append(
-                TraceEvent(
+            try:
+                key = (label, int(rep_s))
+                event = TraceEvent(
                     measurement_index=int(index_s),
                     environment_id=env,
                     ft=float(ft_s) if ft_s else None,
@@ -412,7 +415,11 @@ def read_traces_csv(path: str | Path) -> tuple[tuple[str, ...], dict[tuple[str, 
                     adaptation_sent=bool(int(sent_s)),
                     env_change=bool(int(change_s)),
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if label not in labels:
+                labels.append(label)
+            traces.setdefault(key, RunTrace()).events.append(event)
     return tuple(labels), traces
 
 
@@ -496,12 +503,10 @@ def _last_at_or_before(indices: list[int], m: int) -> int:
 
 
 def trajectories_csv_text(bundle: ResultBundle, stride: int | None = None) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRAJECTORY_HEADER)
-    for row in trajectory_rows(bundle, stride):
-        writer.writerow([row[0], row[1], repr(row[2]), repr(row[3]), row[4]])
-    return buf.getvalue()
+    return csv_text(TRAJECTORY_HEADER, (
+        [label, m, repr(median), repr(iqr), flag]
+        for label, m, median, iqr, flag in trajectory_rows(bundle, stride)
+    ))
 
 
 def emit_trajectories(bundle: ResultBundle, path: str | Path,
@@ -514,50 +519,22 @@ def emit_trajectories(bundle: ResultBundle, path: str | Path,
 
 
 def write_atomic(path: str | Path, content: str) -> None:
-    """Write-then-rename so partially written outputs never appear."""
+    """Write-then-rename so partially written outputs never appear. Each call
+    creates its own uniquely named temporary beside the target, so writers
+    into one directory never share one."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(content, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def summary_csv_text(summary: BundleSummary, spec: ScenarioSpec) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("planner", "median", "iqr", "direction"))
-    direction = spec.final_direction()
-    for label, stat in summary.summaries.items():
-        writer.writerow([label, repr(stat.median), repr(stat.iqr), direction])
-    return buf.getvalue()
-
-
-def pairwise_csv_text(summary: BundleSummary) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("baseline", "p_value", "a12"))
-    for row in summary.pairwise:
-        writer.writerow([row.label, repr(row.p_value), repr(row.effect)])
-    return buf.getvalue()
-
-
-def ranks_csv_text(summary: BundleSummary) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("planner", "rank", "median", "iqr"))
-    for entry in summary.rank_table.entries:
-        writer.writerow([entry.label, entry.rank, repr(entry.median), repr(entry.iqr)])
-    return buf.getvalue()
-
-
-def speedups_csv_text(summary: BundleSummary) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("baseline", "rep", "speedup"))
-    for row in summary.speedups:
-        for rep, value in enumerate(row.values):
-            writer.writerow([row.label, rep, repr(value)])
-    return buf.getvalue()
+    # Exclusive create under a random name rather than tempfile.mkstemp,
+    # which would leave every output readable by its owner only.
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(content)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink()
+        raise
 
 
 def render_text_summary(summary: BundleSummary, spec: ScenarioSpec) -> str:
@@ -589,12 +566,28 @@ def write_bundle_outputs(bundle: ResultBundle, out_dir: str | Path,
                          *, include_traces: bool = True) -> BundleSummary:
     out = Path(out_dir)
     summary = summarize_bundle(bundle)
+    direction = bundle.spec.final_direction()
     if include_traces:
         write_atomic(out / "traces.csv", traces_csv_text(bundle))
     emit_trajectories(bundle, out / "trajectories.csv")
-    write_atomic(out / "summary.csv", summary_csv_text(summary, bundle.spec))
-    write_atomic(out / "pairwise.csv", pairwise_csv_text(summary))
-    write_atomic(out / "ranks.csv", ranks_csv_text(summary))
-    write_atomic(out / "speedups.csv", speedups_csv_text(summary))
+    write_atomic(out / "summary.csv", csv_text(
+        ("planner", "median", "iqr", "direction"),
+        ([label, repr(stat.median), repr(stat.iqr), direction]
+         for label, stat in summary.summaries.items()),
+    ))
+    write_atomic(out / "pairwise.csv", csv_text(
+        ("baseline", "p_value", "a12"),
+        ([row.label, repr(row.p_value), repr(row.effect)] for row in summary.pairwise),
+    ))
+    write_atomic(out / "ranks.csv", csv_text(
+        ("planner", "rank", "median", "iqr"),
+        ([entry.label, entry.rank, repr(entry.median), repr(entry.iqr)]
+         for entry in summary.rank_table.entries),
+    ))
+    write_atomic(out / "speedups.csv", csv_text(
+        ("baseline", "rep", "speedup"),
+        ([row.label, rep, repr(value)]
+         for row in summary.speedups for rep, value in enumerate(row.values)),
+    ))
     write_atomic(out / "summary.txt", render_text_summary(summary, bundle.spec))
     return summary

@@ -8,7 +8,9 @@ then optimized with standard nondominated sorting and crowding selection.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -31,12 +33,6 @@ class ScoredPlan:
     g2: float | None = None
     rank: int | None = None
     crowding: float | None = None
-
-
-@dataclass
-class Front:
-    members: list[ScoredPlan]
-    rank: int
 
 
 def assign_auxiliary(pool: list[ScoredPlan], space: ConfigSpace) -> list[ScoredPlan]:
@@ -73,76 +69,55 @@ def transform(scored: ScoredPlan, w: float = 1.0) -> ScoredPlan:
     return scored
 
 
-def dominates(a: ScoredPlan, b: ScoredPlan) -> bool:
-    """Pareto dominance on (g1, g2), both minimized."""
-    return (
-        a.g1 <= b.g1
-        and a.g2 <= b.g2
-        and (a.g1 < b.g1 or a.g2 < b.g2)
-    )
+def nondominated_sort(pool: list[ScoredPlan]) -> list[list[ScoredPlan]]:
+    """Peel the pool into Pareto fronts on (g1, g2), both minimized, and set
+    every member's rank.
+
+    One sweep in (g1, g2) order (Jensen, IEEE TEVC 2003): a member joins the
+    first front whose latest entry does not dominate it. Along the sweep g1
+    never decreases, so that entry is its front's member of least g2 and
+    dominates the member exactly when it comes first in (g2, g1) order; these
+    keys rise strictly from front to front, so a bisection finds the front.
+    Each front lists its members in pool order, which every later tie-break
+    relies on.
+    """
+    tails: list[tuple[float, float]] = []
+    fronts: list[list[int]] = []
+    for i in sorted(range(len(pool)), key=lambda i: (pool[i].g1, pool[i].g2)):
+        key = (pool[i].g2, pool[i].g1)
+        rank = bisect_left(tails, key)
+        if rank == len(tails):
+            tails.append(key)
+            fronts.append([])
+        tails[rank] = key
+        fronts[rank].append(i)
+        pool[i].rank = rank
+    return [[pool[i] for i in sorted(front)] for front in fronts]
 
 
-def nondominated_sort(pool: list[ScoredPlan]) -> list[Front]:
-    """Fast nondominated sorting; fronts partition the pool by rank."""
-    n = len(pool)
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    dominators = [0] * n
-    first: list[int] = []
-    for p in range(n):
-        for q in range(n):
-            if p == q:
-                continue
-            if dominates(pool[p], pool[q]):
-                dominated_by[p].append(q)
-            elif dominates(pool[q], pool[p]):
-                dominators[p] += 1
-        if dominators[p] == 0:
-            first.append(p)
-
-    fronts: list[Front] = []
-    current = first
-    rank = 0
-    while current:
-        for idx in current:
-            pool[idx].rank = rank
-        fronts.append(Front(members=[pool[i] for i in current], rank=rank))
-        nxt: list[int] = []
-        for p in current:
-            for q in dominated_by[p]:
-                dominators[q] -= 1
-                if dominators[q] == 0:
-                    nxt.append(q)
-        # Keep every front in pool order so downstream tie-breaking by
-        # insertion order is well-defined.
-        current = sorted(nxt)
-        rank += 1
-    return fronts
-
-
-def crowding_distance(front: Front) -> dict[ScoredPlan, float]:
-    """NSGA-II crowding distance, keyed by member identity.
+def crowding_distance(front: list[ScoredPlan]) -> None:
+    """Set every member's NSGA-II crowding distance (Deb et al., IEEE TEVC
+    2002).
 
     Boundary members per objective get infinity; interior members accumulate
     normalized neighbor gaps. An objective with zero range contributes nothing
     to interior members.
     """
-    members = front.members
-    if not members:
+    if not front:
         raise ValueError("empty front")
-    out: dict[ScoredPlan, float] = {m: 0.0 for m in members}
-    if len(members) <= 2:
-        return {m: math.inf for m in members}
-    for objective in (lambda m: m.g1, lambda m: m.g2):
-        order = sorted(members, key=objective)
-        out[order[0]] = math.inf
-        out[order[-1]] = math.inf
+    for member in front:
+        member.crowding = math.inf if len(front) <= 2 else 0.0
+    if len(front) <= 2:
+        return
+    for objective in (attrgetter("g1"), attrgetter("g2")):
+        order = sorted(front, key=objective)
+        order[0].crowding = order[-1].crowding = math.inf
         span = objective(order[-1]) - objective(order[0])
         if span == 0:
             continue
-        for i in range(1, len(order) - 1):
-            if out[order[i]] != math.inf:
-                out[order[i]] += (objective(order[i + 1]) - objective(order[i - 1])) / span
-    return out
+        for before, member, after in zip(order, order[1:], order[2:]):
+            if member.crowding != math.inf:
+                member.crowding += (objective(after) - objective(before)) / span
 
 
 def environmental_selection(union: list[ScoredPlan], n: int) -> list[ScoredPlan]:
@@ -154,15 +129,13 @@ def environmental_selection(union: list[ScoredPlan], n: int) -> list[ScoredPlan]
         raise ValueError(f"cannot select {n} plans from a union of {len(union)}")
     survivors: list[ScoredPlan] = []
     for front in nondominated_sort(union):
-        cd = crowding_distance(front)
-        for member in front.members:
-            member.crowding = cd[member]
-        if len(survivors) + len(front.members) <= n:
-            survivors.extend(front.members)
+        crowding_distance(front)
+        if len(survivors) + len(front) <= n:
+            survivors.extend(front)
             if len(survivors) == n:
                 break
         else:
-            ordered = sorted(front.members, key=lambda m: -cd[m])
+            ordered = sorted(front, key=lambda m: -m.crowding)
             survivors.extend(ordered[: n - len(survivors)])
             break
     return survivors

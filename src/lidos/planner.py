@@ -145,7 +145,6 @@ class BasePlanner:
         self.population: list[ScoredPlan] = []
         self.s_best: ScoredPlan | None = None
         self.t = 0
-        self.generation = 0
         self.epoch = 0
         self.epoch_measurements = 0
         self._last_sent_ft: float | None = None
@@ -159,7 +158,6 @@ class BasePlanner:
             raise ValueError("twin has no current environment")
         self.population = [self._eval(p) for p in self._spawn_plans()]
         self._score_population()
-        self.generation = 0
 
     def step_generation(self) -> None:
         """One generation: mate, vary, repair, measure (cache-aware), replace,
@@ -185,7 +183,6 @@ class BasePlanner:
                 pool_plans.add(child)
                 offspring.append(self._eval(child))
         self._replace(offspring)
-        self.generation += 1
         self._maybe_send_adaptation()
 
     def on_environment_change(self, env: Environment | str) -> None:
@@ -217,14 +214,11 @@ class BasePlanner:
         return self.s_best
 
     def restart(self, seed: int) -> None:
-        """Re-randomize the population under the current environment; resets
-        the best plan, the emission gate, and the interval counter."""
+        """Re-seed, then re-randomize the population under the current
+        environment. Callers begin the epoch first, which resets the best
+        plan, the emission gate, and the interval counter."""
         self.rng = random.Random(seed)
-        self.s_best = None
-        self._last_sent_ft = None
-        self.t = 0
-        self.population = [self._eval(p) for p in self._spawn_plans()]
-        self._score_population()
+        self.init_run()
 
     # -- shared internals ----------------------------------------------------
 
@@ -304,7 +298,6 @@ class BasePlanner:
             if member.plan not in rows:
                 member.plan = self.twin.repair(member.plan)
             member.ft = self._measure(member.plan)
-            member.fa = member.g1 = member.g2 = None
 
     def _maybe_send_adaptation(self) -> None:
         """Emit the best plan once the interval is full and it improves on the
@@ -347,15 +340,10 @@ class MmoPlanner(BasePlanner):
     distinct_offspring = True
 
     def _score_population(self) -> None:
-        pool = self.population
-        for member in pool:
-            member.fa = member.g1 = member.g2 = None
-        assign_auxiliary(pool, self.space)
-        for member in pool:
-            transform(member, self.params.w)
-        # Identity selection; run it anyway so ranks and crowding are in place
-        # for the next mating tournament.
-        self.population = environmental_selection(pool, len(pool))
+        # Selecting all members keeps every one, but sets the ranks and
+        # crowding the next tournament reads and reorders the population by
+        # front, which the tournament's draws see.
+        self.population = self._select(self.population, len(self.population))
 
     def _mate(self) -> ScoredPlan:
         return binary_tournament(
@@ -367,12 +355,14 @@ class MmoPlanner(BasePlanner):
         # the scored union never builds up clones of surviving plans.
         parent_plans = {m.plan for m in self.population}
         union = self.population + [o for o in offspring if o.plan not in parent_plans]
-        for member in union:
-            member.fa = member.g1 = member.g2 = None
-        assign_auxiliary(union, self.space)
-        for member in union:
+        self.population = self._select(union, self.params.population_size)
+
+    def _select(self, pool: list[ScoredPlan], n: int) -> list[ScoredPlan]:
+        """Score every member on (g1, g2) afresh and keep the best n."""
+        assign_auxiliary(pool, self.space)
+        for member in pool:
             transform(member, self.params.w)
-        self.population = environmental_selection(union, self.params.population_size)
+        return environmental_selection(pool, n)
 
     def on_environment_change(self, env: Environment | str) -> None:
         self._begin_epoch(env)

@@ -172,8 +172,15 @@ def load_measurements(path: str | Path, env: Environment) -> MeasurementTable:
 
 
 def _as_int(cell: str) -> int:
+    """An option value: an integer literal, taken exactly, or a number literal
+    such as ``3.0`` whose float is finite, integral and at most 2**53 in
+    magnitude, the range in which every integer is a float of its own."""
+    try:
+        return int(cell)
+    except ValueError:
+        pass
     value = float(cell)
-    if value != int(value):
+    if not (math.isfinite(value) and value == int(value) and abs(value) <= 2**53):
         raise ValueError(f"option value {cell!r} is not an integer")
     return int(value)
 

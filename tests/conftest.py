@@ -6,6 +6,16 @@ from lidos.space import ConfigSpace, OptionSpec
 from lidos.twin import CyberTwin, Environment, MeasurementTable
 
 
+def dominates(a, b) -> bool:
+    """Pareto dominance on (g1, g2), both minimized: the definition the
+    brute-force front oracles peel by."""
+    return (
+        a.g1 <= b.g1
+        and a.g2 <= b.g2
+        and (a.g1 < b.g1 or a.g2 < b.g2)
+    )
+
+
 def make_space(*domains: tuple[int, ...]) -> ConfigSpace:
     return ConfigSpace(
         options=tuple(

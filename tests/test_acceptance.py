@@ -22,16 +22,16 @@ from lidos.mmo import (
     ScoredPlan,
     assign_auxiliary,
     crowding_distance,
-    dominates,
     environmental_selection,
     nondominated_sort,
     transform,
-    Front,
 )
 from lidos.planner import RunTrace, TraceEvent
 from lidos.space import ConfigSpace, OptionSpec
 from lidos.stats import a12, scott_knott, speedup, split_delta, wilcoxon_rank_sum, SampleGroup
 from lidos.twin import Environment, load_measurements, synth_landscape
+
+from conftest import dominates
 
 DATASET_DIR = Path(__file__).resolve().parent.parent / "datasets"
 
@@ -92,7 +92,7 @@ def test_global_optimum_retention():
         pool = random_scored_pool(rng, SMALL_SPACE)
         best = min(pool, key=lambda s: s.ft)
         fronts = nondominated_sort(pool)
-        assert any(best is member for member in fronts[0].members)
+        assert any(best is member for member in fronts[0])
 
 
 def oracle_fronts(pool):
@@ -113,11 +113,11 @@ def oracle_fronts(pool):
 def oracle_selection(union, n):
     survivors = []
     for front in oracle_fronts(union):
-        cd = crowding_distance(Front(members=front, rank=0))
+        crowding_distance(front)
         if len(survivors) + len(front) <= n:
             survivors.extend(front)
         else:
-            survivors.extend(sorted(front, key=lambda m: -cd[m])[: n - len(survivors)])
+            survivors.extend(sorted(front, key=lambda m: -m.crowding)[: n - len(survivors)])
             break
     return survivors
 
@@ -129,7 +129,7 @@ def test_sorting_oracle_equivalence():
         pool = random_scored_pool(rng, SMALL_SPACE)
         got = nondominated_sort(pool)
         want = oracle_fronts(pool)
-        assert [sorted(map(id, f.members)) for f in got] == [
+        assert [sorted(map(id, f)) for f in got] == [
             sorted(map(id, f)) for f in want
         ]
         n = rng.randint(1, len(pool))

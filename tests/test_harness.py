@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -351,6 +352,42 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_option_cell_exits_2_with_location(self, tmp_path, capsys):
+        manifest = write_small_dataset(tmp_path)
+        path = tmp_path / "env_a.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[3] = "inf" + lines[3][lines[3].index(","):]
+        path.write_text("".join(lines), encoding="utf-8")
+        code = cli_main(["run", "--scenario", str(manifest), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "env_a.csv:4: option value 'inf' is not an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda cells: cells[:-1], "expected 8 cells, got 7"),
+        (lambda cells: cells[:1] + ["x"] + cells[2:], "invalid literal for int()"),
+        (lambda cells: cells[:4] + ["fast"] + cells[5:], "could not convert string to float"),
+    ], ids=["short-row", "bad-rep", "bad-ft"])
+    def test_damaged_trace_row_exits_2_with_location(self, tmp_path, capsys, damage, message):
+        manifest = write_small_dataset(tmp_path)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--scenario", str(manifest), "--out", str(out)]) == 0
+        path = out / "traces.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[4] = ",".join(damage(lines[4].rstrip("\n").split(","))) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert cli_main(["summarize", "--scenario", str(manifest), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "traces.csv:5: " in err and message in err
+
+    def test_stale_temporary_directory_does_not_block_a_run(self, tmp_path):
+        manifest = write_small_dataset(tmp_path)
+        out = tmp_path / "out"
+        (out / "summary.csv.tmp").mkdir(parents=True)
+        assert cli_main(["run", "--scenario", str(manifest), "--out", str(out)]) == 0
+        assert (out / "summary.csv").is_file()
+        assert not [p for p in out.iterdir() if p.name.endswith(".tmp") and p.is_file()]
+
     def test_maximize_direction_reported_in_original_units(self, tmp_path):
         write_small_dataset(tmp_path)
         manifest = tmp_path / "max.txt"
@@ -366,6 +403,31 @@ class TestCli:
         assert group.direction == "maximize"
         # Raw table values are negative of the canonical trace values.
         assert all(v <= 0 for v in group.values)
+
+
+class TestWriteAtomic:
+    def test_each_call_writes_its_own_temporary(self, tmp_path, monkeypatch):
+        sources = []
+        real_replace = os.replace
+
+        def recording_replace(src, dst):
+            sources.append(Path(src))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        write_atomic(tmp_path / "a.csv", "one\n")
+        write_atomic(tmp_path / "a.csv", "two\n")
+        assert len(set(sources)) == 2
+        assert all(src.parent == tmp_path for src in sources)
+        assert (tmp_path / "a.csv").read_text(encoding="utf-8") == "two\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+
+    def test_failed_rename_leaves_no_temporary(self, tmp_path):
+        target = tmp_path / "taken"
+        (target / "inner").mkdir(parents=True)
+        with pytest.raises(OSError):
+            write_atomic(target, "content\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 def test_run_with_different_row_sets(tmp_path):

@@ -62,6 +62,17 @@ class TestLoadMeasurements:
         table = load_measurements(path, Environment("e"))
         assert table.rows[(1,)] == 3.0
 
+    def test_large_integer_option_exact(self, tmp_path):
+        path = write_csv(tmp_path, "m.csv", "a,perf\n9007199254740993,1.0\n3.0,2.0\n")
+        table = load_measurements(path, Environment("e"))
+        assert set(table.rows) == {(9007199254740993,), (3,)}
+
+    @pytest.mark.parametrize("cell", ["2.5", "inf", "-inf", "nan", "1e400", "1e20"])
+    def test_inexact_or_non_finite_option_rejected(self, tmp_path, cell):
+        path = write_csv(tmp_path, "m.csv", f"a,perf\n0,1.0\n{cell},2.0\n")
+        with pytest.raises(ValueError, match="m.csv:3: option value"):
+            load_measurements(path, Environment("e"))
+
 
 class TestMeasure:
     def test_returns_value(self):
