@@ -1,58 +1,15 @@
 """Lifelong dynamic-optimization planning engine and benchmark harness."""
 
-from .baselines import (
-    PLANNER_KINDS,
-    MmoRestartPlanner,
-    PseudoDynamicPlanner,
-    SogaPlanner,
-    StationaryPlanner,
-    make_planner,
-)
+from .baselines import PLANNER_KINDS, make_planner
 from .harness import (
-    BundleSummary,
-    EnvironmentSource,
-    LegSpec,
-    ResultBundle,
     ScenarioSpec,
-    bundle_from_traces,
-    emit_trajectories,
     parse_scenario,
     run_scenario,
     summarize_bundle,
-    trajectory_rows,
     write_bundle_outputs,
 )
-from .mmo import (
-    ScoredPlan,
-    assign_auxiliary,
-    crowding_distance,
-    environmental_selection,
-    nondominated_sort,
-    transform,
-)
-from .planner import (
-    BasePlanner,
-    MmoPlanner,
-    PlannerParams,
-    RunTrace,
-    TraceEvent,
-    boundary_mutation,
-    derive_seed,
-    uniform_crossover,
-)
-from .space import ConfigSpace, OptionSpec, Plan, parse_space
-from .stats import (
-    RankEntry,
-    RankTable,
-    SampleGroup,
-    Summary,
-    a12,
-    scott_knott,
-    speedup,
-    split_delta,
-    summarize,
-    wilcoxon_rank_sum,
-)
+from .planner import PlannerParams
+from .space import ConfigSpace, OptionSpec
 from .twin import (
     CyberTwin,
     Environment,
@@ -62,55 +19,19 @@ from .twin import (
 )
 
 __all__ = [
-    "PLANNER_KINDS",
-    "BasePlanner",
-    "BundleSummary",
-    "ConfigSpace",
-    "CyberTwin",
-    "Environment",
-    "EnvironmentSource",
-    "LegSpec",
-    "MeasurementTable",
-    "MmoPlanner",
-    "MmoRestartPlanner",
-    "OptionSpec",
-    "Plan",
-    "PlannerParams",
-    "PseudoDynamicPlanner",
-    "RankEntry",
-    "RankTable",
-    "ResultBundle",
-    "RunTrace",
-    "SampleGroup",
-    "ScenarioSpec",
-    "ScoredPlan",
-    "SogaPlanner",
-    "StationaryPlanner",
-    "Summary",
-    "TraceEvent",
-    "a12",
-    "assign_auxiliary",
-    "boundary_mutation",
-    "bundle_from_traces",
-    "crowding_distance",
-    "derive_seed",
-    "emit_trajectories",
-    "environmental_selection",
-    "load_measurements",
-    "make_planner",
-    "nondominated_sort",
     "parse_scenario",
-    "parse_space",
     "run_scenario",
-    "scott_knott",
-    "speedup",
-    "split_delta",
-    "summarize",
     "summarize_bundle",
-    "synth_landscape",
-    "trajectory_rows",
-    "transform",
-    "uniform_crossover",
-    "wilcoxon_rank_sum",
     "write_bundle_outputs",
+    "ScenarioSpec",
+    "PLANNER_KINDS",
+    "make_planner",
+    "PlannerParams",
+    "ConfigSpace",
+    "OptionSpec",
+    "Environment",
+    "MeasurementTable",
+    "CyberTwin",
+    "load_measurements",
+    "synth_landscape",
 ]

@@ -98,7 +98,7 @@ def _cmd_run(args) -> int:
     summary = write_bundle_outputs(bundle, args.out)
     print(f"ran {len(bundle.labels)} planner(s) x {spec.repetitions} repetition(s); "
           f"outputs in {Path(args.out).resolve()}")
-    for entry in summary.rank_table.entries:
+    for entry in summary.ranks:
         print(f"  rank {entry.rank}: {entry.label} (median {entry.median:g})")
     return 0
 

@@ -3,6 +3,7 @@ summary tables, and plot-ready trajectory data."""
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import math
@@ -20,7 +21,6 @@ from .planner import PlannerParams, RunTrace, TraceEvent, derive_seed
 from .space import ConfigSpace
 from .stats import (
     RankEntry,
-    RankTable,
     SampleGroup,
     Summary,
     a12,
@@ -35,6 +35,9 @@ TRACE_HEADER = ("planner", "rep", "measurement_index", "env", "ft", "best_ft",
                 "adaptation_sent", "env_change")
 TRAJECTORY_HEADER = ("planner", "measurement_index", "median_best", "iqr_best",
                      "env_change")
+# Integer manifest keys and the ScenarioSpec fields they set.
+_INT_KEYS = {"seed": "base_seed", "repetitions": "repetitions", "k": "k",
+             "stride": "trajectory_stride"}
 
 
 @dataclass(frozen=True)
@@ -111,7 +114,7 @@ def parse_scenario(path: str | Path) -> ScenarioSpec:
     """
     path = Path(path)
     base_dir = path.parent
-    fields: dict[str, str] = {}
+    fields: dict[str, str | int] = {}
     environments: list[EnvironmentSource] = []
     legs: list[LegSpec] = []
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
@@ -130,26 +133,18 @@ def parse_scenario(path: str | Path) -> ScenarioSpec:
             if len(tokens) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'leg: ENV BUDGET'")
             legs.append(LegSpec(env_id=tokens[0], measurement_budget=_int(tokens[1], lineno, path)))
-        elif key in ("system", "seed", "repetitions", "k", "stride", "planners"):
+        elif key in ("system", "planners") or key in _INT_KEYS:
             if key in fields:
                 raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            fields[key] = rest
+            fields[key] = _int(rest, lineno, path) if key in _INT_KEYS else rest
         else:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
 
     if "system" not in fields:
         raise ValueError(f"{path}: missing 'system'")
-    kwargs = {}
+    kwargs = {_INT_KEYS[key]: value for key, value in fields.items() if key in _INT_KEYS}
     if "planners" in fields:
         kwargs["planners"] = tuple(p.strip() for p in fields["planners"].split(",") if p.strip())
-    if "seed" in fields:
-        kwargs["base_seed"] = _int(fields["seed"], 0, path)
-    if "repetitions" in fields:
-        kwargs["repetitions"] = _int(fields["repetitions"], 0, path)
-    if "k" in fields:
-        kwargs["k"] = _int(fields["k"], 0, path)
-    if "stride" in fields:
-        kwargs["trajectory_stride"] = _int(fields["stride"], 0, path)
     return ScenarioSpec(
         system=fields["system"],
         environments=tuple(environments),
@@ -302,7 +297,7 @@ class SpeedupRow:
 @dataclass(frozen=True)
 class BundleSummary:
     summaries: dict[str, Summary]
-    rank_table: RankTable
+    ranks: tuple[RankEntry, ...]
     pairwise: tuple[PairwiseRow, ...]
     speedups: tuple[SpeedupRow, ...]
 
@@ -322,10 +317,8 @@ def summarize_bundle(bundle: ResultBundle, rng: random.Random | None = None) -> 
         ranks = scott_knott(groups, rng=rank_rng)
     else:
         only = groups[0]
-        ranks = RankTable(entries=(
-            RankEntry(label=only.label, rank=1,
-                      median=stats[only.label].median, iqr=stats[only.label].iqr),
-        ))
+        ranks = (RankEntry(label=only.label, rank=1,
+                           median=stats[only.label].median, iqr=stats[only.label].iqr),)
 
     pairwise: list[PairwiseRow] = []
     speedups: list[SpeedupRow] = []
@@ -357,7 +350,7 @@ def summarize_bundle(bundle: ResultBundle, rng: random.Random | None = None) -> 
             )
     return BundleSummary(
         summaries=stats,
-        rank_table=ranks,
+        ranks=ranks,
         pairwise=tuple(pairwise),
         speedups=tuple(speedups),
     )
@@ -473,7 +466,7 @@ def trajectory_rows(bundle: ResultBundle, stride: int | None = None) -> list[tup
         for m in range(stride, nominal_total + 1, stride):
             values = []
             for indices, bests in series:
-                pos = _last_at_or_before(indices, m)
+                pos = bisect.bisect_right(indices, m) - 1
                 if pos >= 0:
                     values.append(sign * bests[pos])
             if not values:
@@ -489,17 +482,6 @@ def trajectory_rows(bundle: ResultBundle, stride: int | None = None) -> list[tup
                 )
             )
     return rows
-
-
-def _last_at_or_before(indices: list[int], m: int) -> int:
-    lo, hi = 0, len(indices)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if indices[mid] <= m:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo - 1
 
 
 def trajectories_csv_text(bundle: ResultBundle, stride: int | None = None) -> str:
@@ -544,7 +526,7 @@ def render_text_summary(summary: BundleSummary, spec: ScenarioSpec) -> str:
         lines.append(f"  {label:<16} median={stat.median:g} iqr={stat.iqr:g}")
     lines.append("")
     lines.append("ranks (1 = best, equal rank = statistically indistinguishable):")
-    for entry in summary.rank_table.entries:
+    for entry in summary.ranks:
         lines.append(
             f"  rank {entry.rank}: {entry.label:<16} median={entry.median:g} iqr={entry.iqr:g}"
         )
@@ -582,7 +564,7 @@ def write_bundle_outputs(bundle: ResultBundle, out_dir: str | Path,
     write_atomic(out / "ranks.csv", csv_text(
         ("planner", "rank", "median", "iqr"),
         ([entry.label, entry.rank, repr(entry.median), repr(entry.iqr)]
-         for entry in summary.rank_table.entries),
+         for entry in summary.ranks),
     ))
     write_atomic(out / "speedups.csv", csv_text(
         ("baseline", "rep", "speedup"),

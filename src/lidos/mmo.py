@@ -35,7 +35,7 @@ class ScoredPlan:
     crowding: float | None = None
 
 
-def assign_auxiliary(pool: list[ScoredPlan], space: ConfigSpace) -> list[ScoredPlan]:
+def assign_auxiliary(pool: list[ScoredPlan], space: ConfigSpace) -> None:
     """Set every member's auxiliary objective from its nearest neighbors.
 
     For member s, the neighbor set holds all other members at minimal
@@ -45,19 +45,20 @@ def assign_auxiliary(pool: list[ScoredPlan], space: ConfigSpace) -> list[ScoredP
     """
     if len(pool) < 2:
         raise ValueError("auxiliary assignment needs a pool of at least 2 plans")
+    # Columns in plan order (stable), so the first maximum of a row is the
+    # lexicographically lowest donor, the earliest pool member among equals.
+    # Members outside the nearest set get a gap of -1, below any real one.
+    order = sorted(range(len(pool)), key=lambda j: pool[j].plan)
     coords = np.asarray([s.plan for s in pool], dtype=float)
-    scale = np.asarray(space.scale)
-    diff = (coords[:, None, :] - coords[None, :, :]) * scale
+    diff = (coords[:, None, :] - coords[None, order, :]) * np.asarray(space.scale)
     dist = np.sqrt((diff * diff).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)
-    for i, s in enumerate(pool):
-        nearest = np.flatnonzero(dist[i] == dist[i].min())
-        donor = min(
-            (pool[j] for j in nearest),
-            key=lambda a: (-abs(a.ft - s.ft), a.plan),
-        )
-        s.fa = donor.ft
-    return pool
+    dist[np.arange(len(pool)), np.argsort(order)] = np.inf
+    ft = np.asarray([s.ft for s in pool])
+    donor_ft = ft[order]
+    gap = np.where(dist == dist.min(axis=1, keepdims=True),
+                   np.abs(donor_ft - ft[:, None]), -1.0)
+    for s, fa in zip(pool, donor_ft[gap.argmax(axis=1)].tolist()):
+        s.fa = fa
 
 
 def transform(scored: ScoredPlan, w: float = 1.0) -> ScoredPlan:

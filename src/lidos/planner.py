@@ -67,9 +67,6 @@ class RunTrace:
     def measurement_events(self) -> list[TraceEvent]:
         return [e for e in self.events if e.is_measurement]
 
-    def change_count(self) -> int:
-        return sum(1 for e in self.events if e.env_change)
-
     def measurements_after_change(self, marker: int = 1) -> list[TraceEvent]:
         """Measurement events between the marker-th environment change and the
         next one (or the end of the trace)."""
@@ -207,11 +204,6 @@ class BasePlanner:
             self.step_generation()
             stalled = stalled + 1 if self.epoch_measurements == before else 0
         return self.trace
-
-    def best_plan(self) -> ScoredPlan:
-        if self.s_best is None:
-            raise ValueError("planner not initialized")
-        return self.s_best
 
     def restart(self, seed: int) -> None:
         """Re-seed, then re-randomize the population under the current

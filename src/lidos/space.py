@@ -1,9 +1,8 @@
-"""Adaptation-plan search space: options, plan validity, sampling, distances."""
+"""Adaptation-plan search space: options, plan validity, sampling."""
 
 from __future__ import annotations
 
 import bisect
-import math
 import random
 from dataclasses import dataclass
 
@@ -37,12 +36,6 @@ class OptionSpec:
         i = bisect.bisect_left(self.domain, value)
         return i < len(self.domain) and self.domain[i] == value
 
-    def index_of(self, value: int) -> int:
-        i = bisect.bisect_left(self.domain, value)
-        if i == len(self.domain) or self.domain[i] != value:
-            raise ValueError(f"value {value} not in domain of option {self.name!r}")
-        return i
-
 
 @dataclass(frozen=True)
 class ConfigSpace:
@@ -57,17 +50,15 @@ class ConfigSpace:
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:
             raise ValueError(f"duplicate option name(s): {sorted(dupes)}")
-        # Per-dimension scale 1/(max-min) used by the normalized distance;
-        # zero-span options contribute nothing.
+        # Per-dimension scale 1/(max-min). Plan distances (repair, the
+        # auxiliary objective) are Euclidean after this rescaling, so wide
+        # integer options cannot drown out binary ones; zero-span options
+        # contribute nothing.
         object.__setattr__(
             self,
             "_scale",
             tuple(1.0 / o.span if o.span else 0.0 for o in self.options),
         )
-
-    @property
-    def size(self) -> int:
-        return math.prod(len(o.domain) for o in self.options)
 
     @property
     def scale(self) -> tuple[float, ...]:
@@ -78,60 +69,6 @@ class ConfigSpace:
             return False
         return all(o.contains(v) for o, v in zip(self.options, plan))
 
-    def require_valid(self, plan: Plan) -> None:
-        if not self.validate_plan(plan):
-            raise ValueError(f"plan {plan!r} is not valid in this space")
-
     def random_plan(self, rng: random.Random) -> Plan:
         """Draw each value uniformly from its option's domain."""
         return tuple(rng.choice(o.domain) for o in self.options)
-
-    def normalized_distance(self, a: Plan, b: Plan) -> float:
-        """Euclidean distance after rescaling every dimension to [0, 1].
-
-        Each coordinate difference is divided by the option's (max - min)
-        so wide integer options cannot drown out binary ones.
-        """
-        self.require_valid(a)
-        self.require_valid(b)
-        return math.sqrt(
-            sum(((x - y) * s) ** 2 for x, y, s in zip(a, b, self.scale))
-        )
-
-    def enumerate_neighbors(self, plan: Plan) -> list[Plan]:
-        """All plans differing in exactly one option by one domain position."""
-        self.require_valid(plan)
-        out: list[Plan] = []
-        for i, opt in enumerate(self.options):
-            pos = opt.index_of(plan[i])
-            if pos > 0:
-                out.append(plan[:i] + (opt.domain[pos - 1],) + plan[i + 1 :])
-            if pos + 1 < len(opt.domain):
-                out.append(plan[:i] + (opt.domain[pos + 1],) + plan[i + 1 :])
-        return out
-
-
-def parse_space(text: str) -> ConfigSpace:
-    """Parse a space document: one option per line, ``name: v1,v2,...``.
-
-    Blank lines and ``#`` comments are ignored.
-    """
-    options: list[OptionSpec] = []
-    seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        name, sep, values = line.partition(":")
-        name = name.strip()
-        if not sep or not name:
-            raise ValueError(f"line {lineno}: expected 'name: v1,v2,...', got {raw!r}")
-        if name in seen:
-            raise ValueError(f"line {lineno}: duplicate option name {name!r}")
-        seen.add(name)
-        try:
-            domain = tuple(int(v) for v in values.split(",") if v.strip() != "")
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: non-integer domain value: {exc}") from exc
-        options.append(OptionSpec(name=name, domain=domain))
-    return ConfigSpace(options=tuple(options))

@@ -58,17 +58,6 @@ class RankEntry:
     iqr: float
 
 
-@dataclass(frozen=True)
-class RankTable:
-    entries: tuple[RankEntry, ...]
-
-    def rank_of(self, label: str) -> int:
-        for entry in self.entries:
-            if entry.label == label:
-                return entry.rank
-        raise KeyError(label)
-
-
 def summarize(groups: list[SampleGroup]) -> dict[str, Summary]:
     """Median (midpoint convention) and IQR (linear-interpolation percentiles)
     per group, in original units."""
@@ -198,7 +187,7 @@ def _bootstrap_rejects(left: list[float], right: list[float], resamples: int,
 
 def scott_knott(groups: list[SampleGroup], *, resamples: int = 1000,
                 confidence: float = 0.99, effect_threshold: float = 0.6,
-                rng: random.Random | None = None) -> RankTable:
+                rng: random.Random | None = None) -> tuple[RankEntry, ...]:
     """Cluster groups into statistically distinct ranks.
 
     Groups are sorted by median (best first), then recursively split at the
@@ -262,7 +251,7 @@ def scott_knott(groups: list[SampleGroup], *, resamples: int = 1000,
             e.iqr,
         )
     )
-    return RankTable(entries=tuple(entries))
+    return tuple(entries)
 
 
 def speedup(base_trace: RunTrace, lidos_trace: RunTrace, change_marker: int = 1) -> float:

@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 import numpy as np
@@ -173,14 +174,19 @@ def load_measurements(path: str | Path, env: Environment) -> MeasurementTable:
 
 def _as_int(cell: str) -> int:
     """An option value: an integer literal, taken exactly, or a number literal
-    such as ``3.0`` whose float is finite, integral and at most 2**53 in
-    magnitude, the range in which every integer is a float of its own."""
+    such as ``3.0`` or ``1e3`` whose exact decimal value is an integer of at
+    most 2**53 in magnitude, the range in which every integer is a float of
+    its own."""
     try:
         return int(cell)
     except ValueError:
         pass
-    value = float(cell)
-    if not (math.isfinite(value) and value == int(value) and abs(value) <= 2**53):
+    try:
+        value = Decimal(cell)
+    except InvalidOperation:
+        raise ValueError(f"option value {cell!r} is not a number") from None
+    if not (value.is_finite() and value.copy_abs() <= 2**53
+            and value == value.to_integral_value()):
         raise ValueError(f"option value {cell!r} is not an integer")
     return int(value)
 
@@ -236,9 +242,6 @@ class CyberTwin:
             self._cache.add(plan)
             self.counter += 1
         return raw if self.current.direction == "minimize" else -raw
-
-    def is_cached(self, plan: Plan) -> bool:
-        return plan in self._cache
 
     def coverage(self) -> float:
         return len(self._cache) / len(self.current_table())

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from lidos.space import ConfigSpace, OptionSpec
@@ -14,6 +17,31 @@ def dominates(a, b) -> bool:
         and a.g2 <= b.g2
         and (a.g1 < b.g1 or a.g2 < b.g2)
     )
+
+
+def normalized_distance(space: ConfigSpace, a, b) -> float:
+    """Euclidean distance after rescaling every option to [0, 1] by its span:
+    the distance repair and the auxiliary objective are defined by."""
+    for plan in (a, b):
+        if not space.validate_plan(plan):
+            raise ValueError(f"plan {plan!r} is not valid in this space")
+    return math.sqrt(sum(((x - y) * s) ** 2 for x, y, s in zip(a, b, space.scale)))
+
+
+def reference_auxiliary(pool, space: ConfigSpace) -> list[float]:
+    """The donor rule member by member: among the other members at minimal
+    distance, the target value farthest from the member's own, ties to the
+    lexicographically lowest plan, then to the earliest pool member."""
+    coords = np.asarray([s.plan for s in pool], dtype=float)
+    diff = (coords[:, None, :] - coords[None, :, :]) * np.asarray(space.scale)
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    np.fill_diagonal(dist, np.inf)
+    out = []
+    for i, s in enumerate(pool):
+        nearest = np.flatnonzero(dist[i] == dist[i].min())
+        donor = min((pool[j] for j in nearest), key=lambda a: (-abs(a.ft - s.ft), a.plan))
+        out.append(donor.ft)
+    return out
 
 
 def make_space(*domains: tuple[int, ...]) -> ConfigSpace:

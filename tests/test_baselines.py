@@ -131,7 +131,7 @@ class TestRestart:
         planner.init_run()
         planner.on_environment_change("B")
         assert planner.t == len({m.plan for m in planner.population})
-        assert planner.best_plan().ft == min(m.ft for m in planner.population)
+        assert planner.s_best.ft == min(m.ft for m in planner.population)
 
 
 class TestChangeHandling:

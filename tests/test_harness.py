@@ -4,6 +4,8 @@ import csv
 import io
 import itertools
 import os
+import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -164,7 +166,7 @@ class TestRunScenario:
         for label in smoke_bundle.labels:
             for rep in range(spec.repetitions):
                 trace = smoke_bundle.traces[(label, rep)]
-                assert trace.change_count() == 1
+                assert sum(e.env_change for e in trace.events) == 1
                 indices = [e.measurement_index for e in trace.measurement_events()]
                 assert indices == sorted(set(indices))
                 assert indices[-1] == smoke_bundle.final_counters[(label, rep)]
@@ -207,7 +209,8 @@ class TestRunScenario:
         bundle = run_scenario(spec, PlannerParams(population_size=10, k=spec.k))
         assert bundle.final_values("lidos") == bundle.final_values("lidos@2")
         summary = summarize_bundle(bundle)
-        assert summary.rank_table.rank_of("lidos") == summary.rank_table.rank_of("lidos@2")
+        ranks = {e.label: e.rank for e in summary.ranks}
+        assert ranks["lidos"] == ranks["lidos@2"]
         assert summary.pairwise[0].p_value == 1.0
 
 
@@ -219,7 +222,7 @@ class TestSummaries:
         got = summarize_bundle(rebuilt)
         want = summarize_bundle(smoke_bundle)
         assert got.summaries == want.summaries
-        assert got.rank_table == want.rank_table
+        assert got.ranks == want.ranks
         assert got.pairwise == want.pairwise
         assert got.speedups == want.speedups
 
@@ -241,8 +244,7 @@ class TestSummaries:
                               traces=traces)
         summary = summarize_bundle(bundle)
         assert summary.pairwise[0].effect == 1.0
-        assert summary.rank_table.rank_of("lidos") == 1
-        assert summary.rank_table.rank_of("stationary") == 2
+        assert {e.label: e.rank for e in summary.ranks} == {"lidos": 1, "stationary": 2}
 
     def test_traces_override_manifest_repetitions(self, smoke_bundle, tmp_path):
         path = tmp_path / "traces.csv"
@@ -362,6 +364,20 @@ class TestCli:
         assert code == 2
         assert "env_a.csv:4: option value 'inf' is not an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, lineno", [
+        ("seed", 2), ("repetitions", 3), ("k", 4), ("stride", 5),
+    ])
+    def test_bad_integer_field_exits_2_at_its_line(self, tmp_path, capsys, key, lineno):
+        manifest = write_small_dataset(tmp_path)
+        lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[lineno - 1].startswith(f"{key}:")
+        lines[lineno - 1] = f"{key}: abc\n"
+        manifest.write_text("".join(lines), encoding="utf-8")
+        code = cli_main(["run", "--scenario", str(manifest), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert (f"scenario.txt:{lineno}: expected an integer, got 'abc'"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("damage, message", [
         (lambda cells: cells[:-1], "expected 8 cells, got 7"),
         (lambda cells: cells[:1] + ["x"] + cells[2:], "invalid literal for int()"),
@@ -451,3 +467,57 @@ def test_run_with_different_row_sets(tmp_path):
     out = tmp_path / "out"
     assert cli_main(["run", "--scenario", str(manifest), "--out", str(out)]) == 0
     assert (out / "traces.csv").stat().st_size > 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_accounting_law_over_returning_legs(tmp_path, seed):
+    """Seeded 3-4 leg scenarios that return to A, over sparse tables with
+    different rows per environment and duplicate-heavy values, for every
+    planner: no plan is measured twice in one epoch, the epochs' counts sum
+    to the final counter, and the epoch after a return to A measures afresh
+    plans already measured in A's first epoch."""
+    rng = random.Random(seed)
+    domains = [range(rng.randint(3, 5)) for _ in range(3)]
+    plans = list(itertools.product(*domains))
+    ids = ("A", "B", "C")
+    for env_id in ids:
+        # Every table keeps the diagonal plans, so all imply one space.
+        kept = [p for p in plans if len(set(p)) == 1 or rng.random() < 0.35]
+        lines = ["o1,o2,o3,performance\n"]
+        lines += [",".join(map(str, p)) + f",{rng.randint(0, 3) * 0.5}\n" for p in kept]
+        (tmp_path / f"env_{env_id}.csv").write_text("".join(lines), encoding="utf-8")
+    legs = ["A", "B", "A"] + ([rng.choice(ids)] if seed % 2 else [])
+    manifest = tmp_path / "scenario.txt"
+    manifest.write_text(
+        f"system: returns\nseed: {seed}\nrepetitions: 2\nk: 15\n"
+        "planners: lidos, lidos_sta, pseudo_dynamic, stationary\n"
+        + "".join(f"environment: {e} env_{e}.csv minimize\n" for e in ids)
+        + "".join(f"leg: {e} {rng.randint(10, 25)}\n" for e in legs),
+        encoding="utf-8",
+    )
+    bundle = run_scenario(parse_scenario(manifest), PlannerParams(population_size=10, k=15))
+    for key, trace in bundle.traces.items():
+        epochs: list[list] = [[]]
+        for event in trace.events:
+            if event.env_change:
+                epochs.append([])
+            elif event.is_measurement:
+                epochs[-1].append(event.plan)
+        assert len(epochs) == len(legs)
+        for plans_measured in epochs:
+            assert len(plans_measured) == len(set(plans_measured)), key
+        assert sum(map(len, epochs)) == bundle.final_counters[key]
+        assert set(epochs[2]) & set(epochs[0]), key
+
+
+def test_public_surface_matches_readme():
+    """`lidos.__all__` is the README's "Library use" list, and every name
+    imports."""
+    import lidos
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"`(\w+)`", section.split("```", 1)[0])
+    assert sorted(listed) == sorted(lidos.__all__)
+    for name in lidos.__all__:
+        assert getattr(lidos, name) is not None

@@ -123,7 +123,7 @@ class TestInitRun:
         space, twin, rows = small_setup()
         planner = MmoPlanner(space, twin, PlannerParams(), seed=4)
         planner.init_run()
-        assert planner.best_plan().ft == min(m.ft for m in planner.population)
+        assert planner.s_best.ft == min(m.ft for m in planner.population)
 
 
 class TestStepGeneration:
@@ -171,7 +171,7 @@ class TestAdaptationEvents:
         # Operators are identity, so the best never improves after the first
         # emission and exactly one event fires; it resets t.
         assert len(sent) == 1
-        assert sent[0].ft == planner.best_plan().ft
+        assert sent[0].ft == planner.s_best.ft
         assert planner.t == 0
 
     def test_every_emission_strictly_improves(self):
@@ -229,9 +229,9 @@ class TestEnvironmentChange:
         planner = MmoPlanner(space, twin, PlannerParams(population_size=2), seed=0)
         planner.init_run()
         planner.run_scenario_leg()  # covers the space, best is (0,) at 0.0
-        assert planner.best_plan().plan == (0,)
+        assert planner.s_best.plan == (0,)
         planner.on_environment_change("B")
-        assert planner.best_plan().ft == min(
+        assert planner.s_best.ft == min(
             rows_b[m.plan] for m in planner.population
         )
 
@@ -243,10 +243,10 @@ class TestEnvironmentChange:
         twin = self.two_env_twin(rows, dict(rows), space)
         planner = MmoPlanner(space, twin, PlannerParams(population_size=8), seed=4)
         planner.init_run()
-        before = planner.best_plan().ft
+        before = planner.s_best.ft
         planner.on_environment_change("B")
-        assert planner.best_plan().ft <= before  # same landscape, best re-found
-        assert planner.best_plan().ft == min(rows[m.plan] for m in planner.population)
+        assert planner.s_best.ft <= before  # same landscape, best re-found
+        assert planner.s_best.ft == min(rows[m.plan] for m in planner.population)
 
     def test_change_event_recorded(self):
         space = make_space((0, 1))

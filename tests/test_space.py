@@ -5,44 +5,29 @@ import random
 
 import pytest
 
-from lidos.space import parse_space
+from lidos.space import ConfigSpace, OptionSpec
 
-from conftest import make_space
+from conftest import make_space, normalized_distance
 
 
-class TestParseSpace:
-    def test_two_options_size(self):
-        space = parse_space("a: 0,1\nb: 1,2,3\n")
-        assert space.size == 6
-        assert [o.name for o in space.options] == ["a", "b"]
-
-    def test_comments_and_blank_lines(self):
-        space = parse_space("# sizes\na: 0,1\n\nb: 4,9  # sparse\n")
-        assert space.size == 4
-
-    def test_duplicate_option_name(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            parse_space("a: 0,1\na: 1,2\n")
-
+class TestOptionSpec:
     def test_empty_domain(self):
         with pytest.raises(ValueError, match="empty"):
-            parse_space("a:\n")
+            OptionSpec("a", ())
 
     def test_unsorted_domain(self):
         with pytest.raises(ValueError, match="increasing"):
-            parse_space("a: 3,1,2\n")
+            OptionSpec("a", (3, 1, 2))
 
     def test_duplicate_value(self):
         with pytest.raises(ValueError, match="increasing"):
-            parse_space("a: 1,1,2\n")
+            OptionSpec("a", (1, 1, 2))
 
-    def test_malformed_line(self):
-        with pytest.raises(ValueError, match="expected"):
-            parse_space("just some text\n")
 
-    def test_non_integer_value(self):
-        with pytest.raises(ValueError, match="non-integer"):
-            parse_space("a: 0,x\n")
+class TestConfigSpace:
+    def test_duplicate_option_name(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            ConfigSpace((OptionSpec("a", (0, 1)), OptionSpec("a", (1, 2))))
 
 
 class TestValidatePlan:
@@ -82,34 +67,34 @@ class TestRandomPlan:
 
 class TestNormalizedDistance:
     def test_identity(self, binary_pair_space):
-        assert binary_pair_space.normalized_distance((0, 2), (0, 2)) == 0.0
+        assert normalized_distance(binary_pair_space, (0, 2), (0, 2)) == 0.0
 
     def test_single_binary_difference(self, binary_pair_space):
-        assert binary_pair_space.normalized_distance((0, 2), (1, 2)) == 1.0
+        assert normalized_distance(binary_pair_space, (0, 2), (1, 2)) == 1.0
 
     def test_hand_example(self):
         space = make_space((0, 1), (1, 3, 5))
-        d = space.normalized_distance((0, 1), (1, 3))
+        d = normalized_distance(space, (0, 1), (1, 3))
         assert abs(d - math.sqrt(1.0 + 0.25)) < 1e-12
 
     def test_invalid_plan_raises(self, binary_pair_space):
         with pytest.raises(ValueError):
-            binary_pair_space.normalized_distance((9, 2), (0, 2))
+            normalized_distance(binary_pair_space, (9, 2), (0, 2))
 
     def test_zero_span_option_contributes_nothing(self):
         space = make_space((7,), (0, 1))
-        assert space.normalized_distance((7, 0), (7, 1)) == 1.0
+        assert normalized_distance(space, (7, 0), (7, 1)) == 1.0
 
     def test_metric_properties(self):
         space = make_space((0, 1, 2), (0, 5, 9), (0, 1))
         rng = random.Random(99)
         for _ in range(200):
             a, b, c = (space.random_plan(rng) for _ in range(3))
-            dab = space.normalized_distance(a, b)
-            assert dab == space.normalized_distance(b, a)
-            assert space.normalized_distance(a, a) == 0.0
+            dab = normalized_distance(space, a, b)
+            assert dab == normalized_distance(space, b, a)
+            assert normalized_distance(space, a, a) == 0.0
             assert dab <= (
-                space.normalized_distance(a, c) + space.normalized_distance(c, b) + 1e-12
+                normalized_distance(space, a, c) + normalized_distance(space, c, b) + 1e-12
             )
 
     def test_affine_rescaling_invariance(self):
@@ -122,41 +107,6 @@ class TestNormalizedDistance:
             b = base.random_plan(rng)
             a2 = (remap[a[0]], 3 + 5 * a[1])
             b2 = (remap[b[0]], 3 + 5 * b[1])
-            assert base.normalized_distance(a, b) == pytest.approx(
-                scaled.normalized_distance(a2, b2), abs=1e-12
+            assert normalized_distance(base, a, b) == pytest.approx(
+                normalized_distance(scaled, a2, b2), abs=1e-12
             )
-
-
-class TestEnumerateNeighbors:
-    def test_binary_edge(self):
-        space = make_space((0, 1))
-        assert space.enumerate_neighbors((0,)) == [(1,)]
-
-    def test_interior_single_option(self):
-        space = make_space((0, 1, 2))
-        assert sorted(space.enumerate_neighbors((1,))) == [(0,), (2,)]
-
-    def test_interior_two_options(self):
-        space = make_space((0, 1, 2), (0, 1, 2))
-        assert len(space.enumerate_neighbors((1, 1))) == 4
-
-    def test_step_is_positional_not_value(self):
-        space = make_space((1, 3, 5),)
-        assert sorted(space.enumerate_neighbors((3,))) == [(1,), (5,)]
-
-    def test_invalid_plan_raises(self):
-        space = make_space((0, 1))
-        with pytest.raises(ValueError):
-            space.enumerate_neighbors((4,))
-
-    def test_neighborhood_properties(self):
-        space = make_space((0, 1, 2), (0, 2, 7), (0, 1))
-        rng = random.Random(5)
-        for _ in range(100):
-            p = space.random_plan(rng)
-            neighbors = space.enumerate_neighbors(p)
-            assert p not in neighbors
-            assert len(set(neighbors)) == len(neighbors)
-            for q in neighbors:
-                assert space.validate_plan(q)
-                assert p in space.enumerate_neighbors(q)

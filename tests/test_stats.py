@@ -182,16 +182,14 @@ class TestScottKnott:
         table = scott_knott(
             groups(("p", [0.0] * 10), ("q", [0.0] * 10), ("r", [5.0] * 10))
         )
-        assert table.rank_of("p") == 1
-        assert table.rank_of("q") == 1
-        assert table.rank_of("r") == 2
+        assert {e.label: e.rank for e in table} == {"p": 1, "q": 1, "r": 2}
 
     def test_identical_distributions_share_rank(self):
         rng = random.Random(2)
         a = [rng.gauss(0, 1) for _ in range(30)]
         b = [rng.gauss(0, 1) for _ in range(30)]
         table = scott_knott(groups(("a", a), ("b", b)))
-        assert table.rank_of("a") == table.rank_of("b") == 1
+        assert {e.label: e.rank for e in table} == {"a": 1, "b": 1}
 
     def test_relabeling_invariance(self):
         rng = random.Random(3)
@@ -204,16 +202,15 @@ class TestScottKnott:
                               rng=random.Random(0))
         shuffled = scott_knott(groups(*reversed(list(samples.items()))),
                                rng=random.Random(0))
-        assert {e.label: e.rank for e in forward.entries} == {
-            e.label: e.rank for e in shuffled.entries
+        assert {e.label: e.rank for e in forward} == {
+            e.label: e.rank for e in shuffled
         }
 
     def test_maximize_direction_ranks_high_first(self):
         table = scott_knott(
             groups(("low", [1.0] * 10), ("high", [9.0] * 10), direction="maximize")
         )
-        assert table.rank_of("high") == 1
-        assert table.rank_of("low") == 2
+        assert {e.label: e.rank for e in table} == {"high": 1, "low": 2}
 
     def test_entries_sorted_by_rank_then_median(self):
         rng = random.Random(4)
@@ -224,8 +221,8 @@ class TestScottKnott:
                 ("mid", [rng.gauss(5, 0.1) for _ in range(20)]),
             )
         )
-        assert [e.label for e in table.entries] == ["best", "mid", "worst"]
-        assert [e.rank for e in table.entries] == [1, 2, 3]
+        assert [e.label for e in table] == ["best", "mid", "worst"]
+        assert [e.rank for e in table] == [1, 2, 3]
 
     def test_mixed_directions_rejected(self):
         gs = groups(("a", [1.0] * 3)) + groups(("b", [2.0] * 3), direction="maximize")

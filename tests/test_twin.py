@@ -67,7 +67,9 @@ class TestLoadMeasurements:
         table = load_measurements(path, Environment("e"))
         assert set(table.rows) == {(9007199254740993,), (3,)}
 
-    @pytest.mark.parametrize("cell", ["2.5", "inf", "-inf", "nan", "1e400", "1e20"])
+    @pytest.mark.parametrize("cell", ["2.5", "inf", "-inf", "nan", "1e400", "1e20",
+                                      "1.0000000000000001", "4503599627370496.5",
+                                      "1e-400"])
     def test_inexact_or_non_finite_option_rejected(self, tmp_path, cell):
         path = write_csv(tmp_path, "m.csv", f"a,perf\n0,1.0\n{cell},2.0\n")
         with pytest.raises(ValueError, match="m.csv:3: option value"):
@@ -94,7 +96,7 @@ class TestMeasure:
         twin = make_twin(space, make_table(space, {(0,): 7.0, (1,): 9.0}), current="e")
         twin.measure((0,))
         twin.set_environment("e")
-        assert not twin.is_cached((0,))
+        assert twin.coverage() == 0.0
         twin.measure((0,))
         assert twin.counter == 2
 
