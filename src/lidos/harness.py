@@ -3,8 +3,8 @@ summary tables, and plot-ready trajectory data."""
 
 from __future__ import annotations
 
-import bisect
 import csv
+import gc
 import io
 import math
 import os
@@ -12,12 +12,13 @@ import random
 import secrets
 import statistics
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import PLANNER_KINDS, make_planner
-from .planner import PlannerParams, RunTrace, TraceEvent, derive_seed
+from .planner import TRACE_DTYPE, PlannerParams, RunTrace, derive_seed
 from .space import ConfigSpace
 from .stats import (
     RankEntry,
@@ -115,8 +116,9 @@ def parse_scenario(path: str | Path) -> ScenarioSpec:
     path = Path(path)
     base_dir = path.parent
     fields: dict[str, str | int] = {}
+    linenos: dict[str, int] = {}
     environments: list[EnvironmentSource] = []
-    legs: list[LegSpec] = []
+    legs: list[tuple[int, LegSpec]] = []
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -132,23 +134,35 @@ def parse_scenario(path: str | Path) -> ScenarioSpec:
             tokens = rest.split()
             if len(tokens) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'leg: ENV BUDGET'")
-            legs.append(LegSpec(env_id=tokens[0], measurement_budget=_int(tokens[1], lineno, path)))
+            legs.append((lineno, LegSpec(env_id=tokens[0],
+                                         measurement_budget=_int(tokens[1], lineno, path))))
         elif key in ("system", "planners") or key in _INT_KEYS:
             if key in fields:
                 raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
             fields[key] = _int(rest, lineno, path) if key in _INT_KEYS else rest
+            linenos[key] = lineno
         else:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
 
     if "system" not in fields:
         raise ValueError(f"{path}: missing 'system'")
+    # Checked after the loop, so an environment may be declared after its leg.
+    declared = {source.environment.id for source in environments}
+    for lineno, leg in legs:
+        if leg.env_id not in declared:
+            raise ValueError(
+                f"{path}:{lineno}: leg references undeclared environment {leg.env_id!r}")
     kwargs = {_INT_KEYS[key]: value for key, value in fields.items() if key in _INT_KEYS}
     if "planners" in fields:
         kwargs["planners"] = tuple(p.strip() for p in fields["planners"].split(",") if p.strip())
+        for kind in kwargs["planners"]:
+            if kind not in PLANNER_KINDS:
+                raise ValueError(
+                    f"{path}:{linenos['planners']}: unknown planner kind {kind!r}")
     return ScenarioSpec(
         system=fields["system"],
         environments=tuple(environments),
-        legs=tuple(legs),
+        legs=tuple(leg for _, leg in legs),
         **kwargs,
     )
 
@@ -370,50 +384,115 @@ def csv_text(header, rows) -> str:
 
 
 def traces_csv_text(bundle: ResultBundle) -> str:
-    return csv_text(TRACE_HEADER, (
-        [label, rep, event.measurement_index, event.environment_id,
-         "" if event.ft is None else repr(event.ft),
-         "" if event.best_ft is None else repr(event.best_ft),
-         int(event.adaptation_sent), int(event.env_change)]
+    def rows(label, rep, trace):
+        events = trace.events
+        env_ids = trace.env_ids
+        values = [[repr(v) if v == v else "" for v in events[name].tolist()]
+                  for name in ("ft", "best_ft")]
+        return zip(repeat(label), repeat(rep), events["measurement_index"].tolist(),
+                   [env_ids[code] for code in events["env"].tolist()], *values,
+                   events["adaptation_sent"].view(np.uint8).tolist(),
+                   events["env_change"].view(np.uint8).tolist())
+
+    return csv_text(TRACE_HEADER, chain.from_iterable(
+        rows(label, rep, bundle.traces[(label, rep)])
         for label in bundle.labels
         for rep in range(bundle.spec.repetitions)
-        for event in bundle.traces[(label, rep)].events
     ))
 
 
+def _trace_columns(path: str | Path) -> tuple[range | list[int], tuple]:
+    """The line number of every non-blank record after the header, and the
+    records' cells as eight columns."""
+    # The parse makes one list per record and no reference cycles; pausing
+    # the cyclic collector spares it repeated full passes over those lists.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        with Path(path).open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = tuple(next(reader, ()))
+            if header != TRACE_HEADER:
+                raise ValueError(f"{path}: unexpected trace header {header!r}")
+            records = list(reader)
+        # A record's line is its position after the header.
+        lines = range(2, len(records) + 2)
+        if set(map(len, records)) != {len(TRACE_HEADER)}:
+            lines = [line for line, row in zip(lines, records) if row]
+            records = [row for row in records if row]
+            for line, row in zip(lines, records):
+                if len(row) != len(TRACE_HEADER):
+                    raise ValueError(
+                        f"{path}:{line}: expected {len(TRACE_HEADER)} cells, got {len(row)}")
+        return lines, tuple(zip(*records)) or ((),) * len(TRACE_HEADER)
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def read_traces_csv(path: str | Path) -> tuple[tuple[str, ...], dict[tuple[str, int], RunTrace]]:
-    """Rebuild run traces from an emitted CSV (plans are not serialized)."""
-    labels: list[str] = []
-    traces: dict[tuple[str, int], RunTrace] = {}
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != TRACE_HEADER:
-            raise ValueError(f"{path}: unexpected trace header {header!r}")
-        for lineno, row in enumerate(reader, 2):
-            if not row:
-                continue
-            if len(row) != len(TRACE_HEADER):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(TRACE_HEADER)} cells, got {len(row)}"
-                )
-            label, rep_s, index_s, env, ft_s, best_s, sent_s, change_s = row
-            try:
-                key = (label, int(rep_s))
-                event = TraceEvent(
-                    measurement_index=int(index_s),
-                    environment_id=env,
-                    ft=float(ft_s) if ft_s else None,
-                    best_ft=float(best_s) if best_s else None,
-                    adaptation_sent=bool(int(sent_s)),
-                    env_change=bool(int(change_s)),
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if label not in labels:
-                labels.append(label)
-            traces.setdefault(key, RunTrace()).events.append(event)
-    return tuple(labels), traces
+    """Rebuild run traces from an emitted CSV (plans are not serialized).
+
+    Each row is checked by its kind: both flags are 0 or 1 and not both 1; a
+    measurement or adaptation row holds finite `ft` and `best_ft`, and a
+    change row leaves both empty. Rows of one (planner, rep) keep their file
+    order, also when rows of other keys come between them."""
+    lines, (label_c, rep_c, index_c, env_c, ft_c, best_c, sent_c, change_c) = \
+        _trace_columns(path)
+    if not lines:
+        return (), {}
+
+    def bad(mask, message):
+        found = np.flatnonzero(mask)
+        if len(found):
+            raise ValueError(f"{path}:{lines[found[0]]}: {message}")
+
+    def column(cells, convert, dtype):
+        try:
+            return np.fromiter(map(convert, cells), dtype, len(cells))
+        except (ValueError, OverflowError):
+            for line, cell in zip(lines, cells):
+                try:
+                    np.array(convert(cell), dtype)
+                except (ValueError, OverflowError) as exc:
+                    raise ValueError(f"{path}:{line}: {exc}") from None
+            raise
+
+    def coded(cells):
+        """The distinct cells in order of appearance, and each cell's code."""
+        distinct = tuple(dict.fromkeys(cells))
+        code_of = {cell: code for code, cell in enumerate(distinct)}
+        return distinct, np.fromiter(map(code_of.__getitem__, cells), np.int64, len(cells))
+
+    events = np.empty(len(lines), TRACE_DTYPE)
+    reps = column(rep_c, int, np.int64)
+    events["measurement_index"] = column(index_c, int, np.int64)
+    for name, cells in (("adaptation_sent", sent_c), ("env_change", change_c)):
+        if not set(cells) <= {"0", "1"}:
+            bad([cell not in ("0", "1") for cell in cells], f"{name} must be 0 or 1")
+        # Every cell is now a single ASCII digit.
+        events[name] = np.frombuffer("".join(cells).encode(), np.uint8) == ord("1")
+    change = events["env_change"]
+    bad(events["adaptation_sent"] & change,
+        "a row cannot be both an adaptation and an environment change")
+    for name, cells in (("ft", ft_c), ("best_ft", best_c)):
+        events[name] = column([cell or "nan" for cell in cells], float, np.float64)
+        bad(~change & ~np.isfinite(events[name]),
+            f"a measurement or adaptation row needs a finite {name}")
+        # The other rows are known to be non-empty now.
+        if cells.count("") != change.sum():
+            bad(change & np.array([cell != "" for cell in cells]),
+                f"an environment-change row leaves {name} empty")
+    env_ids, events["env"] = coded(env_c)
+
+    # Group by (label, rep); the sort is stable, so each group keeps file order.
+    labels, label_codes = coded(label_c)
+    order = np.lexsort((reps, label_codes))
+    events, label_codes, reps = events[order], label_codes[order], reps[order]
+    starts = [0, *(np.flatnonzero(np.diff(label_codes) | np.diff(reps)) + 1).tolist(), len(events)]
+    traces = {(labels[label_codes[start]], int(reps[start])): RunTrace(events[start:end], env_ids)
+              for start, end in zip(starts, starts[1:])}
+    return labels, traces
 
 
 def bundle_from_traces(spec: ScenarioSpec, path: str | Path) -> ResultBundle:
@@ -456,22 +535,22 @@ def trajectory_rows(bundle: ResultBundle, stride: int | None = None) -> list[tup
     flagged = {min(nominal_total, math.ceil(b / stride) * stride) for b in boundaries}
 
     sign = 1.0 if spec.final_direction() == "minimize" else -1.0
+    marks = np.arange(stride, nominal_total + 1, stride)
     rows: list[tuple] = []
     for label in bundle.labels:
-        series = []
+        # Best-so-far at each mark, one row per repetition; NaN before a
+        # repetition's first measurement.
+        at_marks = np.full((spec.repetitions, len(marks)), np.nan)
         for rep in range(spec.repetitions):
-            events = bundle.traces[(label, rep)].measurement_events()
-            series.append(([e.measurement_index for e in events],
-                           [e.best_ft for e in events]))
-        for m in range(stride, nominal_total + 1, stride):
-            values = []
-            for indices, bests in series:
-                pos = bisect.bisect_right(indices, m) - 1
-                if pos >= 0:
-                    values.append(sign * bests[pos])
-            if not values:
+            trace = bundle.traces[(label, rep)]
+            measured = trace.events[trace.measurement_mask()]
+            pos = np.searchsorted(measured["measurement_index"], marks, side="right") - 1
+            reached = pos >= 0
+            at_marks[rep, reached] = sign * measured["best_ft"][pos[reached]]
+        for m, column in zip(marks.tolist(), at_marks.T):
+            arr = column[~np.isnan(column)]
+            if not len(arr):
                 continue
-            arr = np.asarray(values)
             rows.append(
                 (
                     label,

@@ -4,8 +4,11 @@ environment-change handling, and run traces."""
 from __future__ import annotations
 
 import hashlib
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .mmo import ScoredPlan, assign_auxiliary, environmental_selection, transform
 from .space import ConfigSpace, Plan
@@ -42,60 +45,99 @@ class PlannerParams:
             raise ValueError("adaptation interval k must be positive")
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    measurement_index: int
-    environment_id: str
-    plan: Plan | None = None
-    ft: float | None = None
-    best_ft: float | None = None
-    adaptation_sent: bool = False
-    env_change: bool = False
-
-    @property
-    def is_measurement(self) -> bool:
-        return not self.adaptation_sent and not self.env_change
+# One row per trace event. `env` indexes `RunTrace.env_ids`; `ft` and
+# `best_ft` are NaN on environment-change rows, which carry no value.
+TRACE_DTYPE = np.dtype([
+    ("measurement_index", np.int64),
+    ("env", np.int32),
+    ("ft", np.float64),
+    ("best_ft", np.float64),
+    ("adaptation_sent", np.bool_),
+    ("env_change", np.bool_),
+])
 
 
-@dataclass
 class RunTrace:
     """Ordered event log of one repetition: genuine measurements (index
-    strictly increasing), adaptation emissions, and environment changes."""
+    strictly increasing), adaptation emissions, and environment changes.
 
-    events: list[TraceEvent] = field(default_factory=list)
+    `events` is a structured array of `TRACE_DTYPE` rows, and `plans` holds
+    each row's plan (None on change rows, and on every row of a trace read
+    back from CSV, which does not store plans). Recording appends plain
+    tuples; they join `events` the first time it is read.
+    """
 
-    def measurement_events(self) -> list[TraceEvent]:
-        return [e for e in self.events if e.is_measurement]
+    def __init__(self, events: np.ndarray | None = None, env_ids=()) -> None:
+        self._events = events if events is not None else np.empty(0, TRACE_DTYPE)
+        self.env_ids: list[str] = list(env_ids)
+        self.plans: list[Plan | None] = [None] * len(self._events)
+        self._codes = {env_id: code for code, env_id in enumerate(self.env_ids)}
+        self._pending: list[tuple] = []
 
-    def measurements_after_change(self, marker: int = 1) -> list[TraceEvent]:
-        """Measurement events between the marker-th environment change and the
+    def record(self, measurement_index: int, env_id: str, plan: Plan | None,
+               ft: float = math.nan, best_ft: float = math.nan,
+               adaptation_sent: bool = False, env_change: bool = False) -> None:
+        code = self._codes.get(env_id)
+        if code is None:
+            code = self._codes[env_id] = len(self.env_ids)
+            self.env_ids.append(env_id)
+        self._pending.append((measurement_index, code, ft, best_ft,
+                              adaptation_sent, env_change))
+        self.plans.append(plan)
+
+    @property
+    def events(self) -> np.ndarray:
+        if self._pending:
+            self._events = np.concatenate(
+                (self._events, np.array(self._pending, dtype=TRACE_DTYPE)))
+            self._pending = []
+        return self._events
+
+    def measurement_mask(self) -> np.ndarray:
+        events = self.events
+        return ~(events["adaptation_sent"] | events["env_change"])
+
+    def measurements_after_change(self, marker: int = 1) -> np.ndarray:
+        """Measurement rows between the marker-th environment change and the
         next one (or the end of the trace)."""
         if marker < 1:
             raise ValueError("change marker is 1-based")
-        seen = 0
-        collecting = False
-        out: list[TraceEvent] = []
-        for event in self.events:
-            if event.env_change:
-                seen += 1
-                collecting = seen == marker
-                continue
-            if collecting and event.is_measurement:
-                out.append(event)
-        if seen < marker:
-            raise ValueError(f"trace holds only {seen} change marker(s), wanted {marker}")
-        return out
+        events = self.events
+        changes = np.flatnonzero(events["env_change"])
+        if len(changes) < marker:
+            raise ValueError(
+                f"trace holds only {len(changes)} change marker(s), wanted {marker}")
+        end = changes[marker] if len(changes) > marker else len(events)
+        segment = events[changes[marker - 1] + 1:end]
+        return segment[~segment["adaptation_sent"]]
 
     def final_best(self) -> float:
-        for event in reversed(self.events):
-            if event.best_ft is not None:
-                return event.best_ft
-        raise ValueError("trace holds no measurements")
+        """The last recorded best value: change rows carry none."""
+        valued = np.flatnonzero(~self.events["env_change"])
+        if not len(valued):
+            raise ValueError("trace holds no measurements")
+        return float(self.events["best_ft"][valued[-1]])
 
 
 def binary_tournament(population: list[ScoredPlan], rng: random.Random, key) -> ScoredPlan:
-    """Pick two distinct members at random; the better key wins, first on ties."""
-    a, b = rng.sample(population, 2)
+    """Pick two distinct members at random; the better key wins, first on ties.
+
+    The draws are exactly those of `rng.sample(population, 2)`, without its
+    bookkeeping. For a sample of two, `Random.sample` takes its pool path up
+    to 21 members: the second draw is over the n - 1 members left, with the
+    last member moved into the first pick's slot. Beyond 21 it takes its set
+    path and redraws while the second pick repeats the first."""
+    n = len(population)
+    i = rng.randrange(n)
+    if n <= 21:
+        j = rng.randrange(n - 1)
+        if j == i:
+            j = n - 1
+    else:
+        j = rng.randrange(n)
+        while j == i:
+            j = rng.randrange(n)
+    a, b = population[i], population[j]
     return a if key(a) <= key(b) else b
 
 
@@ -228,15 +270,7 @@ class BasePlanner:
         self.epoch_measurements += 1
         if self.s_best is None or ft < self.s_best.ft:
             self.s_best = ScoredPlan(plan=plan, ft=ft)
-        self.trace.events.append(
-            TraceEvent(
-                measurement_index=self.twin.counter,
-                environment_id=self.twin.current.id,
-                plan=plan,
-                ft=ft,
-                best_ft=self.s_best.ft,
-            )
-        )
+        self.trace.record(self.twin.counter, self.twin.current.id, plan, ft, self.s_best.ft)
         return ft
 
     def _spawn_plans(self) -> list[Plan]:
@@ -273,13 +307,7 @@ class BasePlanner:
         self.epoch_measurements = 0
         self.s_best = None
         self._last_sent_ft = None
-        self.trace.events.append(
-            TraceEvent(
-                measurement_index=self.twin.counter,
-                environment_id=self.twin.current.id,
-                env_change=True,
-            )
-        )
+        self.trace.record(self.twin.counter, self.twin.current.id, None, env_change=True)
 
     def _remeasure_population(self) -> None:
         """Measure the population under the new environment. A plan its table
@@ -298,16 +326,8 @@ class BasePlanner:
             return
         if self._last_sent_ft is not None and self.s_best.ft >= self._last_sent_ft:
             return
-        self.trace.events.append(
-            TraceEvent(
-                measurement_index=self.twin.counter,
-                environment_id=self.twin.current.id,
-                plan=self.s_best.plan,
-                ft=self.s_best.ft,
-                best_ft=self.s_best.ft,
-                adaptation_sent=True,
-            )
-        )
+        self.trace.record(self.twin.counter, self.twin.current.id, self.s_best.plan,
+                          self.s_best.ft, self.s_best.ft, adaptation_sent=True)
         self._last_sent_ft = self.s_best.ft
         self.t = 0
 

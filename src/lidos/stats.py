@@ -262,13 +262,13 @@ def speedup(base_trace: RunTrace, lidos_trace: RunTrace, change_marker: int = 1)
     which the other trace attains a value at least that good. Returns
     T_base / T_lidos, or infinity when the target is never reached.
     """
-    base = base_trace.measurements_after_change(change_marker)
-    other = lidos_trace.measurements_after_change(change_marker)
-    if not base or not other:
+    base = base_trace.measurements_after_change(change_marker)["ft"]
+    other = lidos_trace.measurements_after_change(change_marker)["ft"]
+    if not len(base) or not len(other):
         raise ValueError("empty post-change segment")
-    base_best = min(e.ft for e in base)
-    t_base = next(i for i, e in enumerate(base, 1) if e.ft == base_best)
-    t_other = next((i for i, e in enumerate(other, 1) if e.ft <= base_best), None)
-    if t_other is None:
+    base_best = base.min()
+    t_base = int(np.argmax(base == base_best)) + 1
+    reached = np.flatnonzero(other <= base_best)
+    if not len(reached):
         return math.inf
-    return t_base / t_other
+    return t_base / (int(reached[0]) + 1)

@@ -26,7 +26,7 @@ from lidos.mmo import (
     nondominated_sort,
     transform,
 )
-from lidos.planner import RunTrace, TraceEvent
+from lidos.planner import RunTrace
 from lidos.space import ConfigSpace, OptionSpec
 from lidos.stats import a12, scott_knott, speedup, split_delta, wilcoxon_rank_sum, SampleGroup
 from lidos.twin import Environment, load_measurements, synth_landscape
@@ -180,11 +180,11 @@ def test_measurement_accounting_law(tmp_path):
     bundle = run_scenario(parse_scenario(manifest))
     for key, trace in bundle.traces.items():
         epochs = [[]]
-        for event in trace.events:
-            if event.env_change:
+        for event, plan in zip(trace.events, trace.plans):
+            if event["env_change"]:
                 epochs.append([])
-            elif event.is_measurement:
-                epochs[-1].append(event.plan)
+            elif not event["adaptation_sent"]:
+                epochs[-1].append(plan)
         total = 0
         for plans in epochs:
             assert len(plans) == len(set(plans)), f"repeated measurement in {key}"
@@ -268,7 +268,7 @@ def benchmark_bundle(tmp_path_factory):
 @criterion(6, "dynamic beats its restart variant after a change (A12 >= 0.56)")
 def test_dynamic_beats_stationary_direction(benchmark_bundle):
     assert len(benchmark_bundle.traces) == 4 * 50
-    assert all(sum(e.env_change for e in t.events) == 1
+    assert all(t.events["env_change"].sum() == 1
                for t in benchmark_bundle.traces.values())
     lidos = benchmark_bundle.final_values("lidos")
     restart = benchmark_bundle.final_values("lidos_sta")
@@ -295,12 +295,12 @@ def test_speedup_metric(benchmark_bundle):
 
     def hand_trace(post):
         trace = RunTrace()
-        trace.events.append(TraceEvent(1, "A", plan=(0,), ft=99.0, best_ft=99.0))
-        trace.events.append(TraceEvent(1, "B", env_change=True))
+        trace.record(1, "A", (0,), 99.0, 99.0)
+        trace.record(1, "B", None, env_change=True)
         best = math.inf
         for i, ft in enumerate(post, 2):
             best = min(best, ft)
-            trace.events.append(TraceEvent(i, "B", plan=(0,), ft=ft, best_ft=best))
+            trace.record(i, "B", (0,), ft, best)
         return trace
 
     base = hand_trace([50.0] * 99 + [10.0] + [20.0] * 20)

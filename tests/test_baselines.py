@@ -211,7 +211,7 @@ class TestDifferentRowSets:
         assert len(planner.population) == PlannerParams().population_size
         planner.run_scenario_leg(20)
         after = planner.trace.measurements_after_change(1)
-        assert after and all(e.environment_id == "B" for e in after)
+        assert len(after) and all(planner.trace.env_ids[code] == "B" for code in after["env"])
 
     def test_remeasured_plan_is_the_repaired_plan(self):
         space, twin, rows_b = self.parity_twin()

@@ -130,3 +130,33 @@ def test_sparse_run_bytes(tmp_path):
     out = tmp_path / "out"
     assert cli_main(["run", "--scenario", str(manifest), "--out", str(out)]) == 0
     assert digests(out) == SPARSE_DIGESTS
+
+
+# The files `lidos summarize` and `lidos trajectories` rewrite from traces.csv.
+REWRITES = {
+    "summarize": ("pairwise.csv", "ranks.csv", "speedups.csv", "summary.csv",
+                  "summary.txt", "trajectories.csv"),
+    "trajectories": ("trajectories.csv",),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(REWRITES))
+def test_dense_recomputed_bytes(synth_dir, tmp_path, verb):
+    scenario = ["--scenario", str(synth_dir / "scenario.txt"), "--out", str(tmp_path), *DENSE_ARGS]
+    assert cli_main(["run", *scenario]) == 0
+    for name in REWRITES[verb]:
+        (tmp_path / name).unlink()
+    assert cli_main([verb, *scenario]) == 0
+    assert digests(tmp_path) == DENSE_DIGESTS
+
+
+@pytest.mark.parametrize("verb", sorted(REWRITES))
+def test_sparse_recomputed_bytes(tmp_path, verb):
+    manifest = write_sparse_scenario(tmp_path / "inputs")
+    out = tmp_path / "out"
+    scenario = ["--scenario", str(manifest), "--out", str(out)]
+    assert cli_main(["run", *scenario]) == 0
+    for name in REWRITES[verb]:
+        (out / name).unlink()
+    assert cli_main([verb, *scenario]) == 0
+    assert digests(out) == SPARSE_DIGESTS

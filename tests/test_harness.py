@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import itertools
 import os
@@ -18,6 +19,7 @@ from lidos.harness import (
     emit_trajectories,
     parse_scenario,
     planner_labels,
+    read_traces_csv,
     run_scenario,
     summarize_bundle,
     trajectory_rows,
@@ -25,7 +27,7 @@ from lidos.harness import (
     write_atomic,
 )
 from lidos.harness import ResultBundle
-from lidos.planner import PlannerParams, RunTrace, TraceEvent
+from lidos.planner import PlannerParams, RunTrace
 from lidos.twin import synth_landscape
 
 
@@ -125,6 +127,16 @@ class TestParseScenario:
         with pytest.raises(ValueError, match="undeclared"):
             parse_scenario(manifest)
 
+    def test_environment_may_follow_its_leg(self, tmp_path):
+        write_small_dataset(tmp_path)
+        manifest = tmp_path / "late.txt"
+        manifest.write_text(
+            "system: s\nleg: A 30\nleg: B 30\n"
+            "environment: A env_a.csv minimize\nenvironment: B env_b.csv minimize\n",
+            encoding="utf-8",
+        )
+        assert [leg.env_id for leg in parse_scenario(manifest).legs] == ["A", "B"]
+
     def test_unknown_planner(self, tmp_path):
         write_small_dataset(tmp_path)
         manifest = tmp_path / "bad.txt"
@@ -166,8 +178,8 @@ class TestRunScenario:
         for label in smoke_bundle.labels:
             for rep in range(spec.repetitions):
                 trace = smoke_bundle.traces[(label, rep)]
-                assert sum(e.env_change for e in trace.events) == 1
-                indices = [e.measurement_index for e in trace.measurement_events()]
+                assert trace.events["env_change"].sum() == 1
+                indices = trace.events["measurement_index"][trace.measurement_mask()].tolist()
                 assert indices == sorted(set(indices))
                 assert indices[-1] == smoke_bundle.final_counters[(label, rep)]
 
@@ -229,9 +241,9 @@ class TestSummaries:
     def test_strict_domination_gives_full_effect_and_sole_rank(self, smoke_bundle):
         def fabricated_trace(pre_best, post_best):
             trace = RunTrace()
-            trace.events.append(TraceEvent(1, "A", plan=(0,), ft=pre_best, best_ft=pre_best))
-            trace.events.append(TraceEvent(1, "B", env_change=True))
-            trace.events.append(TraceEvent(2, "B", plan=(0,), ft=post_best, best_ft=post_best))
+            trace.record(1, "A", (0,), pre_best, pre_best)
+            trace.record(1, "B", None, env_change=True)
+            trace.record(2, "B", (0,), post_best, post_best)
             return trace
 
         # Two repetitions cannot clear a 99% bootstrap; use a realistic count.
@@ -269,6 +281,42 @@ class TestSummaries:
         assert [row.label for row in summary.pairwise] == ["stationary"]
         assert [row.label for row in summary.speedups] == ["stationary"]
         assert len(summary.speedups[0].values) == smoke_bundle.spec.repetitions
+
+    def test_reading_traces_restores_the_collector(self, smoke_bundle, tmp_path):
+        good, bad = tmp_path / "traces.csv", tmp_path / "bad.csv"
+        write_atomic(good, traces_csv_text(smoke_bundle))
+        write_atomic(bad, "planner\n")
+        assert gc.isenabled()
+        read_traces_csv(good)
+        assert gc.isenabled()
+        with pytest.raises(ValueError, match="unexpected trace header"):
+            read_traces_csv(bad)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            read_traces_csv(good)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_interleaved_trace_rows_give_the_same_summary(self, tmp_path):
+        """Rows of different (planner, rep) may alternate in traces.csv; each
+        key's rows keep their order, and the summary keeps its bytes."""
+        manifest = write_small_dataset(tmp_path)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--scenario", str(manifest), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "traces.csv"}
+        path = out / "traces.csv"
+        header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        by_key: dict[tuple[str, ...], list[str]] = {}
+        for row in rows:
+            by_key.setdefault(tuple(row.split(",")[:2]), []).append(row)
+        dealt = [row for turn in itertools.zip_longest(*by_key.values())
+                 for row in turn if row is not None]
+        assert len(by_key) > 1 and dealt != rows
+        path.write_text(header + "".join(dealt), encoding="utf-8")
+        assert cli_main(["summarize", "--scenario", str(manifest), "--out", str(out)]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.name != "traces.csv"} == before
 
     def test_trajectory_rows_shape(self, smoke_bundle):
         rows = trajectory_rows(smoke_bundle, stride=10)
@@ -378,11 +426,37 @@ class TestCli:
         assert (f"scenario.txt:{lineno}: expected an integer, got 'abc'"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("planners: lidos, stationary\n", "planners: lidos, nope\n",
+         "scenario.txt:6: unknown planner kind 'nope'"),
+        ("leg: B 30\n", "leg: C 150\n",
+         "scenario.txt:10: leg references undeclared environment 'C'"),
+    ], ids=["unknown-planner", "undeclared-environment"])
+    def test_manifest_value_error_names_its_line(self, tmp_path, capsys, old, new, message):
+        manifest = write_small_dataset(tmp_path)
+        text = manifest.read_text(encoding="utf-8")
+        assert old in text
+        manifest.write_text(text.replace(old, new), encoding="utf-8")
+        code = cli_main(["run", "--scenario", str(manifest), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    # Line 5 is a measurement row of the first leg.
     @pytest.mark.parametrize("damage, message", [
         (lambda cells: cells[:-1], "expected 8 cells, got 7"),
         (lambda cells: cells[:1] + ["x"] + cells[2:], "invalid literal for int()"),
         (lambda cells: cells[:4] + ["fast"] + cells[5:], "could not convert string to float"),
-    ], ids=["short-row", "bad-rep", "bad-ft"])
+        (lambda cells: cells[:6] + ["2", "0"], "adaptation_sent must be 0 or 1"),
+        (lambda cells: cells[:6] + ["0", "true"], "env_change must be 0 or 1"),
+        (lambda cells: cells[:6] + ["1", "1"],
+         "a row cannot be both an adaptation and an environment change"),
+        (lambda cells: cells[:4] + [""] + cells[5:],
+         "a measurement or adaptation row needs a finite ft"),
+        (lambda cells: cells[:5] + ["nan"] + cells[6:],
+         "a measurement or adaptation row needs a finite best_ft"),
+        (lambda cells: cells[:7] + ["1"], "an environment-change row leaves ft empty"),
+    ], ids=["short-row", "bad-rep", "bad-ft", "flag-2", "flag-word", "both-flags",
+            "empty-ft", "nan-best-ft", "valued-change"])
     def test_damaged_trace_row_exits_2_with_location(self, tmp_path, capsys, damage, message):
         manifest = write_small_dataset(tmp_path)
         out = tmp_path / "out"
@@ -395,6 +469,25 @@ class TestCli:
         assert cli_main(["summarize", "--scenario", str(manifest), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "traces.csv:5: " in err and message in err
+
+    def test_empty_ft_after_the_change_exits_2(self, tmp_path, capsys):
+        """A baseline's first measurement after the change with an empty ft
+        used to crash the speedup with a TypeError."""
+        manifest = write_small_dataset(tmp_path)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--scenario", str(manifest), "--out", str(out)]) == 0
+        path = out / "traces.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        change = next(i for i, line in enumerate(lines)
+                      if line.startswith("stationary,") and line.endswith(",0,1\n"))
+        cells = lines[change + 1].split(",")
+        cells[4] = ""
+        lines[change + 1] = ",".join(cells)
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert cli_main(["summarize", "--scenario", str(manifest), "--out", str(out)]) == 2
+        assert (f"traces.csv:{change + 2}: a measurement or adaptation row needs a finite ft"
+                in capsys.readouterr().err)
 
     def test_stale_temporary_directory_does_not_block_a_run(self, tmp_path):
         manifest = write_small_dataset(tmp_path)
@@ -498,11 +591,11 @@ def test_accounting_law_over_returning_legs(tmp_path, seed):
     bundle = run_scenario(parse_scenario(manifest), PlannerParams(population_size=10, k=15))
     for key, trace in bundle.traces.items():
         epochs: list[list] = [[]]
-        for event in trace.events:
-            if event.env_change:
+        for event, plan in zip(trace.events, trace.plans):
+            if event["env_change"]:
                 epochs.append([])
-            elif event.is_measurement:
-                epochs[-1].append(event.plan)
+            elif not event["adaptation_sent"]:
+                epochs[-1].append(plan)
         assert len(epochs) == len(legs)
         for plans_measured in epochs:
             assert len(plans_measured) == len(set(plans_measured)), key

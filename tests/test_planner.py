@@ -8,6 +8,7 @@ import pytest
 from lidos.planner import (
     MmoPlanner,
     PlannerParams,
+    binary_tournament,
     boundary_mutation,
     uniform_crossover,
 )
@@ -74,6 +75,21 @@ class TestOperators:
         for _ in range(200):
             seen.add(boundary_mutation((2,), space, 1.0, rng)[0])
         assert seen == {0, 4}
+
+    def test_tournament_draws_as_random_sample(self):
+        """The tournament's two picks, and the generator state after them,
+        equal those of `Random.sample(population, 2)`: its pool path up to 21
+        members and its set path beyond."""
+        picks = ((lambda m: 0, lambda a, b: a), (lambda m: m, min), (lambda m: -m, max))
+        for n in range(2, 61):
+            population = list(range(n))
+            for seed in range(40):
+                for key, pick in picks:
+                    expected, actual = random.Random(seed), random.Random(seed)
+                    for _ in range(5):
+                        a, b = expected.sample(population, 2)
+                        assert binary_tournament(population, actual, key) == pick(a, b)
+                    assert actual.getstate() == expected.getstate(), (n, seed)
 
 
 class TestInitRun:
@@ -152,10 +168,10 @@ class TestStepGeneration:
         space, twin, _ = small_setup(n_values=8)
         planner = MmoPlanner(space, twin, PlannerParams(k=10_000), seed=5)
         planner.init_run()
-        bests = [e.best_ft for e in planner.trace.measurement_events()]
+        bests = planner.trace.events["best_ft"][planner.trace.measurement_mask()].tolist()
         for _ in range(10):
             planner.step_generation()
-        bests = [e.best_ft for e in planner.trace.measurement_events()]
+        bests = planner.trace.events["best_ft"][planner.trace.measurement_mask()].tolist()
         assert bests == sorted(bests, reverse=True)
 
 
@@ -167,11 +183,11 @@ class TestAdaptationEvents:
         planner.init_run()  # t == 20 == k
         for _ in range(5):
             planner.step_generation()
-        sent = [e for e in planner.trace.events if e.adaptation_sent]
+        sent = planner.trace.events[planner.trace.events["adaptation_sent"]]
         # Operators are identity, so the best never improves after the first
         # emission and exactly one event fires; it resets t.
         assert len(sent) == 1
-        assert sent[0].ft == planner.s_best.ft
+        assert sent[0]["ft"] == planner.s_best.ft
         assert planner.t == 0
 
     def test_every_emission_strictly_improves(self):
@@ -179,9 +195,9 @@ class TestAdaptationEvents:
         planner = MmoPlanner(space, twin, PlannerParams(k=15), seed=7)
         planner.init_run()
         planner.run_scenario_leg(120)
-        sent = [e for e in planner.trace.events if e.adaptation_sent]
-        assert sent, "expected at least one adaptation"
-        values = [e.ft for e in sent]
+        sent = planner.trace.events[planner.trace.events["adaptation_sent"]]
+        assert len(sent), "expected at least one adaptation"
+        values = sent["ft"].tolist()
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_interval_elapses_between_emissions(self):
@@ -190,7 +206,8 @@ class TestAdaptationEvents:
         planner = MmoPlanner(space, twin, PlannerParams(k=k), seed=8)
         planner.init_run()
         planner.run_scenario_leg(120)
-        indices = [e.measurement_index for e in planner.trace.events if e.adaptation_sent]
+        events = planner.trace.events
+        indices = events["measurement_index"][events["adaptation_sent"]].tolist()
         # At least k genuine measurements separate consecutive emissions
         # (the interval counter resets on every emission).
         assert all(b - a >= k for a, b in zip(indices, indices[1:]))
@@ -254,9 +271,9 @@ class TestEnvironmentChange:
         planner = MmoPlanner(space, twin, PlannerParams(population_size=2), seed=0)
         planner.init_run()
         planner.on_environment_change("B")
-        changes = [e for e in planner.trace.events if e.env_change]
+        changes = planner.trace.events[planner.trace.events["env_change"]]
         assert len(changes) == 1
-        assert changes[0].environment_id == "B"
+        assert planner.trace.env_ids[changes[0]["env"]] == "B"
 
 
 class TestRunScenarioLeg:
@@ -310,7 +327,7 @@ class TestDeterminism:
             planner.run_scenario_leg(40)
             planner.on_environment_change("B")
             planner.run_scenario_leg(40)
-            return planner.trace.events
+            return planner.trace.events.tobytes(), planner.trace.env_ids, planner.trace.plans
 
         assert run(42) == run(42)
         assert run(42) != run(43)
@@ -329,16 +346,16 @@ class TestMeasurementAccounting:
 
         events = planner.trace.events
         epochs: list[list] = [[]]
-        for event in events:
-            if event.env_change:
+        for event, plan in zip(events, planner.trace.plans):
+            if event["env_change"]:
                 epochs.append([])
-            elif event.is_measurement:
-                epochs[-1].append(event.plan)
+            elif not event["adaptation_sent"]:
+                epochs[-1].append(plan)
         total = 0
         for plans in epochs:
             assert len(plans) == len(set(plans))
             total += len(plans)
         assert total == twin.counter
-        indices = [e.measurement_index for e in events if e.is_measurement]
+        indices = events["measurement_index"][planner.trace.measurement_mask()].tolist()
         assert indices == sorted(set(indices))
         assert indices[-1] == twin.counter
