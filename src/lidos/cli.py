@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
@@ -63,33 +62,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Scenario flags: each overrides the manifest key of its name.
+_OVERRIDES = {
+    "seed": "override the base seed",
+    "repetitions": "override repetitions",
+    "planners": "comma-separated planner kinds, overrides the manifest",
+    "k": "override the adaptation interval",
+    "stride": "override the trajectory stride",
+}
+
+
 def _scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", required=True, help="scenario manifest path")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override the base seed")
-    p.add_argument("--repetitions", type=int, default=None, help="override repetitions")
-    p.add_argument("--planners", default=None,
-                   help="comma-separated planner kinds, overrides the manifest")
-    p.add_argument("--k", type=int, default=None, help="override the adaptation interval")
-    p.add_argument("--stride", type=int, default=None, help="override the trajectory stride")
+    for key, help_text in _OVERRIDES.items():
+        p.add_argument(f"--{key}", default=None, help=help_text)
 
 
 def _load_spec(args) -> ScenarioSpec:
-    spec = parse_scenario(args.scenario)
-    overrides = {}
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
-    if args.repetitions is not None:
-        overrides["repetitions"] = args.repetitions
-    if args.planners is not None:
-        overrides["planners"] = tuple(
-            p.strip() for p in args.planners.split(",") if p.strip()
-        )
-    if args.k is not None:
-        overrides["k"] = args.k
-    if args.stride is not None:
-        overrides["trajectory_stride"] = args.stride
-    return replace(spec, **overrides) if overrides else spec
+    return parse_scenario(args.scenario, {key: getattr(args, key) for key in _OVERRIDES
+                                          if getattr(args, key) is not None})
 
 
 def _cmd_run(args) -> int:
@@ -104,17 +96,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    spec = _load_spec(args)
-    bundle = bundle_from_traces(spec, Path(args.out) / "traces.csv")
+    bundle = bundle_from_traces(_load_spec(args), Path(args.out) / "traces.csv")
     write_bundle_outputs(bundle, args.out, include_traces=False)
     print(f"summary tables rewritten in {Path(args.out).resolve()}")
     return 0
 
 
 def _cmd_trajectories(args) -> int:
-    spec = _load_spec(args)
-    bundle = bundle_from_traces(spec, Path(args.out) / "traces.csv")
-    emit_trajectories(bundle, Path(args.out) / "trajectories.csv", spec.trajectory_stride)
+    bundle = bundle_from_traces(_load_spec(args), Path(args.out) / "traces.csv")
+    emit_trajectories(bundle, Path(args.out) / "trajectories.csv")
     print(f"trajectories written in {Path(args.out).resolve()}")
     return 0
 

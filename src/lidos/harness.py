@@ -36,9 +36,19 @@ TRACE_HEADER = ("planner", "rep", "measurement_index", "env", "ft", "best_ft",
                 "adaptation_sent", "env_change")
 TRAJECTORY_HEADER = ("planner", "measurement_index", "median_best", "iqr_best",
                      "env_change")
-# Integer manifest keys and the ScenarioSpec fields they set.
-_INT_KEYS = {"seed": "base_seed", "repetitions": "repetitions", "k": "k",
-             "stride": "trajectory_stride"}
+# The manifest keys that hold one value each, and the ScenarioSpec fields they set.
+_VALUE_KEYS = {"system": "system", "seed": "base_seed", "repetitions": "repetitions",
+               "planners": "planners", "k": "k", "stride": "trajectory_stride"}
+_INT_KEYS = ("seed", "repetitions", "k", "stride")
+
+
+class ScenarioValueError(ValueError):
+    """A scenario value that fails its check. `key` is its manifest key and
+    `index` its entry among that key's lines, or None if no line is to blame."""
+
+    def __init__(self, message: str, key: str, index: int | None = 0) -> None:
+        super().__init__(message)
+        self.key, self.index = key, index
 
 
 @dataclass(frozen=True)
@@ -66,24 +76,27 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         if not self.environments:
-            raise ValueError("scenario declares no environments")
+            raise ScenarioValueError("scenario declares no environments", "environment", None)
         ids = [e.environment.id for e in self.environments]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate environment ids in scenario")
+        for i, env_id in enumerate(ids):
+            if env_id in ids[:i]:
+                raise ScenarioValueError(f"duplicate environment id {env_id!r}", "environment", i)
         if len(self.legs) < 2:
-            raise ValueError("a transition scenario needs at least two legs")
-        for leg in self.legs:
+            raise ScenarioValueError("a transition scenario needs at least two legs", "leg", None)
+        for i, leg in enumerate(self.legs):
             if leg.env_id not in ids:
-                raise ValueError(f"leg references undeclared environment {leg.env_id!r}")
+                raise ScenarioValueError(
+                    f"leg references undeclared environment {leg.env_id!r}", "leg", i)
             if leg.measurement_budget < 1:
-                raise ValueError("leg budgets must be positive")
+                raise ScenarioValueError("leg budgets must be positive", "leg", i)
         if not self.planners:
-            raise ValueError("scenario lists no planners")
+            raise ScenarioValueError("scenario lists no planners", "planners")
         for kind in self.planners:
             if kind not in PLANNER_KINDS:
-                raise ValueError(f"unknown planner kind {kind!r}")
-        if self.repetitions < 1 or self.k < 1 or self.trajectory_stride < 1:
-            raise ValueError("repetitions, k, and stride must be positive")
+                raise ScenarioValueError(f"unknown planner kind {kind!r}", "planners")
+        for key in ("repetitions", "k", "stride"):
+            if getattr(self, _VALUE_KEYS[key]) < 1:
+                raise ScenarioValueError(f"{key} must be positive", key)
 
     def environment_of(self, env_id: str) -> Environment:
         for source in self.environments:
@@ -95,8 +108,11 @@ class ScenarioSpec:
         return self.environment_of(self.legs[-1].env_id).direction
 
 
-def parse_scenario(path: str | Path) -> ScenarioSpec:
-    """Parse a scenario manifest.
+def parse_scenario(path: str | Path, overrides: dict[str, str] | None = None) -> ScenarioSpec:
+    """Parse a scenario manifest, with `overrides` (manifest key to raw text,
+    as given on the command line) replacing its one-value keys before any
+    value is checked. An error names the manifest line (`path:line:`) or the
+    flag (`--key:`) its value came from.
 
     Line-based key-value grammar (``#`` comments allowed)::
 
@@ -114,57 +130,48 @@ def parse_scenario(path: str | Path) -> ScenarioSpec:
     Relative dataset paths resolve against the manifest's directory.
     """
     path = Path(path)
-    base_dir = path.parent
-    fields: dict[str, str | int] = {}
-    linenos: dict[str, int] = {}
+    fields: dict[str, str] = {}
+    # Where each entry of a key came from: `path:line`, or `--key` for an override.
+    where: dict[str, list[str]] = {}
     environments: list[EnvironmentSource] = []
-    legs: list[tuple[int, LegSpec]] = []
+    legs: list[list[str]] = []
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, sep, rest = line.partition(":")
-        key = key.strip().lower()
-        rest = rest.strip()
+        key, rest, here = key.strip().lower(), rest.strip(), f"{path}:{lineno}"
         if not sep or not rest:
-            raise ValueError(f"{path}:{lineno}: expected 'key: value', got {raw!r}")
+            raise ValueError(f"{here}: expected 'key: value', got {raw!r}")
         if key == "environment":
-            environments.append(_parse_environment(rest, base_dir, f"{path}:{lineno}"))
+            environments.append(_parse_environment(rest, path.parent, here))
         elif key == "leg":
-            tokens = rest.split()
-            if len(tokens) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'leg: ENV BUDGET'")
-            legs.append((lineno, LegSpec(env_id=tokens[0],
-                                         measurement_budget=_int(tokens[1], lineno, path))))
-        elif key in ("system", "planners") or key in _INT_KEYS:
-            if key in fields:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            fields[key] = _int(rest, lineno, path) if key in _INT_KEYS else rest
-            linenos[key] = lineno
+            legs.append(rest.split())
+            if len(legs[-1]) != 2:
+                raise ValueError(f"{here}: expected 'leg: ENV BUDGET'")
+        elif key not in _VALUE_KEYS:
+            raise ValueError(f"{here}: unknown key {key!r}")
+        elif key in fields:
+            raise ValueError(f"{here}: duplicate key {key!r}")
         else:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            fields[key] = rest
+        where.setdefault(key, []).append(here)
+    for key, text in (overrides or {}).items():
+        fields[key], where[key] = text, [f"--{key}"]
 
     if "system" not in fields:
         raise ValueError(f"{path}: missing 'system'")
-    # Checked after the loop, so an environment may be declared after its leg.
-    declared = {source.environment.id for source in environments}
-    for lineno, leg in legs:
-        if leg.env_id not in declared:
-            raise ValueError(
-                f"{path}:{lineno}: leg references undeclared environment {leg.env_id!r}")
-    kwargs = {_INT_KEYS[key]: value for key, value in fields.items() if key in _INT_KEYS}
+    kwargs = {_VALUE_KEYS[key]: _int(text, where[key][0]) if key in _INT_KEYS else text
+              for key, text in fields.items()}
     if "planners" in fields:
         kwargs["planners"] = tuple(p.strip() for p in fields["planners"].split(",") if p.strip())
-        for kind in kwargs["planners"]:
-            if kind not in PLANNER_KINDS:
-                raise ValueError(
-                    f"{path}:{linenos['planners']}: unknown planner kind {kind!r}")
-    return ScenarioSpec(
-        system=fields["system"],
-        environments=tuple(environments),
-        legs=tuple(leg for _, leg in legs),
-        **kwargs,
-    )
+    kwargs["legs"] = tuple(LegSpec(env_id, _int(budget, where["leg"][i]))
+                           for i, (env_id, budget) in enumerate(legs))
+    try:
+        return ScenarioSpec(environments=tuple(environments), **kwargs)
+    except ScenarioValueError as exc:
+        here = path if exc.index is None else where[exc.key][exc.index]
+        raise ValueError(f"{here}: {exc}") from None
 
 
 def _parse_environment(rest: str, base_dir: Path, where: str) -> EnvironmentSource:
@@ -189,11 +196,11 @@ def _parse_environment(rest: str, base_dir: Path, where: str) -> EnvironmentSour
     )
 
 
-def _int(text: str, lineno: int, path: Path) -> int:
+def _int(text: str, where: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"{path}:{lineno}: expected an integer, got {text!r}") from None
+        raise ValueError(f"{where}: expected an integer, got {text!r}") from None
 
 
 # -- execution ---------------------------------------------------------------
@@ -425,6 +432,8 @@ def _trace_columns(path: str | Path) -> tuple[range | list[int], tuple]:
                     raise ValueError(
                         f"{path}:{line}: expected {len(TRACE_HEADER)} cells, got {len(row)}")
         return lines, tuple(zip(*records)) or ((),) * len(TRACE_HEADER)
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     finally:
         if collecting:
             gc.enable()
@@ -518,14 +527,12 @@ def bundle_from_traces(spec: ScenarioSpec, path: str | Path) -> ResultBundle:
 # -- trajectories --------------------------------------------------------------
 
 
-def trajectory_rows(bundle: ResultBundle, stride: int | None = None) -> list[tuple]:
-    """Per planner and stride multiple: median and IQR (original units) of the
-    best-so-far value across repetitions, plus a change flag on the first
-    stride row at or past each nominal leg boundary."""
+def trajectory_rows(bundle: ResultBundle) -> list[tuple]:
+    """Per planner and multiple of the spec's stride: median and IQR (original
+    units) of the best-so-far value across repetitions, plus a change flag on
+    the first stride row at or past each nominal leg boundary."""
     spec = bundle.spec
-    stride = stride if stride is not None else spec.trajectory_stride
-    if stride < 1:
-        raise ValueError("stride must be positive")
+    stride = spec.trajectory_stride
     nominal_total = sum(leg.measurement_budget for leg in spec.legs)
     boundaries = []
     running = 0
@@ -563,17 +570,16 @@ def trajectory_rows(bundle: ResultBundle, stride: int | None = None) -> list[tup
     return rows
 
 
-def trajectories_csv_text(bundle: ResultBundle, stride: int | None = None) -> str:
+def trajectories_csv_text(bundle: ResultBundle) -> str:
     return csv_text(TRAJECTORY_HEADER, (
         [label, m, repr(median), repr(iqr), flag]
-        for label, m, median, iqr, flag in trajectory_rows(bundle, stride)
+        for label, m, median, iqr, flag in trajectory_rows(bundle)
     ))
 
 
-def emit_trajectories(bundle: ResultBundle, path: str | Path,
-                      stride: int | None = None) -> None:
+def emit_trajectories(bundle: ResultBundle, path: str | Path) -> None:
     """Write the stride-sampled trajectory table (atomically)."""
-    write_atomic(path, trajectories_csv_text(bundle, stride))
+    write_atomic(path, trajectories_csv_text(bundle))
 
 
 # -- emission -------------------------------------------------------------------

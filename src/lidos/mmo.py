@@ -1,7 +1,7 @@
 """Bi-objective transformation of the target objective plus Pareto machinery.
 
 A plan's auxiliary objective is the target value of its most dissimilar
-nearest neighbor in the pool; the pair (g1, g2) = (ft + w*fa, ft - w*fa) is
+nearest neighbor in the pool; the pair (g1, g2) = (ft + fa, ft - fa) is
 then optimized with standard nondominated sorting and crowding selection.
 """
 
@@ -61,12 +61,12 @@ def assign_auxiliary(pool: list[ScoredPlan], space: ConfigSpace) -> None:
         s.fa = fa
 
 
-def transform(scored: ScoredPlan, w: float = 1.0) -> ScoredPlan:
-    """Fill in g1 = ft + w*fa and g2 = ft - w*fa."""
+def transform(scored: ScoredPlan) -> ScoredPlan:
+    """Fill in g1 = ft + fa and g2 = ft - fa."""
     if scored.fa is None:
         raise ValueError("auxiliary objective not set")
-    scored.g1 = scored.ft + w * scored.fa
-    scored.g2 = scored.ft - w * scored.fa
+    scored.g1 = scored.ft + scored.fa
+    scored.g2 = scored.ft - scored.fa
     return scored
 
 

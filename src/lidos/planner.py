@@ -32,7 +32,6 @@ class PlannerParams:
     crossover_rate: float = 0.9
     mutation_rate: float = 0.1
     k: int = 150
-    w: float = 1.0
 
     def __post_init__(self) -> None:
         if self.population_size < 2 or self.population_size % 2:
@@ -373,7 +372,7 @@ class MmoPlanner(BasePlanner):
         """Score every member on (g1, g2) afresh and keep the best n."""
         assign_auxiliary(pool, self.space)
         for member in pool:
-            transform(member, self.params.w)
+            transform(member)
         return environmental_selection(pool, n)
 
     def on_environment_change(self, env: Environment | str) -> None:

@@ -143,32 +143,36 @@ def load_measurements(path: str | Path, env: Environment) -> MeasurementTable:
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if len(header) < 2:
-            raise ValueError(f"{path}: need at least one option column and a performance column")
-        option_names = tuple(header[:-1])
-        rows: dict[Plan, float] = {}
-        for lineno, row in enumerate(reader, 2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-            try:
-                plan = tuple(_as_int(cell) for cell in row[:-1])
-                value = float(row[-1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if not math.isfinite(value):
-                raise ValueError(f"{path}:{lineno}: non-finite performance value")
-            if plan in rows and rows[plan] != value:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file")
+            header = [h.strip() for h in header]
+            if len(header) < 2:
                 raise ValueError(
-                    f"{path}:{lineno}: duplicate plan {plan} with conflicting values "
-                    f"{rows[plan]} vs {value}"
-                )
-            rows[plan] = value
+                    f"{path}: need at least one option column and a performance column")
+            option_names = tuple(header[:-1])
+            rows: dict[Plan, float] = {}
+            for lineno, row in enumerate(reader, 2):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
+                try:
+                    plan = tuple(_as_int(cell) for cell in row[:-1])
+                    value = float(row[-1])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}:{lineno}: non-finite performance value")
+                if plan in rows and rows[plan] != value:
+                    raise ValueError(
+                        f"{path}:{lineno}: duplicate plan {plan} with conflicting values "
+                        f"{rows[plan]} vs {value}"
+                    )
+                rows[plan] = value
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return MeasurementTable(environment=env, option_names=option_names, rows=rows)
 
 

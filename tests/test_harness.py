@@ -319,7 +319,8 @@ class TestSummaries:
         assert {p.name: p.read_bytes() for p in out.iterdir() if p.name != "traces.csv"} == before
 
     def test_trajectory_rows_shape(self, smoke_bundle):
-        rows = trajectory_rows(smoke_bundle, stride=10)
+        rows = trajectory_rows(
+            replace(smoke_bundle, spec=replace(smoke_bundle.spec, trajectory_stride=10)))
         per_planner = {label: [r for r in rows if r[0] == label]
                        for label in smoke_bundle.labels}
         for label, sub in per_planner.items():
@@ -330,7 +331,8 @@ class TestSummaries:
 
     def test_emit_trajectories_writes_table(self, smoke_bundle, tmp_path):
         path = tmp_path / "traj.csv"
-        emit_trajectories(smoke_bundle, path, stride=15)
+        emit_trajectories(
+            replace(smoke_bundle, spec=replace(smoke_bundle.spec, trajectory_stride=15)), path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == ",".join(
             ("planner", "measurement_index", "median_best", "iqr_best", "env_change")
@@ -339,7 +341,9 @@ class TestSummaries:
         assert len(lines) == 1 + 4 * len(smoke_bundle.labels)
 
     def test_trajectory_median_monotone_within_epoch(self, smoke_bundle):
-        rows = [r for r in trajectory_rows(smoke_bundle, stride=5) if r[0] == "lidos"]
+        rows = [r for r in trajectory_rows(
+            replace(smoke_bundle, spec=replace(smoke_bundle.spec, trajectory_stride=5)))
+            if r[0] == "lidos"]
         first_epoch = [r[2] for r in rows if r[1] <= 30]
         # Legs stop at generation granularity, so the actual change lands
         # within one generation past the nominal boundary; start the
@@ -431,7 +435,16 @@ class TestCli:
          "scenario.txt:6: unknown planner kind 'nope'"),
         ("leg: B 30\n", "leg: C 150\n",
          "scenario.txt:10: leg references undeclared environment 'C'"),
-    ], ids=["unknown-planner", "undeclared-environment"])
+        ("repetitions: 2\n", "repetitions: 0\n", "scenario.txt:3: repetitions must be positive"),
+        ("k: 30\n", "k: 0\n", "scenario.txt:4: k must be positive"),
+        ("leg: B 30\n", "leg: B 0\n", "scenario.txt:10: leg budgets must be positive"),
+        ("environment: B env_b.csv minimize\n",
+         "environment: B env_b.csv minimize\nenvironment: A env_a.csv minimize\n",
+         "scenario.txt:9: duplicate environment id 'A'"),
+        ("planners: lidos, stationary\n", "planners: ,,\n",
+         "scenario.txt:6: scenario lists no planners"),
+    ], ids=["unknown-planner", "undeclared-environment", "zero-repetitions", "zero-k",
+            "zero-leg-budget", "duplicate-environment", "empty-planners"])
     def test_manifest_value_error_names_its_line(self, tmp_path, capsys, old, new, message):
         manifest = write_small_dataset(tmp_path)
         text = manifest.read_text(encoding="utf-8")
@@ -440,6 +453,50 @@ class TestCli:
         code = cli_main(["run", "--scenario", str(manifest), "--out", str(tmp_path / "o")])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--k", "0"], "error: --k: k must be positive"),
+        (["--k", "abc"], "error: --k: expected an integer, got 'abc'"),
+        (["--planners", "nope"], "error: --planners: unknown planner kind 'nope'"),
+    ], ids=["zero-k", "word-k", "unknown-planner"])
+    def test_flag_value_error_names_its_flag(self, tmp_path, capsys, flags, message):
+        manifest = write_small_dataset(tmp_path)
+        code = cli_main(["run", "--scenario", str(manifest), "--out", str(tmp_path / "o"),
+                         *flags])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_flag_replaces_a_bad_manifest_value_before_it_is_checked(self, tmp_path):
+        manifest = write_small_dataset(tmp_path)
+        text = manifest.read_text(encoding="utf-8")
+        manifest.write_text(text.replace("repetitions: 2\n", "repetitions: 0\n"),
+                            encoding="utf-8")
+        assert cli_main(["run", "--scenario", str(manifest), "--out", str(tmp_path / "o"),
+                         "--repetitions", "1"]) == 0
+
+    def test_oversized_dataset_cell_exits_2_at_its_line(self, tmp_path, capsys):
+        """A cell past the csv module's field limit used to escape as a
+        csv.Error traceback."""
+        manifest = write_small_dataset(tmp_path)
+        path = tmp_path / "env_a.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = "9" * 200_000 + lines[2]
+        path.write_text("".join(lines), encoding="utf-8")
+        code = cli_main(["run", "--scenario", str(manifest), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "env_a.csv:3: field larger than field limit" in capsys.readouterr().err
+
+    def test_oversized_trace_cell_exits_2_at_its_line(self, tmp_path, capsys):
+        manifest = write_small_dataset(tmp_path)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--scenario", str(manifest), "--out", str(out)]) == 0
+        path = out / "traces.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[4] = "x" * 200_000 + lines[4]
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert cli_main(["summarize", "--scenario", str(manifest), "--out", str(out)]) == 2
+        assert "traces.csv:5: field larger than field limit" in capsys.readouterr().err
 
     # Line 5 is a measurement row of the first leg.
     @pytest.mark.parametrize("damage, message", [
