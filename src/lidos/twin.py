@@ -19,6 +19,16 @@ DIRECTIONS = ("minimize", "maximize")
 # Plans per block when `synth_landscape` measures distances to the basins.
 _SYNTH_BLOCK = 4096
 
+# Bytes of float32 distance terms one table caches per scale for its
+# nearest-plan searches; past this, a search computes the uncached terms anew
+# and sums them in float64.
+_TERM_CACHE_BYTES = 16 << 20
+
+# float32 limits behind the nearest-plan search's rounding slack and term cap.
+_F32_EPS = float(np.finfo(np.float32).eps)
+_F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
+_F32_MAX = float(np.finfo(np.float32).max)
+
 
 @dataclass(frozen=True)
 class Environment:
@@ -37,7 +47,8 @@ class Environment:
 class MeasurementTable:
     """Plan -> raw performance lookup for a single environment.
 
-    Read-only after construction; tables are safely shared across runs.
+    The rows are read-only after construction, so tables are safely shared
+    across runs; the nearest-plan search's caches grow as searches run.
     """
 
     def __init__(self, environment: Environment, option_names: tuple[str, ...],
@@ -57,13 +68,25 @@ class MeasurementTable:
         self._validated_for: ConfigSpace | None = None
         # Nearest-plan search state, built on the first search: the plans in
         # lexicographic order, their values as one contiguous float column per
-        # option, two row-length work buffers, and the memo of answers under
-        # `_nearest_scale`.
+        # option with its least and greatest value, a float64 work buffer, a
+        # float32 and a float64 row-length sum buffer, and the memo of answers.
+        # The float32 distance terms cached per (option, value) pair, like the
+        # memo, hold for `_nearest_scale` only.
         self._sorted_plans: list[Plan] = []
         self._columns: np.ndarray | None = None
-        self._dist = self._term = np.empty(0)
+        self._low: list[float] = []
+        self._high: list[float] = []
+        self._work = self._fresh = np.empty(0)
+        self._dist = np.empty(0, dtype=np.float32)
+        self._terms: list[dict[float, np.ndarray]] = []
+        self._room = 0
         self._nearest: dict[Plan, Plan] = {}
         self._nearest_scale: tuple[float, ...] | None = None
+        # Terms at or above this cap are stored as inf, so no float32 sum of
+        # finite terms can overflow. A row holding one is at least that far,
+        # and when the nearest row is too, the bound is inf and every row is
+        # re-scored.
+        self._term_cap = _F32_MAX / (2 * len(option_names))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -93,44 +116,102 @@ class MeasurementTable:
     def nearest(self, plan: Plan, scale: tuple[float, ...]) -> Plan:
         """The measured plan nearest to `plan` by Euclidean distance after
         multiplying each option by its `scale`; ties go to the
-        lexicographically lowest plan. Answers are memoized per scale.
+        lexicographically lowest plan. Answers are memoized per scale. A plan
+        or scale without one value per option raises ValueError.
 
-        The distance is summed option by option over the columns, which can
-        differ from a row-wise sum in the last bits; every row within a
-        rounding slack of the minimum is re-scored with the row-wise formula,
-        so the answer is the argmin of that formula over the whole table.
+        Each (option, value) pair's squared scaled difference to every row is
+        computed in float64 and cached as float32, up to `_TERM_CACHE_BYTES`
+        per scale. The search sums the cached terms of the plan's values in
+        float32 and any others in float64. Every row whose sum is within a
+        float32 rounding slack of the minimum is re-scored with the row-wise
+        float64 formula, so the answer is the argmin of that formula over the
+        whole table.
         """
+        n = len(self.option_names)
+        if len(plan) != n or len(scale) != n:
+            raise ValueError(
+                f"the table has {n} options, but the plan has {len(plan)} values "
+                f"and the scale {len(scale)}")
+        if self._columns is None:
+            self._sorted_plans = sorted(self.rows)
+            self._columns = np.asarray(list(zip(*self._sorted_plans)), dtype=float)
+            self._low = self._columns.min(axis=1).tolist()
+            self._high = self._columns.max(axis=1).tolist()
+            self._work = np.empty(len(self._sorted_plans))
+            self._fresh = np.empty(len(self._sorted_plans))
+            self._dist = np.empty(len(self._sorted_plans), dtype=np.float32)
         if scale is not self._nearest_scale and scale != self._nearest_scale:
             self._nearest = {}
+            self._terms = [{} for _ in range(n)]
+            self._room = _TERM_CACHE_BYTES // self._dist.nbytes
             self._nearest_scale = scale
         found = self._nearest.get(plan)
         if found is not None:
             return found
-        if self._columns is None:
-            self._sorted_plans = sorted(self.rows)
-            self._columns = np.asarray(list(zip(*self._sorted_plans)), dtype=float)
-            self._dist = np.empty(len(self._sorted_plans))
-            self._term = np.empty(len(self._sorted_plans))
-        dist, term = self._dist, self._term
+        dist = self._dist
         dist.fill(0.0)
-        for column, value, s in zip(self._columns, map(float, plan), scale):
+        cached = fresh = False
+        for option, value, s in zip(range(n), map(float, plan), scale):
             if s:
-                np.subtract(column, value, out=term)
-                np.multiply(term, s, out=term)
-                np.square(term, out=term)
-                np.add(dist, term, out=dist)
-        best = int(np.argmin(dist))
-        # Both sums add non-negative terms, so each is within (options - 1)
-        # roundings of the exact distance; 16x that covers both with margin.
-        bound = dist[best] * (1.0 + 16 * len(plan) * np.finfo(float).eps)
-        close = np.flatnonzero(dist <= bound)
+                term = self._term(option, value, s)
+                if term is not self._work:
+                    np.add(dist, term, out=dist)
+                    cached = True
+                elif fresh:
+                    np.add(self._fresh, term, out=self._fresh)
+                else:
+                    np.copyto(self._fresh, term)
+                    fresh = True
+        # Terms past the cache's room are summed in float64, which costs what
+        # it did before the cache; the float32 sum of cached terms joins them.
+        if fresh:
+            if cached:
+                np.add(self._fresh, dist, out=self._fresh)
+            dist = self._fresh
+        best = int(dist.argmin())
+        # Each cast of a float64 term to float32 and each float32 add rounds
+        # by at most 2**-24 relative (half of float32's eps), so a row's sum
+        # is within about n * eps of the exact sum of its float64 terms, and
+        # float64 sums are far closer still. The true winner's sum thus
+        # exceeds the smallest one by at most about 2 * n * eps relative,
+        # which 16 * n * eps covers 8 times over. A term
+        # below float32's normal range rounds instead by up to half of its
+        # smallest subnormal, absolutely; 4 subnormals per option cover that.
+        bound = float(dist[best]) * (1.0 + 16 * n * _F32_EPS) + 4 * n * _F32_TINY
+        if bound >= self._term_cap:
+            bound = math.inf
+        close = (dist <= bound).nonzero()[0]
         if len(close) > 1:
             rows = np.ascontiguousarray(self._columns[:, close].T)
             diff = (rows - np.asarray(plan, dtype=float)) * np.asarray(scale)
-            best = int(close[np.argmin((diff * diff).sum(axis=1))])
+            best = int(close[(diff * diff).sum(axis=1).argmin()])
         found = self._sorted_plans[best]
         self._nearest[plan] = found
         return found
+
+    def _term(self, option: int, value: float, s: float) -> np.ndarray:
+        """The column of ``((column - value) * s) ** 2`` for one option,
+        computed in float64 like the row-wise formula: cached as float32 while
+        the cache has room, and otherwise left in the float64 work buffer,
+        which the next call overwrites."""
+        cache = self._terms[option]
+        term = cache.get(value)
+        if term is not None:
+            return term
+        work = self._work
+        np.subtract(self._columns[option], value, out=work)
+        np.multiply(work, s, out=work)
+        np.square(work, out=work)
+        # Rounding is monotone, so no row's term exceeds the term of the
+        # column's least or greatest value; only then can one reach the cap.
+        far = max(self._high[option] - value, value - self._low[option]) * s
+        if far * far >= self._term_cap:
+            work[work >= self._term_cap] = np.inf
+        if not self._room:
+            return work
+        self._room -= 1
+        term = cache[value] = work.astype(np.float32)
+        return term
 
 
 def load_measurements(path: str | Path, env: Environment) -> MeasurementTable:
@@ -151,6 +232,9 @@ def load_measurements(path: str | Path, env: Environment) -> MeasurementTable:
                 raise ValueError(
                     f"{path}: need at least one option column and a performance column")
             option_names = tuple(header[:-1])
+            dupes = sorted({name for name in option_names if option_names.count(name) > 1})
+            if dupes:
+                raise ValueError(f"{path}:1: duplicate option name(s): {dupes}")
             rows: dict[Plan, float] = {}
             for lineno, row in enumerate(reader, 2):
                 if not row or all(not c.strip() for c in row):

@@ -416,6 +416,16 @@ class TestCli:
         assert code == 2
         assert "env_a.csv:4: option value 'inf' is not an integer" in capsys.readouterr().err
 
+    def test_repeated_option_name_exits_2_at_the_header(self, tmp_path, capsys):
+        manifest = write_small_dataset(tmp_path)
+        path = tmp_path / "env_a.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[0] = "o1,o1,o3,performance\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        code = cli_main(["run", "--scenario", str(manifest), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{path}:1: duplicate option name(s): ['o1']" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, lineno", [
         ("seed", 2), ("repetitions", 3), ("k", 4), ("stride", 5),
     ])

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import warnings
 
 import numpy as np
 import pytest
 
+import lidos.twin as twin_module
 from lidos.twin import CyberTwin, Environment, load_measurements, synth_landscape
 
 from conftest import make_space, make_table, make_twin
@@ -179,6 +181,15 @@ class TestRepair:
         twin = make_twin(space, make_table(space, {(0, 0): 1.0, (4, 1): 2.0}), current="e")
         assert twin.repair((3, 1)) == (4, 1)
 
+    def test_nearest_rejects_wrong_lengths(self):
+        space = make_space((0, 4), (0, 4), (0, 4))
+        table = make_table(space, {(0, 0, 0): 1.0, (4, 4, 4): 2.0})
+        with pytest.raises(ValueError, match="plan has 1 values and the scale 3"):
+            table.nearest((4,), (0.25,) * 3)
+        with pytest.raises(ValueError, match="plan has 3 values and the scale 1"):
+            table.nearest((0, 4, 4), (0.25,))
+        assert table.nearest((0, 4, 4), (0.25,) * 3) == (4, 4, 4)
+
 
 def brute_force_nearest(rows, plan, scale):
     """Nearest measured plan by the row-wise formula over the whole table;
@@ -266,6 +277,98 @@ class TestRepairOracle:
         for scale in (space.scale, (1.0, 1.0, 1.0), (0.0, 0.5, 1.0), space.scale):
             for plan in queries:
                 assert table.nearest(plan, scale) == brute_force_nearest(rows, plan, scale)
+
+    def test_wide_spans(self):
+        # Spans of 2**20 to 2**52 with values at the domain ends: neighbouring
+        # values differ far below float32's resolution, so many float32 sums
+        # tie and the float64 re-score decides. Each table also holds a pair
+        # around the middle of the first option, `mid - d - 1` and `mid + d`
+        # with d = span / 4 >= 2**34, whose distances differ by about 2/d
+        # relative: the lexicographically lower one is farther.
+        rng = random.Random(52)
+        for _ in range(40):
+            n_options = rng.randint(1, 8)
+            spans = [2 ** rng.randint(36, 52)] + [2 ** rng.randint(20, 52)
+                                                  for _ in range(n_options - 1)]
+            space = make_space(*(
+                (0, 1, 2, span // 4 - 1, span // 2, 3 * span // 4, span - 2, span - 1, span)
+                for span in spans))
+            rows = {space.random_plan(rng): 0.0 for _ in range(rng.randint(1, 60))}
+            query = tuple(span // 2 for span in spans)
+            near, far = (3 * spans[0] // 4,) + query[1:], (spans[0] // 4 - 1,) + query[1:]
+            rows[near] = rows[far] = 0.0
+            table = make_table(space, rows)
+            for plan in [query] + [space.random_plan(rng) for _ in range(20)]:
+                assert table.nearest(plan, space.scale) == brute_force_nearest(
+                    rows, plan, space.scale)
+            if query not in rows:
+                assert table.nearest(query, space.scale) == near
+
+    @pytest.mark.parametrize("choices", [(1e-25,), (1e20,), (1e20, 1.0, 1e-25, 0.0)],
+                             ids=["subnormal", "overflow", "mixed"])
+    def test_extreme_caller_scales(self, choices):
+        # With values up to 2**21, a scale of 1e-25 puts float32 terms from
+        # zero through the subnormal range into the lowest normal one; 1e20
+        # makes every non-zero term overflow float32. Neither may warn.
+        rng = random.Random(len(choices))
+        for _ in range(40):
+            n_options = rng.randint(1, 8)
+            space = make_space(*(tuple(sorted(rng.sample(range(2**21), rng.randint(1, 6))))
+                                 for _ in range(n_options)))
+            rows = {space.random_plan(rng): 0.0 for _ in range(rng.randint(1, 60))}
+            scale = tuple(rng.choice(choices) for _ in range(n_options))
+            table = make_table(space, rows)
+            near = [tuple(v if rng.random() < 0.7 else q
+                          for v, q in zip(row, space.random_plan(rng)))
+                    for row in rng.sample(sorted(rows), min(10, len(rows)))]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for plan in near + [space.random_plan(rng) for _ in range(10)]:
+                    assert table.nearest(plan, scale) == brute_force_nearest(rows, plan, scale)
+
+    def test_subnormal_terms_rank_rows_the_wrong_way(self):
+        # Under a scale of 1e-25, (800, 0, 0) is about 4.57 float32 smallest
+        # subnormals from the query, which round to 5, and (0, 590, 590) is
+        # two terms of about 2.48, which round to 2 each: the float32 sums
+        # swap the two rows, and no relative slack of 4 covers 5.
+        rows = {(800, 0, 0): 0.0, (0, 590, 590): 0.0}
+        table = make_table(make_space((0, 800), (0, 590), (0, 590)), rows)
+        scale = (1e-25,) * 3
+        assert brute_force_nearest(rows, (0, 0, 0), scale) == (800, 0, 0)
+        assert table.nearest((0, 0, 0), scale) == (800, 0, 0)
+
+    @pytest.mark.parametrize("room", [0, 3])
+    def test_terms_past_the_cache_limit(self, monkeypatch, room):
+        # Once the cache is full, a search sums its uncached terms in float64,
+        # one at a time through the work buffer, and adds the cached ones.
+        rng = random.Random(room)
+        space = make_space(*(tuple(range(0, 9 * k + 1, k)) for k in (1, 3, 7, 100)))
+        rows = {space.random_plan(rng): 0.0 for _ in range(200)}
+        table = make_table(space, rows)
+        monkeypatch.setattr(twin_module, "_TERM_CACHE_BYTES", room * 4 * len(rows))
+        for _ in range(100):
+            plan = space.random_plan(rng)
+            assert table.nearest(plan, space.scale) == brute_force_nearest(rows, plan, space.scale)
+        assert sum(map(len, table._terms)) == room
+
+    def test_term_cache_follows_the_scale(self):
+        # The same (option, value) pairs are searched under scales that weigh
+        # the options differently, one query at a time across all scales, so
+        # a term kept from the previous scale gives a wrong answer.
+        rng = random.Random(8)
+        space = make_space((0, 1, 2, 3, 4), (0, 2, 5, 9), (1, 2, 4, 8, 9), (0, 3))
+        rows = {space.random_plan(rng): 0.0 for _ in range(25)}
+        table = make_table(space, rows)
+        scales = (space.scale, (1.0, 0.01, 0.01, 0.01), (0.01, 1.0, 0.5, 0.0),
+                  (0.0, 0.0, 0.01, 1.0))
+        answers = set()
+        for _ in range(40):
+            plan = space.random_plan(rng)
+            for scale in scales:
+                found = table.nearest(plan, scale)
+                assert found == brute_force_nearest(rows, plan, scale)
+                answers.add((plan, found))
+        assert len(answers) > 40
 
 
 class TestSynthLandscape:
