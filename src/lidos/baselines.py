@@ -7,7 +7,6 @@ from .planner import (
     BasePlanner,
     MmoPlanner,
     PlannerParams,
-    binary_tournament,
     derive_seed,
 )
 from .space import ConfigSpace
@@ -32,8 +31,8 @@ class SogaPlanner(BasePlanner):
     replacement with 1-elitism. Shares the measurement, interval, and
     adaptation logic of the base loop."""
 
-    def _mate(self) -> ScoredPlan:
-        return binary_tournament(self.population, self.rng, key=lambda m: m.ft)
+    def _tournament_keys(self) -> list:
+        return [m.ft for m in self.population]
 
     def _replace(self, offspring: list[ScoredPlan]) -> None:
         elite = min(self.population, key=lambda m: m.ft)

@@ -4,11 +4,13 @@ emit trajectory tables, and generate synthetic landscape datasets."""
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
 from .harness import (
     ScenarioSpec,
+    WorkerLost,
     bundle_from_traces,
     csv_text,
     emit_trajectories,
@@ -20,14 +22,27 @@ from .harness import (
 from .twin import MeasurementTable, synth_landscape
 
 
-def main(argv=None) -> int:
+def main(argv=None, *, workers: int = 1) -> int:
+    """Run one command; `workers` is the process count `lidos run` may use
+    (see `run_scenario`). Returns the exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
+    args.workers = workers
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, WorkerLost) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def entry() -> None:
+    """The `lidos` program: `main`, with the repetitions of `lidos run` spread
+    over every CPU this process may run on."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    sys.exit(main(workers=cpus))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,7 +101,7 @@ def _load_spec(args) -> ScenarioSpec:
 
 def _cmd_run(args) -> int:
     spec = _load_spec(args)
-    bundle = run_scenario(spec)
+    bundle = run_scenario(spec, workers=args.workers)
     summary = write_bundle_outputs(bundle, args.out)
     print(f"ran {len(bundle.labels)} planner(s) x {spec.repetitions} repetition(s); "
           f"outputs in {Path(args.out).resolve()}")
@@ -149,4 +164,4 @@ def _table_csv_text(table: MeasurementTable) -> str:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -262,10 +262,23 @@ def load_scenario_tables(spec: ScenarioSpec) -> tuple[ConfigSpace, dict[str, Mea
     return space, tables
 
 
-def run_scenario(spec: ScenarioSpec, params: PlannerParams | None = None) -> ResultBundle:
+class WorkerLost(RuntimeError):
+    """A worker process of a parallel run ended before returning its
+    repetition, so the run has no result."""
+
+
+def run_scenario(spec: ScenarioSpec, params: PlannerParams | None = None, *,
+                 workers: int = 1) -> ResultBundle:
     """Execute every planner x repetition: init under the first leg's
     environment, run each leg to its budget, firing an environment change
-    between legs. Fully deterministic given (spec, base_seed)."""
+    between legs. Fully deterministic given (spec, base_seed).
+
+    Each (planner, repetition) pair is independent of the others. With
+    `workers` above 1 they run as separate tasks in that many forked worker
+    processes (at most one per task), and their results merge back in
+    (planner, repetition) order, so the bundle is the same for any count.
+    Where the platform cannot fork, or one worker is asked for, they run one
+    after another in this process."""
     params = params if params is not None else PlannerParams(k=spec.k)
     for leg in spec.legs:
         if leg.measurement_budget < params.population_size:
@@ -275,27 +288,83 @@ def run_scenario(spec: ScenarioSpec, params: PlannerParams | None = None) -> Res
             )
     space, tables = load_scenario_tables(spec)
     labeled = planner_labels(spec.planners)
+    tasks = [(label, kind, rep) for label, kind in labeled for rep in range(spec.repetitions)]
+    job = (spec, params, space, tables)
+    workers = min(workers, len(tasks))
+    if workers > 1 and _can_fork():
+        results = _run_forked(job, tasks, workers)
+    else:
+        results = (_run_repetition(job, kind, rep) for _, kind, rep in tasks)
     traces: dict[tuple[str, int], RunTrace] = {}
     counters: dict[tuple[str, int], int] = {}
-    for label, kind in labeled:
-        for rep in range(spec.repetitions):
-            twin = CyberTwin(space, tables.values())
-            twin.set_environment(spec.legs[0].env_id)
-            planner = make_planner(kind, space, twin, params,
-                                   derive_seed(spec.base_seed, kind, rep))
-            planner.init_run()
-            planner.run_scenario_leg(spec.legs[0].measurement_budget)
-            for leg in spec.legs[1:]:
-                planner.on_environment_change(leg.env_id)
-                planner.run_scenario_leg(leg.measurement_budget)
-            traces[(label, rep)] = planner.trace
-            counters[(label, rep)] = twin.counter
+    for (label, _, rep), (trace, counter) in zip(tasks, results):
+        traces[(label, rep)] = trace
+        counters[(label, rep)] = counter
     return ResultBundle(
         spec=spec,
         labels=tuple(label for label, _ in labeled),
         traces=traces,
         final_counters=counters,
     )
+
+
+def _run_repetition(job, kind: str, rep: int) -> tuple[RunTrace, int]:
+    """One planner's repetition over every leg, on a fresh twin: its trace and
+    the twin's genuine measurement count."""
+    spec, params, space, tables = job
+    twin = CyberTwin(space, tables.values())
+    twin.set_environment(spec.legs[0].env_id)
+    planner = make_planner(kind, space, twin, params, derive_seed(spec.base_seed, kind, rep))
+    planner.init_run()
+    planner.run_scenario_leg(spec.legs[0].measurement_budget)
+    for leg in spec.legs[1:]:
+        planner.on_environment_change(leg.env_id)
+        planner.run_scenario_leg(leg.measurement_budget)
+    return planner.trace, twin.counter
+
+
+def _can_fork() -> bool:
+    import multiprocessing
+
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+# The job of a forked worker: set in the worker by `_start_worker`, never in
+# the process that forks it.
+_worker_job = None
+
+
+def _start_worker(job) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _worker_repetition(task) -> tuple:
+    """Run one task in a worker; the trace travels back as its columns."""
+    _, kind, rep = task
+    trace, counter = _run_repetition(_worker_job, kind, rep)
+    return trace.events, trace.env_ids, trace.plans, counter
+
+
+def _run_forked(job, tasks, workers: int) -> list[tuple[RunTrace, int]]:
+    """Run every task in a pool of forked workers, one task per call; the
+    results come back in task order.
+
+    Forked workers inherit the job, loaded tables included, where spawned ones
+    would import the package and load every table again. The pool forks all
+    its workers before it starts its manager thread; the only other threads
+    are the idle ones of numpy's BLAS pool, which no repetition calls into."""
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_start_worker, initargs=(job,)) as pool:
+        try:
+            return [(RunTrace(events, env_ids, plans), counter)
+                    for events, env_ids, plans, counter in pool.map(_worker_repetition, tasks)]
+        except BrokenProcessPool:
+            raise WorkerLost("a worker process ended abruptly before returning "
+                             "its repetition") from None
 
 
 # -- summaries ---------------------------------------------------------------

@@ -66,10 +66,10 @@ class RunTrace:
     tuples; they join `events` the first time it is read.
     """
 
-    def __init__(self, events: np.ndarray | None = None, env_ids=()) -> None:
+    def __init__(self, events: np.ndarray | None = None, env_ids=(), plans=None) -> None:
         self._events = events if events is not None else np.empty(0, TRACE_DTYPE)
         self.env_ids: list[str] = list(env_ids)
-        self.plans: list[Plan | None] = [None] * len(self._events)
+        self.plans: list[Plan | None] = [None] * len(self._events) if plans is None else plans
         self._codes = {env_id: code for code, env_id in enumerate(self.env_ids)}
         self._pending: list[tuple] = []
 
@@ -118,46 +118,64 @@ class RunTrace:
         return float(self.events["best_ft"][valued[-1]])
 
 
-def binary_tournament(population: list[ScoredPlan], rng: random.Random, key) -> ScoredPlan:
-    """Pick two distinct members at random; the better key wins, first on ties.
+def binary_tournament(keys: list, rng: random.Random) -> int:
+    """Pick two distinct members at random and return the index of the one
+    with the lower key, the first pick on ties.
 
-    The draws are exactly those of `rng.sample(population, 2)`, without its
-    bookkeeping. For a sample of two, `Random.sample` takes its pool path up
-    to 21 members: the second draw is over the n - 1 members left, with the
-    last member moved into the first pick's slot. Beyond 21 it takes its set
-    path and redraws while the second pick repeats the first."""
-    n = len(population)
-    i = rng.randrange(n)
+    The draws are exactly those of `rng.sample(range(len(keys)), 2)`, made
+    the way `Random._randbelow` makes them: a draw below m takes
+    `m.bit_length()` bits from `getrandbits` and repeats until it is below m.
+    For a sample of two, `Random.sample` takes its pool path up to 21
+    members: the second draw is over the n - 1 members left, with the last
+    member moved into the first pick's slot. Beyond 21 it takes its set path
+    and redraws while the second pick repeats the first."""
+    n = len(keys)
+    if n < 2:
+        raise ValueError("a tournament needs at least two members")
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
+    i = getrandbits(bits)
+    while i >= n:
+        i = getrandbits(bits)
     if n <= 21:
-        j = rng.randrange(n - 1)
+        m = n - 1
+        bits = m.bit_length()
+        j = getrandbits(bits)
+        while j >= m:
+            j = getrandbits(bits)
         if j == i:
-            j = n - 1
+            j = m
     else:
-        j = rng.randrange(n)
-        while j == i:
-            j = rng.randrange(n)
-    a, b = population[i], population[j]
-    return a if key(a) <= key(b) else b
+        j = getrandbits(bits)
+        while j >= n or j == i:
+            j = getrandbits(bits)
+    return i if keys[i] <= keys[j] else j
 
 
 def uniform_crossover(a: Plan, b: Plan, rate: float, rng: random.Random) -> tuple[Plan, Plan]:
-    if rng.random() >= rate:
+    draw = rng.random
+    if draw() >= rate:
         return a, b
     ca, cb = list(a), list(b)
     for i in range(len(ca)):
-        if rng.random() < 0.5:
+        if draw() < 0.5:
             ca[i], cb[i] = cb[i], ca[i]
     return tuple(ca), tuple(cb)
 
 
-def boundary_mutation(plan: Plan, space: ConfigSpace, rate: float, rng: random.Random) -> Plan:
-    """Per gene, with the given probability, jump to the domain minimum or
-    maximum on a fair coin."""
-    values = list(plan)
-    for i, opt in enumerate(space.options):
-        if rng.random() < rate:
-            values[i] = opt.domain[0] if rng.random() < 0.5 else opt.domain[-1]
-    return tuple(values)
+def boundary_mutation(plan: Plan, ends: tuple[tuple[int, int], ...], rate: float,
+                      rng: random.Random) -> Plan:
+    """Per gene, with the given probability, jump to the low or the high end
+    of its option's domain on a fair coin. `ends` holds each option's
+    (low, high) pair in plan order."""
+    draw = rng.random
+    values = None
+    for i, (low, high) in enumerate(ends):
+        if draw() < rate:
+            if values is None:
+                values = list(plan)
+            values[i] = low if draw() < 0.5 else high
+    return plan if values is None else tuple(values)
 
 
 class BasePlanner:
@@ -180,6 +198,7 @@ class BasePlanner:
         self.params = params
         self.base_seed = seed
         self.rng = random.Random(seed)
+        self.ends = tuple((o.domain[0], o.domain[-1]) for o in space.options)
         self.population: list[ScoredPlan] = []
         self.s_best: ScoredPlan | None = None
         self.t = 0
@@ -201,18 +220,22 @@ class BasePlanner:
         """One generation: mate, vary, repair, measure (cache-aware), replace,
         and possibly emit an adaptation."""
         n = self.params.population_size
+        crossover_rate, mutation_rate = self.params.crossover_rate, self.params.mutation_rate
+        population, rng, twin, ends = self.population, self.rng, self.twin, self.ends
+        # The population stays fixed until `_replace`, so its keys do too.
+        keys = self._tournament_keys()
         offspring: list[ScoredPlan] = []
         pool_plans: set[Plan] = set()
         # Degenerate operators or exhausted reach can make distinct offspring
         # unobtainable; cap the attempts so the generation always terminates.
         attempts_left = 50 * n
         while len(offspring) < n and attempts_left > 0:
-            p1 = self._mate()
-            p2 = self._mate()
-            c1, c2 = uniform_crossover(p1.plan, p2.plan, self.params.crossover_rate, self.rng)
-            c1 = boundary_mutation(c1, self.space, self.params.mutation_rate, self.rng)
-            c2 = boundary_mutation(c2, self.space, self.params.mutation_rate, self.rng)
-            for child in (self.twin.repair(c1), self.twin.repair(c2)):
+            p1 = population[binary_tournament(keys, rng)]
+            p2 = population[binary_tournament(keys, rng)]
+            c1, c2 = uniform_crossover(p1.plan, p2.plan, crossover_rate, rng)
+            c1 = boundary_mutation(c1, ends, mutation_rate, rng)
+            c2 = boundary_mutation(c2, ends, mutation_rate, rng)
+            for child in (twin.repair(c1), twin.repair(c2)):
                 attempts_left -= 1
                 if len(offspring) >= n:
                     break
@@ -335,7 +358,8 @@ class BasePlanner:
     def _score_population(self) -> None:
         pass
 
-    def _mate(self) -> ScoredPlan:
+    def _tournament_keys(self) -> list:
+        """Each member's tournament key, in population order; lower wins."""
         raise NotImplementedError
 
     def _replace(self, offspring: list[ScoredPlan]) -> None:
@@ -356,10 +380,8 @@ class MmoPlanner(BasePlanner):
         # front, which the tournament's draws see.
         self.population = self._select(self.population, len(self.population))
 
-    def _mate(self) -> ScoredPlan:
-        return binary_tournament(
-            self.population, self.rng, key=lambda m: (m.rank, -m.crowding)
-        )
+    def _tournament_keys(self) -> list:
+        return [(m.rank, -m.crowding) for m in self.population]
 
     def _replace(self, offspring: list[ScoredPlan]) -> None:
         # Offspring re-creating a parent plan merge into the parent copy, so

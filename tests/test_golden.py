@@ -10,11 +10,17 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lidos
 from lidos.cli import main as cli_main
+from lidos.harness import parse_scenario, run_scenario, traces_csv_text
 
 # `lidos synth --options 5 --domain-size 6 --peaks 12 --seed 4`: 7,776 plans.
 SYNTH_ARGS = ["--options", "5", "--domain-size", "6", "--peaks", "12", "--seed", "4"]
@@ -30,6 +36,7 @@ SYNTH_DIGESTS = {
 # Every plan of the synth space is measured, and 11 repetitions take the
 # normal-approximation rank-sum.
 DENSE_ARGS = ["--repetitions", "11", "--seed", "5"]
+DENSE_OVERRIDES = {"repetitions": "11", "seed": "5"}
 DENSE_DIGESTS = {
     "pairwise.csv":
         "95386c23d303d341cb3380ab7fe052b726f756c08974c42248d15e924720dd9f",
@@ -75,6 +82,10 @@ SPARSE_DIGESTS = {
 def digests(directory) -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(directory.iterdir())}
+
+
+def text_digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def write_sparse_scenario(directory):
@@ -130,6 +141,41 @@ def test_sparse_run_bytes(tmp_path):
     out = tmp_path / "out"
     assert cli_main(["run", "--scenario", str(manifest), "--out", str(out)]) == 0
     assert digests(out) == SPARSE_DIGESTS
+
+
+def test_program_run_bytes(synth_dir, tmp_path):
+    """`python -m lidos run`, which spreads the repetitions over every CPU
+    the process may use, writes the same bytes as the in-process serial run."""
+    out = tmp_path / "out"
+    src = str(Path(lidos.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "lidos", "run",
+                           "--scenario", str(synth_dir / "scenario.txt"), "--out", str(out),
+                           *DENSE_ARGS], env=env, capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
+    assert digests(out) == DENSE_DIGESTS
+
+
+@pytest.mark.parametrize("scenario", ["dense", "sparse"])
+def test_parallel_run_equals_serial(synth_dir, tmp_path, scenario):
+    """Two and three forked workers give the serial loop's traces, counters
+    and in-memory plans, whatever number of CPUs this machine has."""
+    if scenario == "dense":
+        spec, digest = (parse_scenario(synth_dir / "scenario.txt", DENSE_OVERRIDES),
+                        DENSE_DIGESTS["traces.csv"])
+    else:
+        spec, digest = (parse_scenario(write_sparse_scenario(tmp_path / "inputs")),
+                        SPARSE_DIGESTS["traces.csv"])
+    # Compared by digest: pytest's diff of two long texts takes minutes.
+    serial = run_scenario(spec, workers=1)
+    assert text_digest(traces_csv_text(serial)) == digest
+    for workers in (2, 3):
+        parallel = run_scenario(spec, workers=workers)
+        assert text_digest(traces_csv_text(parallel)) == digest
+        assert parallel.final_counters == serial.final_counters
+        for key, trace in serial.traces.items():
+            assert parallel.traces[key].plans == trace.plans, key
 
 
 # The files `lidos summarize` and `lidos trajectories` rewrite from traces.csv.

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures.process
 import csv
 import gc
 import io
@@ -26,8 +27,9 @@ from lidos.harness import (
     traces_csv_text,
     write_atomic,
 )
+from lidos.baselines import StationaryPlanner
 from lidos.harness import ResultBundle
-from lidos.planner import PlannerParams, RunTrace
+from lidos.planner import PlannerParams, RunTrace, derive_seed
 from lidos.twin import synth_landscape
 
 
@@ -224,6 +226,62 @@ class TestRunScenario:
         ranks = {e.label: e.rank for e in summary.ranks}
         assert ranks["lidos"] == ranks["lidos@2"]
         assert summary.pairwise[0].p_value == 1.0
+
+
+class TestParallelRun:
+    """More than one worker forks a pool; one worker never does. A failure in
+    a worker ends `lidos run` as cleanly as a failure in the serial loop."""
+
+    def test_one_worker_creates_no_pool(self, tmp_path, monkeypatch):
+        spec = parse_scenario(write_small_dataset(tmp_path))
+        params = PlannerParams(population_size=10, k=spec.k)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was created")
+
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", no_pool)
+        assert len(run_scenario(spec, params, workers=1).traces) == 4
+        with pytest.raises(AssertionError, match="a process pool was created"):
+            run_scenario(spec, params, workers=2)
+
+    def test_value_error_in_a_worker_exits_2_as_in_the_serial_loop(
+            self, tmp_path, capsys, monkeypatch):
+        manifest = write_small_dataset(tmp_path)
+        failing = derive_seed(11, "stationary", 1)
+        change = StationaryPlanner.on_environment_change
+
+        def failing_change(self, env):
+            if self.base_seed == failing:
+                raise ValueError("stationary repetition 1 cannot change environment")
+            change(self, env)
+
+        # Patched before the pool forks, so every worker inherits it.
+        monkeypatch.setattr(StationaryPlanner, "on_environment_change", failing_change)
+        errors = []
+        for workers in (1, 2):
+            out = tmp_path / f"out{workers}"
+            assert cli_main(["run", "--scenario", str(manifest), "--out", str(out)],
+                            workers=workers) == 2
+            errors.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert errors == ["error: stationary repetition 1 cannot change environment\n"] * 2
+
+    def test_dead_worker_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch):
+        manifest = write_small_dataset(tmp_path)
+        parent = os.getpid()
+        change = StationaryPlanner.on_environment_change
+
+        def dying_change(self, env):
+            if os.getpid() != parent:
+                os._exit(1)
+            change(self, env)
+
+        monkeypatch.setattr(StationaryPlanner, "on_environment_change", dying_change)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--scenario", str(manifest), "--out", str(out)], workers=2) == 2
+        assert capsys.readouterr().err == (
+            "error: a worker process ended abruptly before returning its repetition\n")
+        assert not out.exists()
 
 
 class TestSummaries:

@@ -64,17 +64,21 @@ class TestOperators:
                 assert {x, y} == {0, 1}
 
     def test_mutation_disabled_identity(self):
-        space = make_space((0, 1, 2), (0, 5, 9))
         rng = random.Random(2)
-        assert boundary_mutation((1, 5), space, 0.0, rng) == (1, 5)
+        assert boundary_mutation((1, 5), ((0, 2), (0, 9)), 0.0, rng) == (1, 5)
 
     def test_mutation_hits_bounds_only(self):
-        space = make_space((0, 1, 2, 3, 4))
         rng = random.Random(3)
         seen = set()
         for _ in range(200):
-            seen.add(boundary_mutation((2,), space, 1.0, rng)[0])
+            seen.add(boundary_mutation((2,), ((0, 4),), 1.0, rng)[0])
         assert seen == {0, 4}
+
+    def test_planner_ends_are_domain_ends(self):
+        space = make_space((0, 1, 2), (3,), (-4, 0, 7, 9))
+        planner = MmoPlanner(space, make_twin(space, make_table(space, {(0, 3, 0): 1.0})),
+                             PlannerParams(), seed=0)
+        assert planner.ends == ((0, 2), (3, 3), (-4, 9))
 
     def test_tournament_draws_as_random_sample(self):
         """The tournament's two picks, and the generator state after them,
@@ -85,11 +89,17 @@ class TestOperators:
             population = list(range(n))
             for seed in range(40):
                 for key, pick in picks:
+                    keys = [key(m) for m in population]
                     expected, actual = random.Random(seed), random.Random(seed)
                     for _ in range(5):
                         a, b = expected.sample(population, 2)
-                        assert binary_tournament(population, actual, key) == pick(a, b)
+                        assert binary_tournament(keys, actual) == pick(a, b)
                     assert actual.getstate() == expected.getstate(), (n, seed)
+
+    def test_tournament_needs_two_members(self):
+        for keys in ([], [0.5]):
+            with pytest.raises(ValueError, match="at least two"):
+                binary_tournament(keys, random.Random(0))
 
 
 class TestInitRun:
