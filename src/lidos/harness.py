@@ -20,16 +20,7 @@ import numpy as np
 from .baselines import PLANNER_KINDS, make_planner
 from .planner import TRACE_DTYPE, PlannerParams, RunTrace, derive_seed
 from .space import ConfigSpace
-from .stats import (
-    RankEntry,
-    SampleGroup,
-    Summary,
-    a12,
-    scott_knott,
-    speedup,
-    summarize,
-    wilcoxon_rank_sum,
-)
+from .stats import Summary, a12, scott_knott, speedup, summarize, wilcoxon_rank_sum
 from .twin import DIRECTIONS, CyberTwin, Environment, MeasurementTable, load_measurements
 
 TRACE_HEADER = ("planner", "rep", "measurement_index", "env", "ft", "best_ft",
@@ -104,8 +95,8 @@ class ScenarioSpec:
                 return source.environment
         raise KeyError(env_id)
 
-    def final_direction(self) -> str:
-        return self.environment_of(self.legs[-1].env_id).direction
+    def final_environment(self) -> Environment:
+        return self.environment_of(self.legs[-1].env_id)
 
 
 def parse_scenario(path: str | Path, overrides: dict[str, str] | None = None) -> ScenarioSpec:
@@ -222,15 +213,6 @@ class ResultBundle:
             self.traces[(label, rep)].final_best()
             for rep in range(self.spec.repetitions)
         ]
-
-    def sample_group(self, label: str) -> SampleGroup:
-        direction = self.spec.final_direction()
-        sign = 1.0 if direction == "minimize" else -1.0
-        return SampleGroup(
-            label=label,
-            values=tuple(sign * v for v in self.final_values(label)),
-            direction=direction,
-        )
 
 
 def planner_labels(planners: tuple[str, ...]) -> list[tuple[str, str]]:
@@ -371,6 +353,14 @@ def _run_forked(job, tasks, workers: int) -> list[tuple[RunTrace, int]]:
 
 
 @dataclass(frozen=True)
+class RankEntry:
+    label: str
+    rank: int
+    median: float
+    iqr: float
+
+
+@dataclass(frozen=True)
 class PairwiseRow:
     label: str
     p_value: float
@@ -392,37 +382,38 @@ class BundleSummary:
     speedups: tuple[SpeedupRow, ...]
 
 
-def summarize_bundle(bundle: ResultBundle, rng: random.Random | None = None) -> BundleSummary:
+def summarize_bundle(bundle: ResultBundle) -> BundleSummary:
     """Medians/IQRs per planner, pairwise tests of the dynamic planner against
     every other treatment, ranks across all treatments, and per-repetition
-    post-change speedups."""
-    spec = bundle.spec
-    groups = [bundle.sample_group(label) for label in bundle.labels]
-    stats = summarize(groups)
+    post-change speedups.
 
-    if len(groups) >= 2:
-        rank_rng = rng if rng is not None else random.Random(
-            derive_seed(spec.base_seed, "scott-knott")
-        )
-        ranks = scott_knott(groups, rng=rank_rng)
-    else:
-        only = groups[0]
-        ranks = (RankEntry(label=only.label, rank=1,
-                           median=stats[only.label].median, iqr=stats[only.label].iqr),)
+    The tests and ranks take the canonical final values; medians and IQRs are
+    in the final environment's units. Rank entries are sorted by rank, then
+    canonical median, then IQR."""
+    spec = bundle.spec
+    finals = {label: bundle.final_values(label) for label in bundle.labels}
+    sign = spec.final_environment().sign
+    stats = summarize({label: [sign * v for v in values] for label, values in finals.items()})
+    rank_of = scott_knott(finals, random.Random(derive_seed(spec.base_seed, "scott-knott")))
+    ranks = sorted(
+        (RankEntry(label, rank_of[label], stats[label].median, stats[label].iqr)
+         for label in bundle.labels),
+        key=lambda e: (e.rank, float(np.percentile(finals[e.label], 50)), e.iqr),
+    )
 
     pairwise: list[PairwiseRow] = []
     speedups: list[SpeedupRow] = []
     if "lidos" in bundle.labels:
-        lidos = bundle.sample_group("lidos").canonical()
+        lidos = finals["lidos"]
         for label in bundle.labels:
             if label == "lidos":
                 continue
-            other = bundle.sample_group(label).canonical()
+            other = finals[label]
             pairwise.append(
                 PairwiseRow(
                     label=label,
                     p_value=wilcoxon_rank_sum(lidos, other),
-                    effect=a12(lidos, other, "minimize"),
+                    effect=a12(lidos, other),
                 )
             )
             values = tuple(
@@ -440,7 +431,7 @@ def summarize_bundle(bundle: ResultBundle, rng: random.Random | None = None) -> 
             )
     return BundleSummary(
         summaries=stats,
-        ranks=ranks,
+        ranks=tuple(ranks),
         pairwise=tuple(pairwise),
         speedups=tuple(speedups),
     )
@@ -577,10 +568,18 @@ def bundle_from_traces(spec: ScenarioSpec, path: str | Path) -> ResultBundle:
     """Rebuild a bundle from an emitted trace file.
 
     The traces are the source of truth: the repetition count is adopted from
-    the file (a run may have been executed with an overridden count)."""
+    the file (a run may have been executed with an overridden count). Every
+    environment the file names must be declared in the scenario, which gives
+    its values their sign."""
     labels, traces = read_traces_csv(path)
     if not traces:
         raise ValueError(f"{path}: trace file holds no events")
+    declared = {source.environment.id for source in spec.environments}
+    for trace in traces.values():
+        for env_id in trace.env_ids:
+            if env_id not in declared:
+                raise ValueError(f"{path}: environment {env_id!r} is not declared "
+                                 "in the scenario")
     reps = sorted({rep for _, rep in traces})
     if reps != list(range(len(reps))):
         raise ValueError(f"{path}: repetitions are not contiguous from 0: {reps}")
@@ -597,9 +596,14 @@ def bundle_from_traces(spec: ScenarioSpec, path: str | Path) -> ResultBundle:
 
 
 def trajectory_rows(bundle: ResultBundle) -> list[tuple]:
-    """Per planner and multiple of the spec's stride: median and IQR (original
-    units) of the best-so-far value across repetitions, plus a change flag on
-    the first stride row at or past each nominal leg boundary."""
+    """Per planner and multiple of the spec's stride: median and IQR of the
+    best-so-far value across repetitions, plus a change flag on the first
+    stride row at or past each nominal leg boundary.
+
+    Each repetition's value is in the units of the environment of the trace
+    row it is read from. Legs end at generation granularity, so near a
+    boundary one stride mark may hold repetitions in different legs, each
+    value in its own environment's units."""
     spec = bundle.spec
     stride = spec.trajectory_stride
     nominal_total = sum(leg.measurement_budget for leg in spec.legs)
@@ -610,7 +614,8 @@ def trajectory_rows(bundle: ResultBundle) -> list[tuple]:
         boundaries.append(running)
     flagged = {min(nominal_total, math.ceil(b / stride) * stride) for b in boundaries}
 
-    sign = 1.0 if spec.final_direction() == "minimize" else -1.0
+    sign_of = {source.environment.id: source.environment.sign
+               for source in spec.environments}
     marks = np.arange(stride, nominal_total + 1, stride)
     rows: list[tuple] = []
     for label in bundle.labels:
@@ -619,10 +624,12 @@ def trajectory_rows(bundle: ResultBundle) -> list[tuple]:
         at_marks = np.full((spec.repetitions, len(marks)), np.nan)
         for rep in range(spec.repetitions):
             trace = bundle.traces[(label, rep)]
+            signs = np.array([sign_of[env_id] for env_id in trace.env_ids])
             measured = trace.events[trace.measurement_mask()]
             pos = np.searchsorted(measured["measurement_index"], marks, side="right") - 1
             reached = pos >= 0
-            at_marks[rep, reached] = sign * measured["best_ft"][pos[reached]]
+            pos = pos[reached]
+            at_marks[rep, reached] = signs[measured["env"][pos]] * measured["best_ft"][pos]
         for m, column in zip(marks.tolist(), at_marks.T):
             arr = column[~np.isnan(column)]
             if not len(arr):
@@ -674,7 +681,7 @@ def write_atomic(path: str | Path, content: str) -> None:
 
 
 def render_text_summary(summary: BundleSummary, spec: ScenarioSpec) -> str:
-    lines = [f"scenario: {spec.system}", f"direction: {spec.final_direction()}", ""]
+    lines = [f"scenario: {spec.system}", f"direction: {spec.final_environment().direction}", ""]
     lines.append("planner medians (original units):")
     for label, stat in summary.summaries.items():
         lines.append(f"  {label:<16} median={stat.median:g} iqr={stat.iqr:g}")
@@ -702,7 +709,7 @@ def write_bundle_outputs(bundle: ResultBundle, out_dir: str | Path,
                          *, include_traces: bool = True) -> BundleSummary:
     out = Path(out_dir)
     summary = summarize_bundle(bundle)
-    direction = bundle.spec.final_direction()
+    direction = bundle.spec.final_environment().direction
     if include_traces:
         write_atomic(out / "traces.csv", traces_csv_text(bundle))
     emit_trajectories(bundle, out / "trajectories.csv")

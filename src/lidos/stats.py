@@ -1,13 +1,16 @@
 """Nonparametric statistics for repeated-run comparisons.
 
-All tests operate on canonical smaller-is-better values; SampleGroup carries
-the original direction so reported medians keep their native units.
+Every function here takes canonical values, where smaller is better: the twin
+makes each raw value canonical as it measures it, with its environment's sign,
+and a report that wants original units multiplies by that sign again.
+`summarize` describes whatever values it is given, in their own units.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,30 +21,11 @@ from .planner import RunTrace
 # stays below this; beyond it the normal approximation takes over.
 _EXACT_LIMIT = 200_000
 
-_BOOTSTRAP_SEED = 0x51AB
-
-
-@dataclass(frozen=True)
-class SampleGroup:
-    """One treatment's per-repetition results in original units."""
-
-    label: str
-    values: tuple[float, ...]
-    direction: str = "minimize"
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise ValueError(f"sample group {self.label!r} is empty")
-        if any(not math.isfinite(v) for v in self.values):
-            raise ValueError(f"sample group {self.label!r} holds non-finite values")
-        if self.direction not in ("minimize", "maximize"):
-            raise ValueError(f"bad direction {self.direction!r}")
-
-    def canonical(self) -> tuple[float, ...]:
-        """Values mapped so that smaller is always better."""
-        if self.direction == "minimize":
-            return self.values
-        return tuple(-v for v in self.values)
+# A Scott-Knott split stands when a bootstrap of this many resamples rejects
+# equal means at this confidence and the effect size reaches this threshold.
+_RESAMPLES = 1000
+_CONFIDENCE = 0.99
+_EFFECT_THRESHOLD = 0.6
 
 
 @dataclass(frozen=True)
@@ -50,24 +34,14 @@ class Summary:
     iqr: float
 
 
-@dataclass(frozen=True)
-class RankEntry:
-    label: str
-    rank: int
-    median: float
-    iqr: float
-
-
-def summarize(groups: list[SampleGroup]) -> dict[str, Summary]:
+def summarize(samples: Mapping[str, Sequence[float]]) -> dict[str, Summary]:
     """Median (midpoint convention) and IQR (linear-interpolation percentiles)
-    per group, in original units."""
+    per label."""
     out: dict[str, Summary] = {}
-    for group in groups:
-        if group.label in out:
-            raise ValueError(f"duplicate group label {group.label!r}")
-        values = np.asarray(group.values, dtype=float)
+    for label, values in samples.items():
+        values = np.asarray(values, dtype=float)
         q25, q50, q75 = (float(np.percentile(values, q)) for q in (25, 50, 75))
-        out[group.label] = Summary(median=q50, iqr=q75 - q25)
+        out[label] = Summary(median=q50, iqr=q75 - q25)
     return out
 
 
@@ -134,15 +108,12 @@ def wilcoxon_rank_sum(xs, ys) -> float:
     return min(1.0, math.erfc(abs(z) / math.sqrt(2)))
 
 
-def a12(xs, ys, direction: str = "minimize") -> float:
+def a12(xs, ys) -> float:
     """Probability-of-superiority effect size of xs over ys.
 
-    Counts pairs where x beats y under the given direction; ties count half.
-    0.5 means no effect; 0.56/0.64/0.71 are the usual small/medium/large
-    thresholds.
+    Counts pairs where x is smaller than y; ties count half. 0.5 means no
+    effect; 0.56/0.64/0.71 are the usual small/medium/large thresholds.
     """
-    if direction not in ("minimize", "maximize"):
-        raise ValueError(f"bad direction {direction!r}")
     if not xs or not ys:
         raise ValueError("both samples must be non-empty")
     better = 0
@@ -151,7 +122,7 @@ def a12(xs, ys, direction: str = "minimize") -> float:
         for y in ys:
             if x == y:
                 ties += 1
-            elif (x < y) == (direction == "minimize"):
+            elif x < y:
                 better += 1
     return (better + 0.5 * ties) / (len(xs) * len(ys))
 
@@ -172,46 +143,32 @@ def split_delta(left, right) -> float:
     return out
 
 
-def _bootstrap_rejects(left: list[float], right: list[float], resamples: int,
-                       confidence: float, rng: random.Random) -> bool:
+def _bootstrap_rejects(left: list[float], right: list[float], rng: random.Random) -> bool:
     observed = abs(sum(left) / len(left) - sum(right) / len(right))
     pool = left + right
     extreme = 0
-    for _ in range(resamples):
+    for _ in range(_RESAMPLES):
         lhs = [rng.choice(pool) for _ in left]
         rhs = [rng.choice(pool) for _ in right]
         if abs(sum(lhs) / len(lhs) - sum(rhs) / len(rhs)) >= observed:
             extreme += 1
-    return extreme / resamples <= 1.0 - confidence
+    return extreme / _RESAMPLES <= 1.0 - _CONFIDENCE
 
 
-def scott_knott(groups: list[SampleGroup], *, resamples: int = 1000,
-                confidence: float = 0.99, effect_threshold: float = 0.6,
-                rng: random.Random | None = None) -> tuple[RankEntry, ...]:
-    """Cluster groups into statistically distinct ranks.
+def scott_knott(samples: Mapping[str, Sequence[float]], rng: random.Random) -> dict[str, int]:
+    """Each label's rank, 1 the best; labels of one rank are statistically
+    indistinguishable.
 
-    Groups are sorted by median (best first), then recursively split at the
+    Labels are sorted by median (best first), then recursively split at the
     point maximizing the expected mean difference; a split stands only when a
-    bootstrap test rejects equality at the given confidence AND the effect
-    size between the sub-lists reaches the threshold. Terminal sub-lists are
+    bootstrap test rejects equality at `_CONFIDENCE` AND the effect size
+    between the sub-lists reaches `_EFFECT_THRESHOLD`. Terminal sub-lists are
     ranked by their mean.
     """
-    if len(groups) < 2:
-        raise ValueError("ranking needs at least two groups")
-    directions = {g.direction for g in groups}
-    if len(directions) != 1:
-        raise ValueError("all groups must share one direction")
-    labels = [g.label for g in groups]
-    if len(set(labels)) != len(labels):
-        raise ValueError("group labels must be unique")
-    rng = rng if rng is not None else random.Random(_BOOTSTRAP_SEED)
+    def flat(sub: list[str]) -> list[float]:
+        return [v for label in sub for v in samples[label]]
 
-    canonical = {g.label: list(g.canonical()) for g in groups}
-
-    def flat(sub: list[SampleGroup]) -> list[float]:
-        return [v for g in sub for v in canonical[g.label]]
-
-    def split(sub: list[SampleGroup]) -> list[list[SampleGroup]]:
+    def split(sub: list[str]) -> list[list[str]]:
         if len(sub) == 1:
             return [sub]
         best_i, best_delta = 1, -1.0
@@ -222,36 +179,13 @@ def scott_knott(groups: list[SampleGroup], *, resamples: int = 1000,
         left, right = sub[:best_i], sub[best_i:]
         lflat, rflat = flat(left), flat(right)
         effect = max(a12(lflat, rflat), a12(rflat, lflat))
-        if effect >= effect_threshold and _bootstrap_rejects(
-            lflat, rflat, resamples, confidence, rng
-        ):
+        if effect >= _EFFECT_THRESHOLD and _bootstrap_rejects(lflat, rflat, rng):
             return split(left) + split(right)
         return [sub]
 
-    ordered = sorted(groups, key=lambda g: float(np.percentile(canonical[g.label], 50)))
-    clusters = split(ordered)
+    clusters = split(sorted(samples, key=lambda label: float(np.percentile(samples[label], 50))))
     clusters.sort(key=lambda sub: sum(flat(sub)) / len(flat(sub)))
-
-    stats = summarize(groups)
-    entries: list[RankEntry] = []
-    for rank, cluster in enumerate(clusters, 1):
-        for group in cluster:
-            entries.append(
-                RankEntry(
-                    label=group.label,
-                    rank=rank,
-                    median=stats[group.label].median,
-                    iqr=stats[group.label].iqr,
-                )
-            )
-    entries.sort(
-        key=lambda e: (
-            e.rank,
-            float(np.percentile(canonical[e.label], 50)),
-            e.iqr,
-        )
-    )
-    return tuple(entries)
+    return {label: rank for rank, cluster in enumerate(clusters, 1) for label in cluster}
 
 
 def speedup(base_trace: RunTrace, lidos_trace: RunTrace, change_marker: int = 1) -> float:

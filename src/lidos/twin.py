@@ -6,7 +6,7 @@ import csv
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
@@ -33,15 +33,18 @@ _F32_MAX = float(np.finfo(np.float32).max)
 @dataclass(frozen=True)
 class Environment:
     """One operating condition; its direction says whether raw values are to be
-    minimized or maximized."""
+    minimized or maximized. `sign` (1.0 or -1.0) turns a raw value into its
+    canonical, smaller-is-better value and back again."""
 
     id: str
     direction: str = "minimize"
     units: str = ""
+    sign: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
+        object.__setattr__(self, "sign", 1.0 if self.direction == "minimize" else -1.0)
 
 
 class MeasurementTable:
@@ -329,7 +332,7 @@ class CyberTwin:
         if plan not in self._cache:
             self._cache.add(plan)
             self.counter += 1
-        return raw if self.current.direction == "minimize" else -raw
+        return raw * self.current.sign
 
     def coverage(self) -> float:
         return len(self._cache) / len(self.current_table())

@@ -28,7 +28,7 @@ from lidos.mmo import (
 )
 from lidos.planner import RunTrace
 from lidos.space import ConfigSpace, OptionSpec
-from lidos.stats import a12, scott_knott, speedup, split_delta, wilcoxon_rank_sum, SampleGroup
+from lidos.stats import a12, scott_knott, speedup, split_delta, wilcoxon_rank_sum
 from lidos.twin import Environment, load_measurements, synth_landscape
 
 from conftest import dominates
@@ -238,15 +238,12 @@ def test_statistics_oracles():
         ys = [rng.randint(0, 6) for _ in range(rng.randint(1, 10))]
         wins = sum(1 for x in xs for y in ys if x < y)
         ties = sum(1 for x in xs for y in ys if x == y)
-        assert a12(xs, ys, "minimize") == (wins + 0.5 * ties) / (len(xs) * len(ys))
+        assert a12(xs, ys) == (wins + 0.5 * ties) / (len(xs) * len(ys))
 
-    table = scott_knott([
-        SampleGroup("p", (0.0,) * 10),
-        SampleGroup("q", (0.0,) * 10),
-        SampleGroup("r", (5.0,) * 10),
-    ])
-    assert {e.label: e.rank for e in table} == {"p": 1, "q": 1, "r": 2}
-    assert max(e.rank for e in table) == 2
+    ranks = scott_knott({"p": (0.0,) * 10, "q": (0.0,) * 10, "r": (5.0,) * 10},
+                        random.Random(0))
+    assert ranks == {"p": 1, "q": 1, "r": 2}
+    assert max(ranks.values()) == 2
 
     assert split_delta([1, 1], [5, 5]) == 4.0
 
@@ -272,7 +269,7 @@ def test_dynamic_beats_stationary_direction(benchmark_bundle):
                for t in benchmark_bundle.traces.values())
     lidos = benchmark_bundle.final_values("lidos")
     restart = benchmark_bundle.final_values("lidos_sta")
-    effect = a12(lidos, restart, "minimize")
+    effect = a12(lidos, restart)
     print(f"  [A12 lidos vs lidos_sta = {effect:0.3f}]", end=" ")
     assert effect >= 0.56
     summary = summarize_bundle(benchmark_bundle)
@@ -343,9 +340,8 @@ def test_reference_dataset_reproduction(tmp_path):
         encoding="utf-8",
     )
     bundle = run_scenario(parse_scenario(manifest))
-    lidos_median = statistics.median(bundle.sample_group("lidos").values)
-    restart_median = statistics.median(bundle.sample_group("lidos_sta").values)
-    assert lidos_median >= restart_median  # throughput: higher is better
+    medians = summarize_bundle(bundle).summaries  # in the final environment's units
+    assert medians["lidos"].median >= medians["lidos_sta"].median  # throughput: higher is better
 
 
 @criterion(9, "identical seeded runs produce byte-identical trace CSVs")

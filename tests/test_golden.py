@@ -78,6 +78,64 @@ SPARSE_DIGESTS = {
         "72332754777c47f9ef60b135f60362e2d930bb357287f01714381859e1eab453",
 }
 
+# The sparse scenario run with other directions or planners:
+# (environment A's direction, B's direction), extra `lidos run` flags, digests.
+SPARSE_VARIANTS = {
+    # Ranks sort by the canonical median, so within a rank the highest median
+    # in the table's units comes first.
+    "maximize": (("maximize", "maximize"), [], {
+        "pairwise.csv":
+            "29c94dd7d2741e37db3dc7e155f8b6b14a76c6d7abb7ea074a53ec0ee899e2df",
+        "ranks.csv":
+            "37e947fca435560b275f5df73c44b02858c7185aee61177beb9fc1ba9593bb87",
+        "speedups.csv":
+            "a6f6091d100b308886681ca81ab3cdf519c41ceb506334a1344bb87866d7b58d",
+        "summary.csv":
+            "8a75699016b44c2fb8c3cc11ff0830e57f562844c161be9d1640997123399010",
+        "summary.txt":
+            "826dc4e755fac055fe167ad62ab360e200fe9a1f52153702240701680cd53b76",
+        "traces.csv":
+            "33e898aed04933465c983515d06bca34096bee163d82a5fd1a534ff21360fbe4",
+        "trajectories.csv":
+            "d5896b5e5edf2754067c5c752d8dcedc263f6abc96a5af5aef098bcbfd677aca",
+    }),
+    # A lone planner takes rank 1, and nothing is compared with `lidos`.
+    "stationary": (("minimize", "minimize"), ["--planners", "stationary"], {
+        "pairwise.csv":
+            "aff43b97bd3cb8bb794f3c9fb76138b09d43e1bea7d7125c2a599d073befc66e",
+        "ranks.csv":
+            "2f97ade39ec88f61f1c781812933c1a7f692a06c753ba8e6e070f29c5dd53447",
+        "speedups.csv":
+            "a48a290e35726776d08d9561ca76e15450b1861c7debd634b9c5ab74d8ba0e8f",
+        "summary.csv":
+            "d32b4321a4d09163569c861d5f87fac7ee894ac5d24f399009ddca78a581a9f9",
+        "summary.txt":
+            "0f1df8f111f5a019dc624f9791fb00f7ff3a23f072fa221b57d82966ba40c5f8",
+        "traces.csv":
+            "696bd35ea3a19d27ebdb052e2334f10f79f09d15e3995167f21c9319b43ececc",
+        "trajectories.csv":
+            "4a7be0275758437d91544c19f564613e80c2457d21842257db3ecea7c3497359",
+    }),
+    # The summaries are in B's units; trajectories.csv gives each leg in its
+    # own environment's units.
+    "mixed": (("minimize", "maximize"), [], {
+        "pairwise.csv":
+            "2a999a7b8a1840ac7bbf1b472cc29947933e87c4584c0373da597adb8ce706c7",
+        "ranks.csv":
+            "7d3351b1808e3ceca98ec0d0efc7ce5b0f665dabca6e28a895a9acdb7759db51",
+        "speedups.csv":
+            "d589fc4121bb0212ab31cafe909cda0cc24f18d7c0e8934171cf254a64d19b83",
+        "summary.csv":
+            "d46694cef663e5812934697b978a242ec7242a8905fe70d5634eca0f2863be33",
+        "summary.txt":
+            "4b4339e879556b0423080327692cccfc4ff096d9bbf7aa4f257dc7caf3e59e2f",
+        "traces.csv":
+            "61e2229964698aed917e7b164ce6d73e30a8d858d78e99ebe3f80932c2e73f75",
+        "trajectories.csv":
+            "d72fc2789b1b947ccedd2594a19dfe744dae930c3846f76a7fbf53d1807228da",
+    }),
+}
+
 
 def digests(directory) -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -88,7 +146,7 @@ def text_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def write_sparse_scenario(directory):
+def write_sparse_scenario(directory, directions=("minimize", "minimize")):
     directory.mkdir()
     plans = sorted(random.Random(11).sample(
         list(itertools.product(*SPARSE_DOMAINS)), SPARSE_ROWS))
@@ -109,8 +167,8 @@ def write_sparse_scenario(directory):
         "k: 40\n"
         "stride: 10\n"
         "planners: lidos, lidos_sta, pseudo_dynamic, stationary\n"
-        "environment: A env_a.csv minimize\n"
-        "environment: B env_b.csv minimize\n"
+        f"environment: A env_a.csv {directions[0]}\n"
+        f"environment: B env_b.csv {directions[1]}\n"
         "leg: A 60\n"
         "leg: B 60\n",
         encoding="utf-8",
@@ -206,3 +264,19 @@ def test_sparse_recomputed_bytes(tmp_path, verb):
         (out / name).unlink()
     assert cli_main([verb, *scenario]) == 0
     assert digests(out) == SPARSE_DIGESTS
+
+
+@pytest.mark.parametrize("variant", sorted(SPARSE_VARIANTS))
+def test_sparse_variant_bytes(tmp_path, variant):
+    """`lidos run` writes the frozen bytes, and `lidos summarize` rewrites
+    them from traces.csv alone."""
+    directions, flags, expected = SPARSE_VARIANTS[variant]
+    manifest = write_sparse_scenario(tmp_path / "inputs", directions)
+    out = tmp_path / "out"
+    scenario = ["--scenario", str(manifest), "--out", str(out), *flags]
+    assert cli_main(["run", *scenario]) == 0
+    assert digests(out) == expected
+    for name in REWRITES["summarize"]:
+        (out / name).unlink()
+    assert cli_main(["summarize", *scenario]) == 0
+    assert digests(out) == expected

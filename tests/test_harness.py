@@ -11,6 +11,7 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lidos.cli import main as cli_main
@@ -18,6 +19,7 @@ from lidos.harness import (
     ScenarioSpec,
     bundle_from_traces,
     emit_trajectories,
+    load_scenario_tables,
     parse_scenario,
     planner_labels,
     read_traces_csv,
@@ -26,6 +28,7 @@ from lidos.harness import (
     trajectory_rows,
     traces_csv_text,
     write_atomic,
+    write_bundle_outputs,
 )
 from lidos.baselines import StationaryPlanner
 from lidos.harness import ResultBundle
@@ -169,6 +172,17 @@ class TestPlannerLabels:
 @pytest.fixture(scope="module")
 def smoke_bundle(tmp_path_factory):
     manifest = write_small_dataset(tmp_path_factory.mktemp("smoke"))
+    spec = parse_scenario(manifest)
+    return run_scenario(spec, PlannerParams(population_size=10, k=spec.k))
+
+
+@pytest.fixture(scope="module")
+def mixed_bundle(tmp_path_factory):
+    """The smoke scenario with environment B maximized: its legs run in
+    opposite directions."""
+    manifest = write_small_dataset(tmp_path_factory.mktemp("mixed"))
+    manifest.write_text(manifest.read_text(encoding="utf-8").replace(
+        "env_b.csv minimize", "env_b.csv maximize"), encoding="utf-8")
     spec = parse_scenario(manifest)
     return run_scenario(spec, PlannerParams(population_size=10, k=spec.k))
 
@@ -398,17 +412,35 @@ class TestSummaries:
         # 60 nominal measurements at stride 15 -> 4 rows per planner.
         assert len(lines) == 1 + 4 * len(smoke_bundle.labels)
 
-    def test_trajectory_median_monotone_within_epoch(self, smoke_bundle):
-        rows = [r for r in trajectory_rows(
-            replace(smoke_bundle, spec=replace(smoke_bundle.spec, trajectory_stride=5)))
-            if r[0] == "lidos"]
-        first_epoch = [r[2] for r in rows if r[1] <= 30]
-        # Legs stop at generation granularity, so the actual change lands
-        # within one generation past the nominal boundary; start the
-        # second-epoch check safely beyond that.
-        second_epoch = [r[2] for r in rows if r[1] >= 45]
-        assert first_epoch == sorted(first_epoch, reverse=True)
-        assert second_epoch == sorted(second_epoch, reverse=True)
+    def test_trajectory_median_monotone_within_epoch(self, smoke_bundle, mixed_bundle):
+        """Each epoch's median improves in its own environment's units: it
+        falls while A is minimized and, in the mixed scenario, rises once B
+        is maximized. Every leg used to be reported in the last leg's units."""
+        for bundle in (smoke_bundle, mixed_bundle):
+            rows = [r for r in trajectory_rows(
+                replace(bundle, spec=replace(bundle.spec, trajectory_stride=5)))
+                if r[0] == "lidos"]
+            first_epoch = [r[2] for r in rows if r[1] <= 30]
+            # Legs stop at generation granularity, so the actual change lands
+            # within one generation past the nominal boundary; start the
+            # second-epoch check safely beyond that.
+            second_epoch = [r[2] for r in rows if r[1] >= 45]
+            for values, env_id in ((first_epoch, "A"), (second_epoch, "B")):
+                minimized = bundle.spec.environment_of(env_id).direction == "minimize"
+                assert values == sorted(values, reverse=minimized), (env_id, values)
+
+    def test_rank_entries_sorted_by_rank_then_canonical_median(self, mixed_bundle):
+        """Within a rank, the better canonical median comes first: under a
+        maximized final environment, the higher median in its units."""
+        summary = summarize_bundle(mixed_bundle)
+        canonical = {label: float(np.percentile(mixed_bundle.final_values(label), 50))
+                     for label in mixed_bundle.labels}
+        keys = [(e.rank, canonical[e.label], e.iqr) for e in summary.ranks]
+        assert keys == sorted(keys)
+        assert sorted(e.label for e in summary.ranks) == sorted(mixed_bundle.labels)
+        for e in summary.ranks:
+            assert e.median == summary.summaries[e.label].median
+            assert e.median == pytest.approx(-canonical[e.label], abs=1e-12)
 
 
 class TestCli:
@@ -633,10 +665,38 @@ class TestCli:
         )
         spec = parse_scenario(manifest)
         bundle = run_scenario(spec, PlannerParams(population_size=10))
-        group = bundle.sample_group("lidos")
-        assert group.direction == "maximize"
-        # Raw table values are negative of the canonical trace values.
-        assert all(v <= 0 for v in group.values)
+        write_bundle_outputs(bundle, tmp_path / "out")
+        # The best raw value of B's table among each repetition's last-leg
+        # measurements.
+        _, tables = load_scenario_tables(spec)
+        best = []
+        for rep in range(spec.repetitions):
+            trace = bundle.traces[("lidos", rep)]
+            change = np.flatnonzero(trace.events["env_change"])[-1]
+            measured = np.flatnonzero(trace.measurement_mask())
+            best.append(max(tables["B"].rows[trace.plans[i]] for i in measured[measured > change]))
+        with (tmp_path / "out" / "summary.csv").open(encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["direction"] == "maximize"
+        assert float(row["median"]) == float(np.percentile(best, 50))
+        assert float(row["iqr"]) == float(np.percentile(best, 75) - np.percentile(best, 25))
+
+    def test_undeclared_environment_in_traces_exits_2(self, tmp_path, capsys):
+        """Each trace value's sign comes from its environment, so a trace
+        naming an environment the manifest lacks is refused; it used to be
+        summarized in the final environment's units."""
+        manifest = write_small_dataset(tmp_path)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--scenario", str(manifest), "--out", str(out)]) == 0
+        path = out / "traces.csv"
+        header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        rows = [re.sub(r"^([^,]*,[^,]*,[^,]*),B,", r"\1,C,", row) for row in rows]
+        path.write_text(header + "".join(rows), encoding="utf-8")
+        capsys.readouterr()
+        for verb in ("summarize", "trajectories"):
+            assert cli_main([verb, "--scenario", str(manifest), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {path}: environment 'C' is not declared in the scenario\n")
 
 
 class TestWriteAtomic:

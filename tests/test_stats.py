@@ -9,7 +9,6 @@ from scipy.stats import rankdata
 
 from lidos.planner import RunTrace
 from lidos.stats import (
-    SampleGroup,
     a12,
     scott_knott,
     speedup,
@@ -126,11 +125,11 @@ class TestA12:
         assert a12([1, 2, 3], [1, 2, 3]) == 0.5
 
     def test_total_separation(self):
-        assert a12([1, 2], [3, 4], "minimize") == 1.0
-        assert a12([1, 2], [3, 4], "maximize") == 0.0
+        assert a12([1, 2], [3, 4]) == 1.0
+        assert a12([3, 4], [1, 2]) == 0.0
 
     def test_hand_example(self):
-        assert a12([1, 2], [1, 3], "minimize") == 0.625
+        assert a12([1, 2], [1, 3]) == 0.625
 
     def test_pairwise_counting_oracle(self):
         rng = random.Random(8)
@@ -140,7 +139,7 @@ class TestA12:
             wins = sum(1 for x in xs for y in ys if x < y)
             ties = sum(1 for x in xs for y in ys if x == y)
             expected = (wins + 0.5 * ties) / (len(xs) * len(ys))
-            assert a12(xs, ys, "minimize") == expected
+            assert a12(xs, ys) == expected
 
     def test_complement_identity(self):
         rng = random.Random(9)
@@ -152,10 +151,6 @@ class TestA12:
     def test_scale_invariance(self):
         xs, ys = [1.0, 2.0, 5.0], [2.0, 4.0]
         assert a12(xs, ys) == a12([7 * x for x in xs], [7 * y for y in ys])
-
-    def test_bad_direction(self):
-        with pytest.raises(ValueError):
-            a12([1], [2], "upward")
 
 
 class TestSplitDelta:
@@ -170,26 +165,17 @@ class TestSplitDelta:
             split_delta([], [1])
 
 
-def groups(*specs, direction="minimize"):
-    return [
-        SampleGroup(label=label, values=tuple(values), direction=direction)
-        for label, values in specs
-    ]
-
-
 class TestScottKnott:
     def test_constant_groups_two_ranks(self):
-        table = scott_knott(
-            groups(("p", [0.0] * 10), ("q", [0.0] * 10), ("r", [5.0] * 10))
-        )
-        assert {e.label: e.rank for e in table} == {"p": 1, "q": 1, "r": 2}
+        ranks = scott_knott({"p": [0.0] * 10, "q": [0.0] * 10, "r": [5.0] * 10},
+                            random.Random(0))
+        assert ranks == {"p": 1, "q": 1, "r": 2}
 
     def test_identical_distributions_share_rank(self):
         rng = random.Random(2)
         a = [rng.gauss(0, 1) for _ in range(30)]
         b = [rng.gauss(0, 1) for _ in range(30)]
-        table = scott_knott(groups(("a", a), ("b", b)))
-        assert {e.label: e.rank for e in table} == {"a": 1, "b": 1}
+        assert scott_knott({"a": a, "b": b}, random.Random(0)) == {"a": 1, "b": 1}
 
     def test_relabeling_invariance(self):
         rng = random.Random(3)
@@ -198,59 +184,44 @@ class TestScottKnott:
             "y": [rng.gauss(4, 0.5) for _ in range(25)],
             "z": [rng.gauss(8, 0.5) for _ in range(25)],
         }
-        forward = scott_knott(groups(*samples.items()),
-                              rng=random.Random(0))
-        shuffled = scott_knott(groups(*reversed(list(samples.items()))),
-                               rng=random.Random(0))
-        assert {e.label: e.rank for e in forward} == {
-            e.label: e.rank for e in shuffled
-        }
+        forward = scott_knott(samples, random.Random(0))
+        shuffled = scott_knott(dict(reversed(list(samples.items()))), random.Random(0))
+        assert forward == shuffled
 
     def test_maximize_direction_ranks_high_first(self):
-        table = scott_knott(
-            groups(("low", [1.0] * 10), ("high", [9.0] * 10), direction="maximize")
-        )
-        assert {e.label: e.rank for e in table} == {"high": 1, "low": 2}
+        # Maximized values enter negated, as the twin makes them canonical.
+        ranks = scott_knott({"low": [-1.0] * 10, "high": [-9.0] * 10}, random.Random(0))
+        assert ranks == {"high": 1, "low": 2}
 
     def test_entries_sorted_by_rank_then_median(self):
         rng = random.Random(4)
-        table = scott_knott(
-            groups(
-                ("worst", [rng.gauss(9, 0.1) for _ in range(20)]),
-                ("best", [rng.gauss(0, 0.1) for _ in range(20)]),
-                ("mid", [rng.gauss(5, 0.1) for _ in range(20)]),
-            )
-        )
-        assert [e.label for e in table] == ["best", "mid", "worst"]
-        assert [e.rank for e in table] == [1, 2, 3]
+        ranks = scott_knott({
+            "worst": [rng.gauss(9, 0.1) for _ in range(20)],
+            "best": [rng.gauss(0, 0.1) for _ in range(20)],
+            "mid": [rng.gauss(5, 0.1) for _ in range(20)],
+        }, random.Random(0))
+        assert ranks == {"best": 1, "mid": 2, "worst": 3}
 
-    def test_mixed_directions_rejected(self):
-        gs = groups(("a", [1.0] * 3)) + groups(("b", [2.0] * 3), direction="maximize")
-        with pytest.raises(ValueError, match="direction"):
-            scott_knott(gs)
-
-    def test_single_group_rejected(self):
-        with pytest.raises(ValueError, match="at least two"):
-            scott_knott(groups(("a", [1.0, 2.0])))
+    def test_lone_planner_gets_rank_one(self):
+        rng = random.Random(6)
+        draws = rng.getstate()
+        assert scott_knott({"a": [1.0, 2.0]}, rng) == {"a": 1}
+        assert rng.getstate() == draws  # nothing to split, nothing drawn
 
 
 class TestSummarize:
     def test_even_median_midpoint(self):
-        out = summarize(groups(("g", [1, 2, 3, 4])))
+        out = summarize({"g": [1, 2, 3, 4]})
         assert out["g"].median == 2.5
 
     def test_singleton(self):
-        out = summarize(groups(("g", [5])))
+        out = summarize({"g": [5]})
         assert out["g"].median == 5.0
         assert out["g"].iqr == 0.0
 
     def test_iqr_linear_interpolation(self):
-        out = summarize(groups(("g", [1, 2, 3, 4, 5, 6, 7, 8])))
+        out = summarize({"g": [1, 2, 3, 4, 5, 6, 7, 8]})
         assert out["g"].iqr == pytest.approx(6.25 - 2.75, abs=1e-12)
-
-    def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            summarize(groups(("g", [1]), ("g", [2])))
 
 
 def synthetic_trace(post_change_fts, pre_change_fts=(10.0,), env=("A", "B")):
@@ -305,16 +276,3 @@ class TestSpeedup:
         other = synthetic_trace([3.0, 9.0, 9.0, 9.0])
         assert speedup(base, other) == 2.0
 
-
-class TestSampleGroup:
-    def test_canonicalisation(self):
-        g = SampleGroup("g", (1.0, 4.0), direction="maximize")
-        assert g.canonical() == (-1.0, -4.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            SampleGroup("g", ())
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            SampleGroup("g", (1.0, math.nan))

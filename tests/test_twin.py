@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,6 +77,21 @@ class TestLoadMeasurements:
         path = write_csv(tmp_path, "m.csv", f"a,perf\n0,1.0\n{cell},2.0\n")
         with pytest.raises(ValueError, match="m.csv:3: option value"):
             load_measurements(path, Environment("e"))
+
+
+class TestEnvironment:
+    def test_sign_follows_direction(self):
+        for direction, sign in (("minimize", 1.0), ("maximize", -1.0)):
+            env = Environment("e", direction)
+            assert env.sign == sign
+        # Replacing the direction recomputes the sign.
+        assert replace(Environment("e"), direction="maximize").sign == -1.0
+
+    def test_sign_is_derived_not_compared(self):
+        assert Environment("e", "maximize") == Environment("e", "maximize")
+        assert "sign" not in repr(Environment("e"))
+        with pytest.raises(TypeError):
+            Environment("e", "minimize", "", -1.0)
 
 
 class TestMeasure:
