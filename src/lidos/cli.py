@@ -1,5 +1,5 @@
-"""Command-line front end: run scenarios, recompute summaries from traces,
-emit trajectory tables, and generate synthetic landscape datasets."""
+"""Command-line front end: run scenarios, recompute their outputs from
+traces, and generate synthetic landscape datasets."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from .harness import (
     WorkerLost,
     bundle_from_traces,
     csv_text,
-    emit_trajectories,
     parse_scenario,
     run_scenario,
     write_atomic,
@@ -54,16 +53,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="execute a scenario and write all outputs")
-    _scenario_args(run_p)
+    _scenario_args(run_p, _OVERRIDES)
     run_p.set_defaults(func=_cmd_run)
 
-    sum_p = sub.add_parser("summarize", help="recompute statistics from emitted traces")
-    _scenario_args(sum_p)
+    # The traces fix the planners and repetitions, and nothing recomputed
+    # from them reads `k`.
+    sum_p = sub.add_parser("summarize", help="recompute the other outputs from traces.csv")
+    _scenario_args(sum_p, ("seed", "stride"))
     sum_p.set_defaults(func=_cmd_summarize)
-
-    traj_p = sub.add_parser("trajectories", help="emit stride-sampled trajectory tables")
-    _scenario_args(traj_p)
-    traj_p.set_defaults(func=_cmd_trajectories)
 
     synth_p = sub.add_parser("synth", help="generate a synthetic two-environment dataset")
     synth_p.add_argument("--out", required=True, help="output directory")
@@ -87,16 +84,16 @@ _OVERRIDES = {
 }
 
 
-def _scenario_args(p: argparse.ArgumentParser) -> None:
+def _scenario_args(p: argparse.ArgumentParser, keys) -> None:
     p.add_argument("--scenario", required=True, help="scenario manifest path")
     p.add_argument("--out", required=True, help="output directory")
-    for key, help_text in _OVERRIDES.items():
-        p.add_argument(f"--{key}", default=None, help=help_text)
+    for key in keys:
+        p.add_argument(f"--{key}", default=None, help=_OVERRIDES[key])
 
 
 def _load_spec(args) -> ScenarioSpec:
     return parse_scenario(args.scenario, {key: getattr(args, key) for key in _OVERRIDES
-                                          if getattr(args, key) is not None})
+                                          if getattr(args, key, None) is not None})
 
 
 def _cmd_run(args) -> int:
@@ -114,13 +111,6 @@ def _cmd_summarize(args) -> int:
     bundle = bundle_from_traces(_load_spec(args), Path(args.out) / "traces.csv")
     write_bundle_outputs(bundle, args.out, include_traces=False)
     print(f"summary tables rewritten in {Path(args.out).resolve()}")
-    return 0
-
-
-def _cmd_trajectories(args) -> int:
-    bundle = bundle_from_traces(_load_spec(args), Path(args.out) / "traces.csv")
-    emit_trajectories(bundle, Path(args.out) / "trajectories.csv")
-    print(f"trajectories written in {Path(args.out).resolve()}")
     return 0
 
 

@@ -468,7 +468,7 @@ def traces_csv_text(bundle: ResultBundle) -> str:
     ))
 
 
-def _trace_columns(path: str | Path) -> tuple[range | list[int], tuple]:
+def _trace_columns(path: str | Path) -> tuple[np.ndarray, tuple]:
     """The line number of every non-blank record after the header, and the
     records' cells as eight columns."""
     # The parse makes one list per record and no reference cycles; pausing
@@ -483,9 +483,9 @@ def _trace_columns(path: str | Path) -> tuple[range | list[int], tuple]:
                 raise ValueError(f"{path}: unexpected trace header {header!r}")
             records = list(reader)
         # A record's line is its position after the header.
-        lines = range(2, len(records) + 2)
+        lines = np.arange(2, len(records) + 2)
         if set(map(len, records)) != {len(TRACE_HEADER)}:
-            lines = [line for line, row in zip(lines, records) if row]
+            lines = lines[[bool(row) for row in records]]
             records = [row for row in records if row]
             for line, row in zip(lines, records):
                 if len(row) != len(TRACE_HEADER):
@@ -499,16 +499,24 @@ def _trace_columns(path: str | Path) -> tuple[range | list[int], tuple]:
             gc.enable()
 
 
-def read_traces_csv(path: str | Path) -> tuple[tuple[str, ...], dict[tuple[str, int], RunTrace]]:
+def read_traces_csv(path: str | Path, spec: ScenarioSpec
+                    ) -> tuple[tuple[str, ...], dict[tuple[str, int], RunTrace]]:
     """Rebuild run traces from an emitted CSV (plans are not serialized).
 
     Each row is checked by its kind: both flags are 0 or 1 and not both 1; a
     measurement or adaptation row holds finite `ft` and `best_ft`, and a
-    change row leaves both empty. Rows of one (planner, rep) keep their file
-    order, also when rows of other keys come between them."""
+    change row leaves both empty. Within each (planner, rep), a row's
+    `measurement_index` is the count of that trace's measurement rows up to
+    it. Rows of one (planner, rep) keep their file order, also when rows of
+    other keys come between them.
+
+    Every environment the file names must be declared in `spec`, the
+    scenario the traces were run under, and each trace must follow its legs:
+    the trace holds one change row per leg after the first, a change row
+    opens the next leg, and every row is in the environment of its leg."""
     lines, (label_c, rep_c, index_c, env_c, ft_c, best_c, sent_c, change_c) = \
         _trace_columns(path)
-    if not lines:
+    if not len(lines):
         return (), {}
 
     def bad(mask, message):
@@ -559,27 +567,55 @@ def read_traces_csv(path: str | Path) -> tuple[tuple[str, ...], dict[tuple[str, 
     order = np.lexsort((reps, label_codes))
     events, label_codes, reps = events[order], label_codes[order], reps[order]
     starts = [0, *(np.flatnonzero(np.diff(label_codes) | np.diff(reps)) + 1).tolist(), len(events)]
+    grouped_lines = lines[order]
+
+    def running_count(flags):
+        """Per row, how many rows of its group up to and including it are flagged."""
+        total = np.cumsum(flags)
+        return total - np.repeat(np.concatenate(([0], total))[starts[:-1]], np.diff(starts))
+
+    def first_bad(mask, message):
+        """Refuse the row that comes first in the file of those `mask` flags
+        in grouped order; `message` maps its grouped position to the text."""
+        found = np.flatnonzero(mask)
+        if len(found):
+            at = found[np.argmin(grouped_lines[found])]
+            raise ValueError(f"{path}:{grouped_lines[at]}: {message(at)}")
+
+    counted = running_count(~(events["adaptation_sent"] | events["env_change"]))
+    first_bad(events["measurement_index"] != counted, lambda at: (
+        "measurement_index must count the trace's measurement rows: "
+        f"expected {counted[at]}, got {events['measurement_index'][at]}"))
     traces = {(labels[label_codes[start]], int(reps[start])): RunTrace(events[start:end], env_ids)
               for start, end in zip(starts, starts[1:])}
+    declared = {source.environment.id for source in spec.environments}
+    for env_id in env_ids:
+        if env_id not in declared:
+            raise ValueError(f"{path}: environment {env_id!r} is not declared in the scenario")
+    legs = [leg.env_id for leg in spec.legs]
+    leg_of = running_count(events["env_change"])
+    for start, end in zip(starts, starts[1:]):
+        if leg_of[end - 1] != len(legs) - 1:
+            raise ValueError(
+                f"{path}:{grouped_lines[end - 1]}: trace of {labels[label_codes[start]]!r} "
+                f"repetition {reps[start]} ends in leg {leg_of[end - 1] + 1} "
+                f"of the scenario's {len(legs)}")
+    leg_env = np.array([env_ids.index(env_id) if env_id in env_ids else -1 for env_id in legs])
+    first_bad(events["env"] != leg_env[leg_of], lambda at: (
+        f"environment {env_ids[events['env'][at]]!r} in leg {leg_of[at] + 1}, "
+        f"where the scenario runs {legs[leg_of[at]]!r}"))
     return labels, traces
 
 
 def bundle_from_traces(spec: ScenarioSpec, path: str | Path) -> ResultBundle:
-    """Rebuild a bundle from an emitted trace file.
+    """Rebuild a bundle from an emitted trace file, checked against `spec`
+    (see `read_traces_csv`).
 
     The traces are the source of truth: the repetition count is adopted from
-    the file (a run may have been executed with an overridden count). Every
-    environment the file names must be declared in the scenario, which gives
-    its values their sign."""
-    labels, traces = read_traces_csv(path)
+    the file (a run may have been executed with an overridden count)."""
+    labels, traces = read_traces_csv(path, spec)
     if not traces:
         raise ValueError(f"{path}: trace file holds no events")
-    declared = {source.environment.id for source in spec.environments}
-    for trace in traces.values():
-        for env_id in trace.env_ids:
-            if env_id not in declared:
-                raise ValueError(f"{path}: environment {env_id!r} is not declared "
-                                 "in the scenario")
     reps = sorted({rep for _, rep in traces})
     if reps != list(range(len(reps))):
         raise ValueError(f"{path}: repetitions are not contiguous from 0: {reps}")
@@ -653,11 +689,6 @@ def trajectories_csv_text(bundle: ResultBundle) -> str:
     ))
 
 
-def emit_trajectories(bundle: ResultBundle, path: str | Path) -> None:
-    """Write the stride-sampled trajectory table (atomically)."""
-    write_atomic(path, trajectories_csv_text(bundle))
-
-
 # -- emission -------------------------------------------------------------------
 
 
@@ -712,7 +743,7 @@ def write_bundle_outputs(bundle: ResultBundle, out_dir: str | Path,
     direction = bundle.spec.final_environment().direction
     if include_traces:
         write_atomic(out / "traces.csv", traces_csv_text(bundle))
-    emit_trajectories(bundle, out / "trajectories.csv")
+    write_atomic(out / "trajectories.csv", trajectories_csv_text(bundle))
     write_atomic(out / "summary.csv", csv_text(
         ("planner", "median", "iqr", "direction"),
         ([label, repr(stat.median), repr(stat.iqr), direction]

@@ -34,8 +34,10 @@ SYNTH_DIGESTS = {
 }
 
 # Every plan of the synth space is measured, and 11 repetitions take the
-# normal-approximation rank-sum.
+# normal-approximation rank-sum. `lidos summarize` takes the run's seed, from
+# which the rank bootstrap draws; the traces give the repetitions.
 DENSE_ARGS = ["--repetitions", "11", "--seed", "5"]
+DENSE_SUMMARIZE_ARGS = ["--seed", "5"]
 DENSE_OVERRIDES = {"repetitions": "11", "seed": "5"}
 DENSE_DIGESTS = {
     "pairwise.csv":
@@ -236,34 +238,46 @@ def test_parallel_run_equals_serial(synth_dir, tmp_path, scenario):
             assert parallel.traces[key].plans == trace.plans, key
 
 
-# The files `lidos summarize` and `lidos trajectories` rewrite from traces.csv.
-REWRITES = {
-    "summarize": ("pairwise.csv", "ranks.csv", "speedups.csv", "summary.csv",
-                  "summary.txt", "trajectories.csv"),
-    "trajectories": ("trajectories.csv",),
+# The files `lidos summarize` rewrites from traces.csv.
+REWRITES = ("pairwise.csv", "ranks.csv", "speedups.csv", "summary.csv", "summary.txt",
+            "trajectories.csv")
+# trajectories.csv of the dense and sparse runs at `--stride 7`: the bytes the
+# retired `lidos trajectories --stride 7` wrote.
+STRIDE_7_TRAJECTORIES = {
+    "dense": "294438194475fa3e9d74ea80fa58445a6f28fcd97f63fe5dd1e60110a4382688",
+    "sparse": "2df5e38c12691601abf6f99b22d846c5420a823f517d4d4aad0e1da375894359",
 }
 
 
-@pytest.mark.parametrize("verb", sorted(REWRITES))
-def test_dense_recomputed_bytes(synth_dir, tmp_path, verb):
-    scenario = ["--scenario", str(synth_dir / "scenario.txt"), "--out", str(tmp_path), *DENSE_ARGS]
-    assert cli_main(["run", *scenario]) == 0
-    for name in REWRITES[verb]:
-        (tmp_path / name).unlink()
-    assert cli_main([verb, *scenario]) == 0
-    assert digests(tmp_path) == DENSE_DIGESTS
+def check_recomputed(out, summarize_args, expected, case, stride_digest):
+    """The "summarize" case rewrites every deleted file to its frozen bytes.
+    The "trajectories" case re-derives trajectories.csv at stride 7, moving
+    no other file, and then a plain `lidos summarize` restores the run's."""
+    if case == "summarize":
+        for name in REWRITES:
+            (out / name).unlink()
+    else:
+        assert cli_main(["summarize", *summarize_args, "--stride", "7"]) == 0
+        assert digests(out) == {**expected, "trajectories.csv": stride_digest}
+    assert cli_main(["summarize", *summarize_args]) == 0
+    assert digests(out) == expected
 
 
-@pytest.mark.parametrize("verb", sorted(REWRITES))
-def test_sparse_recomputed_bytes(tmp_path, verb):
+@pytest.mark.parametrize("case", ["summarize", "trajectories"])
+def test_dense_recomputed_bytes(synth_dir, tmp_path, case):
+    scenario = ["--scenario", str(synth_dir / "scenario.txt"), "--out", str(tmp_path)]
+    assert cli_main(["run", *scenario, *DENSE_ARGS]) == 0
+    check_recomputed(tmp_path, [*scenario, *DENSE_SUMMARIZE_ARGS], DENSE_DIGESTS, case,
+                     STRIDE_7_TRAJECTORIES["dense"])
+
+
+@pytest.mark.parametrize("case", ["summarize", "trajectories"])
+def test_sparse_recomputed_bytes(tmp_path, case):
     manifest = write_sparse_scenario(tmp_path / "inputs")
     out = tmp_path / "out"
     scenario = ["--scenario", str(manifest), "--out", str(out)]
     assert cli_main(["run", *scenario]) == 0
-    for name in REWRITES[verb]:
-        (out / name).unlink()
-    assert cli_main([verb, *scenario]) == 0
-    assert digests(out) == SPARSE_DIGESTS
+    check_recomputed(out, scenario, SPARSE_DIGESTS, case, STRIDE_7_TRAJECTORIES["sparse"])
 
 
 @pytest.mark.parametrize("variant", sorted(SPARSE_VARIANTS))
@@ -273,10 +287,10 @@ def test_sparse_variant_bytes(tmp_path, variant):
     directions, flags, expected = SPARSE_VARIANTS[variant]
     manifest = write_sparse_scenario(tmp_path / "inputs", directions)
     out = tmp_path / "out"
-    scenario = ["--scenario", str(manifest), "--out", str(out), *flags]
-    assert cli_main(["run", *scenario]) == 0
+    scenario = ["--scenario", str(manifest), "--out", str(out)]
+    assert cli_main(["run", *scenario, *flags]) == 0
     assert digests(out) == expected
-    for name in REWRITES["summarize"]:
+    for name in REWRITES:
         (out / name).unlink()
     assert cli_main(["summarize", *scenario]) == 0
     assert digests(out) == expected

@@ -18,13 +18,13 @@ from lidos.cli import main as cli_main
 from lidos.harness import (
     ScenarioSpec,
     bundle_from_traces,
-    emit_trajectories,
     load_scenario_tables,
     parse_scenario,
     planner_labels,
     read_traces_csv,
     run_scenario,
     summarize_bundle,
+    trajectories_csv_text,
     trajectory_rows,
     traces_csv_text,
     write_atomic,
@@ -358,15 +358,16 @@ class TestSummaries:
         good, bad = tmp_path / "traces.csv", tmp_path / "bad.csv"
         write_atomic(good, traces_csv_text(smoke_bundle))
         write_atomic(bad, "planner\n")
+        spec = smoke_bundle.spec
         assert gc.isenabled()
-        read_traces_csv(good)
+        read_traces_csv(good, spec)
         assert gc.isenabled()
         with pytest.raises(ValueError, match="unexpected trace header"):
-            read_traces_csv(bad)
+            read_traces_csv(bad, spec)
         assert gc.isenabled()
         gc.disable()
         try:
-            read_traces_csv(good)
+            read_traces_csv(good, spec)
             assert not gc.isenabled()
         finally:
             gc.enable()
@@ -401,11 +402,10 @@ class TestSummaries:
             flagged = [r for r in sub if r[4]][0]
             assert flagged[1] == 30  # nominal boundary after leg A's budget
 
-    def test_emit_trajectories_writes_table(self, smoke_bundle, tmp_path):
-        path = tmp_path / "traj.csv"
-        emit_trajectories(
-            replace(smoke_bundle, spec=replace(smoke_bundle.spec, trajectory_stride=15)), path)
-        lines = path.read_text(encoding="utf-8").splitlines()
+    def test_trajectories_csv_text_table(self, smoke_bundle):
+        lines = trajectories_csv_text(
+            replace(smoke_bundle, spec=replace(smoke_bundle.spec, trajectory_stride=15))
+        ).splitlines()
         assert lines[0] == ",".join(
             ("planner", "measurement_index", "median_best", "iqr_best", "env_change")
         )
@@ -457,15 +457,35 @@ class TestCli:
         for name, content in before.items():
             assert (out / name).read_bytes() == content
 
-    def test_trajectories_verb(self, tmp_path):
+    def test_summarize_stride_rewrites_trajectories_only(self, tmp_path):
         manifest = write_small_dataset(tmp_path)
         out = tmp_path / "out"
         assert cli_main(["run", "--scenario", str(manifest), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
         (out / "trajectories.csv").unlink()
-        assert cli_main(["trajectories", "--scenario", str(manifest),
+        assert cli_main(["summarize", "--scenario", str(manifest),
                          "--out", str(out), "--stride", "5"]) == 0
-        header = (out / "trajectories.csv").read_text(encoding="utf-8").splitlines()[0]
-        assert header == "planner,measurement_index,median_best,iqr_best,env_change"
+        after = {p.name: p.read_bytes() for p in out.iterdir()}
+        rows = after.pop("trajectories.csv").decode("utf-8").splitlines()
+        assert rows[0] == "planner,measurement_index,median_best,iqr_best,env_change"
+        # 60 nominal measurements at stride 5, where the run's stride 10 gave 6.
+        assert len(rows) == 1 + 12 * 2
+        assert after == {name: content for name, content in before.items()
+                         if name != "trajectories.csv"}
+
+    @pytest.mark.parametrize("argv", [
+        ["trajectories"],
+        ["summarize", "--k", "5"],
+        ["summarize", "--repetitions", "1"],
+        ["summarize", "--planners", "lidos"],
+    ], ids=["trajectories-verb", "summarize-k", "summarize-repetitions", "summarize-planners"])
+    def test_retired_verb_and_flags_exit_2(self, capsys, argv):
+        """`summarize --stride` does what `lidos trajectories` did, and the
+        flags `summarize` ignored are refused rather than accepted."""
+        with pytest.raises(SystemExit) as exc:
+            cli_main([argv[0], "--scenario", "scenario.txt", "--out", "out", *argv[1:]])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_synth_verb_emits_runnable_scenario(self, tmp_path):
         out = tmp_path / "synth"
@@ -693,10 +713,86 @@ class TestCli:
         rows = [re.sub(r"^([^,]*,[^,]*,[^,]*),B,", r"\1,C,", row) for row in rows]
         path.write_text(header + "".join(rows), encoding="utf-8")
         capsys.readouterr()
-        for verb in ("summarize", "trajectories"):
-            assert cli_main([verb, "--scenario", str(manifest), "--out", str(out)]) == 2
+        for flags in ([], ["--stride", "5"]):
+            assert cli_main(["summarize", "--scenario", str(manifest), "--out", str(out),
+                             *flags]) == 2
             assert capsys.readouterr().err == (
                 f"error: {path}: environment 'C' is not declared in the scenario\n")
+
+    @pytest.mark.parametrize("run_legs, summarize_legs, message", [
+        # A minimized then B maximized, summarized as B then A: it used to exit
+        # 0 with every summary.csv value negated and labelled `minimize`.
+        ("AB", "BA", "2: environment 'A' in leg 1, where the scenario runs 'B'"),
+        ("AB", "ABA", "{last}: trace of 'lidos' repetition 0 ends in leg 2 of the scenario's 3"),
+        ("ABA", "AB", "{last}: trace of 'lidos' repetition 0 ends in leg 3 of the scenario's 2"),
+    ], ids=["swapped", "too-few-changes", "too-many-changes"])
+    def test_traces_must_follow_the_legs(self, tmp_path, capsys, run_legs, summarize_legs,
+                                         message):
+        """Each row's environment is that of its leg, the leg being the count
+        of change rows up to it, and each trace has one change per leg after
+        the first."""
+        manifest = write_small_dataset(tmp_path)
+        text = manifest.read_text(encoding="utf-8").replace(
+            "env_b.csv minimize", "env_b.csv maximize").replace("leg: A 30\nleg: B 30\n", "")
+
+        def with_legs(legs):
+            manifest.write_text(text + "".join(f"leg: {env_id} 30\n" for env_id in legs),
+                                encoding="utf-8")
+
+        out = tmp_path / "out"
+        with_legs(run_legs)
+        assert cli_main(["run", "--scenario", str(manifest), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        rows = (out / "traces.csv").read_text(encoding="utf-8").splitlines()
+        first = [line for line, row in enumerate(rows, 1) if row.startswith("lidos,0,")]
+        with_legs(summarize_legs)
+        capsys.readouterr()
+        assert cli_main(["summarize", "--scenario", str(manifest), "--out", str(out)]) == 2
+        expected = message.format(last=first[-1])
+        assert capsys.readouterr().err == f"error: {out / 'traces.csv'}:{expected}\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("damage, message", [
+        # Two measurement rows of `lidos` repetition 0 trade their indices.
+        (lambda rows, change: _swap_indices(rows, 4, 5),
+         "traces.csv:5: measurement_index must count the trace's measurement rows: "
+         "expected 4, got 5"),
+        # The change row carries the next measurement's index.
+        (lambda rows, change: _shift_index(rows, change),
+         "traces.csv:{line}: measurement_index must count the trace's measurement rows"),
+    ], ids=["swapped-measurements", "change-row-ahead"])
+    def test_measurement_index_must_count_the_measurements(self, tmp_path, capsys, damage,
+                                                           message):
+        """Within each (planner, rep), measurement rows are numbered 1, 2, 3,
+        ... and marker rows carry the latest number: the trajectories and the
+        speedups rely on it."""
+        manifest = write_small_dataset(tmp_path)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--scenario", str(manifest), "--out", str(out)]) == 0
+        path = out / "traces.csv"
+        rows = path.read_text(encoding="utf-8").splitlines()
+        change = next(i for i, row in enumerate(rows) if row.startswith("lidos,0,")
+                      and row.endswith(",0,1"))
+        damage(rows, change)
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli_main(["summarize", "--scenario", str(manifest), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message.format(line=change + 1) in err
+
+
+def _swap_indices(rows: list[str], i: int, j: int) -> None:
+    """Trade the measurement_index cells of trace rows i and j."""
+    a, b = rows[i].split(","), rows[j].split(",")
+    a[2], b[2] = b[2], a[2]
+    rows[i], rows[j] = ",".join(a), ",".join(b)
+
+
+def _shift_index(rows: list[str], i: int) -> None:
+    """Add one to the measurement_index cell of trace row i."""
+    cells = rows[i].split(",")
+    cells[2] = str(int(cells[2]) + 1)
+    rows[i] = ",".join(cells)
 
 
 class TestWriteAtomic:
