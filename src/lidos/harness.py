@@ -41,6 +41,15 @@ class ScenarioValueError(ValueError):
         super().__init__(message)
         self.key, self.index = key, index
 
+    def located(self, where: dict[str, list[str]], manifest: str = "") -> ValueError:
+        """This error as a ValueError that starts with where its value came
+        from: its entry's `path:line` or `--key` in `where`, else `manifest`
+        if given."""
+        places = where.get(self.key, [])
+        here = (places[self.index] if self.index is not None and self.index < len(places)
+                else manifest)
+        return ValueError(f"{here}: {self}" if here else str(self))
+
 
 @dataclass(frozen=True)
 class EnvironmentSource:
@@ -64,6 +73,10 @@ class ScenarioSpec:
     k: int = 150
     base_seed: int = 0
     trajectory_stride: int = 15
+    # Where each entry of a manifest key came from, `path:line` or `--key`;
+    # `parse_scenario` fills it in, and a spec built in code has none.
+    where: dict[str, list[str]] = field(default_factory=dict, init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self) -> None:
         if not self.environments:
@@ -89,6 +102,11 @@ class ScenarioSpec:
             if getattr(self, _VALUE_KEYS[key]) < 1:
                 raise ScenarioValueError(f"{key} must be positive", key)
 
+    def error(self, message: str, key: str, index: int) -> ValueError:
+        """An error in the `index`-th entry of manifest key `key`, naming the
+        line or flag it came from when the spec was parsed."""
+        return ScenarioValueError(message, key, index).located(self.where)
+
     def environment_of(self, env_id: str) -> Environment:
         for source in self.environments:
             if source.environment.id == env_id:
@@ -103,7 +121,8 @@ def parse_scenario(path: str | Path, overrides: dict[str, str] | None = None) ->
     """Parse a scenario manifest, with `overrides` (manifest key to raw text,
     as given on the command line) replacing its one-value keys before any
     value is checked. An error names the manifest line (`path:line:`) or the
-    flag (`--key:`) its value came from.
+    flag (`--key:`) its value came from; so do the errors `run_scenario`
+    finds in the spec's datasets and leg budgets.
 
     Line-based key-value grammar (``#`` comments allowed)::
 
@@ -159,10 +178,11 @@ def parse_scenario(path: str | Path, overrides: dict[str, str] | None = None) ->
     kwargs["legs"] = tuple(LegSpec(env_id, _int(budget, where["leg"][i]))
                            for i, (env_id, budget) in enumerate(legs))
     try:
-        return ScenarioSpec(environments=tuple(environments), **kwargs)
+        spec = ScenarioSpec(environments=tuple(environments), **kwargs)
     except ScenarioValueError as exc:
-        here = path if exc.index is None else where[exc.key][exc.index]
-        raise ValueError(f"{here}: {exc}") from None
+        raise exc.located(where, str(path)) from None
+    object.__setattr__(spec, "where", where)
+    return spec
 
 
 def _parse_environment(rest: str, base_dir: Path, where: str) -> EnvironmentSource:
@@ -199,13 +219,13 @@ def _int(text: str, where: str) -> int:
 
 @dataclass
 class ResultBundle:
-    """Everything one scenario execution produced; traces are the source of
-    truth for every downstream statistic."""
+    """Everything one scenario execution produced: the traces, which hold
+    exactly what `traces.csv` holds and are the source of truth for every
+    downstream statistic."""
 
     spec: ScenarioSpec
     labels: tuple[str, ...]
     traces: dict[tuple[str, int], RunTrace]
-    final_counters: dict[tuple[str, int], int] = field(default_factory=dict)
 
     def final_values(self, label: str) -> list[float]:
         """Best canonical target value at the end of each repetition."""
@@ -229,16 +249,18 @@ def planner_labels(planners: tuple[str, ...]) -> list[tuple[str, str]]:
 def load_scenario_tables(spec: ScenarioSpec) -> tuple[ConfigSpace, dict[str, MeasurementTable]]:
     tables: dict[str, MeasurementTable] = {}
     space: ConfigSpace | None = None
-    for source in spec.environments:
-        table = load_measurements(source.dataset_path, source.environment)
+    for i, source in enumerate(spec.environments):
+        try:
+            table = load_measurements(source.dataset_path, source.environment)
+        except OSError as exc:
+            raise spec.error(str(exc), "environment", i) from None
         implied = table.implied_space()
         if space is None:
             space = implied
         elif implied != space:
-            raise ValueError(
+            raise spec.error(
                 f"dataset mismatch across environments: {source.environment.id!r} "
-                "implies a different config space"
-            )
+                "implies a different config space", "environment", i)
         tables[source.environment.id] = table
     assert space is not None
     return space, tables
@@ -260,14 +282,16 @@ def run_scenario(spec: ScenarioSpec, params: PlannerParams | None = None, *,
     processes (at most one per task), and their results merge back in
     (planner, repetition) order, so the bundle is the same for any count.
     Where the platform cannot fork, or one worker is asked for, they run one
-    after another in this process."""
-    params = params if params is not None else PlannerParams(k=spec.k)
-    for leg in spec.legs:
+    after another in this process.
+
+    `params` sets the population size and the rates; the adaptation interval
+    is always the spec's `k`."""
+    params = replace(params or PlannerParams(), k=spec.k)
+    for i, leg in enumerate(spec.legs):
         if leg.measurement_budget < params.population_size:
-            raise ValueError(
+            raise spec.error(
                 f"leg budget {leg.measurement_budget} is below the population size "
-                f"{params.population_size}; initialization alone would exceed it"
-            )
+                f"{params.population_size}; initialization alone would exceed it", "leg", i)
     space, tables = load_scenario_tables(spec)
     labeled = planner_labels(spec.planners)
     tasks = [(label, kind, rep) for label, kind in labeled for rep in range(spec.repetitions)]
@@ -277,22 +301,17 @@ def run_scenario(spec: ScenarioSpec, params: PlannerParams | None = None, *,
         results = _run_forked(job, tasks, workers)
     else:
         results = (_run_repetition(job, kind, rep) for _, kind, rep in tasks)
-    traces: dict[tuple[str, int], RunTrace] = {}
-    counters: dict[tuple[str, int], int] = {}
-    for (label, _, rep), (trace, counter) in zip(tasks, results):
-        traces[(label, rep)] = trace
-        counters[(label, rep)] = counter
     return ResultBundle(
         spec=spec,
         labels=tuple(label for label, _ in labeled),
-        traces=traces,
-        final_counters=counters,
+        traces=dict(zip(((label, rep) for label, _, rep in tasks), results)),
     )
 
 
-def _run_repetition(job, kind: str, rep: int) -> tuple[RunTrace, int]:
-    """One planner's repetition over every leg, on a fresh twin: its trace and
-    the twin's genuine measurement count."""
+def _run_repetition(job, kind: str, rep: int) -> RunTrace:
+    """One planner's repetition over every leg, on a fresh twin: its trace,
+    every recorded row joined into `events`, so that a worker sends back
+    arrays and no pending tuples."""
     spec, params, space, tables = job
     twin = CyberTwin(space, tables.values())
     twin.set_environment(spec.legs[0].env_id)
@@ -302,7 +321,7 @@ def _run_repetition(job, kind: str, rep: int) -> tuple[RunTrace, int]:
     for leg in spec.legs[1:]:
         planner.on_environment_change(leg.env_id)
         planner.run_scenario_leg(leg.measurement_budget)
-    return planner.trace, twin.counter
+    return RunTrace(planner.trace.events, planner.trace.env_ids)
 
 
 def _can_fork() -> bool:
@@ -321,14 +340,12 @@ def _start_worker(job) -> None:
     _worker_job = job
 
 
-def _worker_repetition(task) -> tuple:
-    """Run one task in a worker; the trace travels back as its columns."""
+def _worker_repetition(task) -> RunTrace:
     _, kind, rep = task
-    trace, counter = _run_repetition(_worker_job, kind, rep)
-    return trace.events, trace.env_ids, trace.plans, counter
+    return _run_repetition(_worker_job, kind, rep)
 
 
-def _run_forked(job, tasks, workers: int) -> list[tuple[RunTrace, int]]:
+def _run_forked(job, tasks, workers: int) -> list[RunTrace]:
     """Run every task in a pool of forked workers, one task per call; the
     results come back in task order.
 
@@ -342,8 +359,7 @@ def _run_forked(job, tasks, workers: int) -> list[tuple[RunTrace, int]]:
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_start_worker, initargs=(job,)) as pool:
         try:
-            return [(RunTrace(events, env_ids, plans), counter)
-                    for events, env_ids, plans, counter in pool.map(_worker_repetition, tasks)]
+            return list(pool.map(_worker_repetition, tasks))
         except BrokenProcessPool:
             raise WorkerLost("a worker process ended abruptly before returning "
                              "its repetition") from None
@@ -501,7 +517,7 @@ def _trace_columns(path: str | Path) -> tuple[np.ndarray, tuple]:
 
 def read_traces_csv(path: str | Path, spec: ScenarioSpec
                     ) -> tuple[tuple[str, ...], dict[tuple[str, int], RunTrace]]:
-    """Rebuild run traces from an emitted CSV (plans are not serialized).
+    """Rebuild run traces from an emitted CSV.
 
     Each row is checked by its kind: both flags are 0 or 1 and not both 1; a
     measurement or adaptation row holds finite `ft` and `best_ft`, and a

@@ -60,20 +60,18 @@ class RunTrace:
     """Ordered event log of one repetition: genuine measurements (index
     strictly increasing), adaptation emissions, and environment changes.
 
-    `events` is a structured array of `TRACE_DTYPE` rows, and `plans` holds
-    each row's plan (None on change rows, and on every row of a trace read
-    back from CSV, which does not store plans). Recording appends plain
-    tuples; they join `events` the first time it is read.
+    `events` is a structured array of `TRACE_DTYPE` rows: exactly the
+    columns of `traces.csv`. Recording appends plain tuples; they join
+    `events` the first time it is read.
     """
 
-    def __init__(self, events: np.ndarray | None = None, env_ids=(), plans=None) -> None:
+    def __init__(self, events: np.ndarray | None = None, env_ids=()) -> None:
         self._events = events if events is not None else np.empty(0, TRACE_DTYPE)
         self.env_ids: list[str] = list(env_ids)
-        self.plans: list[Plan | None] = [None] * len(self._events) if plans is None else plans
         self._codes = {env_id: code for code, env_id in enumerate(self.env_ids)}
         self._pending: list[tuple] = []
 
-    def record(self, measurement_index: int, env_id: str, plan: Plan | None,
+    def record(self, measurement_index: int, env_id: str,
                ft: float = math.nan, best_ft: float = math.nan,
                adaptation_sent: bool = False, env_change: bool = False) -> None:
         code = self._codes.get(env_id)
@@ -82,7 +80,6 @@ class RunTrace:
             self.env_ids.append(env_id)
         self._pending.append((measurement_index, code, ft, best_ft,
                               adaptation_sent, env_change))
-        self.plans.append(plan)
 
     @property
     def events(self) -> np.ndarray:
@@ -292,7 +289,7 @@ class BasePlanner:
         self.epoch_measurements += 1
         if self.s_best is None or ft < self.s_best.ft:
             self.s_best = ScoredPlan(plan=plan, ft=ft)
-        self.trace.record(self.twin.counter, self.twin.current.id, plan, ft, self.s_best.ft)
+        self.trace.record(self.twin.counter, self.twin.current.id, ft, self.s_best.ft)
         return ft
 
     def _spawn_plans(self) -> list[Plan]:
@@ -329,7 +326,7 @@ class BasePlanner:
         self.epoch_measurements = 0
         self.s_best = None
         self._last_sent_ft = None
-        self.trace.record(self.twin.counter, self.twin.current.id, None, env_change=True)
+        self.trace.record(self.twin.counter, self.twin.current.id, env_change=True)
 
     def _remeasure_population(self) -> None:
         """Measure the population under the new environment. A plan its table
@@ -348,7 +345,7 @@ class BasePlanner:
             return
         if self._last_sent_ft is not None and self.s_best.ft >= self._last_sent_ft:
             return
-        self.trace.record(self.twin.counter, self.twin.current.id, self.s_best.plan,
+        self.trace.record(self.twin.counter, self.twin.current.id,
                           self.s_best.ft, self.s_best.ft, adaptation_sent=True)
         self._last_sent_ft = self.s_best.ft
         self.t = 0

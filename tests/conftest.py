@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -72,3 +73,59 @@ def make_twin(space: ConfigSpace, *tables: MeasurementTable,
 @pytest.fixture
 def binary_pair_space() -> ConfigSpace:
     return make_space((0, 1), (1, 2, 3))
+
+
+@dataclass
+class ProbedEpoch:
+    """What one twin measured between two environment switches."""
+
+    env_id: str
+    measured: list = field(default_factory=list)  # every plan measured, in order
+    raised: list = field(default_factory=list)  # the plans that raised the counter
+
+
+@pytest.fixture
+def twin_probe(monkeypatch) -> dict:
+    """Watch every `CyberTwin` of the test from outside the planner: maps each
+    twin, in the order of its first `set_environment`, to its epochs. The
+    twin itself holds the final counter. A serial `run_scenario` makes one
+    twin per (planner, repetition), in the order of its bundle's traces."""
+    epochs: dict[CyberTwin, list[ProbedEpoch]] = {}
+    measure, set_environment = CyberTwin.measure, CyberTwin.set_environment
+
+    def probed_set_environment(twin, env):
+        set_environment(twin, env)
+        epochs.setdefault(twin, []).append(ProbedEpoch(twin.current.id))
+
+    def probed_measure(twin, plan):
+        before = twin.counter
+        value = measure(twin, plan)
+        epoch = epochs[twin][-1]
+        epoch.measured.append(plan)
+        if twin.counter != before:
+            epoch.raised.append(plan)
+        return value
+
+    monkeypatch.setattr(CyberTwin, "set_environment", probed_set_environment)
+    monkeypatch.setattr(CyberTwin, "measure", probed_measure)
+    return epochs
+
+
+def assert_accounting(trace, twin: CyberTwin, epochs: list[ProbedEpoch]) -> None:
+    """The measurement accounting law, read off the twin: within an epoch the
+    counter rises once per distinct plan measured and never for a repeat, its
+    rises sum to its final value, and the trace records one measurement row
+    per rise, in the epoch's environment, indexed by the counter."""
+    for epoch in epochs:
+        assert len(epoch.raised) == len(set(epoch.raised)), f"repeated rise in {epoch.env_id}"
+        assert set(epoch.raised) == set(epoch.measured)
+    assert sum(len(epoch.raised) for epoch in epochs) == twin.counter
+    events = trace.events
+    change = np.flatnonzero(events["env_change"])
+    assert len(change) == len(epochs) - 1
+    for epoch, rows in zip(epochs, np.split(events, change)):
+        rows = rows[~(rows["adaptation_sent"] | rows["env_change"])]
+        assert len(rows) == len(epoch.raised)
+        assert {trace.env_ids[code] for code in rows["env"].tolist()} <= {epoch.env_id}
+    measured = events[trace.measurement_mask()]
+    assert measured["measurement_index"].tolist() == list(range(1, twin.counter + 1))

@@ -31,7 +31,7 @@ from lidos.space import ConfigSpace, OptionSpec
 from lidos.stats import a12, scott_knott, speedup, split_delta, wilcoxon_rank_sum
 from lidos.twin import Environment, load_measurements, synth_landscape
 
-from conftest import dominates
+from conftest import assert_accounting, dominates
 
 DATASET_DIR = Path(__file__).resolve().parent.parent / "datasets"
 
@@ -170,7 +170,7 @@ def write_scenario(tmp_path: Path, *, seed: int, repetitions: int, planners: str
 
 
 @criterion(4, "twin counter equals distinct plans evaluated per epoch, all planners")
-def test_measurement_accounting_law(tmp_path):
+def test_measurement_accounting_law(tmp_path, twin_probe):
     manifest = write_scenario(
         tmp_path, seed=5, repetitions=2,
         planners="lidos, lidos_sta, pseudo_dynamic, stationary",
@@ -178,18 +178,10 @@ def test_measurement_accounting_law(tmp_path):
         synth_kwargs=dict(n_options=3, domain_size=4, n_peaks=4, noise_seed=2),
     )
     bundle = run_scenario(parse_scenario(manifest))
-    for key, trace in bundle.traces.items():
-        epochs = [[]]
-        for event, plan in zip(trace.events, trace.plans):
-            if event["env_change"]:
-                epochs.append([])
-            elif not event["adaptation_sent"]:
-                epochs[-1].append(plan)
-        total = 0
-        for plans in epochs:
-            assert len(plans) == len(set(plans)), f"repeated measurement in {key}"
-            total += len(plans)
-        assert total == bundle.final_counters[key]
+    assert len(twin_probe) == len(bundle.traces) == 4 * 2
+    for trace, (twin, epochs) in zip(bundle.traces.values(), twin_probe.items()):
+        assert len(epochs) == 2
+        assert_accounting(trace, twin, epochs)
 
 
 def exact_rank_sum_oracle(xs, ys):
@@ -292,12 +284,12 @@ def test_speedup_metric(benchmark_bundle):
 
     def hand_trace(post):
         trace = RunTrace()
-        trace.record(1, "A", (0,), 99.0, 99.0)
-        trace.record(1, "B", None, env_change=True)
+        trace.record(1, "A", 99.0, 99.0)
+        trace.record(1, "B", env_change=True)
         best = math.inf
         for i, ft in enumerate(post, 2):
             best = min(best, ft)
-            trace.record(i, "B", (0,), ft, best)
+            trace.record(i, "B", ft, best)
         return trace
 
     base = hand_trace([50.0] * 99 + [10.0] + [20.0] * 20)

@@ -20,7 +20,7 @@ import pytest
 
 import lidos
 from lidos.cli import main as cli_main
-from lidos.harness import parse_scenario, run_scenario, traces_csv_text
+from lidos.harness import bundle_from_traces, parse_scenario, run_scenario, traces_csv_text
 
 # `lidos synth --options 5 --domain-size 6 --peaks 12 --seed 4`: 7,776 plans.
 SYNTH_ARGS = ["--options", "5", "--domain-size", "6", "--peaks", "12", "--seed", "4"]
@@ -219,8 +219,8 @@ def test_program_run_bytes(synth_dir, tmp_path):
 
 @pytest.mark.parametrize("scenario", ["dense", "sparse"])
 def test_parallel_run_equals_serial(synth_dir, tmp_path, scenario):
-    """Two and three forked workers give the serial loop's traces, counters
-    and in-memory plans, whatever number of CPUs this machine has."""
+    """Two and three forked workers give the serial loop's traces, whatever
+    number of CPUs this machine has."""
     if scenario == "dense":
         spec, digest = (parse_scenario(synth_dir / "scenario.txt", DENSE_OVERRIDES),
                         DENSE_DIGESTS["traces.csv"])
@@ -233,9 +233,26 @@ def test_parallel_run_equals_serial(synth_dir, tmp_path, scenario):
     for workers in (2, 3):
         parallel = run_scenario(spec, workers=workers)
         assert text_digest(traces_csv_text(parallel)) == digest
-        assert parallel.final_counters == serial.final_counters
-        for key, trace in serial.traces.items():
-            assert parallel.traces[key].plans == trace.plans, key
+
+
+@pytest.mark.parametrize("scenario", ["dense", "sparse"])
+def test_run_bundle_equals_its_read_back_traces(synth_dir, tmp_path, scenario):
+    """A run keeps exactly what traces.csv holds: every trace of a serial run
+    is the trace `bundle_from_traces` reads back from the run's file."""
+    if scenario == "dense":
+        spec = parse_scenario(synth_dir / "scenario.txt", DENSE_OVERRIDES)
+    else:
+        spec = parse_scenario(write_sparse_scenario(tmp_path / "inputs"))
+    ran = run_scenario(spec)
+    path = tmp_path / "traces.csv"
+    path.write_text(traces_csv_text(ran), encoding="utf-8")
+    read = bundle_from_traces(spec, path)
+    assert read.labels == ran.labels
+    assert list(read.traces) == list(ran.traces)
+    for key, trace in ran.traces.items():
+        back = read.traces[key]
+        assert back.events.tobytes() == trace.events.tobytes(), key
+        assert back.env_ids == trace.env_ids, key
 
 
 # The files `lidos summarize` rewrites from traces.csv.

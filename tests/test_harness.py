@@ -35,6 +35,8 @@ from lidos.harness import ResultBundle
 from lidos.planner import PlannerParams, RunTrace, derive_seed
 from lidos.twin import synth_landscape
 
+from conftest import assert_accounting
+
 
 def write_small_dataset(tmp_path: Path, **kwargs) -> Path:
     """Synthesize a small two-environment dataset plus manifest; returns the
@@ -173,7 +175,7 @@ class TestPlannerLabels:
 def smoke_bundle(tmp_path_factory):
     manifest = write_small_dataset(tmp_path_factory.mktemp("smoke"))
     spec = parse_scenario(manifest)
-    return run_scenario(spec, PlannerParams(population_size=10, k=spec.k))
+    return run_scenario(spec, PlannerParams(population_size=10))
 
 
 @pytest.fixture(scope="module")
@@ -184,25 +186,27 @@ def mixed_bundle(tmp_path_factory):
     manifest.write_text(manifest.read_text(encoding="utf-8").replace(
         "env_b.csv minimize", "env_b.csv maximize"), encoding="utf-8")
     spec = parse_scenario(manifest)
-    return run_scenario(spec, PlannerParams(population_size=10, k=spec.k))
+    return run_scenario(spec, PlannerParams(population_size=10))
 
 
 class TestRunScenario:
-    def test_trace_shape(self, smoke_bundle):
-        spec = smoke_bundle.spec
-        assert smoke_bundle.labels == ("lidos", "stationary")
-        for label in smoke_bundle.labels:
-            for rep in range(spec.repetitions):
-                trace = smoke_bundle.traces[(label, rep)]
-                assert trace.events["env_change"].sum() == 1
-                indices = trace.events["measurement_index"][trace.measurement_mask()].tolist()
-                assert indices == sorted(set(indices))
-                assert indices[-1] == smoke_bundle.final_counters[(label, rep)]
+    def test_trace_shape(self, tmp_path, twin_probe):
+        spec = parse_scenario(write_small_dataset(tmp_path))
+        bundle = run_scenario(spec, PlannerParams(population_size=10))
+        assert bundle.labels == ("lidos", "stationary")
+        assert list(bundle.traces) == [(label, rep) for label in bundle.labels
+                                       for rep in range(spec.repetitions)]
+        assert len(twin_probe) == len(bundle.traces)
+        for trace, twin in zip(bundle.traces.values(), twin_probe):
+            assert trace.events["env_change"].sum() == 1
+            indices = trace.events["measurement_index"][trace.measurement_mask()].tolist()
+            assert indices == sorted(set(indices))
+            assert indices[-1] == twin.counter
 
     def test_deterministic_bytes(self, smoke_bundle, tmp_path):
         manifest = write_small_dataset(tmp_path)
         spec = parse_scenario(manifest)
-        again = run_scenario(spec, PlannerParams(population_size=10, k=spec.k))
+        again = run_scenario(spec, PlannerParams(population_size=10))
         assert traces_csv_text(again) == traces_csv_text(smoke_bundle)
 
     def test_budget_below_population_rejected(self, tmp_path):
@@ -210,6 +214,26 @@ class TestRunScenario:
         spec = parse_scenario(manifest)
         with pytest.raises(ValueError, match="below the population size"):
             run_scenario(spec, PlannerParams(population_size=32))
+
+    def test_params_never_override_the_manifest_k(self, tmp_path):
+        """`params` sets the population size and the rates; the adaptation
+        interval is the spec's. Given params, a run used to take their
+        default k of 150 and, with legs of 40, send no adaptation."""
+        manifest = write_small_dataset(tmp_path, domain_size=5)
+        manifest.write_text(manifest.read_text(encoding="utf-8").replace(
+            "k: 30\n", "k: 15\n").replace(" 30\n", " 40\n"), encoding="utf-8")
+
+        def adaptations(spec, params):
+            bundle = run_scenario(spec, params)
+            return sum(int(t.events["adaptation_sent"].sum()) for t in bundle.traces.values())
+
+        spec = parse_scenario(manifest)
+        assert [leg.measurement_budget for leg in spec.legs] == [40, 40]
+        sent = adaptations(spec, None)
+        assert sent > 0
+        for params in (PlannerParams(), PlannerParams(k=150)):
+            assert adaptations(spec, params) == sent
+        assert adaptations(parse_scenario(manifest, {"k": "150"}), None) == 0
 
     def test_dataset_mismatch_rejected(self, tmp_path):
         manifest = write_small_dataset(tmp_path)
@@ -230,11 +254,10 @@ class TestRunScenario:
             legs=spec.legs,
             planners=("lidos", "lidos"),
             repetitions=2,
-            k=spec.k,
             base_seed=spec.base_seed,
             trajectory_stride=spec.trajectory_stride,
         )
-        bundle = run_scenario(spec, PlannerParams(population_size=10, k=spec.k))
+        bundle = run_scenario(spec, PlannerParams(population_size=10))
         assert bundle.final_values("lidos") == bundle.final_values("lidos@2")
         summary = summarize_bundle(bundle)
         ranks = {e.label: e.rank for e in summary.ranks}
@@ -248,7 +271,7 @@ class TestParallelRun:
 
     def test_one_worker_creates_no_pool(self, tmp_path, monkeypatch):
         spec = parse_scenario(write_small_dataset(tmp_path))
-        params = PlannerParams(population_size=10, k=spec.k)
+        params = PlannerParams(population_size=10)
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was created")
@@ -313,9 +336,9 @@ class TestSummaries:
     def test_strict_domination_gives_full_effect_and_sole_rank(self, smoke_bundle):
         def fabricated_trace(pre_best, post_best):
             trace = RunTrace()
-            trace.record(1, "A", (0,), pre_best, pre_best)
-            trace.record(1, "B", None, env_change=True)
-            trace.record(2, "B", (0,), post_best, post_best)
+            trace.record(1, "A", pre_best, pre_best)
+            trace.record(1, "B", env_change=True)
+            trace.record(2, "B", post_best, post_best)
             return trace
 
         # Two repetitions cannot clear a 99% bootstrap; use a realistic count.
@@ -586,6 +609,31 @@ class TestCli:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, lineno, message", [
+        ("leg: A 30\n", "leg: A 10\n", 9,
+         "leg budget 10 is below the population size 20; "
+         "initialization alone would exceed it"),
+        ("environment: B env_b.csv", "environment: B env_small.csv", 8,
+         "dataset mismatch across environments: 'B' implies a different config space"),
+        ("environment: B env_b.csv", "environment: B env_missing.csv", 8,
+         "[Errno 2] No such file or directory: '{dir}/env_missing.csv'"),
+    ], ids=["budget-below-population", "dataset-mismatch", "missing-dataset"])
+    def test_run_time_scenario_error_names_its_line(self, tmp_path, capsys, old, new,
+                                                    lineno, message):
+        """Errors found once the datasets load or the population size is
+        known used to name no manifest line."""
+        manifest = write_small_dataset(tmp_path)
+        small = (tmp_path / "env_b.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        (tmp_path / "env_small.csv").write_text("".join(small[: len(small) // 2]),
+                                                encoding="utf-8")
+        text = manifest.read_text(encoding="utf-8")
+        assert old in text
+        manifest.write_text(text.replace(old, new), encoding="utf-8")
+        code = cli_main(["run", "--scenario", str(manifest), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {manifest}:{lineno}: {message.format(dir=tmp_path)}\n")
+
     def test_flag_replaces_a_bad_manifest_value_before_it_is_checked(self, tmp_path):
         manifest = write_small_dataset(tmp_path)
         text = manifest.read_text(encoding="utf-8")
@@ -674,7 +722,7 @@ class TestCli:
         assert (out / "summary.csv").is_file()
         assert not [p for p in out.iterdir() if p.name.endswith(".tmp") and p.is_file()]
 
-    def test_maximize_direction_reported_in_original_units(self, tmp_path):
+    def test_maximize_direction_reported_in_original_units(self, tmp_path, twin_probe):
         write_small_dataset(tmp_path)
         manifest = tmp_path / "max.txt"
         manifest.write_text(
@@ -686,15 +734,14 @@ class TestCli:
         spec = parse_scenario(manifest)
         bundle = run_scenario(spec, PlannerParams(population_size=10))
         write_bundle_outputs(bundle, tmp_path / "out")
-        # The best raw value of B's table among each repetition's last-leg
-        # measurements.
+        # The best raw value of B's table among the plans each repetition's
+        # twin measured in the last leg.
         _, tables = load_scenario_tables(spec)
+        assert len(twin_probe) == spec.repetitions
         best = []
-        for rep in range(spec.repetitions):
-            trace = bundle.traces[("lidos", rep)]
-            change = np.flatnonzero(trace.events["env_change"])[-1]
-            measured = np.flatnonzero(trace.measurement_mask())
-            best.append(max(tables["B"].rows[trace.plans[i]] for i in measured[measured > change]))
+        for epochs in twin_probe.values():
+            assert epochs[-1].env_id == "B"
+            best.append(max(tables["B"].rows[plan] for plan in epochs[-1].raised))
         with (tmp_path / "out" / "summary.csv").open(encoding="utf-8") as fh:
             (row,) = csv.DictReader(fh)
         assert row["direction"] == "maximize"
@@ -844,7 +891,7 @@ def test_run_with_different_row_sets(tmp_path):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_accounting_law_over_returning_legs(tmp_path, seed):
+def test_accounting_law_over_returning_legs(tmp_path, seed, twin_probe):
     """Seeded 3-4 leg scenarios that return to A, over sparse tables with
     different rows per environment and duplicate-heavy values, for every
     planner: no plan is measured twice in one epoch, the epochs' counts sum
@@ -869,19 +916,12 @@ def test_accounting_law_over_returning_legs(tmp_path, seed):
         + "".join(f"leg: {e} {rng.randint(10, 25)}\n" for e in legs),
         encoding="utf-8",
     )
-    bundle = run_scenario(parse_scenario(manifest), PlannerParams(population_size=10, k=15))
-    for key, trace in bundle.traces.items():
-        epochs: list[list] = [[]]
-        for event, plan in zip(trace.events, trace.plans):
-            if event["env_change"]:
-                epochs.append([])
-            elif not event["adaptation_sent"]:
-                epochs[-1].append(plan)
-        assert len(epochs) == len(legs)
-        for plans_measured in epochs:
-            assert len(plans_measured) == len(set(plans_measured)), key
-        assert sum(map(len, epochs)) == bundle.final_counters[key]
-        assert set(epochs[2]) & set(epochs[0]), key
+    bundle = run_scenario(parse_scenario(manifest), PlannerParams(population_size=10))
+    assert len(twin_probe) == len(bundle.traces) == 4 * 2
+    for (key, trace), (twin, epochs) in zip(bundle.traces.items(), twin_probe.items()):
+        assert [epoch.env_id for epoch in epochs] == legs, key
+        assert_accounting(trace, twin, epochs)
+        assert set(epochs[2].raised) & set(epochs[0].raised), key
 
 
 def test_public_surface_matches_readme():

@@ -14,7 +14,7 @@ from lidos.planner import (
 )
 from lidos.twin import synth_landscape
 
-from conftest import make_space, make_table, make_twin
+from conftest import assert_accounting, make_space, make_table, make_twin
 
 
 def grid_rows(domains, value_fn):
@@ -337,14 +337,15 @@ class TestDeterminism:
             planner.run_scenario_leg(40)
             planner.on_environment_change("B")
             planner.run_scenario_leg(40)
-            return planner.trace.events.tobytes(), planner.trace.env_ids, planner.trace.plans
+            return (planner.trace.events.tobytes(), planner.trace.env_ids,
+                    [member.plan for member in planner.population])
 
         assert run(42) == run(42)
         assert run(42) != run(43)
 
 
 class TestMeasurementAccounting:
-    def test_distinct_plans_per_epoch_match_counter(self):
+    def test_distinct_plans_per_epoch_match_counter(self, twin_probe):
         ta, tb = synth_landscape(n_options=3, domain_size=5, n_peaks=5, noise_seed=4)
         space = ta.implied_space()
         twin = make_twin(space, ta, tb, current="A")
@@ -354,18 +355,5 @@ class TestMeasurementAccounting:
         planner.on_environment_change("B")
         planner.run_scenario_leg(50)
 
-        events = planner.trace.events
-        epochs: list[list] = [[]]
-        for event, plan in zip(events, planner.trace.plans):
-            if event["env_change"]:
-                epochs.append([])
-            elif not event["adaptation_sent"]:
-                epochs[-1].append(plan)
-        total = 0
-        for plans in epochs:
-            assert len(plans) == len(set(plans))
-            total += len(plans)
-        assert total == twin.counter
-        indices = events["measurement_index"][planner.trace.measurement_mask()].tolist()
-        assert indices == sorted(set(indices))
-        assert indices[-1] == twin.counter
+        assert [epoch.env_id for epoch in twin_probe[twin]] == ["A", "B"]
+        assert_accounting(planner.trace, twin, twin_probe[twin])

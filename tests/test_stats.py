@@ -231,13 +231,13 @@ def synthetic_trace(post_change_fts, pre_change_fts=(10.0,), env=("A", "B")):
     for ft in pre_change_fts:
         index += 1
         best = min(best, ft)
-        trace.record(index, env[0], (0,), ft, best)
-    trace.record(index, env[1], None, env_change=True)
+        trace.record(index, env[0], ft, best)
+    trace.record(index, env[1], env_change=True)
     best = math.inf
     for ft in post_change_fts:
         index += 1
         best = min(best, ft)
-        trace.record(index, env[1], (0,), ft, best)
+        trace.record(index, env[1], ft, best)
     return trace
 
 
@@ -260,7 +260,7 @@ class TestSpeedup:
 
     def test_requires_change_marker(self):
         trace = RunTrace()
-        trace.record(1, "A", (0,), 1.0, 1.0)
+        trace.record(1, "A", 1.0, 1.0)
         other = synthetic_trace([1.0])
         with pytest.raises(ValueError, match="change marker"):
             speedup(trace, other)
