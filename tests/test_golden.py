@@ -33,6 +33,40 @@ SYNTH_DIGESTS = {
         "837888f1036d70afc3d60bc4807ab85b0a031a690cd569d9c5df6de92ab42c21",
 }
 
+# Shapes the default digest never reaches: the `lidos synth` flags of each,
+# and the digests of what it writes.
+# - eight options sum their squared distance terms in numpy's pairwise order,
+#   and a span of 3 makes each term inexact, so a changed order would show;
+# - a wide domain of 40 values with a shift of 3;
+# - seven values per option over four options.
+SYNTH_SHAPES = {
+    "8x4": (["--options", "8", "--domain-size", "4", "--peaks", "10", "--seed", "2"], {
+        "env_a.csv":
+            "51cc5925fe26a9562fc7d54151ee94f11cadddc578817984c0146f84baedf2d3",
+        "env_b.csv":
+            "0ac480752f3937e29ed099baead76dea09695ae4f1fa8958a66d22e98f9eaae2",
+        "scenario.txt":
+            "5af5d2a1ed1756819fe44641dbd97075e5db8ce2be42d86a79284856d3a7f1d3",
+    }),
+    "2x40": (["--options", "2", "--domain-size", "40", "--peaks", "7", "--peak-shift", "3",
+              "--seed", "1"], {
+        "env_a.csv":
+            "6b19efcb479cdbc2af8dccf94c3c31d65f25be94e89535399a90367c54d435e6",
+        "env_b.csv":
+            "fe5b4fd0ac983a5833c4474a2820cb9181b86afa556166037c59c54456951807",
+        "scenario.txt":
+            "5c47999b63b1cf5c0991c415447499380ce75cf199751719ff2a9300e2dbbf07",
+    }),
+    "4x7": (["--options", "4", "--domain-size", "7", "--peaks", "9", "--seed", "3"], {
+        "env_a.csv":
+            "c86176bf168ef05d0c9c28c504d7e1aed475563ec8ae6690467aee78aea85ee5",
+        "env_b.csv":
+            "c3e5a44dec0bc2576da51efc552946d1104a74b773986a1f45f8a92a9775c495",
+        "scenario.txt":
+            "97d935e3c64dea3973272a6e350ee7d6621ab47c57ef4b6aa567f90d940b229f",
+    }),
+}
+
 # Every plan of the synth space is measured, and 11 repetitions take the
 # normal-approximation rank-sum. `lidos summarize` takes the run's seed, from
 # which the rank bootstrap draws; the traces give the repetitions.
@@ -187,6 +221,13 @@ def synth_dir(tmp_path_factory):
 
 def test_synth_bytes(synth_dir):
     assert digests(synth_dir) == SYNTH_DIGESTS
+
+
+@pytest.mark.parametrize("shape", sorted(SYNTH_SHAPES))
+def test_synth_shape_bytes(tmp_path, shape):
+    flags, expected = SYNTH_SHAPES[shape]
+    assert cli_main(["synth", "--out", str(tmp_path), *flags]) == 0
+    assert digests(tmp_path) == expected
 
 
 def test_dense_run_bytes(synth_dir, tmp_path):
