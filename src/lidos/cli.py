@@ -123,8 +123,8 @@ def _cmd_synth(args) -> int:
         noise_seed=args.seed,
     )
     out = Path(args.out)
-    write_atomic(out / "env_a.csv", _table_csv_text(table_a))
-    write_atomic(out / "env_b.csv", _table_csv_text(table_b))
+    for name, text in zip(("env_a.csv", "env_b.csv"), _tables_csv_text(table_a, table_b)):
+        write_atomic(out / name, text)
     manifest = "\n".join(
         [
             "system: synth",
@@ -146,11 +146,16 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _table_csv_text(table: MeasurementTable) -> str:
-    return csv_text(
-        list(table.option_names) + ["performance"],
-        (list(plan) + [repr(table.rows[plan])] for plan in sorted(table.rows)),
-    )
+def _tables_csv_text(*tables: MeasurementTable) -> list[str]:
+    """The CSV text of each table, one line per plan in sorted order, for
+    tables over the same plans: the plan cells are formatted once for all."""
+    plans = sorted(tables[0].rows)
+    header = csv_text(list(tables[0].option_names) + ["performance"], ())
+    template = ",".join(["%s"] * len(tables[0].option_names))
+    cells = [template % plan for plan in plans]
+    return [header + "".join([f"{plan},{value!r}\n" for plan, value
+                              in zip(cells, map(table.rows.__getitem__, plans))])
+            for table in tables]
 
 
 if __name__ == "__main__":

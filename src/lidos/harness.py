@@ -261,6 +261,9 @@ def load_scenario_tables(spec: ScenarioSpec) -> tuple[ConfigSpace, dict[str, Mea
             raise spec.error(
                 f"dataset mismatch across environments: {source.environment.id!r} "
                 "implies a different config space", "environment", i)
+        # Recorded here, so forked workers inherit the check instead of
+        # each making it again.
+        table.validate_space(space)
         tables[source.environment.id] = table
     assert space is not None
     return space, tables
@@ -352,17 +355,28 @@ def _run_forked(job, tasks, workers: int) -> list[RunTrace]:
     Forked workers inherit the job, loaded tables included, where spawned ones
     would import the package and load every table again. The pool forks all
     its workers before it starts its manager thread; the only other threads
-    are the idle ones of numpy's BLAS pool, which no repetition calls into."""
+    are the idle ones of numpy's BLAS pool, which no repetition calls into.
+
+    Unless the caller has frozen objects itself, every object alive at the
+    fork is frozen until the pool is done: a worker's collector then leaves
+    the heap it inherits alone, where walking it would copy its pages."""
     import multiprocessing
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_start_worker, initargs=(job,)) as pool:
-        try:
-            return list(pool.map(_worker_repetition, tasks))
-        except BrokenProcessPool:
-            raise WorkerLost("a worker process ended abruptly before returning "
-                             "its repetition") from None
+    freeze = not gc.get_freeze_count()
+    if freeze:
+        gc.freeze()
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_start_worker, initargs=(job,)) as pool:
+            try:
+                return list(pool.map(_worker_repetition, tasks))
+            except BrokenProcessPool:
+                raise WorkerLost("a worker process ended abruptly before returning "
+                                 "its repetition") from None
+    finally:
+        if freeze:
+            gc.unfreeze()
 
 
 # -- summaries ---------------------------------------------------------------

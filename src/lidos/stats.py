@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -144,15 +145,59 @@ def split_delta(left, right) -> float:
 
 
 def _bootstrap_rejects(left: list[float], right: list[float], rng: random.Random) -> bool:
+    """Whether resampling the pooled values rejects equal means: the draws,
+    sums and verdict of ``_RESAMPLES`` rounds of ``[rng.choice(pool) for _ in
+    left]`` and ``[... for _ in right]`` compared by ``sum(...) / len(...)``,
+    made a whole block at a time."""
     observed = abs(sum(left) / len(left) - sum(right) / len(right))
-    pool = left + right
-    extreme = 0
-    for _ in range(_RESAMPLES):
-        lhs = [rng.choice(pool) for _ in left]
-        rhs = [rng.choice(pool) for _ in right]
-        if abs(sum(lhs) / len(lhs) - sum(rhs) / len(rhs)) >= observed:
-            extreme += 1
+    pool = np.asarray(left + right, dtype=float)
+    picks = _choice_indices(rng, len(pool), _RESAMPLES * len(pool))
+    resampled = pool[picks.reshape(_RESAMPLES, len(pool))]
+    lhs = _python_sums(resampled[:, :len(left)]) / len(left)
+    rhs = _python_sums(resampled[:, len(left):]) / len(right)
+    extreme = int(np.count_nonzero(np.abs(lhs - rhs) >= observed))
     return extreme / _RESAMPLES <= 1.0 - _CONFIDENCE
+
+
+def _choice_indices(rng: random.Random, n: int, count: int) -> np.ndarray:
+    """The indices `count` calls of ``rng.choice`` on n items pick, in order,
+    leaving `rng` where they leave it.
+
+    Each call takes the top ``n.bit_length()`` bits of one 32-bit Mersenne
+    Twister word and draws again while they are n or more. ``getrandbits(32 *
+    m)`` returns the next m words, the first the least significant, so a
+    block of words is screened at once; the state is then restored and moved
+    on by exactly the words the calls consume."""
+    k = n.bit_length()
+    state = rng.getstate()
+    words = count * 2**k // n + count // 32 + 64
+    while True:
+        block = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"),
+                              dtype="<u4") >> (32 - k)
+        hits = np.flatnonzero(block < n)
+        rng.setstate(state)
+        if len(hits) >= count:
+            break
+        words *= 2
+    rng.getrandbits(32 * (int(hits[count - 1]) + 1))
+    return block[hits[:count]]
+
+
+def _python_sums(rows: np.ndarray) -> np.ndarray:
+    """Each row's ``sum()`` as Python adds a list of floats: left to right,
+    and from Python 3.12 on with Neumaier's compensation, added at the end
+    when it is non-zero and finite."""
+    if sys.version_info < (3, 12):
+        return np.cumsum(rows, axis=1)[:, -1]
+    total = rows[:, 0].copy()
+    compensation = np.zeros(len(rows))
+    for column in rows.T[1:]:
+        step = total + column
+        compensation += np.where(np.abs(total) >= np.abs(column),
+                                 (total - step) + column, (column - step) + total)
+        total = step
+    return np.where((compensation != 0) & np.isfinite(compensation),
+                    total + compensation, total)
 
 
 def scott_knott(samples: Mapping[str, Sequence[float]], rng: random.Random) -> dict[str, int]:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
@@ -16,8 +18,9 @@ from .space import ConfigSpace, OptionSpec, Plan
 
 DIRECTIONS = ("minimize", "maximize")
 
-# Plans per block when `synth_landscape` measures distances to the basins.
-_SYNTH_BLOCK = 4096
+# The most plans `synth_landscape` enumerates: 13 times the 78,125 of seven
+# options of five values.
+SYNTH_MAX_PLANS = 2**20
 
 # Bytes of float32 distance terms one table caches per scale for its
 # nearest-plan searches; past this, a search computes the uncached terms anew
@@ -60,11 +63,16 @@ class MeasurementTable:
             raise ValueError("a measurement table needs at least one option column")
         if not rows:
             raise ValueError(f"measurement table for {environment.id!r} is empty")
-        for plan, value in rows.items():
-            if len(plan) != len(option_names):
-                raise ValueError(f"plan {plan!r} does not match option columns {option_names}")
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite performance value for plan {plan!r}")
+        # Checked a column at a time; the rows are walked only to name the
+        # first bad one.
+        if (set(map(len, rows)) != {len(option_names)}
+                or not all(map(math.isfinite, rows.values()))):
+            for plan, value in rows.items():
+                if len(plan) != len(option_names):
+                    raise ValueError(
+                        f"plan {plan!r} does not match option columns {option_names}")
+                if not math.isfinite(value):
+                    raise ValueError(f"non-finite performance value for plan {plan!r}")
         self.environment = environment
         self.option_names = option_names
         self.rows = rows
@@ -96,24 +104,29 @@ class MeasurementTable:
 
     def implied_space(self) -> ConfigSpace:
         """Space whose domains are the sorted distinct values per option column."""
-        columns = list(zip(*self.rows.keys()))
         return ConfigSpace(
             options=tuple(
                 OptionSpec(name=name, domain=tuple(sorted(set(col))))
-                for name, col in zip(self.option_names, columns)
+                for name, col in zip(self.option_names, zip(*self.rows))
             )
         )
 
     def validate_space(self, space: ConfigSpace) -> None:
-        """Check every row key is a valid plan of `space` (cached per space)."""
+        """Check every row key is a valid plan of `space` (cached per space).
+
+        Each option column's distinct values are checked against its domain;
+        the rows are walked only to name the first plan outside the space."""
         if self._validated_for == space:
             return
-        for plan in self.rows:
-            if not space.validate_plan(plan):
-                raise ValueError(
-                    f"table for {self.environment.id!r} holds plan {plan!r} "
-                    "outside the config space"
-                )
+        if len(space.options) != len(self.option_names) or any(
+                not set(col) <= set(option.domain)
+                for option, col in zip(space.options, zip(*self.rows))):
+            for plan in self.rows:
+                if not space.validate_plan(plan):
+                    raise ValueError(
+                        f"table for {self.environment.id!r} holds plan {plan!r} "
+                        "outside the config space"
+                    )
         self._validated_for = space
 
     def nearest(self, plan: Plan, scale: tuple[float, ...]) -> Plan:
@@ -240,13 +253,18 @@ def load_measurements(path: str | Path, env: Environment) -> MeasurementTable:
                 raise ValueError(f"{path}:1: duplicate option name(s): {dupes}")
             rows: dict[Plan, float] = {}
             for lineno, row in enumerate(reader, 2):
-                if not row or all(not c.strip() for c in row):
+                if not "".join(row).strip():
                     continue
                 if len(row) != len(header):
                     raise ValueError(
                         f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
                 try:
-                    plan = tuple(_as_int(cell) for cell in row[:-1])
+                    # Integer literals take the fast path; `_as_int` also
+                    # starts with `int`, and names the first cell it refuses.
+                    try:
+                        plan = tuple(map(int, row[:-1]))
+                    except ValueError:
+                        plan = tuple(_as_int(cell) for cell in row[:-1])
                     value = float(row[-1])
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from exc
@@ -359,10 +377,24 @@ def synth_landscape(n_options: int = 6, domain_size: int = 5, n_peaks: int = 40,
     locations, but the basin depths are cyclically permuted between them, so
     the best plan of environment A stays a (non-global) local optimum of
     environment B. A tiny deterministic jitter breaks exact ties.
+
+    A shape of fewer than one option, fewer than two values per option, or
+    more than `SYNTH_MAX_PLANS` plans is refused before anything is built;
+    the error names the `lidos synth` flag.
     """
+    if n_options < 1:
+        raise ValueError(f"--options must be at least 1, got {n_options}")
+    if domain_size < 2:
+        raise ValueError(f"--domain-size must be at least 2, got {domain_size}")
+    size = 1
+    for _ in range(n_options):
+        size *= domain_size
+        if size > SYNTH_MAX_PLANS:
+            raise ValueError(
+                f"--options {n_options} with --domain-size {domain_size} make more "
+                f"than the {SYNTH_MAX_PLANS:,} plans a landscape may have")
     if n_peaks < 2:
         raise ValueError("n_peaks must be at least 2")
-    size = domain_size ** n_options
     if n_peaks > size:
         raise ValueError(f"space too small for {n_peaks} peaks (only {size} plans)")
     if peak_shift % n_peaks == 0:
@@ -376,53 +408,69 @@ def synth_landscape(n_options: int = 6, domain_size: int = 5, n_peaks: int = 40,
     )
     plans = list(itertools.product(range(domain_size), repeat=n_options))
     rng = random.Random(noise_seed)
-    scale = np.asarray(space.scale)
-    plan_arr = np.asarray(plans, dtype=float)
+    values = np.arange(domain_size, dtype=float)
+    # Option j's axis of the product grid, whose C order is the plans' order.
+    axes = [(1,) * j + (domain_size,) + (1,) * (n_options - 1 - j) for j in range(n_options)]
+
+    def squared_distances(center: Plan) -> np.ndarray:
+        """Every plan's squared scaled distance to `center`: per option, a
+        grid of the terms ``((v - c_j) * scale_j) ** 2``, summed over the
+        product grid in the order numpy sums one row of the terms."""
+        terms = [(((values - c) * s) ** 2).reshape(axis)
+                 for c, s, axis in zip(center, space.scale, axes)]
+        return _row_sum(terms).reshape(-1)
 
     # Greedy max-min placement keeps the basins well separated; argmax ties go
     # to the lexicographically lowest plan, so the layout is deterministic
-    # given the seed (only the first center is drawn at random).
-    first = rng.randrange(len(plans))
-    center_idx = [first]
-    dmin = np.sqrt((((plan_arr - plan_arr[first]) * scale) ** 2).sum(axis=1))
-    dmin[first] = -1.0
-    while len(center_idx) < n_peaks:
-        nxt = int(np.argmax(dmin))
-        center_idx.append(nxt)
-        dist = np.sqrt((((plan_arr - plan_arr[nxt]) * scale) ** 2).sum(axis=1))
-        dmin = np.minimum(dmin, dist)
-        dmin[nxt] = -1.0
+    # given the seed (only the first center is drawn at random). Each
+    # center's squared distances are kept as its column of `d2`.
+    d2 = np.empty((len(plans), n_peaks))
+    center_idx = [rng.randrange(len(plans))]
+    dmin = np.full(len(plans), np.inf)
+    for j in range(n_peaks):
+        column = d2[:, j] = squared_distances(plans[center_idx[j]])
+        if j + 1 < n_peaks:
+            np.minimum(dmin, np.sqrt(column), out=dmin)
+            dmin[center_idx[j]] = -1.0
+            center_idx.append(int(np.argmax(dmin)))
 
-    center_arr = plan_arr[center_idx]
-    seps = np.sqrt(
-        (((center_arr[:, None, :] - center_arr[None, :, :]) * scale) ** 2).sum(axis=2)
-    )
+    seps = np.sqrt(d2[center_idx])
     np.fill_diagonal(seps, np.inf)
     # Basin width relative to the closest center pair: wide enough that the
     # tails guide the search, narrow enough that basins stay distinct optima.
     sigma = float(seps.min()) / 2.5
     depths = [1.0 - 0.5 * j / (n_peaks - 1) for j in range(n_peaks)]
-
-    # Squared distances to every center, a block of plans at a time so the
-    # (plans x peaks x options) differences never exist all at once.
-    d2 = np.empty((len(plans), n_peaks))
-    for start in range(0, len(plans), _SYNTH_BLOCK):
-        block = plan_arr[start:start + _SYNTH_BLOCK]
-        d2[start:start + _SYNTH_BLOCK] = (
-            ((block[:, None, :] - center_arr[None, :, :]) * scale) ** 2
-        ).sum(axis=2)
-    kernel = np.exp(-d2 / sigma**2)
+    kernel = d2
+    np.negative(kernel, out=kernel)
+    np.divide(kernel, sigma**2, out=kernel)
+    np.exp(kernel, out=kernel)
 
     tables = []
+    option_names = tuple(o.name for o in space.options)
     for env_id, offset in (("A", 0), ("B", peak_shift)):
         h = np.asarray([depths[(j + offset) % n_peaks] for j in range(n_peaks)])
-        values = -(kernel @ h)
-        rows = {
-            plan: float(values[i] + rng.random() * 1e-9)
-            for i, plan in enumerate(plans)
-        }
+        performance = kernel @ h
+        np.negative(performance, out=performance)
+        performance += np.asarray([rng.random() for _ in plans]) * 1e-9
         env = Environment(id=env_id, direction="minimize")
-        tables.append(
-            MeasurementTable(env, tuple(o.name for o in space.options), rows)
-        )
+        tables.append(MeasurementTable(env, option_names,
+                                       dict(zip(plans, performance.tolist()))))
     return tables[0], tables[1]
+
+
+def _row_sum(terms: list[np.ndarray]) -> np.ndarray:
+    """The sum of `terms`, arrays that broadcast together, added in the order
+    in which numpy (2.4.6, as CI pins it) sums the n values of one contiguous
+    row in ``ndarray.sum(axis=-1)``: one after another below 8 values; from
+    8 up, eight running sums of every eighth value, combined pairwise, and
+    then the values past the last multiple of 8 one by one. Given a matrix's
+    columns, it returns the row sums bit for bit (a row of negative zeros
+    aside, which numpy sums to +0.0)."""
+    n = len(terms)
+    if n < 8:
+        return functools.reduce(operator.add, terms)
+    done = n - n % 8
+    partial = [functools.reduce(operator.add, terms[j:done:8]) for j in range(8)]
+    total = ((partial[0] + partial[1]) + (partial[2] + partial[3])) + (
+        (partial[4] + partial[5]) + (partial[6] + partial[7]))
+    return functools.reduce(operator.add, terms[done:], total)

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
+from lidos import stats
 from lidos.space import ConfigSpace, OptionSpec
 from lidos.twin import CyberTwin, Environment, MeasurementTable
 
@@ -43,6 +44,21 @@ def reference_auxiliary(pool, space: ConfigSpace) -> list[float]:
         donor = min((pool[j] for j in nearest), key=lambda a: (-abs(a.ft - s.ft), a.plan))
         out.append(donor.ft)
     return out
+
+
+def reference_bootstrap_rejects(left, right, rng) -> bool:
+    """Scott-Knott's bootstrap one `Random.choice` per resampled value: the
+    loop whose draws, sums and verdict `stats._bootstrap_rejects` reproduces
+    a block at a time."""
+    observed = abs(sum(left) / len(left) - sum(right) / len(right))
+    pool = list(left) + list(right)
+    extreme = 0
+    for _ in range(stats._RESAMPLES):
+        lhs = [rng.choice(pool) for _ in left]
+        rhs = [rng.choice(pool) for _ in right]
+        if abs(sum(lhs) / len(lhs) - sum(rhs) / len(rhs)) >= observed:
+            extreme += 1
+    return extreme / stats._RESAMPLES <= 1.0 - stats._CONFIDENCE
 
 
 def make_space(*domains: tuple[int, ...]) -> ConfigSpace:

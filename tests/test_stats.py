@@ -4,9 +4,11 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from scipy.stats import rankdata
 
+import lidos.stats as stats_module
 from lidos.planner import RunTrace
 from lidos.stats import (
     a12,
@@ -16,6 +18,8 @@ from lidos.stats import (
     summarize,
     wilcoxon_rank_sum,
 )
+
+from conftest import reference_bootstrap_rejects
 
 
 def exact_rank_sum_p(xs, ys):
@@ -207,6 +211,67 @@ class TestScottKnott:
         draws = rng.getstate()
         assert scott_knott({"a": [1.0, 2.0]}, rng) == {"a": 1}
         assert rng.getstate() == draws  # nothing to split, nothing drawn
+
+
+def bootstrap_cases(count: int, seed: int):
+    """(left, right) pairs of 1-40 values a side: spread values, a small shift
+    that puts some verdicts near the threshold, and tie-heavy draws from three
+    values."""
+    rng = random.Random(seed)
+    for case in range(count):
+        sizes = rng.randint(1, 40), rng.randint(1, 40)
+        if case % 3 == 2:
+            grid = [rng.randint(-3, 3) * 0.25 for _ in range(3)]
+            yield tuple([rng.choice(grid) for _ in range(size)] for size in sizes)
+        else:
+            shift = rng.uniform(0.0, 1.5)
+            yield ([rng.gauss(0.0, 1.0) for _ in range(sizes[0])],
+                   [rng.gauss(shift, 1.0) for _ in range(sizes[1])])
+
+
+class TestBootstrap:
+    """The block-drawn bootstrap makes the draws, sums and verdicts of the
+    one-`Random.choice`-at-a-time loop, and leaves the generator where the
+    loop leaves it."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 64, 65, 200])
+    def test_choice_indices_are_the_choice_draws(self, n):
+        ours, theirs = random.Random(n), random.Random(n)
+        picks = stats_module._choice_indices(ours, n, 3000)
+        assert picks.tolist() == [theirs.choice(range(n)) for _ in range(3000)]
+        assert ours.getstate() == theirs.getstate()
+
+    def test_python_sums_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for width in range(1, 41):
+            rows = rng.standard_normal((50, width)) * 10.0 ** rng.integers(-9, 9, (50, width))
+            expected = [sum(row) for row in rows.tolist()]
+            assert stats_module._python_sums(rows).tolist() == expected, width
+
+    def test_verdict_and_state_match_the_loop(self):
+        verdicts = set()
+        for left, right in bootstrap_cases(90, seed=8):
+            ours, theirs = random.Random(len(left)), random.Random(len(left))
+            verdict = stats_module._bootstrap_rejects(left, right, ours)
+            assert verdict == reference_bootstrap_rejects(left, right, theirs), (left, right)
+            assert ours.getstate() == theirs.getstate()
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_scott_knott_ranks_and_draws_match_the_loop(self, monkeypatch):
+        rng = random.Random(12)
+        cases = [{label: [rng.gauss(shift, 1.0) for _ in range(rng.randint(5, 30))]
+                  for label, shift in zip("abcd", sorted(rng.uniform(0, 4) for _ in "abcd"))}
+                 for _ in range(8)]
+
+        def ranked(samples):
+            draws = random.Random(1)
+            return scott_knott(samples, draws), draws.getstate()
+
+        ours = [ranked(samples) for samples in cases]
+        assert len({len(set(ranks.values())) for ranks, _ in ours}) > 1
+        monkeypatch.setattr(stats_module, "_bootstrap_rejects", reference_bootstrap_rejects)
+        assert [ranked(samples) for samples in cases] == ours
 
 
 class TestSummarize:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import warnings
 from dataclasses import replace
@@ -9,7 +10,13 @@ import numpy as np
 import pytest
 
 import lidos.twin as twin_module
-from lidos.twin import CyberTwin, Environment, load_measurements, synth_landscape
+from lidos.twin import (
+    CyberTwin,
+    Environment,
+    MeasurementTable,
+    load_measurements,
+    synth_landscape,
+)
 
 from conftest import make_space, make_table, make_twin
 
@@ -77,6 +84,71 @@ class TestLoadMeasurements:
         path = write_csv(tmp_path, "m.csv", f"a,perf\n0,1.0\n{cell},2.0\n")
         with pytest.raises(ValueError, match="m.csv:3: option value"):
             load_measurements(path, Environment("e"))
+
+
+class TestLoadErrorsByteForByte:
+    """The loader's and the table checks' error texts, each naming the first
+    offending line or plan."""
+
+    def load_error(self, tmp_path, text):
+        path = write_csv(tmp_path, "m.csv", text)
+        with pytest.raises(ValueError) as exc:
+            load_measurements(path, Environment("e"))
+        return str(exc.value).replace(str(path), "m.csv")
+
+    def test_ragged_row(self, tmp_path):
+        assert self.load_error(tmp_path, "a,b,perf\n0,1,2.0\n0,1\n1,1,3.0,4\n") == (
+            "m.csv:3: expected 3 cells, got 2")
+
+    def test_blank_rows_are_skipped_but_counted(self, tmp_path):
+        text = "a,b,perf\n0,1,2.0\n\n , \t,\n1,1,3.0\n1,x,4.0\n"
+        assert self.load_error(tmp_path, text) == "m.csv:6: option value 'x' is not a number"
+        table = load_measurements(write_csv(tmp_path, "ok.csv", text.rsplit("1,x", 1)[0]),
+                                  Environment("e"))
+        assert table.rows == {(0, 1): 2.0, (1, 1): 3.0}
+
+    def test_number_literals_for_integers(self, tmp_path):
+        path = write_csv(tmp_path, "m.csv", "a,b,perf\n3.0,1e3,1.5\n 4 ,-0,2.5\n")
+        table = load_measurements(path, Environment("e"))
+        assert table.rows == {(3, 1000): 1.5, (4, 0): 2.5}
+        assert all(type(v) is int for plan in table.rows for v in plan)
+
+    def test_first_bad_cell_of_a_row_is_named(self, tmp_path):
+        assert self.load_error(tmp_path, "a,b,c,perf\n1.0,2.5,x,1.0\n") == (
+            "m.csv:2: option value '2.5' is not an integer")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_performance(self, tmp_path, cell):
+        assert self.load_error(tmp_path, f"a,perf\n0,1.0\n1,{cell}\n") == (
+            "m.csv:3: non-finite performance value")
+
+    def test_bad_performance_literal(self, tmp_path):
+        assert self.load_error(tmp_path, "a,perf\n0,fast\n") == (
+            "m.csv:2: could not convert string to float: 'fast'")
+
+    def test_first_plan_outside_the_space(self):
+        space = make_space((0, 1), (0, 2))
+        table = make_table(make_space((0, 1, 5), (0, 2, 3)),
+                           {(0, 2): 1.0, (1, 3): 2.0, (5, 0): 3.0, (1, 2): 4.0})
+        with pytest.raises(ValueError) as exc:
+            table.validate_space(space)
+        assert str(exc.value) == "table for 'e' holds plan (1, 3) outside the config space"
+        with pytest.raises(ValueError) as exc:
+            table.validate_space(make_space((0, 1)))
+        assert str(exc.value) == "table for 'e' holds plan (0, 2) outside the config space"
+        table.validate_space(make_space((0, 1, 5), (0, 2, 3, 4)))
+
+    def test_table_rows_are_checked_in_order(self):
+        env = Environment("e")
+        with pytest.raises(ValueError) as exc:
+            MeasurementTable(env, ("a", "b"), {(0, 1): 1.0, (2, 3): float("nan"), (4,): 2.0})
+        assert str(exc.value) == "non-finite performance value for plan (2, 3)"
+        with pytest.raises(ValueError) as exc:
+            MeasurementTable(env, ("a", "b"), {(0, 1): 1.0, (4,): 2.0, (2, 3): float("inf")})
+        assert str(exc.value) == "plan (4,) does not match option columns ('a', 'b')"
+        with pytest.raises(ValueError) as exc:
+            MeasurementTable(env, ("a", "b"), {(0, 1): 1.0, (2, 3): -math.inf})
+        assert str(exc.value) == "non-finite performance value for plan (2, 3)"
 
 
 class TestEnvironment:
@@ -424,6 +496,46 @@ class TestSynthLandscape:
     def test_too_few_peaks(self):
         with pytest.raises(ValueError, match="at least 2"):
             synth_landscape(n_peaks=1)
+
+    @pytest.mark.parametrize("width", range(1, 21))
+    def test_row_sum_adds_in_numpys_row_order(self, width):
+        """Summed as columns, the squared-distance terms give the bits
+        ``ndarray.sum(axis=1)`` gives: past 8 columns numpy adds pairwise, so
+        a plain left-to-right sum would differ in the last bit."""
+        rng = np.random.default_rng(width)
+        rows = rng.random((2000, width)) * 10.0 ** rng.integers(-8, 8, (2000, width))
+        got = twin_module._row_sum(list(rows.T))
+        assert got.tobytes() == rows.sum(axis=1).tobytes()
+        # Broadcast terms sum to the grid the full matrix's rows give.
+        grids = [rng.random(3).reshape((1,) * j + (3,) + (1,) * (width - 1 - j))
+                 for j in range(min(width, 10))]
+        full = np.stack(np.broadcast_arrays(*grids), axis=-1).reshape(-1, len(grids))
+        assert twin_module._row_sum(grids).reshape(-1).tobytes() == full.sum(axis=1).tobytes()
+
+    @pytest.mark.parametrize("shape, message", [
+        ({"n_options": 0}, "--options must be at least 1, got 0"),
+        ({"n_options": -1}, "--options must be at least 1, got -1"),
+        ({"domain_size": 1}, "--domain-size must be at least 2, got 1"),
+        ({"domain_size": -3, "n_options": 2}, "--domain-size must be at least 2, got -3"),
+        ({"n_options": 20}, "--options 20 with --domain-size 5 make more than the 1,048,576 "
+                            "plans a landscape may have"),
+        ({"n_options": 10**9, "domain_size": 2}, "--options 1000000000 with --domain-size 2"),
+        # 1,185,921 plans: a guard that let this through would be slow, not
+        # out of memory.
+        ({"n_options": 4, "domain_size": 33, "n_peaks": 2}, "--options 4 with --domain-size 33"),
+    ], ids=["no-options", "negative-options", "one-value", "negative-values", "20-options",
+            "1e9-options", "over-the-plan-limit"])
+    def test_bad_shape_refused_by_flag(self, shape, message):
+        with pytest.raises(ValueError) as exc:
+            synth_landscape(**shape)
+        assert str(exc.value).startswith(message)
+
+    def test_plan_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(twin_module, "SYNTH_MAX_PLANS", 64)
+        table, _ = synth_landscape(n_options=3, domain_size=4, n_peaks=3)
+        assert len(table) == 64
+        with pytest.raises(ValueError, match="more than the 64 plans"):
+            synth_landscape(n_options=2, domain_size=9, n_peaks=3)
 
     def test_identity_shift_rejected(self):
         with pytest.raises(ValueError, match="peak_shift"):
