@@ -12,13 +12,13 @@ from .harness import (
     ScenarioSpec,
     WorkerLost,
     bundle_from_traces,
-    csv_text,
     parse_scenario,
     run_scenario,
+    table_pair_csv_text,
     write_atomic,
     write_bundle_outputs,
 )
-from .twin import MeasurementTable, synth_landscape
+from .twin import synth_landscape
 
 
 def main(argv=None, *, workers: int = 1) -> int:
@@ -123,7 +123,7 @@ def _cmd_synth(args) -> int:
         noise_seed=args.seed,
     )
     out = Path(args.out)
-    for name, text in zip(("env_a.csv", "env_b.csv"), _tables_csv_text(table_a, table_b)):
+    for name, text in zip(("env_a.csv", "env_b.csv"), table_pair_csv_text(table_a, table_b)):
         write_atomic(out / name, text)
     manifest = "\n".join(
         [
@@ -144,18 +144,6 @@ def _cmd_synth(args) -> int:
     print(f"synthetic dataset ({table_a.option_names} x {len(table_a)} plans) "
           f"and scenario manifest written in {out.resolve()}")
     return 0
-
-
-def _tables_csv_text(*tables: MeasurementTable) -> list[str]:
-    """The CSV text of each table, one line per plan in sorted order, for
-    tables over the same plans: the plan cells are formatted once for all."""
-    plans = sorted(tables[0].rows)
-    header = csv_text(list(tables[0].option_names) + ["performance"], ())
-    template = ",".join(["%s"] * len(tables[0].option_names))
-    cells = [template % plan for plan in plans]
-    return [header + "".join([f"{plan},{value!r}\n" for plan, value
-                              in zip(cells, map(table.rows.__getitem__, plans))])
-            for table in tables]
 
 
 if __name__ == "__main__":

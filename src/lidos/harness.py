@@ -355,28 +355,17 @@ def _run_forked(job, tasks, workers: int) -> list[RunTrace]:
     Forked workers inherit the job, loaded tables included, where spawned ones
     would import the package and load every table again. The pool forks all
     its workers before it starts its manager thread; the only other threads
-    are the idle ones of numpy's BLAS pool, which no repetition calls into.
-
-    Unless the caller has frozen objects itself, every object alive at the
-    fork is frozen until the pool is done: a worker's collector then leaves
-    the heap it inherits alone, where walking it would copy its pages."""
+    are the idle ones of numpy's BLAS pool, which no repetition calls into."""
     import multiprocessing
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    freeze = not gc.get_freeze_count()
-    if freeze:
-        gc.freeze()
-    try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_start_worker, initargs=(job,)) as pool:
-            try:
-                return list(pool.map(_worker_repetition, tasks))
-            except BrokenProcessPool:
-                raise WorkerLost("a worker process ended abruptly before returning "
-                                 "its repetition") from None
-    finally:
-        if freeze:
-            gc.unfreeze()
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_start_worker, initargs=(job,)) as pool:
+        try:
+            return list(pool.map(_worker_repetition, tasks))
+        except BrokenProcessPool:
+            raise WorkerLost("a worker process ended abruptly before returning "
+                             "its repetition") from None
 
 
 # -- summaries ---------------------------------------------------------------
@@ -472,12 +461,27 @@ def summarize_bundle(bundle: ResultBundle) -> BundleSummary:
 
 def csv_text(header, rows) -> str:
     """A header row and then the rows, as CSV text with bare newline line
-    ends; every CSV the program writes goes through here."""
+    ends; every CSV the program writes goes through here, or through
+    `table_pair_csv_text`, which writes the bytes this would."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def table_pair_csv_text(first: MeasurementTable, second: MeasurementTable) -> tuple[str, str]:
+    """The `csv_text` of two tables over the same plans, one line per plan in
+    sorted order. Plan cells are integers and performances floats, neither
+    of which the CSV writer quotes, so the lines are joined directly and
+    each plan's cells are formatted once for both tables."""
+    plans = sorted(first.rows)
+    header = csv_text(list(first.option_names) + ["performance"], ())
+    template = ",".join(["%s"] * len(first.option_names))
+    cells = [template % plan for plan in plans]
+    return tuple(header + "".join([f"{plan},{value!r}\n" for plan, value
+                                   in zip(cells, map(table.rows.__getitem__, plans))])
+                 for table in (first, second))
 
 
 def traces_csv_text(bundle: ResultBundle) -> str:

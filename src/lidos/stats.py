@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -25,6 +24,7 @@ _EXACT_LIMIT = 200_000
 # A Scott-Knott split stands when a bootstrap of this many resamples rejects
 # equal means at this confidence and the effect size reaches this threshold.
 _RESAMPLES = 1000
+_ROUNDS_PER_BLOCK = 100  # divides _RESAMPLES
 _CONFIDENCE = 0.99
 _EFFECT_THRESHOLD = 0.6
 
@@ -148,14 +148,17 @@ def _bootstrap_rejects(left: list[float], right: list[float], rng: random.Random
     """Whether resampling the pooled values rejects equal means: the draws,
     sums and verdict of ``_RESAMPLES`` rounds of ``[rng.choice(pool) for _ in
     left]`` and ``[... for _ in right]`` compared by ``sum(...) / len(...)``,
-    made a whole block at a time."""
+    with the picks of `_ROUNDS_PER_BLOCK` rounds drawn at a time and each
+    side of a round added by Python's own ``sum()``."""
     observed = abs(sum(left) / len(left) - sum(right) / len(right))
     pool = np.asarray(left + right, dtype=float)
-    picks = _choice_indices(rng, len(pool), _RESAMPLES * len(pool))
-    resampled = pool[picks.reshape(_RESAMPLES, len(pool))]
-    lhs = _python_sums(resampled[:, :len(left)]) / len(left)
-    rhs = _python_sums(resampled[:, len(left):]) / len(right)
-    extreme = int(np.count_nonzero(np.abs(lhs - rhs) >= observed))
+    n, cut = len(pool), len(left)
+    extreme = 0
+    for _ in range(_RESAMPLES // _ROUNDS_PER_BLOCK):
+        block = pool[_choice_indices(rng, n, _ROUNDS_PER_BLOCK * n)].reshape(-1, n)
+        lhs = np.fromiter(map(sum, block[:, :cut].tolist()), float) / cut
+        rhs = np.fromiter(map(sum, block[:, cut:].tolist()), float) / len(right)
+        extreme += int(np.count_nonzero(np.abs(lhs - rhs) >= observed))
     return extreme / _RESAMPLES <= 1.0 - _CONFIDENCE
 
 
@@ -181,23 +184,6 @@ def _choice_indices(rng: random.Random, n: int, count: int) -> np.ndarray:
         words *= 2
     rng.getrandbits(32 * (int(hits[count - 1]) + 1))
     return block[hits[:count]]
-
-
-def _python_sums(rows: np.ndarray) -> np.ndarray:
-    """Each row's ``sum()`` as Python adds a list of floats: left to right,
-    and from Python 3.12 on with Neumaier's compensation, added at the end
-    when it is non-zero and finite."""
-    if sys.version_info < (3, 12):
-        return np.cumsum(rows, axis=1)[:, -1]
-    total = rows[:, 0].copy()
-    compensation = np.zeros(len(rows))
-    for column in rows.T[1:]:
-        step = total + column
-        compensation += np.where(np.abs(total) >= np.abs(column),
-                                 (total - step) + column, (column - step) + total)
-        total = step
-    return np.where((compensation != 0) & np.isfinite(compensation),
-                    total + compensation, total)
 
 
 def scott_knott(samples: Mapping[str, Sequence[float]], rng: random.Random) -> dict[str, int]:

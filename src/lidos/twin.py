@@ -21,6 +21,9 @@ DIRECTIONS = ("minimize", "maximize")
 # The most plans `synth_landscape` enumerates: 13 times the 78,125 of seven
 # options of five values.
 SYNTH_MAX_PLANS = 2**20
+# The most plan-to-peak distances (plans x peaks, 8 bytes each) it keeps:
+# over 5 times the 3,125,000 of 40 peaks over those 78,125 plans.
+SYNTH_MAX_DISTANCES = 2**24
 
 # Bytes of float32 distance terms one table caches per scale for its
 # nearest-plan searches; past this, a search computes the uncached terms anew
@@ -378,9 +381,10 @@ def synth_landscape(n_options: int = 6, domain_size: int = 5, n_peaks: int = 40,
     the best plan of environment A stays a (non-global) local optimum of
     environment B. A tiny deterministic jitter breaks exact ties.
 
-    A shape of fewer than one option, fewer than two values per option, or
-    more than `SYNTH_MAX_PLANS` plans is refused before anything is built;
-    the error names the `lidos synth` flag.
+    A shape of fewer than one option, fewer than two values per option,
+    more than `SYNTH_MAX_PLANS` plans, or more than `SYNTH_MAX_DISTANCES`
+    plans x peaks is refused before anything is built; the error names the
+    `lidos synth` flag.
     """
     if n_options < 1:
         raise ValueError(f"--options must be at least 1, got {n_options}")
@@ -397,6 +401,10 @@ def synth_landscape(n_options: int = 6, domain_size: int = 5, n_peaks: int = 40,
         raise ValueError("n_peaks must be at least 2")
     if n_peaks > size:
         raise ValueError(f"space too small for {n_peaks} peaks (only {size} plans)")
+    if size * n_peaks > SYNTH_MAX_DISTANCES:
+        raise ValueError(
+            f"--peaks {n_peaks} over {size:,} plans make more than the "
+            f"{SYNTH_MAX_DISTANCES:,} plan-to-peak distances a landscape may have")
     if peak_shift % n_peaks == 0:
         raise ValueError("peak_shift must not be a multiple of n_peaks")
 

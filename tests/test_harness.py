@@ -17,7 +17,6 @@ import pytest
 from lidos.cli import main as cli_main
 from lidos.harness import (
     ScenarioSpec,
-    WorkerLost,
     bundle_from_traces,
     load_scenario_tables,
     parse_scenario,
@@ -322,41 +321,6 @@ class TestParallelRun:
         assert not out.exists()
 
 
-    def test_collector_is_frozen_only_around_the_fork(self, tmp_path, monkeypatch):
-        """Workers inherit a frozen heap; the caller gets its collector back
-        as it was, also when a worker dies, and objects it froze itself stay
-        frozen."""
-        spec = parse_scenario(write_small_dataset(tmp_path))
-        params = PlannerParams(population_size=10)
-        seen = tmp_path / "seen"
-        seen.mkdir()
-        change = StationaryPlanner.on_environment_change
-
-        def watched_change(self, env):
-            (seen / str(os.getpid())).write_text(str(gc.get_freeze_count()))
-            change(self, env)
-
-        monkeypatch.setattr(StationaryPlanner, "on_environment_change", watched_change)
-        before = gc.get_freeze_count()
-        run_scenario(spec, params, workers=2)
-        assert gc.get_freeze_count() == before
-        counts = [int(p.read_text()) for p in seen.iterdir()]
-        assert counts and min(counts) > 0
-        monkeypatch.setattr(StationaryPlanner, "on_environment_change",
-                            lambda self, env: os._exit(1))
-        with pytest.raises(WorkerLost):
-            run_scenario(spec, params, workers=2)
-        assert gc.get_freeze_count() == before
-        gc.freeze()
-        try:
-            held = gc.get_freeze_count()
-            with pytest.raises(WorkerLost):
-                run_scenario(spec, params, workers=2)
-            assert gc.get_freeze_count() == held
-        finally:
-            gc.unfreeze()
-
-
 class TestSummaries:
     def test_reproducible_from_traces_alone(self, smoke_bundle, tmp_path):
         path = tmp_path / "traces.csv"
@@ -551,7 +515,9 @@ class TestCli:
         (["--options", "-1"], "--options"),
         (["--domain-size", "1"], "--domain-size"),
         (["--options", "4", "--domain-size", "33", "--peaks", "2"], "--domain-size 33"),
-    ], ids=["no-options", "negative-options", "one-value", "over-the-plan-limit"])
+        (["--options", "4", "--domain-size", "32", "--peaks", "17"], "--peaks 17"),
+    ], ids=["no-options", "negative-options", "one-value", "over-the-plan-limit",
+            "over-the-distance-limit"])
     def test_synth_refuses_bad_shapes_by_flag(self, tmp_path, capsys, flags, flag):
         out = tmp_path / "synth"
         assert cli_main(["synth", "--out", str(out), *flags]) == 2

@@ -241,13 +241,6 @@ class TestBootstrap:
         assert picks.tolist() == [theirs.choice(range(n)) for _ in range(3000)]
         assert ours.getstate() == theirs.getstate()
 
-    def test_python_sums_bit_for_bit(self):
-        rng = np.random.default_rng(3)
-        for width in range(1, 41):
-            rows = rng.standard_normal((50, width)) * 10.0 ** rng.integers(-9, 9, (50, width))
-            expected = [sum(row) for row in rows.tolist()]
-            assert stats_module._python_sums(rows).tolist() == expected, width
-
     def test_verdict_and_state_match_the_loop(self):
         verdicts = set()
         for left, right in bootstrap_cases(90, seed=8):

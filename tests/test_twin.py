@@ -523,8 +523,13 @@ class TestSynthLandscape:
         # 1,185,921 plans: a guard that let this through would be slow, not
         # out of memory.
         ({"n_options": 4, "domain_size": 33, "n_peaks": 2}, "--options 4 with --domain-size 33"),
+        # 17 x 2**20 distances, over the limit by a sixteenth: a guard that
+        # let this through would be slow, not out of memory.
+        ({"n_options": 4, "domain_size": 32, "n_peaks": 17},
+         "--peaks 17 over 1,048,576 plans make more than the 16,777,216 plan-to-peak "
+         "distances a landscape may have"),
     ], ids=["no-options", "negative-options", "one-value", "negative-values", "20-options",
-            "1e9-options", "over-the-plan-limit"])
+            "1e9-options", "over-the-plan-limit", "over-the-distance-limit"])
     def test_bad_shape_refused_by_flag(self, shape, message):
         with pytest.raises(ValueError) as exc:
             synth_landscape(**shape)
@@ -536,6 +541,13 @@ class TestSynthLandscape:
         assert len(table) == 64
         with pytest.raises(ValueError, match="more than the 64 plans"):
             synth_landscape(n_options=2, domain_size=9, n_peaks=3)
+
+    def test_distance_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(twin_module, "SYNTH_MAX_DISTANCES", 64 * 3)
+        table, _ = synth_landscape(n_options=3, domain_size=4, n_peaks=3)
+        assert len(table) == 64
+        with pytest.raises(ValueError, match="more than the 192 plan-to-peak distances"):
+            synth_landscape(n_options=3, domain_size=4, n_peaks=4)
 
     def test_identity_shift_rejected(self):
         with pytest.raises(ValueError, match="peak_shift"):
