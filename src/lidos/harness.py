@@ -682,7 +682,7 @@ def trajectory_rows(bundle: ResultBundle) -> list[tuple]:
     for leg in spec.legs[:-1]:
         running += leg.measurement_budget
         boundaries.append(running)
-    flagged = {min(nominal_total, math.ceil(b / stride) * stride) for b in boundaries}
+    flagged = {math.ceil(b / stride) * stride for b in boundaries}
 
     sign_of = {source.environment.id: source.environment.sign
                for source in spec.environments}

@@ -296,9 +296,7 @@ class BasePlanner:
         """Random measured plans, distinct whenever the dataset allows it."""
         n = self.params.population_size
         table = self.twin.current_table()
-        if not table.rows:
-            raise ValueError("dataset empty")
-        target = min(n, len(table.rows))
+        target = min(n, len(table))
         chosen: list[Plan] = []
         seen: set[Plan] = set()
         attempts = 0

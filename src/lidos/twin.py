@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
@@ -25,15 +23,9 @@ SYNTH_MAX_PLANS = 2**20
 # over 5 times the 3,125,000 of 40 peaks over those 78,125 plans.
 SYNTH_MAX_DISTANCES = 2**24
 
-# Bytes of float32 distance terms one table caches per scale for its
-# nearest-plan searches; past this, a search computes the uncached terms anew
-# and sums them in float64.
+# Bytes of float64 distance terms one table caches per scale for its
+# nearest-plan searches; past this, a search computes the uncached terms anew.
 _TERM_CACHE_BYTES = 16 << 20
-
-# float32 limits behind the nearest-plan search's rounding slack and term cap.
-_F32_EPS = float(np.finfo(np.float32).eps)
-_F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
-_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -82,25 +74,14 @@ class MeasurementTable:
         self._validated_for: ConfigSpace | None = None
         # Nearest-plan search state, built on the first search: the plans in
         # lexicographic order, their values as one contiguous float column per
-        # option with its least and greatest value, a float64 work buffer, a
-        # float32 and a float64 row-length sum buffer, and the memo of answers.
-        # The float32 distance terms cached per (option, value) pair, like the
-        # memo, hold for `_nearest_scale` only.
+        # option, and the memo of answers. The distance terms cached per
+        # (option, value) pair, like the memo, hold for `_nearest_scale` only.
         self._sorted_plans: list[Plan] = []
         self._columns: np.ndarray | None = None
-        self._low: list[float] = []
-        self._high: list[float] = []
-        self._work = self._fresh = np.empty(0)
-        self._dist = np.empty(0, dtype=np.float32)
         self._terms: list[dict[float, np.ndarray]] = []
         self._room = 0
         self._nearest: dict[Plan, Plan] = {}
         self._nearest_scale: tuple[float, ...] | None = None
-        # Terms at or above this cap are stored as inf, so no float32 sum of
-        # finite terms can overflow. A row holding one is at least that far,
-        # and when the nearest row is too, the bound is inf and every row is
-        # re-scored.
-        self._term_cap = _F32_MAX / (2 * len(option_names))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -139,12 +120,11 @@ class MeasurementTable:
         or scale without one value per option raises ValueError.
 
         Each (option, value) pair's squared scaled difference to every row is
-        computed in float64 and cached as float32, up to `_TERM_CACHE_BYTES`
-        per scale. The search sums the cached terms of the plan's values in
-        float32 and any others in float64. Every row whose sum is within a
-        float32 rounding slack of the minimum is re-scored with the row-wise
-        float64 formula, so the answer is the argmin of that formula over the
-        whole table.
+        computed in float64 and cached, up to `_TERM_CACHE_BYTES` per scale.
+        The search adds the plan's terms in numpy's row order, so every
+        distance has the bits of the row-wise formula
+        ``(((rows - plan) * scale) ** 2).sum(axis=1)``, and the first minimum
+        is the answer.
         """
         n = len(self.option_names)
         if len(plan) != n or len(scale) != n:
@@ -154,82 +134,31 @@ class MeasurementTable:
         if self._columns is None:
             self._sorted_plans = sorted(self.rows)
             self._columns = np.asarray(list(zip(*self._sorted_plans)), dtype=float)
-            self._low = self._columns.min(axis=1).tolist()
-            self._high = self._columns.max(axis=1).tolist()
-            self._work = np.empty(len(self._sorted_plans))
-            self._fresh = np.empty(len(self._sorted_plans))
-            self._dist = np.empty(len(self._sorted_plans), dtype=np.float32)
         if scale is not self._nearest_scale and scale != self._nearest_scale:
             self._nearest = {}
             self._terms = [{} for _ in range(n)]
-            self._room = _TERM_CACHE_BYTES // self._dist.nbytes
+            self._room = _TERM_CACHE_BYTES // self._columns[0].nbytes
             self._nearest_scale = scale
         found = self._nearest.get(plan)
         if found is not None:
             return found
-        dist = self._dist
-        dist.fill(0.0)
-        cached = fresh = False
-        for option, value, s in zip(range(n), map(float, plan), scale):
-            if s:
-                term = self._term(option, value, s)
-                if term is not self._work:
-                    np.add(dist, term, out=dist)
-                    cached = True
-                elif fresh:
-                    np.add(self._fresh, term, out=self._fresh)
-                else:
-                    np.copyto(self._fresh, term)
-                    fresh = True
-        # Terms past the cache's room are summed in float64, which costs what
-        # it did before the cache; the float32 sum of cached terms joins them.
-        if fresh:
-            if cached:
-                np.add(self._fresh, dist, out=self._fresh)
-            dist = self._fresh
-        best = int(dist.argmin())
-        # Each cast of a float64 term to float32 and each float32 add rounds
-        # by at most 2**-24 relative (half of float32's eps), so a row's sum
-        # is within about n * eps of the exact sum of its float64 terms, and
-        # float64 sums are far closer still. The true winner's sum thus
-        # exceeds the smallest one by at most about 2 * n * eps relative,
-        # which 16 * n * eps covers 8 times over. A term
-        # below float32's normal range rounds instead by up to half of its
-        # smallest subnormal, absolutely; 4 subnormals per option cover that.
-        bound = float(dist[best]) * (1.0 + 16 * n * _F32_EPS) + 4 * n * _F32_TINY
-        if bound >= self._term_cap:
-            bound = math.inf
-        close = (dist <= bound).nonzero()[0]
-        if len(close) > 1:
-            rows = np.ascontiguousarray(self._columns[:, close].T)
-            diff = (rows - np.asarray(plan, dtype=float)) * np.asarray(scale)
-            best = int(close[(diff * diff).sum(axis=1).argmin()])
-        found = self._sorted_plans[best]
-        self._nearest[plan] = found
+        dist = _row_sum(list(map(self._term, range(n), map(float, plan), scale)))
+        found = self._nearest[plan] = self._sorted_plans[int(dist.argmin())]
         return found
 
     def _term(self, option: int, value: float, s: float) -> np.ndarray:
-        """The column of ``((column - value) * s) ** 2`` for one option,
-        computed in float64 like the row-wise formula: cached as float32 while
-        the cache has room, and otherwise left in the float64 work buffer,
-        which the next call overwrites."""
+        """The column of ``((column - value) * s) ** 2`` for one option, the
+        row-wise formula's term: cached while the cache has room, and
+        otherwise computed anew on each call."""
         cache = self._terms[option]
         term = cache.get(value)
-        if term is not None:
-            return term
-        work = self._work
-        np.subtract(self._columns[option], value, out=work)
-        np.multiply(work, s, out=work)
-        np.square(work, out=work)
-        # Rounding is monotone, so no row's term exceeds the term of the
-        # column's least or greatest value; only then can one reach the cap.
-        far = max(self._high[option] - value, value - self._low[option]) * s
-        if far * far >= self._term_cap:
-            work[work >= self._term_cap] = np.inf
-        if not self._room:
-            return work
-        self._room -= 1
-        term = cache[value] = work.astype(np.float32)
+        if term is None:
+            term = np.subtract(self._columns[option], value)
+            np.multiply(term, s, out=term)
+            np.square(term, out=term)
+            if self._room:
+                self._room -= 1
+                cache[value] = term
         return term
 
 
@@ -473,12 +402,24 @@ def _row_sum(terms: list[np.ndarray]) -> np.ndarray:
     8 up, eight running sums of every eighth value, combined pairwise, and
     then the values past the last multiple of 8 one by one. Given a matrix's
     columns, it returns the row sums bit for bit (a row of negative zeros
-    aside, which numpy sums to +0.0)."""
+    aside, which numpy sums to +0.0). No term is written to."""
     n = len(terms)
     if n < 8:
-        return functools.reduce(operator.add, terms)
+        return _add_all(terms[0], terms[1:])
     done = n - n % 8
-    partial = [functools.reduce(operator.add, terms[j:done:8]) for j in range(8)]
+    partial = [_add_all(terms[j], terms[j + 8:done:8]) for j in range(8)]
     total = ((partial[0] + partial[1]) + (partial[2] + partial[3])) + (
         (partial[4] + partial[5]) + (partial[6] + partial[7]))
-    return functools.reduce(operator.add, terms[done:], total)
+    return _add_all(total, terms[done:])
+
+
+def _add_all(total: np.ndarray, terms: list[np.ndarray]) -> np.ndarray:
+    """`total` plus each of `terms` in turn. The first add makes a new array,
+    and later adds go into it in place while it has the term's shape, so
+    neither `total` nor a term is written to."""
+    for i, term in enumerate(terms):
+        if i and total.shape == term.shape:
+            np.add(total, term, out=total)
+        else:
+            total = total + term
+    return total

@@ -11,6 +11,12 @@ from lidos.space import ConfigSpace, OptionSpec
 from lidos.twin import CyberTwin, Environment, MeasurementTable
 
 
+def pytest_configure(config) -> None:
+    """Make every RuntimeWarning an error: a numpy overflow or invalid value
+    (in a distance term, a statistic) fails the test that meets it."""
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
+
+
 def dominates(a, b) -> bool:
     """Pareto dominance on (g1, g2), both minimized: the definition the
     brute-force front oracles peel by."""

@@ -367,12 +367,13 @@ class TestRepairOracle:
                 assert table.nearest(plan, scale) == brute_force_nearest(rows, plan, scale)
 
     def test_wide_spans(self):
-        # Spans of 2**20 to 2**52 with values at the domain ends: neighbouring
-        # values differ far below float32's resolution, so many float32 sums
-        # tie and the float64 re-score decides. Each table also holds a pair
-        # around the middle of the first option, `mid - d - 1` and `mid + d`
-        # with d = span / 4 >= 2**34, whose distances differ by about 2/d
-        # relative: the lexicographically lower one is farther.
+        # Spans of 2**20 to 2**52 with values at the domain ends: scaled to
+        # [0, 1], neighbouring values differ by as little as 2**-52, so rows
+        # can lie at distances that differ only in their last bits. Each
+        # table also holds a pair around the middle of the first option,
+        # `mid - d - 1` and `mid + d` with d = span / 4 >= 2**34, whose
+        # distances differ by about 2/d relative: the lexicographically lower
+        # one is farther.
         rng = random.Random(52)
         for _ in range(40):
             n_options = rng.randint(1, 8)
@@ -395,9 +396,10 @@ class TestRepairOracle:
     @pytest.mark.parametrize("choices", [(1e-25,), (1e20,), (1e20, 1.0, 1e-25, 0.0)],
                              ids=["subnormal", "overflow", "mixed"])
     def test_extreme_caller_scales(self, choices):
-        # With values up to 2**21, a scale of 1e-25 puts float32 terms from
-        # zero through the subnormal range into the lowest normal one; 1e20
-        # makes every non-zero term overflow float32. Neither may warn.
+        # With values up to 2**21, a scale of 1e-25 makes terms from 1e-50 to
+        # about 4e-38, subnormal or zero in single precision, and 1e20 makes
+        # terms of up to about 4e52, past its range; mixed, one row's terms
+        # span over 100 orders of magnitude. Neither may warn.
         rng = random.Random(len(choices))
         for _ in range(40):
             n_options = rng.randint(1, 8)
@@ -415,10 +417,10 @@ class TestRepairOracle:
                     assert table.nearest(plan, scale) == brute_force_nearest(rows, plan, scale)
 
     def test_subnormal_terms_rank_rows_the_wrong_way(self):
-        # Under a scale of 1e-25, (800, 0, 0) is about 4.57 float32 smallest
-        # subnormals from the query, which round to 5, and (0, 590, 590) is
-        # two terms of about 2.48, which round to 2 each: the float32 sums
-        # swap the two rows, and no relative slack of 4 covers 5.
+        # Under a scale of 1e-25 the squared distances are about 6.4e-45 for
+        # (800, 0, 0) and 7.0e-45 for (0, 590, 590), a few single precision
+        # subnormals each: a search that rounded its terms to single
+        # precision would make the second row nearer.
         rows = {(800, 0, 0): 0.0, (0, 590, 590): 0.0}
         table = make_table(make_space((0, 800), (0, 590), (0, 590)), rows)
         scale = (1e-25,) * 3
@@ -427,17 +429,20 @@ class TestRepairOracle:
 
     @pytest.mark.parametrize("room", [0, 3])
     def test_terms_past_the_cache_limit(self, monkeypatch, room):
-        # Once the cache is full, a search sums its uncached terms in float64,
-        # one at a time through the work buffer, and adds the cached ones.
+        # Once the cache is full, a search computes its uncached terms anew
+        # and adds them with the cached ones.
         rng = random.Random(room)
         space = make_space(*(tuple(range(0, 9 * k + 1, k)) for k in (1, 3, 7, 100)))
         rows = {space.random_plan(rng): 0.0 for _ in range(200)}
         table = make_table(space, rows)
-        monkeypatch.setattr(twin_module, "_TERM_CACHE_BYTES", room * 4 * len(rows))
+        itemsize = np.dtype(float).itemsize
+        monkeypatch.setattr(twin_module, "_TERM_CACHE_BYTES", room * itemsize * len(rows))
         for _ in range(100):
             plan = space.random_plan(rng)
             assert table.nearest(plan, space.scale) == brute_force_nearest(rows, plan, space.scale)
         assert sum(map(len, table._terms)) == room
+        assert all(term.itemsize == itemsize for cache in table._terms
+                   for term in cache.values())
 
     def test_term_cache_follows_the_scale(self):
         # The same (option, value) pairs are searched under scales that weigh
@@ -504,13 +509,18 @@ class TestSynthLandscape:
         a plain left-to-right sum would differ in the last bit."""
         rng = np.random.default_rng(width)
         rows = rng.random((2000, width)) * 10.0 ** rng.integers(-8, 8, (2000, width))
+        before = rows.tobytes()
         got = twin_module._row_sum(list(rows.T))
         assert got.tobytes() == rows.sum(axis=1).tobytes()
+        # An input may be a table's cached term, so no add may write to one.
+        assert rows.tobytes() == before
         # Broadcast terms sum to the grid the full matrix's rows give.
         grids = [rng.random(3).reshape((1,) * j + (3,) + (1,) * (width - 1 - j))
                  for j in range(min(width, 10))]
+        before = [grid.tobytes() for grid in grids]
         full = np.stack(np.broadcast_arrays(*grids), axis=-1).reshape(-1, len(grids))
         assert twin_module._row_sum(grids).reshape(-1).tobytes() == full.sum(axis=1).tobytes()
+        assert [grid.tobytes() for grid in grids] == before
 
     @pytest.mark.parametrize("shape, message", [
         ({"n_options": 0}, "--options must be at least 1, got 0"),
