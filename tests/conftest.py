@@ -13,8 +13,13 @@ from lidos.twin import CyberTwin, Environment, MeasurementTable
 
 def pytest_configure(config) -> None:
     """Make every RuntimeWarning an error: a numpy overflow or invalid value
-    (in a distance term, a statistic) fails the test that meets it."""
-    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
+    (in a distance term, a statistic) fails the test that meets it. So are
+    a ResourceWarning and the warning pytest gives for an exception it could
+    not raise (such as one in a finalizer): a file handle left open fails
+    the test that leaked it."""
+    for category in ("RuntimeWarning", "ResourceWarning",
+                     "pytest.PytestUnraisableExceptionWarning"):
+        config.addinivalue_line("filterwarnings", f"error::{category}")
 
 
 def dominates(a, b) -> bool:

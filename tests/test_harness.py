@@ -8,12 +8,14 @@ import itertools
 import os
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lidos import harness
 from lidos.cli import main as cli_main
 from lidos.harness import (
     ScenarioSpec,
@@ -32,7 +34,7 @@ from lidos.harness import (
 )
 from lidos.baselines import StationaryPlanner
 from lidos.harness import ResultBundle
-from lidos.planner import PlannerParams, RunTrace, derive_seed
+from lidos.planner import TRACE_DTYPE, PlannerParams, RunTrace, derive_seed
 from lidos.twin import synth_landscape
 
 from conftest import assert_accounting
@@ -516,8 +518,15 @@ class TestCli:
         (["--domain-size", "1"], "--domain-size"),
         (["--options", "4", "--domain-size", "33", "--peaks", "2"], "--domain-size 33"),
         (["--options", "4", "--domain-size", "32", "--peaks", "17"], "--peaks 17"),
+        (["--peaks", "1"], "--peaks must be at least 2, got 1"),
+        (["--peaks", "0"], "--peaks must be at least 2, got 0"),
+        (["--peaks", "-3"], "--peaks must be at least 2, got -3"),
+        (["--options", "2", "--domain-size", "2", "--peaks", "5"], "--peaks 5"),
+        (["--peak-shift", "40"], "--peak-shift 40"),
+        (["--peak-shift", "0"], "--peak-shift 0"),
     ], ids=["no-options", "negative-options", "one-value", "over-the-plan-limit",
-            "over-the-distance-limit"])
+            "over-the-distance-limit", "one-peak", "no-peaks", "negative-peaks",
+            "more-peaks-than-plans", "shift-of-all-peaks", "no-shift"])
     def test_synth_refuses_bad_shapes_by_flag(self, tmp_path, capsys, flags, flag):
         out = tmp_path / "synth"
         assert cli_main(["synth", "--out", str(out), *flags]) == 2
@@ -880,6 +889,81 @@ class TestWriteAtomic:
         with pytest.raises(OSError):
             write_atomic(target, "content\n")
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+class TestStreamedTraces:
+    """traces.csv is written one repetition at a time, never held whole."""
+
+    def test_peak_memory_is_a_fraction_of_the_file(self, smoke_bundle, tmp_path, monkeypatch):
+        # 2 planners x 100 repetitions x 250 rows, about 4 MB of text in
+        # chunks of about 20 KB.
+        rng = np.random.default_rng(3)
+        spec = replace(smoke_bundle.spec, repetitions=100)
+        traces = {}
+        for label in smoke_bundle.labels:
+            for rep in range(spec.repetitions):
+                events = np.zeros(250, TRACE_DTYPE)
+                events["measurement_index"] = np.arange(1, 251)
+                events["env"][125:] = 1
+                events["ft"] = rng.random(250)
+                events["best_ft"] = np.minimum.accumulate(events["ft"])
+                events["env_change"][125] = True
+                events["ft"][125] = events["best_ft"][125] = np.nan
+                traces[(label, rep)] = RunTrace(events, ["A", "B"])
+        bundle = ResultBundle(spec=spec, labels=smoke_bundle.labels, traces=traces)
+
+        peaks = {}
+        real_replace = os.replace
+
+        def replace_noting_peak(src, dst):
+            peaks[Path(dst).name] = tracemalloc.get_traced_memory()[1]
+            real_replace(src, dst)
+
+        # A first, untraced write leaves out what the summary's lazy imports
+        # allocate.
+        write_bundle_outputs(bundle, tmp_path)
+        monkeypatch.setattr(os, "replace", replace_noting_peak)
+        tracemalloc.start()
+        try:
+            write_bundle_outputs(bundle, tmp_path)
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "traces.csv").stat().st_size
+        assert size > 3_000_000
+        assert peaks["traces.csv"] < size / 4
+
+    def test_failure_mid_stream_keeps_the_previous_file(self, smoke_bundle, tmp_path,
+                                                        monkeypatch):
+        path = tmp_path / "traces.csv"
+        write_atomic(path, "previous\n")
+        format_rows = harness.traces_csv_text
+        last = list(smoke_bundle.traces)[-1]
+
+        def failing(label, rep, trace):
+            if (label, rep) == last:
+                assert list(tmp_path.glob(".traces.csv.*.tmp")), "not written as a stream"
+                raise RuntimeError("formatting failed")
+            return format_rows(label, rep, trace)
+
+        monkeypatch.setattr(harness, "traces_csv_text", failing)
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            write_bundle_outputs(smoke_bundle, tmp_path)
+        assert path.read_text(encoding="utf-8") == "previous\n"
+        assert not list(tmp_path.glob(".traces.csv.*.tmp"))
+
+    def test_quoted_environment_id_round_trips(self, tmp_path):
+        manifest = write_small_dataset(tmp_path)
+        text = manifest.read_text(encoding="utf-8")
+        manifest.write_text(text.replace("environment: A ", 'environment: A,"x ')
+                            .replace("leg: A ", 'leg: A,"x '), encoding="utf-8")
+        out = tmp_path / "out"
+        scenario = ["--scenario", str(manifest), "--out", str(out)]
+        assert cli_main(["run", *scenario]) == 0
+        rows = (out / "traces.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[1].startswith('lidos,0,1,"A,""x",')
+        written = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert cli_main(["summarize", *scenario]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == written
 
 
 def test_run_with_different_row_sets(tmp_path):

@@ -494,14 +494,6 @@ class TestSynthLandscape:
         for q in _one_step_neighbors(argmin_a, domain):
             assert tb.rows[q] > tb.rows[argmin_a]
 
-    def test_too_many_peaks(self):
-        with pytest.raises(ValueError, match="too small"):
-            synth_landscape(n_options=2, domain_size=2, n_peaks=5)
-
-    def test_too_few_peaks(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            synth_landscape(n_peaks=1)
-
     @pytest.mark.parametrize("width", range(1, 21))
     def test_row_sum_adds_in_numpys_row_order(self, width):
         """Summed as columns, the squared-distance terms give the bits
@@ -538,8 +530,19 @@ class TestSynthLandscape:
         ({"n_options": 4, "domain_size": 32, "n_peaks": 17},
          "--peaks 17 over 1,048,576 plans make more than the 16,777,216 plan-to-peak "
          "distances a landscape may have"),
+        ({"n_peaks": 1}, "--peaks must be at least 2, got 1"),
+        ({"n_peaks": 0}, "--peaks must be at least 2, got 0"),
+        ({"n_peaks": -3}, "--peaks must be at least 2, got -3"),
+        ({"n_options": 2, "domain_size": 2, "n_peaks": 5},
+         "--peaks 5 is more than the 4 plans of --options 2 with --domain-size 2"),
+        ({"n_options": 3, "domain_size": 4, "n_peaks": 3, "peak_shift": 3},
+         "--peak-shift 3 must not be a multiple of --peaks 3"),
+        ({"peak_shift": 40}, "--peak-shift 40 must not be a multiple of --peaks 40"),
+        ({"peak_shift": 0}, "--peak-shift 0 must not be a multiple of --peaks 40"),
     ], ids=["no-options", "negative-options", "one-value", "negative-values", "20-options",
-            "1e9-options", "over-the-plan-limit", "over-the-distance-limit"])
+            "1e9-options", "over-the-plan-limit", "over-the-distance-limit", "one-peak",
+            "no-peaks", "negative-peaks", "more-peaks-than-plans", "identity-shift",
+            "shift-of-all-peaks", "no-shift"])
     def test_bad_shape_refused_by_flag(self, shape, message):
         with pytest.raises(ValueError) as exc:
             synth_landscape(**shape)
@@ -558,10 +561,6 @@ class TestSynthLandscape:
         assert len(table) == 64
         with pytest.raises(ValueError, match="more than the 192 plan-to-peak distances"):
             synth_landscape(n_options=3, domain_size=4, n_peaks=4)
-
-    def test_identity_shift_rejected(self):
-        with pytest.raises(ValueError, match="peak_shift"):
-            synth_landscape(n_options=3, domain_size=4, n_peaks=3, peak_shift=3)
 
 
 def _one_step_neighbors(plan, domain):
