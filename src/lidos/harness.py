@@ -460,12 +460,14 @@ def summarize_bundle(bundle: ResultBundle) -> BundleSummary:
 
 
 def csv_text(header, rows) -> str:
-    """A header row and then the rows, as CSV text with bare newline line
-    ends; every CSV the program writes goes through here, or through
-    `table_pair_csv_text`, which writes the bytes this would."""
+    """A header row (none if `header` is None) and then the rows, as CSV text
+    with bare newline line ends; every CSV the program writes goes through
+    here, or through `table_pair_csv_text`, which writes the bytes this
+    would."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    if header is not None:
+        writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
 
@@ -484,22 +486,17 @@ def table_pair_csv_text(first: MeasurementTable, second: MeasurementTable) -> tu
                  for table in (first, second))
 
 
-def traces_csv_text(bundle: ResultBundle) -> str:
-    def rows(label, rep, trace):
-        events = trace.events
-        env_ids = trace.env_ids
-        values = [[repr(v) if v == v else "" for v in events[name].tolist()]
-                  for name in ("ft", "best_ft")]
-        return zip(repeat(label), repeat(rep), events["measurement_index"].tolist(),
-                   [env_ids[code] for code in events["env"].tolist()], *values,
-                   events["adaptation_sent"].view(np.uint8).tolist(),
-                   events["env_change"].view(np.uint8).tolist())
-
-    return csv_text(TRACE_HEADER, chain.from_iterable(
-        rows(label, rep, bundle.traces[(label, rep)])
-        for label in bundle.labels
-        for rep in range(bundle.spec.repetitions)
-    ))
+def traces_csv_text(label: str, rep: int, trace: RunTrace) -> str:
+    """One repetition's rows of traces.csv, without the header."""
+    events = trace.events
+    env_ids = trace.env_ids
+    values = [[repr(v) if v == v else "" for v in events[name].tolist()]
+              for name in ("ft", "best_ft")]
+    return csv_text(None, zip(
+        repeat(label), repeat(rep), events["measurement_index"].tolist(),
+        [env_ids[code] for code in events["env"].tolist()], *values,
+        events["adaptation_sent"].view(np.uint8).tolist(),
+        events["env_change"].view(np.uint8).tolist()))
 
 
 def _trace_columns(path: str | Path) -> tuple[np.ndarray, tuple]:
@@ -727,9 +724,16 @@ def trajectories_csv_text(bundle: ResultBundle) -> str:
 
 
 def write_atomic(path: str | Path, content: str) -> None:
-    """Write-then-rename so partially written outputs never appear. Each call
-    creates its own uniquely named temporary beside the target, so writers
-    into one directory never share one."""
+    """Write-then-rename so partially written outputs never appear."""
+    _write_chunks_atomic(path, (content,))
+
+
+def _write_chunks_atomic(path: str | Path, chunks) -> None:
+    """Write the strings `chunks` yields, in order, then rename, so that a
+    generated file is never held whole and never appears partly written: a
+    failure while a chunk is made or written unlinks the temporary. Each
+    call creates its own uniquely named temporary beside the target, so
+    writers into one directory never share one."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # Exclusive create under a random name rather than tempfile.mkstemp,
@@ -738,7 +742,7 @@ def write_atomic(path: str | Path, content: str) -> None:
     fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:
-            fh.write(content)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink()
@@ -776,7 +780,11 @@ def write_bundle_outputs(bundle: ResultBundle, out_dir: str | Path,
     summary = summarize_bundle(bundle)
     direction = bundle.spec.final_environment().direction
     if include_traces:
-        write_atomic(out / "traces.csv", traces_csv_text(bundle))
+        # One repetition at a time: the whole file is never one string.
+        _write_chunks_atomic(out / "traces.csv", chain(
+            [csv_text(TRACE_HEADER, ())],
+            (traces_csv_text(label, rep, bundle.traces[(label, rep)])
+             for label in bundle.labels for rep in range(bundle.spec.repetitions))))
     write_atomic(out / "trajectories.csv", trajectories_csv_text(bundle))
     write_atomic(out / "summary.csv", csv_text(
         ("planner", "median", "iqr", "direction"),

@@ -311,9 +311,10 @@ def synth_landscape(n_options: int = 6, domain_size: int = 5, n_peaks: int = 40,
     environment B. A tiny deterministic jitter breaks exact ties.
 
     A shape of fewer than one option, fewer than two values per option,
-    more than `SYNTH_MAX_PLANS` plans, or more than `SYNTH_MAX_DISTANCES`
-    plans x peaks is refused before anything is built; the error names the
-    `lidos synth` flag.
+    more than `SYNTH_MAX_PLANS` plans, fewer than two peaks or more peaks
+    than plans, more than `SYNTH_MAX_DISTANCES` plans x peaks, or a peak
+    shift that maps every peak to itself is refused before anything is
+    built; the error names the `lidos synth` flag and its value.
     """
     if n_options < 1:
         raise ValueError(f"--options must be at least 1, got {n_options}")
@@ -327,15 +328,18 @@ def synth_landscape(n_options: int = 6, domain_size: int = 5, n_peaks: int = 40,
                 f"--options {n_options} with --domain-size {domain_size} make more "
                 f"than the {SYNTH_MAX_PLANS:,} plans a landscape may have")
     if n_peaks < 2:
-        raise ValueError("n_peaks must be at least 2")
+        raise ValueError(f"--peaks must be at least 2, got {n_peaks}")
     if n_peaks > size:
-        raise ValueError(f"space too small for {n_peaks} peaks (only {size} plans)")
+        raise ValueError(
+            f"--peaks {n_peaks} is more than the {size:,} plans of --options {n_options} "
+            f"with --domain-size {domain_size}")
     if size * n_peaks > SYNTH_MAX_DISTANCES:
         raise ValueError(
             f"--peaks {n_peaks} over {size:,} plans make more than the "
             f"{SYNTH_MAX_DISTANCES:,} plan-to-peak distances a landscape may have")
     if peak_shift % n_peaks == 0:
-        raise ValueError("peak_shift must not be a multiple of n_peaks")
+        raise ValueError(
+            f"--peak-shift {peak_shift} must not be a multiple of --peaks {n_peaks}")
 
     space = ConfigSpace(
         options=tuple(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lidos import stats
+from lidos.harness import TRACE_HEADER, csv_text, traces_csv_text
 from lidos.space import ConfigSpace, OptionSpec
 from lidos.twin import CyberTwin, Environment, MeasurementTable
 
@@ -20,6 +21,15 @@ def pytest_configure(config) -> None:
     for category in ("RuntimeWarning", "ResourceWarning",
                      "pytest.PytestUnraisableExceptionWarning"):
         config.addinivalue_line("filterwarnings", f"error::{category}")
+
+
+def traces_text(bundle) -> str:
+    """The whole traces.csv text of a bundle: the header, then each
+    repetition's rows in (label, rep) order, as `write_bundle_outputs`
+    streams them."""
+    return csv_text(TRACE_HEADER, ()) + "".join(
+        traces_csv_text(label, rep, bundle.traces[(label, rep)])
+        for label in bundle.labels for rep in range(bundle.spec.repetitions))
 
 
 def dominates(a, b) -> bool:

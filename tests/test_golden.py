@@ -20,7 +20,9 @@ import pytest
 
 import lidos
 from lidos.cli import main as cli_main
-from lidos.harness import bundle_from_traces, parse_scenario, run_scenario, traces_csv_text
+from lidos.harness import bundle_from_traces, parse_scenario, run_scenario
+
+from conftest import traces_text
 
 # `lidos synth --options 5 --domain-size 6 --peaks 12 --seed 4`: 7,776 plans.
 SYNTH_ARGS = ["--options", "5", "--domain-size", "6", "--peaks", "12", "--seed", "4"]
@@ -270,10 +272,10 @@ def test_parallel_run_equals_serial(synth_dir, tmp_path, scenario):
                         SPARSE_DIGESTS["traces.csv"])
     # Compared by digest: pytest's diff of two long texts takes minutes.
     serial = run_scenario(spec, workers=1)
-    assert text_digest(traces_csv_text(serial)) == digest
+    assert text_digest(traces_text(serial)) == digest
     for workers in (2, 3):
         parallel = run_scenario(spec, workers=workers)
-        assert text_digest(traces_csv_text(parallel)) == digest
+        assert text_digest(traces_text(parallel)) == digest
 
 
 @pytest.mark.parametrize("scenario", ["dense", "sparse"])
@@ -286,7 +288,7 @@ def test_run_bundle_equals_its_read_back_traces(synth_dir, tmp_path, scenario):
         spec = parse_scenario(write_sparse_scenario(tmp_path / "inputs"))
     ran = run_scenario(spec)
     path = tmp_path / "traces.csv"
-    path.write_text(traces_csv_text(ran), encoding="utf-8")
+    path.write_text(traces_text(ran), encoding="utf-8")
     read = bundle_from_traces(spec, path)
     assert read.labels == ran.labels
     assert list(read.traces) == list(ran.traces)

@@ -28,7 +28,6 @@ from lidos.harness import (
     summarize_bundle,
     trajectories_csv_text,
     trajectory_rows,
-    traces_csv_text,
     write_atomic,
     write_bundle_outputs,
 )
@@ -37,7 +36,7 @@ from lidos.harness import ResultBundle
 from lidos.planner import TRACE_DTYPE, PlannerParams, RunTrace, derive_seed
 from lidos.twin import synth_landscape
 
-from conftest import assert_accounting
+from conftest import assert_accounting, traces_text
 
 
 def write_small_dataset(tmp_path: Path, **kwargs) -> Path:
@@ -209,7 +208,7 @@ class TestRunScenario:
         manifest = write_small_dataset(tmp_path)
         spec = parse_scenario(manifest)
         again = run_scenario(spec, PlannerParams(population_size=10))
-        assert traces_csv_text(again) == traces_csv_text(smoke_bundle)
+        assert traces_text(again) == traces_text(smoke_bundle)
 
     def test_budget_below_population_rejected(self, tmp_path):
         manifest = write_small_dataset(tmp_path)
@@ -326,7 +325,7 @@ class TestParallelRun:
 class TestSummaries:
     def test_reproducible_from_traces_alone(self, smoke_bundle, tmp_path):
         path = tmp_path / "traces.csv"
-        write_atomic(path, traces_csv_text(smoke_bundle))
+        write_atomic(path, traces_text(smoke_bundle))
         rebuilt = bundle_from_traces(smoke_bundle.spec, path)
         got = summarize_bundle(rebuilt)
         want = summarize_bundle(smoke_bundle)
@@ -357,7 +356,7 @@ class TestSummaries:
 
     def test_traces_override_manifest_repetitions(self, smoke_bundle, tmp_path):
         path = tmp_path / "traces.csv"
-        write_atomic(path, traces_csv_text(smoke_bundle))
+        write_atomic(path, traces_text(smoke_bundle))
         # Manifest says 50 repetitions, but the run was executed with 2; the
         # trace file wins.
         widened = ScenarioSpec(
@@ -381,7 +380,7 @@ class TestSummaries:
 
     def test_reading_traces_restores_the_collector(self, smoke_bundle, tmp_path):
         good, bad = tmp_path / "traces.csv", tmp_path / "bad.csv"
-        write_atomic(good, traces_csv_text(smoke_bundle))
+        write_atomic(good, traces_text(smoke_bundle))
         write_atomic(bad, "planner\n")
         spec = smoke_bundle.spec
         assert gc.isenabled()
