@@ -894,8 +894,8 @@ class TestStreamedTraces:
     """traces.csv is written one repetition at a time, never held whole."""
 
     def test_peak_memory_is_a_fraction_of_the_file(self, smoke_bundle, tmp_path, monkeypatch):
-        # 2 planners x 100 repetitions x 250 rows, about 4 MB of text in
-        # chunks of about 20 KB.
+        # 2 planners x 100 repetitions x 250 rows, about 3 MB of text in
+        # chunks of about 15 KB.
         rng = np.random.default_rng(3)
         spec = replace(smoke_bundle.spec, repetitions=100)
         traces = {}
