@@ -965,6 +965,26 @@ class TestStreamedTraces:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == written
 
 
+class TestStreamedTables:
+    """`lidos synth` frees its distance matrix before it builds the tables,
+    and writes each table a block of plans at a time."""
+
+    def test_peak_memory_is_below_the_distance_matrix(self, tmp_path):
+        # 15,625 plans x 40 peaks of float64: the 5.0 MB matrix of every
+        # plan-to-peak distance, the largest array the landscape needs.
+        matrix_bytes = 5**6 * 40 * 8
+        argv = ["synth", "--options", "6", "--domain-size", "5"]
+        # A first, untraced call leaves out what lazy imports allocate.
+        assert cli_main([*argv, "--out", str(tmp_path / "first")]) == 0
+        tracemalloc.start()
+        try:
+            assert cli_main([*argv, "--out", str(tmp_path / "traced")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * matrix_bytes
+
+
 def test_run_with_different_row_sets(tmp_path):
     """Two 4^3 tables split by the parity of sum(plan): every planner keeps
     running across the change."""
