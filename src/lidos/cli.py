@@ -6,19 +6,24 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import islice, product
 from pathlib import Path
 
 from .harness import (
     ScenarioSpec,
     WorkerLost,
+    _write_chunks_atomic,
     bundle_from_traces,
+    csv_text,
     parse_scenario,
     run_scenario,
-    table_pair_csv_text,
     write_atomic,
     write_bundle_outputs,
 )
-from .twin import synth_landscape
+from .twin import MeasurementTable, synth_landscape
+
+# Plans per block of a table's text in `lidos synth`.
+TABLE_BLOCK = 4096
 
 
 def main(argv=None, *, workers: int = 1) -> int:
@@ -123,8 +128,8 @@ def _cmd_synth(args) -> int:
         noise_seed=args.seed,
     )
     out = Path(args.out)
-    for name, text in zip(("env_a.csv", "env_b.csv"), table_pair_csv_text(table_a, table_b)):
-        write_atomic(out / name, text)
+    for name, table in (("env_a.csv", table_a), ("env_b.csv", table_b)):
+        _write_chunks_atomic(out / name, _table_chunks(table, args.domain_size))
     manifest = "\n".join(
         [
             "system: synth",
@@ -144,6 +149,26 @@ def _cmd_synth(args) -> int:
     print(f"synthetic dataset ({table_a.option_names} x {len(table_a)} plans) "
           f"and scenario manifest written in {out.resolve()}")
     return 0
+
+
+def _table_chunks(table: MeasurementTable, domain_size: int):
+    """The `csv_text` of a `synth_landscape` table: its header, and then the
+    lines of each block of `TABLE_BLOCK` plans. The rows are read in the
+    order they were built, product order, which is the sorted order. Plan
+    cells are integers and performances floats, neither of which the CSV
+    writer quotes, so the lines are joined directly; a plan's cells are
+    the cells of its first options' digits joined to those of the rest,
+    each taken from one shared list."""
+    n = len(table.option_names)
+    digits = [str(v) for v in range(domain_size)]
+    prefixes = list(map(",".join, product(digits, repeat=n - n // 2)))
+    suffixes = [",".join(("",) + tail) for tail in product(digits, repeat=n // 2)]
+    cells = map("".join, product(prefixes, suffixes))
+    values = iter(table.rows.values())
+    yield csv_text([*table.option_names, "performance"], ())
+    for _ in range(0, len(table), TABLE_BLOCK):
+        yield "".join([f"{cell},{value!r}\n" for cell, value
+                       in zip(islice(cells, TABLE_BLOCK), islice(values, TABLE_BLOCK))])
 
 
 if __name__ == "__main__":

@@ -462,28 +462,14 @@ def summarize_bundle(bundle: ResultBundle) -> BundleSummary:
 def csv_text(header, rows) -> str:
     """A header row (none if `header` is None) and then the rows, as CSV text
     with bare newline line ends; every CSV the program writes goes through
-    here, or through `table_pair_csv_text`, which writes the bytes this
-    would."""
+    here, or, for the tables of `lidos synth`, through the block writer of
+    `lidos.cli`, which writes the bytes this would."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if header is not None:
         writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def table_pair_csv_text(first: MeasurementTable, second: MeasurementTable) -> tuple[str, str]:
-    """The `csv_text` of two tables over the same plans, one line per plan in
-    sorted order. Plan cells are integers and performances floats, neither
-    of which the CSV writer quotes, so the lines are joined directly and
-    each plan's cells are formatted once for both tables."""
-    plans = sorted(first.rows)
-    header = csv_text(list(first.option_names) + ["performance"], ())
-    template = ",".join(["%s"] * len(first.option_names))
-    cells = [template % plan for plan in plans]
-    return tuple(header + "".join([f"{plan},{value!r}\n" for plan, value
-                                   in zip(cells, map(table.rows.__getitem__, plans))])
-                 for table in (first, second))
 
 
 def traces_csv_text(label: str, rep: int, trace: RunTrace) -> str:

@@ -347,16 +347,17 @@ def synth_landscape(n_options: int = 6, domain_size: int = 5, n_peaks: int = 40,
             for i in range(n_options)
         )
     )
-    plans = list(itertools.product(range(domain_size), repeat=n_options))
     rng = random.Random(noise_seed)
     values = np.arange(domain_size, dtype=float)
     # Option j's axis of the product grid, whose C order is the plans' order.
     axes = [(1,) * j + (domain_size,) + (1,) * (n_options - 1 - j) for j in range(n_options)]
 
-    def squared_distances(center: Plan) -> np.ndarray:
-        """Every plan's squared scaled distance to `center`: per option, a
-        grid of the terms ``((v - c_j) * scale_j) ** 2``, summed over the
-        product grid in the order numpy sums one row of the terms."""
+    def squared_distances(index: int) -> np.ndarray:
+        """Every plan's squared scaled distance to the plan at `index` in
+        product order: per option, a grid of the terms
+        ``((v - c_j) * scale_j) ** 2``, summed over the product grid in the
+        order numpy sums one row of the terms."""
+        center = np.unravel_index(index, (domain_size,) * n_options)
         terms = [(((values - c) * s) ** 2).reshape(axis)
                  for c, s, axis in zip(center, space.scale, axes)]
         return _row_sum(terms).reshape(-1)
@@ -365,15 +366,16 @@ def synth_landscape(n_options: int = 6, domain_size: int = 5, n_peaks: int = 40,
     # to the lexicographically lowest plan, so the layout is deterministic
     # given the seed (only the first center is drawn at random). Each
     # center's squared distances are kept as its column of `d2`.
-    d2 = np.empty((len(plans), n_peaks))
-    center_idx = [rng.randrange(len(plans))]
-    dmin = np.full(len(plans), np.inf)
+    d2 = np.empty((size, n_peaks))
+    center_idx = [rng.randrange(size)]
+    dmin = np.full(size, np.inf)
     for j in range(n_peaks):
-        column = d2[:, j] = squared_distances(plans[center_idx[j]])
+        column = d2[:, j] = squared_distances(center_idx[j])
         if j + 1 < n_peaks:
             np.minimum(dmin, np.sqrt(column), out=dmin)
             dmin[center_idx[j]] = -1.0
             center_idx.append(int(np.argmax(dmin)))
+    del column, dmin
 
     seps = np.sqrt(d2[center_idx])
     np.fill_diagonal(seps, np.inf)
@@ -385,14 +387,20 @@ def synth_landscape(n_options: int = 6, domain_size: int = 5, n_peaks: int = 40,
     np.negative(kernel, out=kernel)
     np.divide(kernel, sigma**2, out=kernel)
     np.exp(kernel, out=kernel)
+    # One product of the whole matrix per environment, as OpenBLAS splits
+    # its rows between threads by the matrix's shape; the matrix is then
+    # freed before the plans and tables are built.
+    performances = [kernel @ np.asarray([depths[(j + offset) % n_peaks]
+                                         for j in range(n_peaks)])
+                    for offset in (0, peak_shift)]
+    del d2, kernel
 
+    plans = list(itertools.product(range(domain_size), repeat=n_options))
     tables = []
     option_names = tuple(o.name for o in space.options)
-    for env_id, offset in (("A", 0), ("B", peak_shift)):
-        h = np.asarray([depths[(j + offset) % n_peaks] for j in range(n_peaks)])
-        performance = kernel @ h
+    for env_id, performance in zip("AB", performances):
         np.negative(performance, out=performance)
-        performance += np.asarray([rng.random() for _ in plans]) * 1e-9
+        performance += np.asarray([rng.random() for _ in range(size)]) * 1e-9
         env = Environment(id=env_id, direction="minimize")
         tables.append(MeasurementTable(env, option_names,
                                        dict(zip(plans, performance.tolist()))))

@@ -15,11 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lidos import harness
+from lidos import cli, harness
 from lidos.cli import main as cli_main
 from lidos.harness import (
     ScenarioSpec,
     bundle_from_traces,
+    csv_text,
     load_scenario_tables,
     parse_scenario,
     planner_labels,
@@ -983,6 +984,47 @@ class TestStreamedTables:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * matrix_bytes
+
+    @pytest.mark.parametrize("options, domain_size, blocks, rest", [
+        (1, 40, 0, 40),
+        (13, 2, 2, 0),
+        (3, 17, 1, 817),
+    ], ids=["under-one-block", "whole-blocks", "partial-last-block"])
+    def test_tables_are_their_csv_text(self, tmp_path, options, domain_size, blocks, rest):
+        assert cli_main(["synth", "--out", str(tmp_path), "--options", str(options),
+                         "--domain-size", str(domain_size), "--peaks", "5",
+                         "--seed", "4"]) == 0
+        tables = synth_landscape(n_options=options, domain_size=domain_size, n_peaks=5,
+                                 noise_seed=4)
+        for name, table in zip(("env_a.csv", "env_b.csv"), tables):
+            expected = csv_text([*table.option_names, "performance"],
+                                ([*plan, repr(table.rows[plan])] for plan in sorted(table.rows)))
+            assert (tmp_path / name).read_bytes() == expected.encode()
+            header, *chunks = cli._table_chunks(table, domain_size)
+            lines = [cli.TABLE_BLOCK] * blocks + [rest] * (rest > 0)
+            assert [chunk.count("\n") for chunk in chunks] == lines
+
+    def test_failure_in_the_last_block_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "env_b.csv"
+        write_atomic(path, "previous\n")
+        table_chunks = cli._table_chunks
+
+        def failing(table, domain_size):
+            *chunks, last = table_chunks(table, domain_size)
+            yield from chunks
+            if table.environment.id == "B":
+                assert list(tmp_path.glob(".env_b.csv.*.tmp")), "not written as a stream"
+                raise RuntimeError("formatting failed")
+            yield last
+
+        monkeypatch.setattr(cli, "_table_chunks", failing)
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            cli_main(["synth", "--out", str(tmp_path), "--options", "3",
+                      "--domain-size", "17", "--peaks", "5"])
+        assert (tmp_path / "env_a.csv").exists()
+        assert path.read_text(encoding="utf-8") == "previous\n"
+        assert not list(tmp_path.glob(".env_b.csv.*.tmp"))
+        assert not (tmp_path / "scenario.txt").exists()
 
 
 def test_run_with_different_row_sets(tmp_path):
