@@ -941,7 +941,7 @@ class TestStreamedTraces:
 
         def failing(label, rep, trace):
             if (label, rep) == last:
-                assert list(tmp_path.glob(".traces.csv.*.tmp")), "not written as a stream"
+                assert list(tmp_path.glob(".traces.csv.*.tmp")), "not written through a temporary"
                 raise RuntimeError("formatting failed")
             return format_rows(label, rep, trace)
 
@@ -1013,7 +1013,7 @@ class TestStreamedTables:
             *chunks, last = table_chunks(table, domain_size)
             yield from chunks
             if table.environment.id == "B":
-                assert list(tmp_path.glob(".env_b.csv.*.tmp")), "not written as a stream"
+                assert list(tmp_path.glob(".env_b.csv.*.tmp")), "not written through a temporary"
                 raise RuntimeError("formatting failed")
             yield last
 
