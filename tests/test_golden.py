@@ -246,18 +246,58 @@ def test_sparse_run_bytes(tmp_path):
     assert digests(out) == SPARSE_DIGESTS
 
 
+def run_program(*args: str, **env: str) -> None:
+    """Run `python -m lidos` with `args` in this process's environment plus
+    `env`, and check that it exits 0."""
+    src = str(Path(lidos.__file__).resolve().parent.parent)
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "lidos", *args], env=env,
+                          capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
+
+
 def test_program_run_bytes(synth_dir, tmp_path):
     """`python -m lidos run`, which spreads the repetitions over every CPU
     the process may use, writes the same bytes as the in-process serial run."""
     out = tmp_path / "out"
-    src = str(Path(lidos.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "lidos", "run",
-                           "--scenario", str(synth_dir / "scenario.txt"), "--out", str(out),
-                           *DENSE_ARGS], env=env, capture_output=True, text=True, check=False)
-    assert done.returncode == 0, done.stderr
+    run_program("run", "--scenario", str(synth_dir / "scenario.txt"), "--out", str(out),
+                *DENSE_ARGS)
     assert digests(out) == DENSE_DIGESTS
+
+
+# Settings that send numpy, OpenBLAS and glibc's libm down older code paths
+# than this machine's: numpy without its AVX-512 and AVX2 (x86-64-v3) loops,
+# OpenBLAS with its Prescott kernels, and glibc without AVX2, FMA and
+# AVX-512. numpy and glibc accept names of features a machine lacks, so the
+# settings can be given anywhere.
+OLD_PATHS = {
+    "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3",
+    "OPENBLAS_CORETYPE": "Prescott",
+    "GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX2_Usable,-FMA_Usable,-AVX512F",
+}
+
+
+def test_program_bytes_on_old_code_paths(tmp_path):
+    """Every pinned synth shape and the dense run give their digests when the
+    libraries below the program take their older code paths."""
+    shapes = {"default": (SYNTH_ARGS, SYNTH_DIGESTS), **SYNTH_SHAPES}
+    for shape, (flags, expected) in shapes.items():
+        run_program("synth", "--out", str(tmp_path / shape), *flags, **OLD_PATHS)
+        assert digests(tmp_path / shape) == expected, shape
+    out = tmp_path / "run"
+    run_program("run", "--scenario", str(tmp_path / "default" / "scenario.txt"),
+                "--out", str(out), *DENSE_ARGS, **OLD_PATHS)
+    assert digests(out) == DENSE_DIGESTS
+
+
+def test_synth_bytes_whatever_the_blas_thread_count(tmp_path):
+    """78,125 plans, a shape large enough for OpenBLAS to split a product's
+    rows between two threads, give the same tables on one thread and two."""
+    for threads in ("1", "2"):
+        run_program("synth", "--out", str(tmp_path / threads), "--options", "7",
+                    "--domain-size", "5", OPENBLAS_NUM_THREADS=threads)
+    assert digests(tmp_path / "1") == digests(tmp_path / "2")
 
 
 @pytest.mark.parametrize("scenario", ["dense", "sparse"])
