@@ -823,6 +823,30 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {out / 'traces.csv'}:{expected}\n"
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_a_leg_holds_less_than_its_budget_plus_one_population(self, tmp_path, capsys):
+        """A leg stops once its budget is spent, after the generation in
+        progress, so it holds fewer measurement rows than its budget plus one
+        population. A 150/150 run summarized with `leg: A 60` used to exit 0
+        and move the change flag of trajectories.csv to mark 60."""
+        manifest = write_small_dataset(tmp_path, n_options=4, domain_size=5, n_peaks=5)
+        text = manifest.read_text(encoding="utf-8").replace("leg: B 30\n", "leg: B 150\n")
+        manifest.write_text(text.replace("leg: A 30\n", "leg: A 150\n"), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_main(["run", "--scenario", str(manifest), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        rows = (out / "traces.csv").read_text(encoding="utf-8").splitlines()
+        # lidos repetition 0 comes first; its 80th measurement row is the
+        # first to reach 60 + 20.
+        (line,) = [line for line, row in enumerate(rows, 1)
+                   if row.startswith("lidos,0,80,") and row.endswith(",0,0")]
+        manifest.write_text(text.replace("leg: A 30\n", "leg: A 60\n"), encoding="utf-8")
+        capsys.readouterr()
+        assert cli_main(["summarize", "--scenario", str(manifest), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out / 'traces.csv'}:{line}: leg 1 reaches 80 measurement rows, but a "
+            "leg with a budget of 60 stops before its budget plus one population (20)\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     @pytest.mark.parametrize("damage, message", [
         # Two measurement rows of `lidos` repetition 0 trade their indices.
         (lambda rows, change: _swap_indices(rows, 4, 5),
