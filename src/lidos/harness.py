@@ -530,7 +530,8 @@ def read_traces_csv(path: str | Path, spec: ScenarioSpec
     Every environment the file names must be declared in `spec`, the
     scenario the traces were run under, and each trace must follow its legs:
     the trace holds one change row per leg after the first, a change row
-    opens the next leg, and every row is in the environment of its leg."""
+    opens the next leg, and every row is in the environment of its leg. A leg
+    holds fewer measurement rows than its budget plus one default population."""
     lines, (label_c, rep_c, index_c, env_c, ft_c, best_c, sent_c, change_c) = \
         _trace_columns(path)
     if not len(lines):
@@ -583,13 +584,15 @@ def read_traces_csv(path: str | Path, spec: ScenarioSpec
     labels, label_codes = coded(label_c)
     order = np.lexsort((reps, label_codes))
     events, label_codes, reps = events[order], label_codes[order], reps[order]
-    starts = [0, *(np.flatnonzero(np.diff(label_codes) | np.diff(reps)) + 1).tolist(), len(events)]
+    first_of_group = np.concatenate(([True], (np.diff(label_codes) | np.diff(reps)) != 0))
+    starts = [*np.flatnonzero(first_of_group).tolist(), len(events)]
     grouped_lines = lines[order]
 
-    def running_count(flags):
-        """Per row, how many rows of its group up to and including it are flagged."""
+    def running_count(flags, opens):
+        """Per row, how many rows up to and including it are flagged, counted
+        from the last row at or before it that `opens` marks."""
         total = np.cumsum(flags)
-        return total - np.repeat(np.concatenate(([0], total))[starts[:-1]], np.diff(starts))
+        return total - (total - flags)[opens][np.cumsum(opens) - 1]
 
     def first_bad(mask, message):
         """Refuse the row that comes first in the file of those `mask` flags
@@ -599,7 +602,8 @@ def read_traces_csv(path: str | Path, spec: ScenarioSpec
             at = found[np.argmin(grouped_lines[found])]
             raise ValueError(f"{path}:{grouped_lines[at]}: {message(at)}")
 
-    counted = running_count(~(events["adaptation_sent"] | events["env_change"]))
+    measured = ~(events["adaptation_sent"] | events["env_change"])
+    counted = running_count(measured, first_of_group)
     first_bad(events["measurement_index"] != counted, lambda at: (
         "measurement_index must count the trace's measurement rows: "
         f"expected {counted[at]}, got {events['measurement_index'][at]}"))
@@ -610,7 +614,7 @@ def read_traces_csv(path: str | Path, spec: ScenarioSpec
         if env_id not in declared:
             raise ValueError(f"{path}: environment {env_id!r} is not declared in the scenario")
     legs = [leg.env_id for leg in spec.legs]
-    leg_of = running_count(events["env_change"])
+    leg_of = running_count(events["env_change"], first_of_group)
     for start, end in zip(starts, starts[1:]):
         if leg_of[end - 1] != len(legs) - 1:
             raise ValueError(
@@ -621,6 +625,12 @@ def read_traces_csv(path: str | Path, spec: ScenarioSpec
     first_bad(events["env"] != leg_env[leg_of], lambda at: (
         f"environment {env_ids[events['env'][at]]!r} in leg {leg_of[at] + 1}, "
         f"where the scenario runs {legs[leg_of[at]]!r}"))
+    population = PlannerParams().population_size
+    budget = np.array([leg.measurement_budget for leg in spec.legs])[leg_of]
+    in_leg = running_count(measured, first_of_group | events["env_change"])
+    first_bad(measured & (in_leg >= budget + population), lambda at: (
+        f"leg {leg_of[at] + 1} reaches {in_leg[at]} measurement rows, but a leg with a budget "
+        f"of {budget[at]} stops before its budget plus one population ({population})"))
     return labels, traces
 
 

@@ -19,8 +19,8 @@ DIRECTIONS = ("minimize", "maximize")
 # The most plans `synth_landscape` enumerates: 13 times the 78,125 of seven
 # options of five values.
 SYNTH_MAX_PLANS = 2**20
-# The most plan-to-peak distances (plans x peaks, 8 bytes each) it keeps:
-# over 5 times the 3,125,000 of 40 peaks over those 78,125 plans.
+# The most basin values (plans x peaks) it evaluates: over 5 times the
+# 3,125,000 of 40 peaks over those 78,125 plans.
 SYNTH_MAX_DISTANCES = 2**24
 
 # Bytes of float64 distance terms one table caches per scale for its
@@ -341,65 +341,57 @@ def synth_landscape(n_options: int = 6, domain_size: int = 5, n_peaks: int = 40,
         raise ValueError(
             f"--peak-shift {peak_shift} must not be a multiple of --peaks {n_peaks}")
 
-    space = ConfigSpace(
-        options=tuple(
-            OptionSpec(name=f"o{i + 1}", domain=tuple(range(domain_size)))
-            for i in range(n_options)
-        )
-    )
     rng = random.Random(noise_seed)
-    values = np.arange(domain_size, dtype=float)
+    steps = np.arange(domain_size, dtype=np.int64)
     # Option j's axis of the product grid, whose C order is the plans' order.
     axes = [(1,) * j + (domain_size,) + (1,) * (n_options - 1 - j) for j in range(n_options)]
 
-    def squared_distances(index: int) -> np.ndarray:
-        """Every plan's squared scaled distance to the plan at `index` in
-        product order: per option, a grid of the terms
-        ``((v - c_j) * scale_j) ** 2``, summed over the product grid in the
-        order numpy sums one row of the terms."""
+    def grids(index: int, per_step: np.ndarray) -> list[np.ndarray]:
+        """Per option j, `per_step` at the step count ``|v - c_j|`` of each
+        value v to the plan at `index` in product order, along the axis of j."""
         center = np.unravel_index(index, (domain_size,) * n_options)
-        terms = [(((values - c) * s) ** 2).reshape(axis)
-                 for c, s, axis in zip(center, space.scale, axes)]
-        return _row_sum(terms).reshape(-1)
+        return [per_step[abs(steps - c)].reshape(axis) for c, axis in zip(center, axes)]
 
     # Greedy max-min placement keeps the basins well separated; argmax ties go
     # to the lexicographically lowest plan, so the layout is deterministic
-    # given the seed (only the first center is drawn at random). Each
-    # center's squared distances are kept as its column of `d2`.
-    d2 = np.empty((size, n_peaks))
+    # given the seed (only the first center is drawn at random). Distances are
+    # exact whole squared steps; each pick's `nearest` value is its distance
+    # to the closest earlier center, so the least is the closest pair's.
+    squares = steps**2
     center_idx = [rng.randrange(size)]
-    dmin = np.full(size, np.inf)
-    for j in range(n_peaks):
-        column = d2[:, j] = squared_distances(center_idx[j])
-        if j + 1 < n_peaks:
-            np.minimum(dmin, np.sqrt(column), out=dmin)
-            dmin[center_idx[j]] = -1.0
-            center_idx.append(int(np.argmax(dmin)))
-    del column, dmin
+    nearest = np.full(size, np.iinfo(np.int64).max)
+    gap = math.inf
+    while len(center_idx) < n_peaks:
+        np.minimum(nearest, sum(grids(center_idx[-1], squares)).reshape(-1), out=nearest)
+        nearest[center_idx[-1]] = -1
+        center_idx.append(int(nearest.argmax()))
+        gap = min(gap, int(nearest[center_idx[-1]]))
+    del nearest
 
-    seps = np.sqrt(d2[center_idx])
-    np.fill_diagonal(seps, np.inf)
     # Basin width relative to the closest center pair: wide enough that the
     # tails guide the search, narrow enough that basins stay distinct optima.
-    sigma = float(seps.min()) / 2.5
+    # A width of sqrt(gap) / 2.5 steps gives a basin of exp(-6.25 t / gap) at
+    # t squared steps: a product over options of `factor[|v_j - c_j|]`, each a
+    # product of exps that `decimal` computes exactly, one per set bit of the
+    # squared step count, so the bits are the same on every machine.
+    factor = np.ones(domain_size)
+    for bit in range(int(squares[-1]).bit_length()):
+        np.multiply(factor, float((Decimal(-25 << bit) / (4 * gap)).exp()), out=factor,
+                    where=(squares >> bit) & 1 == 1)
     depths = [1.0 - 0.5 * j / (n_peaks - 1) for j in range(n_peaks)]
-    kernel = d2
-    np.negative(kernel, out=kernel)
-    np.divide(kernel, sigma**2, out=kernel)
-    np.exp(kernel, out=kernel)
-    # One product of the whole matrix per environment, as OpenBLAS splits
-    # its rows between threads by the matrix's shape; the matrix is then
-    # freed before the plans and tables are built.
-    performances = [kernel @ np.asarray([depths[(j + offset) % n_peaks]
-                                         for j in range(n_peaks)])
-                    for offset in (0, peak_shift)]
-    del d2, kernel
+    performances = [np.zeros(size), np.zeros(size)]
+    for j, index in enumerate(center_idx):
+        basin = math.prod(grids(index, factor)).reshape(-1)
+        for performance, offset in zip(performances, (0, peak_shift)):
+            performance -= depths[(j + offset) % n_peaks] * basin
+    del basin
 
     plans = list(itertools.product(range(domain_size), repeat=n_options))
     tables = []
-    option_names = tuple(o.name for o in space.options)
-    for env_id, performance in zip("AB", performances):
-        np.negative(performance, out=performance)
+    option_names = tuple(f"o{i + 1}" for i in range(n_options))
+    for env_id in "AB":
+        # Popped, so that A's array is freed while B's table is built.
+        performance = performances.pop(0)
         performance += np.asarray([rng.random() for _ in range(size)]) * 1e-9
         env = Environment(id=env_id, direction="minimize")
         tables.append(MeasurementTable(env, option_names,
@@ -408,7 +400,7 @@ def synth_landscape(n_options: int = 6, domain_size: int = 5, n_peaks: int = 40,
 
 
 def _row_sum(terms: list[np.ndarray]) -> np.ndarray:
-    """The sum of `terms`, arrays that broadcast together, added in the order
+    """The sum of `terms`, arrays of one shape, added in the order
     in which numpy (2.4.6, as CI pins it) sums the n values of one contiguous
     row in ``ndarray.sum(axis=-1)``: one after another below 8 values; from
     8 up, eight running sums of every eighth value, combined pairwise, and
@@ -426,12 +418,8 @@ def _row_sum(terms: list[np.ndarray]) -> np.ndarray:
 
 
 def _add_all(total: np.ndarray, terms: list[np.ndarray]) -> np.ndarray:
-    """`total` plus each of `terms` in turn. The first add makes a new array,
-    and later adds go into it in place while it has the term's shape, so
-    neither `total` nor a term is written to."""
+    """`total` plus each of `terms`, all of one shape, in turn, into a new
+    array: neither `total` nor a term is written to."""
     for i, term in enumerate(terms):
-        if i and total.shape == term.shape:
-            np.add(total, term, out=total)
-        else:
-            total = total + term
+        total = np.add(total, term, out=total if i else None)
     return total

@@ -28,42 +28,43 @@ from conftest import traces_text
 SYNTH_ARGS = ["--options", "5", "--domain-size", "6", "--peaks", "12", "--seed", "4"]
 SYNTH_DIGESTS = {
     "env_a.csv":
-        "3df77834e44fc56bf8d40f96d56d5946b84a43fbfb6560799350bb979ecebc3f",
+        "e8ee3b23384d3da5b366f1ada4d38f0e065ed30970a3d2443452b749e7cc222c",
     "env_b.csv":
-        "3e343fa2ee9b1f3c564ccc6d686b42979f8b4060bc02687b19e4df201f9f66d0",
+        "4df43d783b68c6bf2b7a4c208f7762067b7588d14a715179d50748d7e055ecc7",
     "scenario.txt":
         "837888f1036d70afc3d60bc4807ab85b0a031a690cd569d9c5df6de92ab42c21",
 }
 
 # Shapes the default digest never reaches: the `lidos synth` flags of each,
 # and the digests of what it writes.
-# - eight options sum their squared distance terms in numpy's pairwise order,
-#   and a span of 3 makes each term inexact, so a changed order would show;
+# - eight options multiply eight basin factors per plan, in option order, so
+#   a changed order would show; distances count whole steps, so a span of 3,
+#   whose inverse is inexact, rounds none of them;
 # - a wide domain of 40 values with a shift of 3;
 # - seven values per option over four options.
 SYNTH_SHAPES = {
     "8x4": (["--options", "8", "--domain-size", "4", "--peaks", "10", "--seed", "2"], {
         "env_a.csv":
-            "51cc5925fe26a9562fc7d54151ee94f11cadddc578817984c0146f84baedf2d3",
+            "00125f12feb20ada4049a1b3df0908dbea31f56807495f29f186eb370cdc4f90",
         "env_b.csv":
-            "0ac480752f3937e29ed099baead76dea09695ae4f1fa8958a66d22e98f9eaae2",
+            "d1ead30fa53c81d0082c2d894788858e0f44e8b9f00bfe7186940ac1e194b3ff",
         "scenario.txt":
             "5af5d2a1ed1756819fe44641dbd97075e5db8ce2be42d86a79284856d3a7f1d3",
     }),
     "2x40": (["--options", "2", "--domain-size", "40", "--peaks", "7", "--peak-shift", "3",
               "--seed", "1"], {
         "env_a.csv":
-            "6b19efcb479cdbc2af8dccf94c3c31d65f25be94e89535399a90367c54d435e6",
+            "78cb55f9853704ea8971eecd672ee8d069f5246d8346ecab55317a0aa59093d6",
         "env_b.csv":
-            "fe5b4fd0ac983a5833c4474a2820cb9181b86afa556166037c59c54456951807",
+            "cb74c3da6bec1ba1a7a188a2ca539f38aed6af7a3567897061f312ceb7aa5162",
         "scenario.txt":
             "5c47999b63b1cf5c0991c415447499380ce75cf199751719ff2a9300e2dbbf07",
     }),
     "4x7": (["--options", "4", "--domain-size", "7", "--peaks", "9", "--seed", "3"], {
         "env_a.csv":
-            "c86176bf168ef05d0c9c28c504d7e1aed475563ec8ae6690467aee78aea85ee5",
+            "6d80c2ddae67487e50162c94fc738327c688701e133cbe28d2575d88f3b147c5",
         "env_b.csv":
-            "c3e5a44dec0bc2576da51efc552946d1104a74b773986a1f45f8a92a9775c495",
+            "34896a3459ff0b352976300e46cd4fcc417783b28addcc76e89c9df4058b9e54",
         "scenario.txt":
             "97d935e3c64dea3973272a6e350ee7d6621ab47c57ef4b6aa567f90d940b229f",
     }),
@@ -87,9 +88,9 @@ DENSE_DIGESTS = {
     "summary.txt":
         "d21b0b0a82c017d2a0658510997f12d70fc914acc3612a616787ab9bb847fff9",
     "traces.csv":
-        "31d7831937186145c5929bb0535722cc8311967bfdc4a621712c03bcb7cc98f1",
+        "43aa00fae2284b46bfbe08fd4f4bcd680fc1ccf2c42c3c33ec94e2fd6904da08",
     "trajectories.csv":
-        "52a8a302d3a2f93dcacfe96e6dbbb1b4c861d61b4959edaac4249a47d3c1591d",
+        "9f068a235b5fcce8ee4dcb767cf33d495db618ad09e1bc2de19fcc2b09b1c10f",
 }
 
 # Eight options, three of them with spans (3, 5, 8) whose inverse is not a
@@ -344,7 +345,7 @@ REWRITES = ("pairwise.csv", "ranks.csv", "speedups.csv", "summary.csv", "summary
 # trajectories.csv of the dense and sparse runs at `--stride 7`: the bytes the
 # retired `lidos trajectories --stride 7` wrote.
 STRIDE_7_TRAJECTORIES = {
-    "dense": "294438194475fa3e9d74ea80fa58445a6f28fcd97f63fe5dd1e60110a4382688",
+    "dense": "ea591081892f6c74d5ab5f73dd18c3e0905d1b2c1e11e3e2228b2ecb2e4793bc",
     "sparse": "2df5e38c12691601abf6f99b22d846c5420a823f517d4d4aad0e1da375894359",
 }
 

@@ -991,12 +991,13 @@ class TestStreamedTraces:
 
 
 class TestStreamedTables:
-    """`lidos synth` frees its distance matrix before it builds the tables,
+    """`lidos synth` frees its plan-long arrays before it builds the tables,
     and writes each table a block of plans at a time."""
 
     def test_peak_memory_is_below_the_distance_matrix(self, tmp_path):
-        # 15,625 plans x 40 peaks of float64: the 5.0 MB matrix of every
-        # plan-to-peak distance, the largest array the landscape needs.
+        # 15,625 plans x 40 peaks of float64: the 5.0 MB a matrix of every
+        # plan-to-peak distance would take. The landscape builds no such
+        # matrix, only arrays of one value per plan, one center at a time.
         matrix_bytes = 5**6 * 40 * 8
         argv = ["synth", "--options", "6", "--domain-size", "5"]
         # A first, untraced call leaves out what lazy imports allocate.

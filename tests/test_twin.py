@@ -506,13 +506,6 @@ class TestSynthLandscape:
         assert got.tobytes() == rows.sum(axis=1).tobytes()
         # An input may be a table's cached term, so no add may write to one.
         assert rows.tobytes() == before
-        # Broadcast terms sum to the grid the full matrix's rows give.
-        grids = [rng.random(3).reshape((1,) * j + (3,) + (1,) * (width - 1 - j))
-                 for j in range(min(width, 10))]
-        before = [grid.tobytes() for grid in grids]
-        full = np.stack(np.broadcast_arrays(*grids), axis=-1).reshape(-1, len(grids))
-        assert twin_module._row_sum(grids).reshape(-1).tobytes() == full.sum(axis=1).tobytes()
-        assert [grid.tobytes() for grid in grids] == before
 
     @pytest.mark.parametrize("shape, message", [
         ({"n_options": 0}, "--options must be at least 1, got 0"),
