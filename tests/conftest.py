@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,29 +43,36 @@ def dominates(a, b) -> bool:
     )
 
 
-def normalized_distance(space: ConfigSpace, a, b) -> float:
-    """Euclidean distance after rescaling every option to [0, 1] by its span:
-    the distance repair and the auxiliary objective are defined by."""
+def squared_distance(space: ConfigSpace, a, b) -> Fraction:
+    """The squared Euclidean distance after rescaling every option to [0, 1]
+    by its span, as an exact fraction: the distance repair and the auxiliary
+    objective are defined by. Zero-span options contribute nothing."""
     for plan in (a, b):
         if not space.validate_plan(plan):
             raise ValueError(f"plan {plan!r} is not valid in this space")
-    return math.sqrt(sum(((x - y) * s) ** 2 for x, y, s in zip(a, b, space.scale)))
+    spans = [o.span for o in space.options]
+    denominator = math.prod(s * s for s in spans if s)
+    return Fraction(sum((x - y) ** 2 * (denominator // (s * s))
+                        for x, y, s in zip(a, b, spans) if s), denominator)
 
 
 def reference_auxiliary(pool, space: ConfigSpace) -> list[float]:
     """The donor rule member by member: among the other members at minimal
     distance, the target value farthest from the member's own, ties to the
     lexicographically lowest plan, then to the earliest pool member."""
-    coords = np.asarray([s.plan for s in pool], dtype=float)
-    diff = (coords[:, None, :] - coords[None, :, :]) * np.asarray(space.scale)
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)
-    out = []
-    for i, s in enumerate(pool):
-        nearest = np.flatnonzero(dist[i] == dist[i].min())
-        donor = min((pool[j] for j in nearest), key=lambda a: (-abs(a.ft - s.ft), a.plan))
-        out.append(donor.ft)
-    return out
+    members: dict[tuple, list] = {}
+    for s in pool:
+        members.setdefault(s.plan, []).append(s)
+    nearest = {}
+    for plan, sharing in members.items():
+        # A plan that another member shares is at distance 0 from it.
+        dist = {other: squared_distance(space, plan, other) for other in members
+                if other != plan or len(sharing) > 1}
+        least = min(dist.values())
+        nearest[plan] = [other for other, d in dist.items() if d == least]
+    return [min((a for other in nearest[s.plan] for a in members[other] if a is not s),
+                key=lambda a: (-abs(a.ft - s.ft), a.plan)).ft
+            for s in pool]
 
 
 def reference_bootstrap_rejects(left, right, rng) -> bool:

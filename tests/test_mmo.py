@@ -14,7 +14,7 @@ from lidos.mmo import (
     transform,
 )
 
-from conftest import dominates, make_space, normalized_distance, reference_auxiliary
+from conftest import dominates, make_space, reference_auxiliary, squared_distance
 
 
 def scored(g1, g2):
@@ -71,26 +71,35 @@ class TestAssignAuxiliary:
             assign_auxiliary(pool, space)
             for s in pool:
                 others = [p for p in pool if p is not s]
-                dmin = min(normalized_distance(space, s.plan, p.plan) for p in others)
+                dmin = min(squared_distance(space, s.plan, p.plan) for p in others)
                 donors = {
                     p.ft
                     for p in others
-                    if normalized_distance(space, s.plan, p.plan) == dmin
+                    if squared_distance(space, s.plan, p.plan) == dmin
                 }
                 assert s.fa in donors
 
     def test_matches_member_by_member_oracle(self):
         # Grid target values and a handful of distinct plans make ties on
         # distance and on |ft difference| the rule, not the exception;
-        # single-value options have zero span.
+        # single-value options have zero span. The pools of 80 over five
+        # options of span 5 hold distances that 1/5 cannot scale exactly, so
+        # a float distance can split a true tie.
         rng = random.Random(2022)
+        cases = []
         for _ in range(10_000):
             domains = [tuple(sorted(rng.sample(range(9), rng.randint(1, 4))))
                        for _ in range(rng.randint(1, 4))]
             space = make_space(*domains)
             plans = [space.random_plan(rng) for _ in range(rng.randint(1, 12))]
-            pool = [ScoredPlan(rng.choice(plans), ft=rng.randint(-3, 3) * 0.5)
-                    for _ in range(rng.randint(2, 40))]
+            cases.append((space, [ScoredPlan(rng.choice(plans), ft=rng.randint(-3, 3) * 0.5)
+                                  for _ in range(rng.randint(2, 40))]))
+        span_five = make_space(*(tuple(range(6)),) * 5)
+        for _ in range(20):
+            cases.append((span_five, [ScoredPlan(span_five.random_plan(rng),
+                                                 ft=rng.randint(-3, 3) * 0.5)
+                                      for _ in range(80)]))
+        for space, pool in cases:
             want = reference_auxiliary(pool, space)
             assert assign_auxiliary(pool, space) is None
             assert [s.fa for s in pool] == want

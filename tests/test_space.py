@@ -1,13 +1,13 @@
 from __future__ import annotations
 
-import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from lidos.space import ConfigSpace, OptionSpec
 
-from conftest import make_space, normalized_distance
+from conftest import make_space, squared_distance
 
 
 class TestOptionSpec:
@@ -67,35 +67,35 @@ class TestRandomPlan:
 
 class TestNormalizedDistance:
     def test_identity(self, binary_pair_space):
-        assert normalized_distance(binary_pair_space, (0, 2), (0, 2)) == 0.0
+        assert squared_distance(binary_pair_space, (0, 2), (0, 2)) == 0
 
     def test_single_binary_difference(self, binary_pair_space):
-        assert normalized_distance(binary_pair_space, (0, 2), (1, 2)) == 1.0
+        assert squared_distance(binary_pair_space, (0, 2), (1, 2)) == 1
 
     def test_hand_example(self):
         space = make_space((0, 1), (1, 3, 5))
-        d = normalized_distance(space, (0, 1), (1, 3))
-        assert abs(d - math.sqrt(1.0 + 0.25)) < 1e-12
+        assert squared_distance(space, (0, 1), (1, 3)) == Fraction(5, 4)
 
     def test_invalid_plan_raises(self, binary_pair_space):
         with pytest.raises(ValueError):
-            normalized_distance(binary_pair_space, (9, 2), (0, 2))
+            squared_distance(binary_pair_space, (9, 2), (0, 2))
 
     def test_zero_span_option_contributes_nothing(self):
         space = make_space((7,), (0, 1))
-        assert normalized_distance(space, (7, 0), (7, 1)) == 1.0
+        assert squared_distance(space, (7, 0), (7, 1)) == 1
 
     def test_metric_properties(self):
         space = make_space((0, 1, 2), (0, 5, 9), (0, 1))
         rng = random.Random(99)
         for _ in range(200):
             a, b, c = (space.random_plan(rng) for _ in range(3))
-            dab = normalized_distance(space, a, b)
-            assert dab == normalized_distance(space, b, a)
-            assert normalized_distance(space, a, a) == 0.0
-            assert dab <= (
-                normalized_distance(space, a, c) + normalized_distance(space, c, b) + 1e-12
-            )
+            dab = squared_distance(space, a, b)
+            assert dab == squared_distance(space, b, a)
+            assert squared_distance(space, a, a) == 0
+            # The triangle inequality on the square roots, squared out exactly.
+            dac, dcb = squared_distance(space, a, c), squared_distance(space, c, b)
+            excess = dab - dac - dcb
+            assert excess <= 0 or excess**2 <= 4 * dac * dcb
 
     def test_affine_rescaling_invariance(self):
         base = make_space((0, 1, 2, 5), (0, 1))
@@ -107,6 +107,4 @@ class TestNormalizedDistance:
             b = base.random_plan(rng)
             a2 = (remap[a[0]], 3 + 5 * a[1])
             b2 = (remap[b[0]], 3 + 5 * b[1])
-            assert normalized_distance(base, a, b) == pytest.approx(
-                normalized_distance(scaled, a2, b2), abs=1e-12
-            )
+            assert squared_distance(base, a, b) == squared_distance(scaled, a2, b2)

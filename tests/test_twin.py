@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -18,7 +19,7 @@ from lidos.twin import (
     synth_landscape,
 )
 
-from conftest import make_space, make_table, make_twin
+from conftest import make_space, make_table, make_twin, squared_distance
 
 
 def write_csv(tmp_path, name, text):
@@ -279,17 +280,26 @@ class TestRepair:
         assert table.nearest((0, 4, 4), (0.25,) * 3) == (4, 4, 4)
 
 
-def brute_force_nearest(rows, plan, scale):
-    """Nearest measured plan by the row-wise formula over the whole table;
-    argmin takes the first minimum, so the lexicographically lowest plan wins
-    ties."""
+def brute_force_nearest(rows, plan, distance):
+    """The row nearest to `plan` under `distance(row, plan)`, computed exactly
+    over the whole table; the rows are tried in sorted order and `min` keeps
+    the first minimum, so the lexicographically lowest plan wins ties."""
+    return min(sorted(rows), key=lambda row: distance(row, plan))
+
+
+def brute_force_repair(rows, plan, space):
+    """Repair by the span-normalized distance of `space`, in exact fractions."""
+    if plan in rows:
+        return plan
+    return brute_force_nearest(rows, plan, functools.partial(squared_distance, space))
+
+
+def float_nearest(rows, plan, scale):
+    """Nearest measured plan by the row-wise float formula over the whole
+    table; argmin takes the first minimum."""
     plans = sorted(rows)
     diff = (np.asarray(plans, dtype=float) - np.asarray(plan, dtype=float)) * np.asarray(scale)
     return plans[int(np.argmin((diff * diff).sum(axis=1)))]
-
-
-def brute_force_repair(rows, plan, scale):
-    return plan if plan in rows else brute_force_nearest(rows, plan, scale)
 
 
 def random_domain(rng):
@@ -316,15 +326,13 @@ class TestRepairOracle:
             rows = {space.random_plan(rng): rng.random() for _ in range(rng.randint(1, 80))}
             twin = make_twin(space, make_table(space, rows), current="e")
             queries = [space.random_plan(rng) for _ in range(25)]
+            expected = {plan: brute_force_repair(rows, plan, space) for plan in queries}
             for plan in queries + queries[::-1]:
-                assert twin.repair(plan) == brute_force_repair(rows, plan, space.scale)
+                assert twin.repair(plan) == expected[plan]
 
     def test_tie_heavy_layouts(self):
         # Every row is the query plus a signed permutation of one step vector,
-        # so all rows lie at one distance. Summed in different orders, the
-        # float distances disagree in the last bits (numpy sums rows of 8 or
-        # more in a pairwise order); the answer is what the row-wise formula
-        # makes of them.
+        # so all rows lie at one distance, and the lowest plan must win.
         rng = random.Random(7)
         for n_options, span in ((4, 3), (7, 6), (8, 6), (9, 5), (12, 6), (16, 7)):
             space = make_space(*(tuple(range(span + 1)),) * n_options)
@@ -338,7 +346,7 @@ class TestRepairOracle:
                 if space.validate_plan(plan) and plan != query:
                     rows[plan] = 0.0
             twin = make_twin(space, make_table(space, rows), current="e")
-            expected = brute_force_repair(rows, query, space.scale)
+            expected = brute_force_repair(rows, query, space)
             assert twin.repair(query) == expected
             assert twin.repair(query) == expected
 
@@ -354,7 +362,7 @@ class TestRepairOracle:
             for env_id, rows in (("A", rows_a), ("B", rows_b), ("A", rows_a)):
                 twin.set_environment(env_id)
                 for plan in queries:
-                    assert twin.repair(plan) == brute_force_repair(rows, plan, space.scale)
+                    assert twin.repair(plan) == brute_force_repair(rows, plan, space)
 
     def test_table_answers_per_scale(self):
         rng = random.Random(5)
@@ -364,7 +372,7 @@ class TestRepairOracle:
         queries = [space.random_plan(rng) for _ in range(30)]
         for scale in (space.scale, (1.0, 1.0, 1.0), (0.0, 0.5, 1.0), space.scale):
             for plan in queries:
-                assert table.nearest(plan, scale) == brute_force_nearest(rows, plan, scale)
+                assert table.nearest(plan, scale) == float_nearest(rows, plan, scale)
 
     def test_wide_spans(self):
         # Spans of 2**20 to 2**52 with values at the domain ends: scaled to
@@ -388,7 +396,7 @@ class TestRepairOracle:
             rows[near] = rows[far] = 0.0
             table = make_table(space, rows)
             for plan in [query] + [space.random_plan(rng) for _ in range(20)]:
-                assert table.nearest(plan, space.scale) == brute_force_nearest(
+                assert table.nearest(plan, space.scale) == float_nearest(
                     rows, plan, space.scale)
             if query not in rows:
                 assert table.nearest(query, space.scale) == near
@@ -414,7 +422,7 @@ class TestRepairOracle:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 for plan in near + [space.random_plan(rng) for _ in range(10)]:
-                    assert table.nearest(plan, scale) == brute_force_nearest(rows, plan, scale)
+                    assert table.nearest(plan, scale) == float_nearest(rows, plan, scale)
 
     def test_subnormal_terms_rank_rows_the_wrong_way(self):
         # Under a scale of 1e-25 the squared distances are about 6.4e-45 for
@@ -424,7 +432,7 @@ class TestRepairOracle:
         rows = {(800, 0, 0): 0.0, (0, 590, 590): 0.0}
         table = make_table(make_space((0, 800), (0, 590), (0, 590)), rows)
         scale = (1e-25,) * 3
-        assert brute_force_nearest(rows, (0, 0, 0), scale) == (800, 0, 0)
+        assert float_nearest(rows, (0, 0, 0), scale) == (800, 0, 0)
         assert table.nearest((0, 0, 0), scale) == (800, 0, 0)
 
     @pytest.mark.parametrize("room", [0, 3])
@@ -439,7 +447,7 @@ class TestRepairOracle:
         monkeypatch.setattr(twin_module, "_TERM_CACHE_BYTES", room * itemsize * len(rows))
         for _ in range(100):
             plan = space.random_plan(rng)
-            assert table.nearest(plan, space.scale) == brute_force_nearest(rows, plan, space.scale)
+            assert table.nearest(plan, space.scale) == float_nearest(rows, plan, space.scale)
         assert sum(map(len, table._terms)) == room
         assert all(term.itemsize == itemsize for cache in table._terms
                    for term in cache.values())
@@ -459,7 +467,7 @@ class TestRepairOracle:
             plan = space.random_plan(rng)
             for scale in scales:
                 found = table.nearest(plan, scale)
-                assert found == brute_force_nearest(rows, plan, scale)
+                assert found == float_nearest(rows, plan, scale)
                 answers.add((plan, found))
         assert len(answers) > 40
 
