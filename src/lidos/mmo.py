@@ -41,7 +41,9 @@ def assign_auxiliary(pool: list[ScoredPlan], space: ConfigSpace) -> None:
     For member s, the neighbor set holds all other members at minimal
     normalized distance (all ties included, a duplicate plan alone forms the
     set). Among them the one whose target value differs most from s's wins;
-    ties on that difference go to the lexicographically lowest plan.
+    ties on that difference go to the lexicographically lowest plan. The
+    distances are the space's exact integer ones, so the pool's plans must
+    lie in `space`.
     """
     if len(pool) < 2:
         raise ValueError("auxiliary assignment needs a pool of at least 2 plans")
@@ -49,10 +51,12 @@ def assign_auxiliary(pool: list[ScoredPlan], space: ConfigSpace) -> None:
     # lexicographically lowest donor, the earliest pool member among equals.
     # Members outside the nearest set get a gap of -1, below any real one.
     order = sorted(range(len(pool)), key=lambda j: pool[j].plan)
-    coords = np.asarray([s.plan for s in pool], dtype=float)
-    diff = (coords[:, None, :] - coords[None, order, :]) * np.asarray(space.scale)
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    dist[np.arange(len(pool)), np.argsort(order)] = np.inf
+    coords = np.asarray([s.plan for s in pool], dtype=space.distance_dtype)
+    dist = sum((weight * (column[:, None] - column[order]) ** 2
+                for column, weight in zip(coords.T, space.weights) if weight),
+               np.zeros((len(pool), len(pool)), dtype=space.distance_dtype))
+    # A member is not its own neighbor: its cell lies above every distance.
+    dist[np.arange(len(pool)), np.argsort(order)] = dist.max() + 1
     ft = np.asarray([s.ft for s in pool])
     donor_ft = ft[order]
     gap = np.where(dist == dist.min(axis=1, keepdims=True),

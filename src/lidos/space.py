@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import bisect
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 Plan = tuple[int, ...]
 
@@ -42,6 +45,9 @@ class ConfigSpace:
     """Ordered set of options; the search space is their Cartesian product."""
 
     options: tuple[OptionSpec, ...]
+    # Derived from the options, in __post_init__.
+    weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    distance_dtype: type = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.options:
@@ -50,19 +56,21 @@ class ConfigSpace:
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:
             raise ValueError(f"duplicate option name(s): {sorted(dupes)}")
-        # Per-dimension scale 1/(max-min). Plan distances (repair, the
-        # auxiliary objective) are Euclidean after this rescaling, so wide
-        # integer options cannot drown out binary ones; zero-span options
-        # contribute nothing.
-        object.__setattr__(
-            self,
-            "_scale",
-            tuple(1.0 / o.span if o.span else 0.0 for o in self.options),
-        )
-
-    @property
-    def scale(self) -> tuple[float, ...]:
-        return self._scale  # type: ignore[attr-defined]
+        # Plan distances (repair, the auxiliary objective) are Euclidean after
+        # rescaling every option to [0, 1] by its span, so wide integer options
+        # cannot drown out binary ones; zero-span options contribute nothing.
+        # Times L = lcm(span**2), a squared distance is the integer
+        # sum_j weights[j] * (a_j - b_j)**2, with weights[j] = L // span_j**2
+        # (0 for a zero span): exact in any summation order.
+        lcm = math.lcm(*(o.span**2 for o in self.options if o.span))
+        object.__setattr__(self, "weights", tuple(
+            lcm // o.span**2 if o.span else 0 for o in self.options))
+        # Two plans differ by at most L per option, so every distance fits the
+        # int64 `distance_dtype` when options x L does, with one to spare, and
+        # every value does; otherwise it is object (Python ints).
+        fits = len(self.options) * lcm < 2**63 - 1 and all(
+            -(2**63) <= o.domain[0] and o.domain[-1] < 2**63 for o in self.options)
+        object.__setattr__(self, "distance_dtype", np.int64 if fits else object)
 
     def validate_plan(self, plan: Plan) -> bool:
         if len(plan) != len(self.options):

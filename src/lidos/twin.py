@@ -23,7 +23,7 @@ SYNTH_MAX_PLANS = 2**20
 # 3,125,000 of 40 peaks over those 78,125 plans.
 SYNTH_MAX_DISTANCES = 2**24
 
-# Bytes of float64 distance terms one table caches per scale for its
+# Bytes of int64 distance terms one table caches per weights for its
 # nearest-plan searches; past this, a search computes the uncached terms anew.
 _TERM_CACHE_BYTES = 16 << 20
 
@@ -73,15 +73,17 @@ class MeasurementTable:
         self.rows = rows
         self._validated_for: ConfigSpace | None = None
         # Nearest-plan search state, built on the first search: the plans in
-        # lexicographic order, their values as one contiguous float column per
-        # option, and the memo of answers. The distance terms cached per
-        # (option, value) pair, like the memo, hold for `_nearest_scale` only.
+        # lexicographic order, their values as one contiguous int64 column per
+        # option (Python ints past its range), each column's least and greatest
+        # value, and the memo of answers. The distance terms cached per (option,
+        # value) pair, like the memo, hold for `_nearest_weights` only.
         self._sorted_plans: list[Plan] = []
         self._columns: np.ndarray | None = None
-        self._terms: list[dict[float, np.ndarray]] = []
+        self._extent: list[tuple[int, int]] = []
+        self._terms: list[dict[int, np.ndarray]] = []
         self._room = 0
         self._nearest: dict[Plan, Plan] = {}
-        self._nearest_scale: tuple[float, ...] | None = None
+        self._nearest_weights: tuple[int, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -113,49 +115,58 @@ class MeasurementTable:
                     )
         self._validated_for = space
 
-    def nearest(self, plan: Plan, scale: tuple[float, ...]) -> Plan:
-        """The measured plan nearest to `plan` by Euclidean distance after
-        multiplying each option by its `scale`; ties go to the
-        lexicographically lowest plan. Answers are memoized per scale. A plan
-        or scale without one value per option raises ValueError.
+    def nearest(self, plan: Plan, weights: tuple[int, ...]) -> Plan:
+        """The measured plan nearest to `plan` by the integer distance
+        ``sum_j weights[j] * (row[j] - plan[j]) ** 2``; ties go to the
+        lexicographically lowest plan. Answers are memoized per weights. A
+        plan or weights without one value per option raises ValueError.
 
-        Each (option, value) pair's squared scaled difference to every row is
-        computed in float64 and cached, up to `_TERM_CACHE_BYTES` per scale.
-        The search adds the plan's terms in numpy's row order, so every
-        distance has the bits of the row-wise formula
-        ``(((rows - plan) * scale) ** 2).sum(axis=1)``, and the first minimum
-        is the answer.
+        Each (option, value) pair's int64 term to every row is cached, up to
+        `_TERM_CACHE_BYTES` per weights. A query whose distances could pass
+        int64 (too wide a span, or values far outside the table's) is summed
+        in Python ints. Integer sums are exact in any order, so equal distances
+        compare equal and the first minimum is the answer.
         """
         n = len(self.option_names)
-        if len(plan) != n or len(scale) != n:
+        if len(plan) != n or len(weights) != n:
             raise ValueError(
                 f"the table has {n} options, but the plan has {len(plan)} values "
-                f"and the scale {len(scale)}")
+                f"and the weights {len(weights)}")
         if self._columns is None:
             self._sorted_plans = sorted(self.rows)
-            self._columns = np.asarray(list(zip(*self._sorted_plans)), dtype=float)
-        if scale is not self._nearest_scale and scale != self._nearest_scale:
+            columns = list(zip(*self._sorted_plans))
+            self._extent = [(min(column), max(column)) for column in columns]
+            wide = any(lo < -(2**63) or hi >= 2**63 for lo, hi in self._extent)
+            self._columns = np.asarray(columns, dtype=object if wide else np.int64)
+        if weights is not self._nearest_weights and weights != self._nearest_weights:
             self._nearest = {}
             self._terms = [{} for _ in range(n)]
             self._room = _TERM_CACHE_BYTES // self._columns[0].nbytes
-            self._nearest_scale = scale
+            self._nearest_weights = weights
         found = self._nearest.get(plan)
         if found is not None:
             return found
-        dist = _row_sum(list(map(self._term, range(n), map(float, plan), scale)))
+        reach = sum(weight * max(value - lo, hi - value) ** 2
+                    for weight, value, (lo, hi) in zip(weights, plan, self._extent))
+        exact = reach >= 2**63 or self._columns.dtype == object
+        dist = np.zeros(len(self._sorted_plans), dtype=object if exact else np.int64)
+        for option, (value, weight) in enumerate(zip(plan, weights)):
+            if weight:
+                dist += (weight * (self._columns[option].astype(object) - value) ** 2
+                         if exact else self._term(option, value, weight))
         found = self._nearest[plan] = self._sorted_plans[int(dist.argmin())]
         return found
 
-    def _term(self, option: int, value: float, s: float) -> np.ndarray:
-        """The column of ``((column - value) * s) ** 2`` for one option, the
-        row-wise formula's term: cached while the cache has room, and
-        otherwise computed anew on each call."""
+    def _term(self, option: int, value: int, weight: int) -> np.ndarray:
+        """The int64 column of ``weight * (column - value) ** 2`` for one
+        option: cached while the cache has room, and otherwise computed anew
+        on each call."""
         cache = self._terms[option]
         term = cache.get(value)
         if term is None:
             term = np.subtract(self._columns[option], value)
-            np.multiply(term, s, out=term)
             np.square(term, out=term)
+            np.multiply(term, weight, out=term)
             if self._room:
                 self._room -= 1
                 cache[value] = term
@@ -297,7 +308,7 @@ class CyberTwin:
         table = self.current_table()
         if plan in table.rows:
             return plan
-        return table.nearest(plan, self.space.scale)
+        return table.nearest(plan, self.space.weights)
 
 
 def synth_landscape(n_options: int = 6, domain_size: int = 5, n_peaks: int = 40,
@@ -398,28 +409,3 @@ def synth_landscape(n_options: int = 6, domain_size: int = 5, n_peaks: int = 40,
                                        dict(zip(plans, performance.tolist()))))
     return tables[0], tables[1]
 
-
-def _row_sum(terms: list[np.ndarray]) -> np.ndarray:
-    """The sum of `terms`, arrays of one shape, added in the order
-    in which numpy (2.4.6, as CI pins it) sums the n values of one contiguous
-    row in ``ndarray.sum(axis=-1)``: one after another below 8 values; from
-    8 up, eight running sums of every eighth value, combined pairwise, and
-    then the values past the last multiple of 8 one by one. Given a matrix's
-    columns, it returns the row sums bit for bit (a row of negative zeros
-    aside, which numpy sums to +0.0). No term is written to."""
-    n = len(terms)
-    if n < 8:
-        return _add_all(terms[0], terms[1:])
-    done = n - n % 8
-    partial = [_add_all(terms[j], terms[j + 8:done:8]) for j in range(8)]
-    total = ((partial[0] + partial[1]) + (partial[2] + partial[3])) + (
-        (partial[4] + partial[5]) + (partial[6] + partial[7]))
-    return _add_all(total, terms[done:])
-
-
-def _add_all(total: np.ndarray, terms: list[np.ndarray]) -> np.ndarray:
-    """`total` plus each of `terms`, all of one shape, in turn, into a new
-    array: neither `total` nor a term is written to."""
-    for i, term in enumerate(terms):
-        total = np.add(total, term, out=total if i else None)
-    return total

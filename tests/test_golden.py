@@ -78,19 +78,19 @@ DENSE_SUMMARIZE_ARGS = ["--seed", "5"]
 DENSE_OVERRIDES = {"repetitions": "11", "seed": "5"}
 DENSE_DIGESTS = {
     "pairwise.csv":
-        "95386c23d303d341cb3380ab7fe052b726f756c08974c42248d15e924720dd9f",
+        "e05f91c15f10b8752f23134d38b8d82c5c6d5dc594f530f5f141f2b570d4010e",
     "ranks.csv":
-        "d0a5be3ef56259c34aea75c8fb2de2b74737206be7f4cb24fd164a037945c9f1",
+        "a242c61e37eacbadde56833c1a4d2d500df9b88d26788089b6572a19de36c6a5",
     "speedups.csv":
-        "7bd0a3c9550ab36ff76dc49a3706684f75d537e883ee7217ab891e61227aab23",
+        "5334a40282b0d2663f6407e211d4fb7eb0ba661df52e2c1b29921c8b79adfb7a",
     "summary.csv":
-        "8c697b35f9c9aa8497c1b4ee75c36a4766085e150326c12f76411106a86d6665",
+        "135656c449c1e19fe46b14a9dcf1a5ce0163384c0867a0e41d89cd9226b06ef9",
     "summary.txt":
-        "d21b0b0a82c017d2a0658510997f12d70fc914acc3612a616787ab9bb847fff9",
+        "582e7fffd29eaa84cfd2d0f0b91283b4385c174174da474ace8a1b3494a2fd0d",
     "traces.csv":
-        "43aa00fae2284b46bfbe08fd4f4bcd680fc1ccf2c42c3c33ec94e2fd6904da08",
+        "f130ff254b4a551251c925b663463c8092fb7023cb04a7472cd95a52e9165baf",
     "trajectories.csv":
-        "9f068a235b5fcce8ee4dcb767cf33d495db618ad09e1bc2de19fcc2b09b1c10f",
+        "9dc6442f1df3f042c856cb966433535940e44e9ed4aabebfeede33e77bccab4f",
 }
 
 # Eight options, three of them with spans (3, 5, 8) whose inverse is not a
@@ -345,7 +345,7 @@ REWRITES = ("pairwise.csv", "ranks.csv", "speedups.csv", "summary.csv", "summary
 # trajectories.csv of the dense and sparse runs at `--stride 7`: the bytes the
 # retired `lidos trajectories --stride 7` wrote.
 STRIDE_7_TRAJECTORIES = {
-    "dense": "ea591081892f6c74d5ab5f73dd18c3e0905d1b2c1e11e3e2228b2ecb2e4793bc",
+    "dense": "08bb47974f652c0f7ebbc22d6ba89a28279a3e8e4af47e74d38d61926ca3856c",
     "sparse": "2df5e38c12691601abf6f99b22d846c5420a823f517d4d4aad0e1da375894359",
 }
 

@@ -43,21 +43,22 @@ def baseline(request, tmp_path_factory):
     return manifest, directions, run(manifest, directory / "out")
 
 
-def run_transformed(manifest, tmp_path, env_id, transform, flip=False) -> dict[str, str]:
-    """Run a copy of the scenario whose table `env_id` has gone through
-    `transform` (data lines to data lines), with that environment's direction
-    flipped if asked."""
+def run_transformed(manifest, tmp_path, env_ids, transform, flip=False) -> dict[str, str]:
+    """Run a copy of the scenario whose tables `env_ids` have gone through
+    `transform` (data lines to data lines), with those environments'
+    directions flipped if asked."""
     inputs = tmp_path / "inputs"
     shutil.copytree(manifest.parent, inputs)
-    table = inputs / TABLES[env_id]
-    header, *data = table.read_text(encoding="utf-8").splitlines(keepends=True)
-    table.write_text(header + "".join(transform(data)), encoding="utf-8")
-    if flip:
-        text = (inputs / manifest.name).read_text(encoding="utf-8")
-        line = next(line for line in text.splitlines() if f" {TABLES[env_id]} " in line)
-        direction = line.rsplit(" ", 1)[1]
-        text = text.replace(line, line.replace(direction, FLIPPED[direction]))
-        (inputs / manifest.name).write_text(text, encoding="utf-8")
+    for env_id in env_ids:
+        table = inputs / TABLES[env_id]
+        header, *data = table.read_text(encoding="utf-8").splitlines(keepends=True)
+        table.write_text(header + "".join(transform(data)), encoding="utf-8")
+        if flip:
+            text = (inputs / manifest.name).read_text(encoding="utf-8")
+            line = next(line for line in text.splitlines() if f" {TABLES[env_id]} " in line)
+            direction = line.rsplit(" ", 1)[1]
+            text = text.replace(line, line.replace(direction, FLIPPED[direction]))
+            (inputs / manifest.name).write_text(text, encoding="utf-8")
     return run(inputs / manifest.name, tmp_path / "out")
 
 
@@ -93,7 +94,7 @@ def test_negating_a_table_and_flipping_its_direction(baseline, tmp_path, env_id)
     and the speedups; every value in the table's units changes sign, and the
     ranks stay."""
     manifest, directions, before = baseline
-    after = run_transformed(manifest, tmp_path, env_id, map_performance(lambda v: -v),
+    after = run_transformed(manifest, tmp_path, [env_id], map_performance(lambda v: -v),
                             flip=True)
     for name in ("traces.csv", "pairwise.csv", "speedups.csv"):
         assert after[name] == before[name], name
@@ -135,7 +136,7 @@ def test_doubling_a_table(baseline, tmp_path, env_id):
     take the same paths: that environment's `ft` and `best_ft` double, and
     the tests, speedups and rank order stay."""
     manifest, _, before = baseline
-    after = run_transformed(manifest, tmp_path, env_id, map_performance(lambda v: 2 * v))
+    after = run_transformed(manifest, tmp_path, [env_id], map_performance(lambda v: 2 * v))
     for name in ("pairwise.csv", "speedups.csv"):
         assert after[name] == before[name], name
     assert [(r["planner"], r["rank"]) for r in rows(after["ranks.csv"])] == \
@@ -170,4 +171,21 @@ def test_shuffling_a_tables_rows(baseline, tmp_path, env_id):
         random.Random(5).shuffle(data)
         return data
 
-    assert run_transformed(manifest, tmp_path, env_id, shuffled) == before
+    assert run_transformed(manifest, tmp_path, [env_id], shuffled) == before
+
+
+def test_rescaling_every_options_values(baseline, tmp_path):
+    """Plan distances are taken after scaling each option to [0, 1] by its
+    span, so a map ``v -> a_j * v + b_j`` with ``a_j > 0`` of every option's
+    values in both tables moves no distance, no tie and no plan order: every
+    output file keeps its bytes."""
+    manifest, _, before = baseline
+    scales, offsets = (3, 7, 1, 10, 2, 1, 3, 5), (-4, 0, 11, 2, -1, 5, 0, 3)
+
+    def rescaled(data):
+        for line in data:
+            *plan, value = line.split(",")
+            yield ",".join([str(a * int(v) + b) for a, b, v in zip(scales, offsets, plan)]
+                           + [value])
+
+    assert run_transformed(manifest, tmp_path, sorted(TABLES), rescaled) == before

@@ -84,7 +84,7 @@ class TestAssignAuxiliary:
         # distance and on |ft difference| the rule, not the exception;
         # single-value options have zero span. The pools of 80 over five
         # options of span 5 hold distances that 1/5 cannot scale exactly, so
-        # a float distance can split a true tie.
+        # a float distance could split a true tie.
         rng = random.Random(2022)
         cases = []
         for _ in range(10_000):
@@ -99,6 +99,14 @@ class TestAssignAuxiliary:
             cases.append((span_five, [ScoredPlan(span_five.random_plan(rng),
                                                  ft=rng.randint(-3, 3) * 0.5)
                                       for _ in range(80)]))
+        # Four options times L = lcm(span**2) pass 2**63 only between the two
+        # far corners, whose int64 distance would wrap.
+        spans = (107, 169, 217, 387)
+        corners = make_space(*((0, 1, s // 2, s - 1, s) for s in spans))
+        for _ in range(5):
+            plans = [(0, 0, 0, 0), spans] + [corners.random_plan(rng) for _ in range(18)]
+            cases.append((corners, [ScoredPlan(plan, ft=rng.randint(-3, 3) * 0.5)
+                                    for plan in plans]))
         for space, pool in cases:
             want = reference_auxiliary(pool, space)
             assert assign_auxiliary(pool, space) is None

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lidos.space import ConfigSpace, OptionSpec
@@ -65,15 +67,30 @@ class TestRandomPlan:
         assert abs(ones / 10_000 - 0.5) <= 0.02
 
 
+def integer_distance(space: ConfigSpace, a, b) -> Fraction:
+    """The space's integer distance of `a` and `b` over the L it is scaled
+    by: every option of nonzero span has weight times span squared equal to
+    L (1 when every span is zero)."""
+    (scale,) = {w * o.span**2 for w, o in zip(space.weights, space.options) if o.span} or {1}
+    return Fraction(sum(w * (x - y) ** 2 for w, x, y in zip(space.weights, a, b)), scale)
+
+
 class TestNormalizedDistance:
+    """`ConfigSpace.weights` give the span-normalized squared distance of the
+    exact `squared_distance` helper."""
+
     def test_identity(self, binary_pair_space):
+        assert integer_distance(binary_pair_space, (0, 2), (0, 2)) == 0
         assert squared_distance(binary_pair_space, (0, 2), (0, 2)) == 0
 
     def test_single_binary_difference(self, binary_pair_space):
+        assert integer_distance(binary_pair_space, (0, 2), (1, 2)) == 1
         assert squared_distance(binary_pair_space, (0, 2), (1, 2)) == 1
 
     def test_hand_example(self):
         space = make_space((0, 1), (1, 3, 5))
+        assert space.weights == (16, 1)
+        assert integer_distance(space, (0, 1), (1, 3)) == Fraction(5, 4)
         assert squared_distance(space, (0, 1), (1, 3)) == Fraction(5, 4)
 
     def test_invalid_plan_raises(self, binary_pair_space):
@@ -82,7 +99,24 @@ class TestNormalizedDistance:
 
     def test_zero_span_option_contributes_nothing(self):
         space = make_space((7,), (0, 1))
+        assert space.weights == (0, 1)
+        assert integer_distance(space, (7, 0), (7, 1)) == 1
         assert squared_distance(space, (7, 0), (7, 1)) == 1
+        assert make_space((7,), (3,)).weights == (0, 0)
+
+    def test_least_integer_weights(self):
+        # L is the least common multiple of the squared spans, not a multiple.
+        for domains in (((0, 1, 2), (0, 5, 9), (0, 1)), ((0, 6), (0, 10), (0, 15)),
+                        ((0, 4), (2, 6), (-3, 5))):
+            weights = make_space(*domains).weights
+            assert all(type(w) is int for w in weights)
+            assert math.gcd(*weights) == 1
+
+    def test_distance_dtype(self):
+        assert make_space((0, 1, 2), (0, 5, 9)).distance_dtype is np.int64
+        # Four options times L pass 2**63; so does a value.
+        assert make_space((0, 107), (0, 169), (0, 217), (0, 387)).distance_dtype is object
+        assert make_space((0, 1), (2**63, 2**63 + 1)).distance_dtype is object
 
     def test_metric_properties(self):
         space = make_space((0, 1, 2), (0, 5, 9), (0, 1))
@@ -90,6 +124,7 @@ class TestNormalizedDistance:
         for _ in range(200):
             a, b, c = (space.random_plan(rng) for _ in range(3))
             dab = squared_distance(space, a, b)
+            assert integer_distance(space, a, b) == dab
             assert dab == squared_distance(space, b, a)
             assert squared_distance(space, a, a) == 0
             # The triangle inequality on the square roots, squared out exactly.
@@ -108,3 +143,4 @@ class TestNormalizedDistance:
             a2 = (remap[a[0]], 3 + 5 * a[1])
             b2 = (remap[b[0]], 3 + 5 * b[1])
             assert squared_distance(base, a, b) == squared_distance(scaled, a2, b2)
+            assert integer_distance(base, a, b) == integer_distance(scaled, a2, b2)

@@ -4,7 +4,6 @@ import functools
 import itertools
 import math
 import random
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -273,11 +272,11 @@ class TestRepair:
     def test_nearest_rejects_wrong_lengths(self):
         space = make_space((0, 4), (0, 4), (0, 4))
         table = make_table(space, {(0, 0, 0): 1.0, (4, 4, 4): 2.0})
-        with pytest.raises(ValueError, match="plan has 1 values and the scale 3"):
-            table.nearest((4,), (0.25,) * 3)
-        with pytest.raises(ValueError, match="plan has 3 values and the scale 1"):
-            table.nearest((0, 4, 4), (0.25,))
-        assert table.nearest((0, 4, 4), (0.25,) * 3) == (4, 4, 4)
+        with pytest.raises(ValueError, match="plan has 1 values and the weights 3"):
+            table.nearest((4,), (1,) * 3)
+        with pytest.raises(ValueError, match="plan has 3 values and the weights 1"):
+            table.nearest((0, 4, 4), (1,))
+        assert table.nearest((0, 4, 4), (1,) * 3) == (4, 4, 4)
 
 
 def brute_force_nearest(rows, plan, distance):
@@ -294,12 +293,9 @@ def brute_force_repair(rows, plan, space):
     return brute_force_nearest(rows, plan, functools.partial(squared_distance, space))
 
 
-def float_nearest(rows, plan, scale):
-    """Nearest measured plan by the row-wise float formula over the whole
-    table; argmin takes the first minimum."""
-    plans = sorted(rows)
-    diff = (np.asarray(plans, dtype=float) - np.asarray(plan, dtype=float)) * np.asarray(scale)
-    return plans[int(np.argmin((diff * diff).sum(axis=1)))]
+def weighted(weights):
+    """The distance ``sum_j weights[j] * (a[j] - b[j]) ** 2`` in Python ints."""
+    return lambda a, b: sum(w * (x - y) ** 2 for w, x, y in zip(weights, a, b))
 
 
 def random_domain(rng):
@@ -370,16 +366,16 @@ class TestRepairOracle:
         rows = {space.random_plan(rng): 0.0 for _ in range(12)}
         table = make_table(space, rows)
         queries = [space.random_plan(rng) for _ in range(30)]
-        for scale in (space.scale, (1.0, 1.0, 1.0), (0.0, 0.5, 1.0), space.scale):
+        for weights in (space.weights, (1, 1, 1), (0, 1, 4), space.weights):
             for plan in queries:
-                assert table.nearest(plan, scale) == float_nearest(rows, plan, scale)
+                assert table.nearest(plan, weights) == brute_force_nearest(
+                    rows, plan, weighted(weights))
 
     def test_wide_spans(self):
-        # Spans of 2**20 to 2**52 with values at the domain ends: scaled to
-        # [0, 1], neighbouring values differ by as little as 2**-52, so rows
-        # can lie at distances that differ only in their last bits. Each
-        # table also holds a pair around the middle of the first option,
-        # `mid - d - 1` and `mid + d` with d = span / 4 >= 2**34, whose
+        # Spans of 2**20 to 2**52 with values at the domain ends, so L =
+        # lcm(span**2) reaches 2**104 and the distances are summed in Python
+        # ints. Each table also holds a pair around the middle of the first
+        # option, `mid - d - 1` and `mid + d` with d = span / 4 >= 2**34, whose
         # distances differ by about 2/d relative: the lexicographically lower
         # one is farther.
         rng = random.Random(52)
@@ -395,45 +391,47 @@ class TestRepairOracle:
             near, far = (3 * spans[0] // 4,) + query[1:], (spans[0] // 4 - 1,) + query[1:]
             rows[near] = rows[far] = 0.0
             table = make_table(space, rows)
+            distance = functools.partial(squared_distance, space)
             for plan in [query] + [space.random_plan(rng) for _ in range(20)]:
-                assert table.nearest(plan, space.scale) == float_nearest(
-                    rows, plan, space.scale)
+                assert table.nearest(plan, space.weights) == brute_force_nearest(
+                    rows, plan, distance)
             if query not in rows:
-                assert table.nearest(query, space.scale) == near
+                assert table.nearest(query, space.weights) == near
 
-    @pytest.mark.parametrize("choices", [(1e-25,), (1e20,), (1e20, 1.0, 1e-25, 0.0)],
-                             ids=["subnormal", "overflow", "mixed"])
-    def test_extreme_caller_scales(self, choices):
-        # With values up to 2**21, a scale of 1e-25 makes terms from 1e-50 to
-        # about 4e-38, subnormal or zero in single precision, and 1e20 makes
-        # terms of up to about 4e52, past its range; mixed, one row's terms
-        # span over 100 orders of magnitude. Neither may warn.
-        rng = random.Random(len(choices))
-        for _ in range(40):
-            n_options = rng.randint(1, 8)
-            space = make_space(*(tuple(sorted(rng.sample(range(2**21), rng.randint(1, 6))))
-                                 for _ in range(n_options)))
-            rows = {space.random_plan(rng): 0.0 for _ in range(rng.randint(1, 60))}
-            scale = tuple(rng.choice(choices) for _ in range(n_options))
-            table = make_table(space, rows)
-            near = [tuple(v if rng.random() < 0.7 else q
-                          for v, q in zip(row, space.random_plan(rng)))
-                    for row in rng.sample(sorted(rows), min(10, len(rows)))]
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                for plan in near + [space.random_plan(rng) for _ in range(10)]:
-                    assert table.nearest(plan, scale) == float_nearest(rows, plan, scale)
+    def test_spans_just_past_int64(self):
+        # Spans 107, 169, 217 and 387 make L = lcm(span**2) about 2.3e18: one
+        # term fits int64, but four options times L pass 2**63 by about
+        # 0.01%. Only the two far corners are that far apart, so a query at
+        # one corner sums in Python ints and most others in int64; a wrapped
+        # int64 sum would make the far corner the nearest row.
+        spans = (107, 169, 217, 387)
+        assert 2**63 < len(spans) * math.lcm(*(s * s for s in spans)) < 2**63 * 1.001
+        space = make_space(*((0, 1, s // 3, s // 2, s - 1, s) for s in spans))
+        rng = random.Random(63)
+        rows = {space.random_plan(rng): 0.0 for _ in range(300)}
+        rows[spans] = 0.0
+        table = make_table(space, rows)
+        distance = functools.partial(squared_distance, space)
+        for plan in [(0, 0, 0, 0), spans] + [space.random_plan(rng) for _ in range(100)]:
+            assert table.nearest(plan, space.weights) == brute_force_nearest(
+                rows, plan, distance)
 
-    def test_subnormal_terms_rank_rows_the_wrong_way(self):
-        # Under a scale of 1e-25 the squared distances are about 6.4e-45 for
-        # (800, 0, 0) and 7.0e-45 for (0, 590, 590), a few single precision
-        # subnormals each: a search that rounded its terms to single
-        # precision would make the second row nearer.
-        rows = {(800, 0, 0): 0.0, (0, 590, 590): 0.0}
-        table = make_table(make_space((0, 800), (0, 590), (0, 590)), rows)
-        scale = (1e-25,) * 3
-        assert float_nearest(rows, (0, 0, 0), scale) == (800, 0, 0)
-        assert table.nearest((0, 0, 0), scale) == (800, 0, 0)
+    def test_values_outside_the_table_are_exact(self):
+        # Query values far outside the domain, and a table whose values pass
+        # int64: int64 terms would wrap or fail to convert, so these sum in
+        # Python ints and answer exactly.
+        space = make_space((0, 1, 2, 3), (0, 5, 10))
+        rows = {(0, 0): 0.0, (1, 5): 0.0, (2, 0): 0.0, (3, 10): 0.0}
+        table = make_table(space, rows)
+        for plan in [(2**32, 0), (-(2**32), 10), (3, 2**40), (-(2**62), 2**62),
+                     (2**70, -(2**70)), (1, 5), (2, 5)]:
+            assert table.nearest(plan, space.weights) == brute_force_nearest(
+                rows, plan, weighted(space.weights))
+        wide = {(2**70, 0): 0.0, (2**70 + 3, 10): 0.0, (-(2**70), 5): 0.0}
+        table = make_table(space, wide)
+        for plan in [(2**70 + 1, 5), (0, 0), (-(2**70) - 1, 10), (2**70 + 2, 0)]:
+            assert table.nearest(plan, (1, 1)) == brute_force_nearest(
+                wide, plan, weighted((1, 1)))
 
     @pytest.mark.parametrize("room", [0, 3])
     def test_terms_past_the_cache_limit(self, monkeypatch, room):
@@ -443,31 +441,33 @@ class TestRepairOracle:
         space = make_space(*(tuple(range(0, 9 * k + 1, k)) for k in (1, 3, 7, 100)))
         rows = {space.random_plan(rng): 0.0 for _ in range(200)}
         table = make_table(space, rows)
-        itemsize = np.dtype(float).itemsize
+        itemsize = np.dtype(np.int64).itemsize
         monkeypatch.setattr(twin_module, "_TERM_CACHE_BYTES", room * itemsize * len(rows))
+        distance = functools.partial(squared_distance, space)
         for _ in range(100):
             plan = space.random_plan(rng)
-            assert table.nearest(plan, space.scale) == float_nearest(rows, plan, space.scale)
+            assert table.nearest(plan, space.weights) == brute_force_nearest(
+                rows, plan, distance)
         assert sum(map(len, table._terms)) == room
-        assert all(term.itemsize == itemsize for cache in table._terms
+        assert all(term.dtype == np.int64 for cache in table._terms
                    for term in cache.values())
 
     def test_term_cache_follows_the_scale(self):
-        # The same (option, value) pairs are searched under scales that weigh
-        # the options differently, one query at a time across all scales, so
-        # a term kept from the previous scale gives a wrong answer.
+        # The same (option, value) pairs are searched under weights that weigh
+        # the options differently, one query at a time across all weights, so
+        # a term kept from the previous weights gives a wrong answer.
         rng = random.Random(8)
         space = make_space((0, 1, 2, 3, 4), (0, 2, 5, 9), (1, 2, 4, 8, 9), (0, 3))
         rows = {space.random_plan(rng): 0.0 for _ in range(25)}
         table = make_table(space, rows)
-        scales = (space.scale, (1.0, 0.01, 0.01, 0.01), (0.01, 1.0, 0.5, 0.0),
-                  (0.0, 0.0, 0.01, 1.0))
+        all_weights = (space.weights, (10_000, 1, 1, 1), (1, 10_000, 2_500, 0),
+                       (0, 0, 1, 10_000))
         answers = set()
         for _ in range(40):
             plan = space.random_plan(rng)
-            for scale in scales:
-                found = table.nearest(plan, scale)
-                assert found == float_nearest(rows, plan, scale)
+            for weights in all_weights:
+                found = table.nearest(plan, weights)
+                assert found == brute_force_nearest(rows, plan, weighted(weights))
                 answers.add((plan, found))
         assert len(answers) > 40
 
@@ -501,19 +501,6 @@ class TestSynthLandscape:
         domain = sorted({p[0] for p in ta.rows})
         for q in _one_step_neighbors(argmin_a, domain):
             assert tb.rows[q] > tb.rows[argmin_a]
-
-    @pytest.mark.parametrize("width", range(1, 21))
-    def test_row_sum_adds_in_numpys_row_order(self, width):
-        """Summed as columns, the squared-distance terms give the bits
-        ``ndarray.sum(axis=1)`` gives: past 8 columns numpy adds pairwise, so
-        a plain left-to-right sum would differ in the last bit."""
-        rng = np.random.default_rng(width)
-        rows = rng.random((2000, width)) * 10.0 ** rng.integers(-8, 8, (2000, width))
-        before = rows.tobytes()
-        got = twin_module._row_sum(list(rows.T))
-        assert got.tobytes() == rows.sum(axis=1).tobytes()
-        # An input may be a table's cached term, so no add may write to one.
-        assert rows.tobytes() == before
 
     @pytest.mark.parametrize("shape, message", [
         ({"n_options": 0}, "--options must be at least 1, got 0"),
