@@ -41,9 +41,8 @@ def assign_auxiliary(pool: list[ScoredPlan], space: ConfigSpace) -> None:
     For member s, the neighbor set holds all other members at minimal
     normalized distance (all ties included, a duplicate plan alone forms the
     set). Among them the one whose target value differs most from s's wins;
-    ties on that difference go to the lexicographically lowest plan. The
-    distances are the space's exact integer ones, so the pool's plans must
-    lie in `space`.
+    ties on that difference go to the lexicographically lowest plan. Plans
+    must lie in `space`, whose integer distances are exact.
     """
     if len(pool) < 2:
         raise ValueError("auxiliary assignment needs a pool of at least 2 plans")

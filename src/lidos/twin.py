@@ -73,10 +73,10 @@ class MeasurementTable:
         self.rows = rows
         self._validated_for: ConfigSpace | None = None
         # Nearest-plan search state, built on the first search: the plans in
-        # lexicographic order, their values as one contiguous int64 column per
-        # option (Python ints past its range), each column's least and greatest
-        # value, and the memo of answers. The distance terms cached per (option,
-        # value) pair, like the memo, hold for `_nearest_weights` only.
+        # lexicographic order, their values as one int64 column per option
+        # (Python ints past its range), each column's extent, and the memo of
+        # answers. The terms cached per (option, value) pair, like the memo,
+        # hold for `_nearest_weights` only.
         self._sorted_plans: list[Plan] = []
         self._columns: np.ndarray | None = None
         self._extent: list[tuple[int, int]] = []
@@ -122,10 +122,9 @@ class MeasurementTable:
         plan or weights without one value per option raises ValueError.
 
         Each (option, value) pair's int64 term to every row is cached, up to
-        `_TERM_CACHE_BYTES` per weights. A query whose distances could pass
-        int64 (too wide a span, or values far outside the table's) is summed
-        in Python ints. Integer sums are exact in any order, so equal distances
-        compare equal and the first minimum is the answer.
+        `_TERM_CACHE_BYTES` per weights. A query with a term past int64 over
+        the options (too wide a span, or a value far outside the table's) sums
+        in Python ints. Exact in any order, the first minimum is the answer.
         """
         n = len(self.option_names)
         if len(plan) != n or len(weights) != n:
@@ -146,24 +145,26 @@ class MeasurementTable:
         found = self._nearest.get(plan)
         if found is not None:
             return found
-        reach = sum(weight * max(value - lo, hi - value) ** 2
-                    for weight, value, (lo, hi) in zip(weights, plan, self._extent))
-        exact = reach >= 2**63 or self._columns.dtype == object
-        dist = np.zeros(len(self._sorted_plans), dtype=object if exact else np.int64)
-        for option, (value, weight) in enumerate(zip(plan, weights)):
-            if weight:
-                dist += (weight * (self._columns[option].astype(object) - value) ** 2
-                         if exact else self._term(option, value, weight))
+        terms = list(map(self._term, range(n), plan, weights))
+        if any(term is None for term in terms):
+            terms = [weight * (column - value) ** 2 for column, value, weight
+                     in zip(self._columns.astype(object), plan, weights)]
+        dist = terms[0].copy()
+        for term in terms[1:]:
+            dist += term
         found = self._nearest[plan] = self._sorted_plans[int(dist.argmin())]
         return found
 
-    def _term(self, option: int, value: int, weight: int) -> np.ndarray:
-        """The int64 column of ``weight * (column - value) ** 2`` for one
-        option: cached while the cache has room, and otherwise computed anew
-        on each call."""
+    def _term(self, option: int, value: int, weight: int) -> np.ndarray | None:
+        """The column of ``weight * (column - value) ** 2`` for one option,
+        cached while the cache has room; None if a term could pass int64 over
+        the options (a zero weight counts as 1, so the difference fits too)."""
         cache = self._terms[option]
         term = cache.get(value)
         if term is None:
+            reach = max(weight, 1) * max(abs(value - end) for end in self._extent[option]) ** 2
+            if reach > (2**63 - 1) // len(self._terms):
+                return None
             term = np.subtract(self._columns[option], value)
             np.square(term, out=term)
             np.multiply(term, weight, out=term)

@@ -417,21 +417,22 @@ class TestRepairOracle:
                 rows, plan, distance)
 
     def test_values_outside_the_table_are_exact(self):
-        # Query values far outside the domain, and a table whose values pass
-        # int64: int64 terms would wrap or fail to convert, so these sum in
-        # Python ints and answer exactly.
-        space = make_space((0, 1, 2, 3), (0, 5, 10))
-        rows = {(0, 0): 0.0, (1, 5): 0.0, (2, 0): 0.0, (3, 10): 0.0}
+        # Query values far outside the domain (the zero-span option's too),
+        # and a table whose values pass int64: int64 terms would wrap or fail
+        # to convert, so these sum in Python ints and answer exactly.
+        space = make_space((0, 1, 2, 3), (0, 5, 10), (7,))
+        rows = {(0, 0, 7): 0.0, (1, 5, 7): 0.0, (2, 0, 7): 0.0, (3, 10, 7): 0.0}
         table = make_table(space, rows)
-        for plan in [(2**32, 0), (-(2**32), 10), (3, 2**40), (-(2**62), 2**62),
-                     (2**70, -(2**70)), (1, 5), (2, 5)]:
+        for plan in [(2**32, 0, 7), (-(2**32), 10, 7), (3, 2**40, 7), (-(2**62), 2**62, 7),
+                     (2**70, -(2**70), 7), (1, 5, 2**70), (2, 5, -(2**64)), (2, 5, 7)]:
             assert table.nearest(plan, space.weights) == brute_force_nearest(
                 rows, plan, weighted(space.weights))
-        wide = {(2**70, 0): 0.0, (2**70 + 3, 10): 0.0, (-(2**70), 5): 0.0}
+        wide = {(2**70, 0, 7): 0.0, (2**70 + 3, 10, 7): 0.0, (2**70 + 1, 5, 7): 0.0}
         table = make_table(space, wide)
-        for plan in [(2**70 + 1, 5), (0, 0), (-(2**70) - 1, 10), (2**70 + 2, 0)]:
-            assert table.nearest(plan, (1, 1)) == brute_force_nearest(
-                wide, plan, weighted((1, 1)))
+        for plan in [(2**70 + 2, 5, 7), (0, 0, 7), (-(2**70), 10, 7), (2**70 + 2, 0, 7),
+                     (2**70 + 2, 5, 7)]:
+            assert table.nearest(plan, (1, 1, 1)) == brute_force_nearest(
+                wide, plan, weighted((1, 1, 1)))
 
     @pytest.mark.parametrize("room", [0, 3])
     def test_terms_past_the_cache_limit(self, monkeypatch, room):
