@@ -7,8 +7,6 @@ import math
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 Plan = tuple[int, ...]
 
 
@@ -47,7 +45,7 @@ class ConfigSpace:
     options: tuple[OptionSpec, ...]
     # Derived from the options, in __post_init__.
     weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    distance_dtype: type = field(init=False, repr=False, compare=False)
+    distance_dtype: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.options:
@@ -66,11 +64,11 @@ class ConfigSpace:
         object.__setattr__(self, "weights", tuple(
             lcm // o.span**2 if o.span else 0 for o in self.options))
         # Two plans differ by at most L per option, so every distance fits the
-        # int64 `distance_dtype` when options x L does, with one to spare, and
-        # every value does; otherwise it is object (Python ints).
+        # numpy dtype `distance_dtype` "int64" when options x L does, with one
+        # to spare, and every value does; otherwise it is "object" (Python ints).
         fits = len(self.options) * lcm < 2**63 - 1 and all(
             -(2**63) <= o.domain[0] and o.domain[-1] < 2**63 for o in self.options)
-        object.__setattr__(self, "distance_dtype", np.int64 if fits else object)
+        object.__setattr__(self, "distance_dtype", "int64" if fits else "object")
 
     def validate_plan(self, plan: Plan) -> bool:
         if len(plan) != len(self.options):

@@ -4,7 +4,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from lidos.space import ConfigSpace, OptionSpec
@@ -113,10 +112,10 @@ class TestNormalizedDistance:
             assert math.gcd(*weights) == 1
 
     def test_distance_dtype(self):
-        assert make_space((0, 1, 2), (0, 5, 9)).distance_dtype is np.int64
+        assert make_space((0, 1, 2), (0, 5, 9)).distance_dtype == "int64"
         # Four options times L pass 2**63; so does a value.
-        assert make_space((0, 107), (0, 169), (0, 217), (0, 387)).distance_dtype is object
-        assert make_space((0, 1), (2**63, 2**63 + 1)).distance_dtype is object
+        assert make_space((0, 107), (0, 169), (0, 217), (0, 387)).distance_dtype == "object"
+        assert make_space((0, 1), (2**63, 2**63 + 1)).distance_dtype == "object"
 
     def test_metric_properties(self):
         space = make_space((0, 1, 2), (0, 5, 9), (0, 1))
