@@ -23,8 +23,8 @@ SYNTH_MAX_PLANS = 2**20
 # 3,125,000 of 40 peaks over those 78,125 plans.
 SYNTH_MAX_DISTANCES = 2**24
 
-# Bytes of int64 distance terms one table caches per weights for its
-# nearest-plan searches; past this, a search computes the uncached terms anew.
+# Bytes of distance terms one table caches per space for its nearest-plan
+# searches; past this, a search computes the uncached terms anew.
 _TERM_CACHE_BYTES = 16 << 20
 
 
@@ -72,18 +72,16 @@ class MeasurementTable:
         self.option_names = option_names
         self.rows = rows
         self._validated_for: ConfigSpace | None = None
-        # Nearest-plan search state, built on the first search: the plans in
-        # lexicographic order, their values as one int64 column per option
-        # (Python ints past its range), each column's extent, and the memo of
-        # answers. The terms cached per (option, value) pair, like the memo,
-        # hold for `_nearest_weights` only.
+        # Nearest-plan search state, built per space searched under: the plans
+        # in lexicographic order, their values as one column per option in the
+        # space's distance dtype, the terms cached per (option, value) pair,
+        # and the memo of answers.
         self._sorted_plans: list[Plan] = []
         self._columns: np.ndarray | None = None
-        self._extent: list[tuple[int, int]] = []
         self._terms: list[dict[int, np.ndarray]] = []
         self._room = 0
         self._nearest: dict[Plan, Plan] = {}
-        self._nearest_weights: tuple[int, ...] | None = None
+        self._nearest_space: ConfigSpace | None = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -115,56 +113,51 @@ class MeasurementTable:
                     )
         self._validated_for = space
 
-    def nearest(self, plan: Plan, weights: tuple[int, ...]) -> Plan:
+    def nearest(self, plan: Plan, space: ConfigSpace) -> Plan:
         """The measured plan nearest to `plan` by the integer distance
-        ``sum_j weights[j] * (row[j] - plan[j]) ** 2``; ties go to the
-        lexicographically lowest plan. Answers are memoized per weights. A
-        plan or weights without one value per option raises ValueError.
+        ``sum_j space.weights[j] * (row[j] - plan[j]) ** 2``; ties go to the
+        lexicographically lowest plan. Answers are memoized per space.
 
-        Each (option, value) pair's int64 term to every row is cached, up to
-        `_TERM_CACHE_BYTES` per weights. A query with a term past int64 over
-        the options (too wide a span, or a value far outside the table's) sums
-        in Python ints. Exact in any order, the first minimum is the answer.
+        The rows must be plans of `space`, and `plan` must hold one value per
+        option within that option's [min, max]; otherwise this raises
+        ValueError. So every term and distance fits `space.distance_dtype`,
+        the dtype of the columns and of each (option, value) pair's term to
+        every row, cached up to `_TERM_CACHE_BYTES` per space. Exact in any
+        order, the first minimum is the answer.
         """
-        n = len(self.option_names)
-        if len(plan) != n or len(weights) != n:
-            raise ValueError(
-                f"the table has {n} options, but the plan has {len(plan)} values "
-                f"and the weights {len(weights)}")
-        if self._columns is None:
+        if space is not self._nearest_space and space != self._nearest_space:
+            self.validate_space(space)
             self._sorted_plans = sorted(self.rows)
-            columns = list(zip(*self._sorted_plans))
-            self._extent = [(min(column), max(column)) for column in columns]
-            wide = any(lo < -(2**63) or hi >= 2**63 for lo, hi in self._extent)
-            self._columns = np.asarray(columns, dtype=object if wide else np.int64)
-        if weights is not self._nearest_weights and weights != self._nearest_weights:
-            self._nearest = {}
-            self._terms = [{} for _ in range(n)]
+            self._columns = np.asarray(list(zip(*self._sorted_plans)),
+                                       dtype=space.distance_dtype)
+            self._terms = [{} for _ in space.options]
             self._room = _TERM_CACHE_BYTES // self._columns[0].nbytes
-            self._nearest_weights = weights
+            self._nearest = {}
+            self._nearest_space = space
         found = self._nearest.get(plan)
         if found is not None:
             return found
-        terms = list(map(self._term, range(n), plan, weights))
-        if any(term is None for term in terms):
-            terms = [weight * (column - value) ** 2 for column, value, weight
-                     in zip(self._columns.astype(object), plan, weights)]
+        if len(plan) != len(space.options):
+            raise ValueError(f"plan {plan!r} does not hold one value for each of the "
+                             f"space's {len(space.options)} options")
+        terms = list(map(self._term, range(len(plan)), plan, space.weights))
         dist = terms[0].copy()
         for term in terms[1:]:
             dist += term
         found = self._nearest[plan] = self._sorted_plans[int(dist.argmin())]
         return found
 
-    def _term(self, option: int, value: int, weight: int) -> np.ndarray | None:
+    def _term(self, option: int, value: int, weight: int) -> np.ndarray:
         """The column of ``weight * (column - value) ** 2`` for one option,
-        cached while the cache has room; None if a term could pass int64 over
-        the options (a zero weight counts as 1, so the difference fits too)."""
+        cached while the cache has room; a value outside the option's [min,
+        max] raises ValueError."""
         cache = self._terms[option]
         term = cache.get(value)
         if term is None:
-            reach = max(weight, 1) * max(abs(value - end) for end in self._extent[option]) ** 2
-            if reach > (2**63 - 1) // len(self._terms):
-                return None
+            spec = self._nearest_space.options[option]
+            if not spec.domain[0] <= value <= spec.domain[-1]:
+                raise ValueError(f"value {value} of option {spec.name!r} is outside its "
+                                 f"[min, max], [{spec.domain[0]}, {spec.domain[-1]}]")
             term = np.subtract(self._columns[option], value)
             np.square(term, out=term)
             np.multiply(term, weight, out=term)
@@ -309,7 +302,7 @@ class CyberTwin:
         table = self.current_table()
         if plan in table.rows:
             return plan
-        return table.nearest(plan, self.space.weights)
+        return table.nearest(plan, self.space)
 
 
 def synth_landscape(n_options: int = 6, domain_size: int = 5, n_peaks: int = 40,

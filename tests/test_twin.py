@@ -272,11 +272,22 @@ class TestRepair:
     def test_nearest_rejects_wrong_lengths(self):
         space = make_space((0, 4), (0, 4), (0, 4))
         table = make_table(space, {(0, 0, 0): 1.0, (4, 4, 4): 2.0})
-        with pytest.raises(ValueError, match="plan has 1 values and the weights 3"):
-            table.nearest((4,), (1,) * 3)
-        with pytest.raises(ValueError, match="plan has 3 values and the weights 1"):
-            table.nearest((0, 4, 4), (1,))
-        assert table.nearest((0, 4, 4), (1,) * 3) == (4, 4, 4)
+        for plan in [(4,), (0, 4), (0, 4, 4, 0)]:
+            with pytest.raises(ValueError, match="for each of the space's 3 options"):
+                table.nearest(plan, space)
+        assert table.nearest((0, 4, 4), space) == (4, 4, 4)
+
+    def test_nearest_rejects_values_outside_the_space(self):
+        # Every value must lie within its option's [min, max]; a value between
+        # two domain values is within it. The rows must be plans of the space.
+        space = make_space((0, 4), (0, 4), (0, 4))
+        table = make_table(space, {(0, 0, 0): 1.0, (4, 4, 4): 2.0})
+        for plan in [(5, 4, 4), (0, -1, 4), (0, 4, 2**70), (-(2**70), 0, 0)]:
+            with pytest.raises(ValueError, match=r"outside its \[min, max\]"):
+                table.nearest(plan, space)
+        assert table.nearest((1, 3, 3), space) == (4, 4, 4)
+        with pytest.raises(ValueError, match="outside the config space"):
+            table.nearest((0, 0, 0), make_space((0, 4), (0, 3), (0, 4)))
 
 
 def brute_force_nearest(rows, plan, distance):
@@ -360,16 +371,25 @@ class TestRepairOracle:
                 for plan in queries:
                     assert twin.repair(plan) == brute_force_repair(rows, plan, space)
 
-    def test_table_answers_per_scale(self):
-        rng = random.Random(5)
-        space = make_space((0, 1, 2, 3), (0, 2, 5), (1, 2, 4, 8, 9))
-        rows = {space.random_plan(rng): 0.0 for _ in range(12)}
-        table = make_table(space, rows)
-        queries = [space.random_plan(rng) for _ in range(30)]
-        for weights in (space.weights, (1, 1, 1), (0, 1, 4), space.weights):
-            for plan in queries:
-                assert table.nearest(plan, weights) == brute_force_nearest(
-                    rows, plan, weighted(weights))
+    def test_one_table_serves_two_spaces(self):
+        # The spaces differ only in their domain ends, so in their weights.
+        # Each query is searched under both, alternately, so a term or an
+        # answer kept from the other space gives a wrong one.
+        rng = random.Random(8)
+        narrow = make_space((0, 1, 2, 3, 4), (0, 2, 5, 9), (1, 2, 4, 8, 9), (0, 3))
+        wide = make_space((-40, 0, 1, 2, 3, 4), (0, 2, 5, 9), (1, 2, 4, 8, 9, 300), (0, 3))
+        rows = {narrow.random_plan(rng): 0.0 for _ in range(25)}
+        table = make_table(narrow, rows)
+        answers = set()
+        for _ in range(40):
+            plan = narrow.random_plan(rng)
+            for space in (narrow, wide):
+                found = table.nearest(plan, space)
+                assert found == brute_force_repair(rows, plan, space)
+                answers.add((plan, found))
+            plan = wide.random_plan(rng)
+            assert table.nearest(plan, wide) == brute_force_repair(rows, plan, wide)
+        assert len(answers) > 40
 
     def test_wide_spans(self):
         # Spans of 2**20 to 2**52 with values at the domain ends, so L =
@@ -393,46 +413,47 @@ class TestRepairOracle:
             table = make_table(space, rows)
             distance = functools.partial(squared_distance, space)
             for plan in [query] + [space.random_plan(rng) for _ in range(20)]:
-                assert table.nearest(plan, space.weights) == brute_force_nearest(
+                assert table.nearest(plan, space) == brute_force_nearest(
                     rows, plan, distance)
             if query not in rows:
-                assert table.nearest(query, space.weights) == near
+                assert table.nearest(query, space) == near
 
     def test_spans_just_past_int64(self):
         # Spans 107, 169, 217 and 387 make L = lcm(span**2) about 2.3e18: one
         # term fits int64, but four options times L pass 2**63 by about
-        # 0.01%. Only the two far corners are that far apart, so a query at
-        # one corner sums in Python ints and most others in int64; a wrapped
-        # int64 sum would make the far corner the nearest row.
+        # 0.01%, so the space's distances are Python ints. Only the two far
+        # corners are that far apart; a wrapped int64 sum would make the far
+        # corner the nearest row.
         spans = (107, 169, 217, 387)
         assert 2**63 < len(spans) * math.lcm(*(s * s for s in spans)) < 2**63 * 1.001
         space = make_space(*((0, 1, s // 3, s // 2, s - 1, s) for s in spans))
+        assert space.distance_dtype == "object"
         rng = random.Random(63)
         rows = {space.random_plan(rng): 0.0 for _ in range(300)}
         rows[spans] = 0.0
         table = make_table(space, rows)
         distance = functools.partial(squared_distance, space)
         for plan in [(0, 0, 0, 0), spans] + [space.random_plan(rng) for _ in range(100)]:
-            assert table.nearest(plan, space.weights) == brute_force_nearest(
+            assert table.nearest(plan, space) == brute_force_nearest(
                 rows, plan, distance)
 
     def test_values_outside_the_table_are_exact(self):
-        # Query values far outside the domain (the zero-span option's too),
-        # and a table whose values pass int64: int64 terms would wrap or fail
-        # to convert, so these sum in Python ints and answer exactly.
-        space = make_space((0, 1, 2, 3), (0, 5, 10), (7,))
-        rows = {(0, 0, 7): 0.0, (1, 5, 7): 0.0, (2, 0, 7): 0.0, (3, 10, 7): 0.0}
+        # A table whose values pass int64, under a space that reaches 2**70
+        # past them on both sides: the distances are Python ints, and answer
+        # exactly. Values outside the space are refused.
+        space = make_space((-(2**70), 0, 2**70, 2**70 + 1, 2**70 + 3, 2**71),
+                           (0, 5, 10), (7,))
+        assert space.distance_dtype == "object"
+        rows = {(2**70, 0, 7): 0.0, (2**70 + 3, 10, 7): 0.0, (2**70 + 1, 5, 7): 0.0}
         table = make_table(space, rows)
-        for plan in [(2**32, 0, 7), (-(2**32), 10, 7), (3, 2**40, 7), (-(2**62), 2**62, 7),
-                     (2**70, -(2**70), 7), (1, 5, 2**70), (2, 5, -(2**64)), (2, 5, 7)]:
-            assert table.nearest(plan, space.weights) == brute_force_nearest(
-                rows, plan, weighted(space.weights))
-        wide = {(2**70, 0, 7): 0.0, (2**70 + 3, 10, 7): 0.0, (2**70 + 1, 5, 7): 0.0}
-        table = make_table(space, wide)
         for plan in [(2**70 + 2, 5, 7), (0, 0, 7), (-(2**70), 10, 7), (2**70 + 2, 0, 7),
-                     (2**70 + 2, 5, 7)]:
-            assert table.nearest(plan, (1, 1, 1)) == brute_force_nearest(
-                wide, plan, weighted((1, 1, 1)))
+                     (2**71, 3, 7), (2**70 + 2, 5, 7)]:
+            assert table.nearest(plan, space) == brute_force_nearest(
+                rows, plan, weighted(space.weights))
+        for plan in [(2**71 + 1, 5, 7), (-(2**70) - 1, 5, 7), (2**70, 11, 7), (2**70, 5, 8),
+                     (2**70, 5, 2**70)]:
+            with pytest.raises(ValueError, match=r"outside its \[min, max\]"):
+                table.nearest(plan, space)
 
     @pytest.mark.parametrize("room", [0, 3])
     def test_terms_past_the_cache_limit(self, monkeypatch, room):
@@ -447,31 +468,11 @@ class TestRepairOracle:
         distance = functools.partial(squared_distance, space)
         for _ in range(100):
             plan = space.random_plan(rng)
-            assert table.nearest(plan, space.weights) == brute_force_nearest(
+            assert table.nearest(plan, space) == brute_force_nearest(
                 rows, plan, distance)
         assert sum(map(len, table._terms)) == room
         assert all(term.dtype == np.int64 for cache in table._terms
                    for term in cache.values())
-
-    def test_term_cache_follows_the_scale(self):
-        # The same (option, value) pairs are searched under weights that weigh
-        # the options differently, one query at a time across all weights, so
-        # a term kept from the previous weights gives a wrong answer.
-        rng = random.Random(8)
-        space = make_space((0, 1, 2, 3, 4), (0, 2, 5, 9), (1, 2, 4, 8, 9), (0, 3))
-        rows = {space.random_plan(rng): 0.0 for _ in range(25)}
-        table = make_table(space, rows)
-        all_weights = (space.weights, (10_000, 1, 1, 1), (1, 10_000, 2_500, 0),
-                       (0, 0, 1, 10_000))
-        answers = set()
-        for _ in range(40):
-            plan = space.random_plan(rng)
-            for weights in all_weights:
-                found = table.nearest(plan, weights)
-                assert found == brute_force_nearest(rows, plan, weighted(weights))
-                answers.add((plan, found))
-        assert len(answers) > 40
-
 
 class TestSynthLandscape:
     def test_deterministic(self):
