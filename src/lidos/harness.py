@@ -388,8 +388,13 @@ class PairwiseRow:
 
 @dataclass(frozen=True)
 class SpeedupRow:
+    """Post-change speedups of lidos against one baseline: one value per
+    repetition, infinite where lidos never matched the baseline's best (a
+    miss); the median over the matched repetitions (None if none matched)
+    and the count of misses."""
     label: str
-    median: float
+    median: float | None
+    misses: int
     values: tuple[float, ...]
 
 
@@ -439,12 +444,14 @@ def summarize_bundle(bundle: ResultBundle) -> BundleSummary:
                 speedup(bundle.traces[(label, rep)], bundle.traces[("lidos", rep)])
                 for rep in range(spec.repetitions)
             )
-            # statistics.median keeps infinite ratios (never-caught-up runs)
-            # well-defined; percentile interpolation would produce NaN.
+            # A miss is a repetition lidos lost, not an infinite win, so it
+            # stays out of the median and is counted on its own.
+            matched = [value for value in values if value != math.inf]
             speedups.append(
                 SpeedupRow(
                     label=label,
-                    median=float(statistics.median(values)),
+                    median=float(statistics.median(matched)) if matched else None,
+                    misses=len(values) - len(matched),
                     values=values,
                 )
             )
@@ -763,9 +770,12 @@ def render_text_summary(summary: BundleSummary, spec: ScenarioSpec) -> str:
             lines.append(f"  vs {row.label:<16} p={row.p_value:.4g} A12={row.effect:.3f}")
     if summary.speedups:
         lines.append("")
-        lines.append("post-change speedup of lidos (median over repetitions):")
+        lines.append("post-change speedup of lidos (median over the repetitions where it "
+                     "matched the baseline's best):")
         for row in summary.speedups:
-            lines.append(f"  vs {row.label:<16} {row.median:g}x")
+            ratio = "no ratio" if row.median is None else f"{row.median:g}x"
+            lines.append(f"  vs {row.label:<16} {ratio} (missed {row.misses} of "
+                         f"{len(row.values)})")
     lines.append("")
     return "\n".join(lines)
 

@@ -86,7 +86,7 @@ DENSE_DIGESTS = {
     "summary.csv":
         "135656c449c1e19fe46b14a9dcf1a5ce0163384c0867a0e41d89cd9226b06ef9",
     "summary.txt":
-        "582e7fffd29eaa84cfd2d0f0b91283b4385c174174da474ace8a1b3494a2fd0d",
+        "08a238beda440b0861cb1262e7ea24ca19ea380174799c70773f4a3cb91fe10d",
     "traces.csv":
         "f130ff254b4a551251c925b663463c8092fb7023cb04a7472cd95a52e9165baf",
     "trajectories.csv":
@@ -110,7 +110,7 @@ SPARSE_DIGESTS = {
     "summary.csv":
         "028678d8162e50462935c802d8461194a4baee8ac986f41be4b71004412b41b5",
     "summary.txt":
-        "1d1da1af104d13074cd46830e46a0039e3c0da1aa330f9c98e7aadbed48f96d5",
+        "8066ea0ae200b937c8227bba506073b45dde571be0d93f9c238c40cbf91d952c",
     "traces.csv":
         "bd6a8da3d11927e8f0cba94daae46c53be06d27776dc567bd8aaa83d24daca90",
     "trajectories.csv":
@@ -132,7 +132,7 @@ SPARSE_VARIANTS = {
         "summary.csv":
             "8a75699016b44c2fb8c3cc11ff0830e57f562844c161be9d1640997123399010",
         "summary.txt":
-            "826dc4e755fac055fe167ad62ab360e200fe9a1f52153702240701680cd53b76",
+            "189a58a36bf4407978f6913f8559fe522228eadf384256967d294a102af89f75",
         "traces.csv":
             "33e898aed04933465c983515d06bca34096bee163d82a5fd1a534ff21360fbe4",
         "trajectories.csv":
@@ -167,7 +167,7 @@ SPARSE_VARIANTS = {
         "summary.csv":
             "d46694cef663e5812934697b978a242ec7242a8905fe70d5634eca0f2863be33",
         "summary.txt":
-            "4b4339e879556b0423080327692cccfc4ff096d9bbf7aa4f257dc7caf3e59e2f",
+            "1e984d956556acea92aea89344c15611555f889bc88d06d3a7493912ec1601f1",
         "traces.csv":
             "61e2229964698aed917e7b164ce6d73e30a8d858d78e99ebe3f80932c2e73f75",
         "trajectories.csv":

@@ -5,6 +5,7 @@ import csv
 import gc
 import io
 import itertools
+import math
 import os
 import random
 import re
@@ -323,6 +324,25 @@ class TestParallelRun:
         assert not out.exists()
 
 
+def post_change_bundle(spec, posts) -> ResultBundle:
+    """A bundle of lidos against stationary, one repetition per (baseline,
+    lidos) pair of post-change values in `posts`; each trace holds one
+    measurement in leg A, the change, and its post-change values in leg B."""
+    def trace(post):
+        trace = RunTrace()
+        trace.record(1, "A", 5.0, 5.0)
+        trace.record(1, "B", env_change=True)
+        for i, ft in enumerate(post, 2):
+            trace.record(i, "B", ft, min(post[:i - 1]))
+        return trace
+
+    traces = {}
+    for rep, (base, lidos) in enumerate(posts):
+        traces[("lidos", rep)], traces[("stationary", rep)] = trace(lidos), trace(base)
+    return ResultBundle(spec=replace(spec, repetitions=len(posts)),
+                        labels=("lidos", "stationary"), traces=traces)
+
+
 class TestSummaries:
     def test_reproducible_from_traces_alone(self, smoke_bundle, tmp_path):
         path = tmp_path / "traces.csv"
@@ -355,30 +375,30 @@ class TestSummaries:
         assert summary.pairwise[0].effect == 1.0
         assert {e.label: e.rank for e in summary.ranks} == {"lidos": 1, "stationary": 2}
 
-    @pytest.mark.xfail(strict=True, reason="a repetition lidos never matched counts as an "
-                       "infinite win in the median speedup")
     def test_a_lost_repetition_is_no_win(self, smoke_bundle, tmp_path):
         """In both repetitions lidos never reaches the baseline's post-change
         best, so neither the summary nor summary.txt may report a speedup
         above 1."""
-        def fabricated_trace(post_best):
-            trace = RunTrace()
-            trace.record(1, "A", 5.0, 5.0)
-            trace.record(1, "B", env_change=True)
-            trace.record(2, "B", post_best, post_best)
-            return trace
-
-        spec = replace(smoke_bundle.spec, repetitions=2)
-        traces = {}
-        for rep in range(spec.repetitions):
-            traces[("lidos", rep)] = fabricated_trace(9.0)
-            traces[("stationary", rep)] = fabricated_trace(1.0)
-        bundle = ResultBundle(spec=spec, labels=("lidos", "stationary"), traces=traces)
+        bundle = post_change_bundle(smoke_bundle.spec, [([1.0], [9.0])] * 2)
         (row,) = write_bundle_outputs(bundle, tmp_path).speedups
         assert row.median is None or row.median <= 1
         text = (tmp_path / "summary.txt").read_text(encoding="utf-8")
-        ratios = re.findall(r"(\S+)x$", text.split("post-change speedup")[1], re.MULTILINE)
+        ratios = re.findall(r"(\S+)x\b", text.split("post-change speedup")[1])
         assert all(float(ratio) <= 1 for ratio in ratios)
+        assert "  vs stationary       no ratio (missed 2 of 2)\n" in text
+
+    def test_speedup_median_leaves_misses_out(self, smoke_bundle, tmp_path):
+        # The baseline first reaches its best, 1.0, at its second measurement;
+        # lidos matches it at its first (2.0), at its fourth (0.5), or never.
+        bundle = post_change_bundle(smoke_bundle.spec, [
+            ([3.0, 1.0], [1.0]), ([3.0, 1.0], [9.0]),
+            ([3.0, 1.0], [2.0, 2.0, 2.0, 1.0]), ([3.0, 1.0], [1.5, 1.2])])
+        (row,) = write_bundle_outputs(bundle, tmp_path).speedups
+        assert row.values == (2.0, math.inf, 0.5, math.inf)
+        assert (row.median, row.misses) == (1.25, 2)
+        assert "  vs stationary       1.25x (missed 2 of 4)\n" in (
+            tmp_path / "summary.txt").read_text(encoding="utf-8")
+        assert "stationary,1,inf\n" in (tmp_path / "speedups.csv").read_text(encoding="utf-8")
 
     def test_traces_override_manifest_repetitions(self, smoke_bundle, tmp_path):
         path = tmp_path / "traces.csv"
