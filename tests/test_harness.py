@@ -835,6 +835,38 @@ class TestCli:
             assert capsys.readouterr().err == (
                 f"error: {path}: environment 'C' is not declared in the scenario\n")
 
+    @pytest.mark.parametrize("label", ["foo", "lidos@1", "lidos@02", "lidos@x", "lidos@",
+                                       "stationary@2@2", "Lidos", ""])
+    @pytest.mark.xfail(strict=True, reason="summarize takes any trace label")
+    def test_unknown_planner_label_in_traces_exits_2(self, tmp_path, capsys, label):
+        """A trace label that no planner list gives is refused at its first
+        row; `foo` rows used to be summarized like any planner's."""
+        manifest = write_small_dataset(tmp_path)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--scenario", str(manifest), "--out", str(out)]) == 0
+        path = out / "traces.csv"
+        header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        first = next(i for i, row in enumerate(rows, 2) if row.startswith("stationary,"))
+        rows = [re.sub(r"^stationary,", f"{label},", row) for row in rows]
+        path.write_text(header + "".join(rows), encoding="utf-8")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert cli_main(["summarize", "--scenario", str(manifest), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:{first}: unknown planner label {label!r}\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("planners", ["lidos,lidos,stationary,lidos", "stationary",
+                                          "pseudo_dynamic,lidos_sta"])
+    def test_every_label_a_planner_list_gives_summarizes(self, tmp_path, planners):
+        manifest = write_small_dataset(tmp_path)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--scenario", str(manifest), "--out", str(out),
+                         "--planners", planners, "--repetitions", "1"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert cli_main(["summarize", "--scenario", str(manifest), "--out", str(out)]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     @pytest.mark.parametrize("run_legs, summarize_legs, message", [
         # A minimized then B maximized, summarized as B then A: it used to exit
         # 0 with every summary.csv value negated and labelled `minimize`.
