@@ -534,7 +534,9 @@ def read_traces_csv(path: str | Path, spec: ScenarioSpec
     it. Rows of one (planner, rep) keep their file order, also when rows of
     other keys come between them.
 
-    Every environment the file names must be declared in `spec`, the
+    Every label must be one that some planner list gives (see
+    `planner_labels`). Every environment the file names must be declared in
+    `spec`, the
     scenario the traces were run under, and each trace must follow its legs:
     the trace holds one change row per leg after the first, a change row
     opens the next leg, and every row is in the environment of its leg. A leg
@@ -587,8 +589,16 @@ def read_traces_csv(path: str | Path, spec: ScenarioSpec
                 f"an environment-change row leaves {name} empty")
     env_ids, events["env"] = coded(env_c)
 
-    # Group by (label, rep); the sort is stable, so each group keeps file order.
+    # Each label is one `planner_labels` gives: a kind, or a kind with the
+    # suffix @n (n >= 2, no leading zero) of its n-th listing.
     labels, label_codes = coded(label_c)
+    for code, label in enumerate(labels):
+        kind, at, n = label.partition("@")
+        if kind not in PLANNER_KINDS or at and not (
+                n.isascii() and n.isdigit() and n[0] != "0" and int(n) >= 2):
+            bad(label_codes == code, f"unknown planner label {label!r}")
+
+    # Group by (label, rep); the sort is stable, so each group keeps file order.
     order = np.lexsort((reps, label_codes))
     events, label_codes, reps = events[order], label_codes[order], reps[order]
     first_of_group = np.concatenate(([True], (np.diff(label_codes) | np.diff(reps)) != 0))

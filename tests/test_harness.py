@@ -837,7 +837,6 @@ class TestCli:
 
     @pytest.mark.parametrize("label", ["foo", "lidos@1", "lidos@02", "lidos@x", "lidos@",
                                        "stationary@2@2", "Lidos", ""])
-    @pytest.mark.xfail(strict=True, reason="summarize takes any trace label")
     def test_unknown_planner_label_in_traces_exits_2(self, tmp_path, capsys, label):
         """A trace label that no planner list gives is refused at its first
         row; `foo` rows used to be summarized like any planner's."""
