@@ -388,10 +388,8 @@ class PairwiseRow:
 
 @dataclass(frozen=True)
 class SpeedupRow:
-    """Post-change speedups of lidos against one baseline: one value per
-    repetition, infinite where lidos never matched the baseline's best (a
-    miss); the median over the matched repetitions (None if none matched)
-    and the count of misses."""
+    """Per-repetition speedups of lidos against one baseline, inf for a miss;
+    the median over the matched repetitions (None if none) and the misses."""
     label: str
     median: float | None
     misses: int
@@ -433,13 +431,8 @@ def summarize_bundle(bundle: ResultBundle) -> BundleSummary:
             if label == "lidos":
                 continue
             other = finals[label]
-            pairwise.append(
-                PairwiseRow(
-                    label=label,
-                    p_value=wilcoxon_rank_sum(lidos, other),
-                    effect=a12(lidos, other),
-                )
-            )
+            pairwise.append(PairwiseRow(label, wilcoxon_rank_sum(lidos, other),
+                                        a12(lidos, other)))
             values = tuple(
                 speedup(bundle.traces[(label, rep)], bundle.traces[("lidos", rep)])
                 for rep in range(spec.repetitions)
@@ -447,14 +440,9 @@ def summarize_bundle(bundle: ResultBundle) -> BundleSummary:
             # A miss is a repetition lidos lost, not an infinite win, so it
             # stays out of the median and is counted on its own.
             matched = [value for value in values if value != math.inf]
-            speedups.append(
-                SpeedupRow(
-                    label=label,
-                    median=float(statistics.median(matched)) if matched else None,
-                    misses=len(values) - len(matched),
-                    values=values,
-                )
-            )
+            speedups.append(SpeedupRow(
+                label, float(statistics.median(matched)) if matched else None,
+                len(values) - len(matched), values))
     return BundleSummary(
         summaries=stats,
         ranks=tuple(ranks),
@@ -536,11 +524,11 @@ def read_traces_csv(path: str | Path, spec: ScenarioSpec
 
     Every label must be one that some planner list gives (see
     `planner_labels`). Every environment the file names must be declared in
-    `spec`, the
-    scenario the traces were run under, and each trace must follow its legs:
-    the trace holds one change row per leg after the first, a change row
-    opens the next leg, and every row is in the environment of its leg. A leg
-    holds fewer measurement rows than its budget plus one default population."""
+    `spec`, the scenario the traces were run under, and each trace must
+    follow its legs: the trace holds one change row per leg after the first,
+    a change row opens the next leg, and every row is in the environment of
+    its leg. A leg holds fewer measurement rows than its budget plus one
+    default population."""
     lines, (label_c, rep_c, index_c, env_c, ft_c, best_c, sent_c, change_c) = \
         _trace_columns(path)
     if not len(lines):
@@ -589,13 +577,12 @@ def read_traces_csv(path: str | Path, spec: ScenarioSpec
                 f"an environment-change row leaves {name} empty")
     env_ids, events["env"] = coded(env_c)
 
-    # Each label is one `planner_labels` gives: a kind, or a kind with the
-    # suffix @n (n >= 2, no leading zero) of its n-th listing.
+    # A list that gives label `kind@n` gives n labels of that kind, so every
+    # label of a file is among those of a list with each kind that often.
     labels, label_codes = coded(label_c)
+    known = {label for label, _ in planner_labels(PLANNER_KINDS * len(labels))}
     for code, label in enumerate(labels):
-        kind, at, n = label.partition("@")
-        if kind not in PLANNER_KINDS or at and not (
-                n.isascii() and n.isdigit() and n[0] != "0" and int(n) >= 2):
+        if label not in known:
             bad(label_codes == code, f"unknown planner label {label!r}")
 
     # Group by (label, rep); the sort is stable, so each group keeps file order.
@@ -780,12 +767,11 @@ def render_text_summary(summary: BundleSummary, spec: ScenarioSpec) -> str:
             lines.append(f"  vs {row.label:<16} p={row.p_value:.4g} A12={row.effect:.3f}")
     if summary.speedups:
         lines.append("")
-        lines.append("post-change speedup of lidos (median over the repetitions where it "
-                     "matched the baseline's best):")
+        lines.append("post-change speedup of lidos (median over matched repetitions):")
         for row in summary.speedups:
             ratio = "no ratio" if row.median is None else f"{row.median:g}x"
             lines.append(f"  vs {row.label:<16} {ratio} (missed {row.misses} of "
-                         f"{len(row.values)})")
+                         f"{spec.repetitions})")
     lines.append("")
     return "\n".join(lines)
 

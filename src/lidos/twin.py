@@ -72,10 +72,9 @@ class MeasurementTable:
         self.option_names = option_names
         self.rows = rows
         self._validated_for: ConfigSpace | None = None
-        # Nearest-plan search state, built per space searched under: the plans
-        # in lexicographic order, their values as one column per option in the
-        # space's distance dtype, the terms cached per (option, value) pair,
-        # and the memo of answers.
+        # Nearest-plan search state, built per space searched under: the sorted
+        # plans, one column per option in the space's distance dtype, the terms
+        # cached per (option, value) pair, and the memo of answers.
         self._sorted_plans: list[Plan] = []
         self._columns: np.ndarray | None = None
         self._terms: list[dict[int, np.ndarray]] = []
@@ -118,11 +117,10 @@ class MeasurementTable:
         ``sum_j space.weights[j] * (row[j] - plan[j]) ** 2``; ties go to the
         lexicographically lowest plan. Answers are memoized per space.
 
-        The rows must be plans of `space`, and `plan` must hold one value per
-        option within that option's [min, max]; otherwise this raises
-        ValueError. So every term and distance fits `space.distance_dtype`,
-        the dtype of the columns and of each (option, value) pair's term to
-        every row, cached up to `_TERM_CACHE_BYTES` per space. Exact in any
+        The rows must be plans of `space`, and `plan` one value per option
+        within its [min, max], or this raises ValueError; so every distance
+        fits `space.distance_dtype`, the dtype of the columns and of the terms
+        cached per (option, value) up to `_TERM_CACHE_BYTES`. Exact in any
         order, the first minimum is the answer.
         """
         if space is not self._nearest_space and space != self._nearest_space:
@@ -138,8 +136,7 @@ class MeasurementTable:
         if found is not None:
             return found
         if len(plan) != len(space.options):
-            raise ValueError(f"plan {plan!r} does not hold one value for each of the "
-                             f"space's {len(space.options)} options")
+            raise ValueError(f"plan {plan!r} does not give each option of the space one value")
         terms = list(map(self._term, range(len(plan)), plan, space.weights))
         dist = terms[0].copy()
         for term in terms[1:]:

@@ -86,7 +86,7 @@ DENSE_DIGESTS = {
     "summary.csv":
         "135656c449c1e19fe46b14a9dcf1a5ce0163384c0867a0e41d89cd9226b06ef9",
     "summary.txt":
-        "08a238beda440b0861cb1262e7ea24ca19ea380174799c70773f4a3cb91fe10d",
+        "8a71399e2b115dcade558d2248fe0f0ed05f3cfa72d1bdc1a101f31c875dfd97",
     "traces.csv":
         "f130ff254b4a551251c925b663463c8092fb7023cb04a7472cd95a52e9165baf",
     "trajectories.csv":
@@ -110,7 +110,7 @@ SPARSE_DIGESTS = {
     "summary.csv":
         "028678d8162e50462935c802d8461194a4baee8ac986f41be4b71004412b41b5",
     "summary.txt":
-        "8066ea0ae200b937c8227bba506073b45dde571be0d93f9c238c40cbf91d952c",
+        "b69f7a2d9640a8c5ab60b5b958fec4ff9fadfe4d842682b71a020c6b1f608bff",
     "traces.csv":
         "bd6a8da3d11927e8f0cba94daae46c53be06d27776dc567bd8aaa83d24daca90",
     "trajectories.csv":
@@ -132,7 +132,7 @@ SPARSE_VARIANTS = {
         "summary.csv":
             "8a75699016b44c2fb8c3cc11ff0830e57f562844c161be9d1640997123399010",
         "summary.txt":
-            "189a58a36bf4407978f6913f8559fe522228eadf384256967d294a102af89f75",
+            "7b22c3513ab0a6a4f863dd381f6c0fd5de4d9d3c1432616b1915527d174e358d",
         "traces.csv":
             "33e898aed04933465c983515d06bca34096bee163d82a5fd1a534ff21360fbe4",
         "trajectories.csv":
@@ -167,7 +167,7 @@ SPARSE_VARIANTS = {
         "summary.csv":
             "d46694cef663e5812934697b978a242ec7242a8905fe70d5634eca0f2863be33",
         "summary.txt":
-            "1e984d956556acea92aea89344c15611555f889bc88d06d3a7493912ec1601f1",
+            "e2c4596c67f4a168911116ffd480475adbd0b6655d141c00be551fa585e503af",
         "traces.csv":
             "61e2229964698aed917e7b164ce6d73e30a8d858d78e99ebe3f80932c2e73f75",
         "trajectories.csv":
