@@ -371,7 +371,29 @@ class TestRepairOracle:
                 for plan in queries:
                     assert twin.repair(plan) == brute_force_repair(rows, plan, space)
 
-    def test_one_table_serves_two_spaces(self):
+    def test_table_answers_per_scale(self):
+        # The spaces differ only in their domain ends, so in their weights.
+        # All queries are searched under one space, then the next, and under
+        # the first again, so a memo kept from another space answers wrong.
+        rng = random.Random(5)
+        base = make_space((0, 1, 2, 3), (0, 2, 5), (1, 2, 4, 8, 9))
+        spaces = (base,
+                  make_space((-30, 0, 1, 2, 3), (0, 2, 5), (1, 2, 4, 8, 9)),
+                  make_space((0, 1, 2, 3), (0, 2, 5), (1, 2, 4, 8, 9, 200)),
+                  base)
+        assert len({space.weights for space in spaces}) == 3
+        rows = {base.random_plan(rng): 0.0 for _ in range(12)}
+        table = make_table(base, rows)
+        queries = [base.random_plan(rng) for _ in range(30)]
+        answers = set()
+        for space in spaces:
+            for plan in queries:
+                found = table.nearest(plan, space)
+                assert found == brute_force_repair(rows, plan, space)
+                answers.add((plan, found))
+        assert len(answers) > len(queries)
+
+    def test_term_cache_follows_the_scale(self):
         # The spaces differ only in their domain ends, so in their weights.
         # Each query is searched under both, alternately, so a term or an
         # answer kept from the other space gives a wrong one.
