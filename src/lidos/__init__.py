@@ -16,6 +16,7 @@ from .twin import (
     MeasurementTable,
     load_measurements,
     synth_landscape,
+    synth_tables,
 )
 
 __all__ = [
@@ -34,4 +35,5 @@ __all__ = [
     "CyberTwin",
     "load_measurements",
     "synth_landscape",
+    "synth_tables",
 ]

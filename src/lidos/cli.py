@@ -20,7 +20,7 @@ from .harness import (
     write_atomic,
     write_bundle_outputs,
 )
-from .twin import MeasurementTable, synth_landscape
+from .twin import synth_landscape, synth_option_names
 
 # Plans per block of a table's text in `lidos synth`.
 TABLE_BLOCK = 4096
@@ -120,16 +120,17 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    table_a, table_b = synth_landscape(
+    landscape = synth_landscape(
         n_options=args.options,
         domain_size=args.domain_size,
         n_peaks=args.peaks,
         peak_shift=args.peak_shift,
         noise_seed=args.seed,
     )
+    option_names = synth_option_names(args.options)
     out = Path(args.out)
-    for name, table in (("env_a.csv", table_a), ("env_b.csv", table_b)):
-        _write_chunks_atomic(out / name, _table_chunks(table, args.domain_size))
+    for name, values in zip(("env_a.csv", "env_b.csv"), landscape):
+        _write_chunks_atomic(out / name, _table_chunks(option_names, values, args.domain_size))
     manifest = "\n".join(
         [
             "system: synth",
@@ -146,29 +147,30 @@ def _cmd_synth(args) -> int:
         ]
     )
     write_atomic(out / "scenario.txt", manifest)
-    print(f"synthetic dataset ({table_a.option_names} x {len(table_a)} plans) "
+    print(f"synthetic dataset ({option_names} x {len(landscape[0])} plans) "
           f"and scenario manifest written in {out.resolve()}")
     return 0
 
 
-def _table_chunks(table: MeasurementTable, domain_size: int):
-    """The `csv_text` of a `synth_landscape` table: its header, and then the
-    lines of each block of `TABLE_BLOCK` plans. The rows are read in the
-    order they were built, product order, which is the sorted order. Plan
-    cells are integers and performances floats, neither of which the CSV
-    writer quotes, so the lines are joined directly; a plan's cells are
-    the cells of its first options' digits joined to those of the rest,
-    each taken from one shared list."""
-    n = len(table.option_names)
+def _table_chunks(option_names: tuple[str, ...], values, domain_size: int):
+    """The `csv_text` of one environment of a `synth_landscape`: its header,
+    and then the lines of each block of `TABLE_BLOCK` plans. `values` is the
+    environment's array in product order, which is the sorted order of the
+    plans, and each block's floats are taken from its slice. Plan cells are
+    integers and performances floats, neither of which the CSV writer quotes,
+    so the lines are joined directly; a plan's cells are the cells of its
+    first options' digits joined to those of the rest, each taken from one
+    shared list, so no plan tuple is built."""
+    n = len(option_names)
     digits = [str(v) for v in range(domain_size)]
     prefixes = list(map(",".join, product(digits, repeat=n - n // 2)))
     suffixes = [",".join(("",) + tail) for tail in product(digits, repeat=n // 2)]
     cells = map("".join, product(prefixes, suffixes))
-    values = iter(table.rows.values())
-    yield csv_text([*table.option_names, "performance"], ())
-    for _ in range(0, len(table), TABLE_BLOCK):
+    yield csv_text([*option_names, "performance"], ())
+    for start in range(0, len(values), TABLE_BLOCK):
         yield "".join([f"{cell},{value!r}\n" for cell, value
-                       in zip(islice(cells, TABLE_BLOCK), islice(values, TABLE_BLOCK))])
+                       in zip(islice(cells, TABLE_BLOCK),
+                              values[start:start + TABLE_BLOCK].tolist())])
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
 
 import numpy as np
@@ -50,7 +51,9 @@ def assign_auxiliary(pool: list[ScoredPlan], space: ConfigSpace) -> None:
     # lexicographically lowest donor, the earliest pool member among equals.
     # Members outside the nearest set get a gap of -1, below any real one.
     order = sorted(range(len(pool)), key=lambda j: pool[j].plan)
-    coords = np.asarray([s.plan for s in pool], dtype=space.distance_dtype)
+    coords = np.fromiter(chain.from_iterable(map(attrgetter("plan"), pool)),
+                         space.distance_dtype, len(pool) * len(space.options))
+    coords = coords.reshape(len(pool), -1)
     dist = sum((weight * (column[:, None] - column[order]) ** 2
                 for column, weight in zip(coords.T, space.weights) if weight),
                np.zeros((len(pool), len(pool)), dtype=space.distance_dtype))

@@ -22,6 +22,8 @@ SYNTH_MAX_PLANS = 2**20
 # The most basin values (plans x peaks) it evaluates: over 5 times the
 # 3,125,000 of 40 peaks over those 78,125 plans.
 SYNTH_MAX_DISTANCES = 2**24
+# Plans per block of `synth_landscape`'s jitter draws.
+_JITTER_BLOCK = 4096
 
 # Bytes of distance terms one table caches per space for its nearest-plan
 # searches; past this, a search computes the uncached terms anew.
@@ -304,8 +306,10 @@ class CyberTwin:
 
 def synth_landscape(n_options: int = 6, domain_size: int = 5, n_peaks: int = 40,
                     peak_shift: int = 1, noise_seed: int = 0,
-                    ) -> tuple[MeasurementTable, MeasurementTable]:
-    """Generate two fully enumerated environments over one space.
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Generate two fully enumerated environments over one space: the values
+    of environments A and B as float64 arrays in product order, where plan i
+    is ``np.unravel_index(i, (domain_size,) * n_options)``.
 
     Both environments are sums of Gaussian basins at the same well-separated
     locations, but the basin depths are cyclically permuted between them, so
@@ -388,15 +392,28 @@ def synth_landscape(n_options: int = 6, domain_size: int = 5, n_peaks: int = 40,
             performance -= depths[(j + offset) % n_peaks] * basin
     del basin
 
-    plans = list(itertools.product(range(domain_size), repeat=n_options))
-    tables = []
-    option_names = tuple(f"o{i + 1}" for i in range(n_options))
-    for env_id in "AB":
-        # Popped, so that A's array is freed while B's table is built.
-        performance = performances.pop(0)
-        performance += np.asarray([rng.random() for _ in range(size)]) * 1e-9
-        env = Environment(id=env_id, direction="minimize")
-        tables.append(MeasurementTable(env, option_names,
-                                       dict(zip(plans, performance.tolist()))))
-    return tables[0], tables[1]
+    # The jitter is drawn for A's plans and then B's, in product order, a
+    # block at a time, so no list of every plan's draw is ever built.
+    for performance in performances:
+        for start in range(0, size, _JITTER_BLOCK):
+            block = performance[start:start + _JITTER_BLOCK]
+            block += np.fromiter(iter(rng.random, None), float, len(block)) * 1e-9
+    return performances[0], performances[1]
 
+
+def synth_option_names(n_options: int) -> tuple[str, ...]:
+    """The option columns of a synthetic landscape: o1, o2, ..."""
+    return tuple(f"o{i + 1}" for i in range(n_options))
+
+
+def synth_tables(n_options: int = 6, domain_size: int = 5, **shape,
+                 ) -> tuple[MeasurementTable, MeasurementTable]:
+    """`synth_landscape`'s environments A and B as minimize measurement
+    tables; `shape` takes its other arguments."""
+    values = synth_landscape(n_options, domain_size, **shape)
+    plans = list(itertools.product(range(domain_size), repeat=n_options))
+    table_a, table_b = (
+        MeasurementTable(Environment(id=env_id), synth_option_names(n_options),
+                         dict(zip(plans, env_values.tolist())))
+        for env_id, env_values in zip("AB", values))
+    return table_a, table_b

@@ -29,7 +29,7 @@ from lidos.mmo import (
 from lidos.planner import RunTrace
 from lidos.space import ConfigSpace, OptionSpec
 from lidos.stats import a12, scott_knott, speedup, split_delta, wilcoxon_rank_sum
-from lidos.twin import Environment, load_measurements, synth_landscape
+from lidos.twin import Environment, load_measurements, synth_tables
 
 from conftest import assert_accounting, dominates
 
@@ -149,7 +149,7 @@ def write_dataset_csv(table, path: Path) -> None:
 
 def write_scenario(tmp_path: Path, *, seed: int, repetitions: int, planners: str,
                    budget: int, k: int = 150, synth_kwargs: dict | None = None) -> Path:
-    table_a, table_b = synth_landscape(**(synth_kwargs or {}))
+    table_a, table_b = synth_tables(**(synth_kwargs or {}))
     write_dataset_csv(table_a, tmp_path / "env_a.csv")
     write_dataset_csv(table_b, tmp_path / "env_b.csv")
     manifest = tmp_path / "scenario.txt"

@@ -13,7 +13,7 @@ from lidos.baselines import (
     make_planner,
 )
 from lidos.planner import MmoPlanner, PlannerParams, derive_seed
-from lidos.twin import synth_landscape
+from lidos.twin import synth_tables
 
 from conftest import make_space, make_table, make_twin
 
@@ -136,7 +136,7 @@ class TestRestart:
 
 class TestChangeHandling:
     def run_to_change(self, kind, seed=7):
-        ta, tb = synth_landscape(n_options=3, domain_size=5, n_peaks=5, noise_seed=1)
+        ta, tb = synth_tables(n_options=3, domain_size=5, n_peaks=5, noise_seed=1)
         space = ta.implied_space()
         twin = make_twin(space, ta, tb, current="A")
         planner = make_planner(kind, space, twin, PlannerParams(population_size=10), seed)

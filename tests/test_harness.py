@@ -36,7 +36,7 @@ from lidos.harness import (
 from lidos.baselines import StationaryPlanner
 from lidos.harness import ResultBundle
 from lidos.planner import TRACE_DTYPE, PlannerParams, RunTrace, derive_seed
-from lidos.twin import synth_landscape
+from lidos.twin import synth_landscape, synth_tables
 
 from conftest import assert_accounting, traces_text
 
@@ -46,7 +46,7 @@ def write_small_dataset(tmp_path: Path, **kwargs) -> Path:
     manifest path."""
     defaults = dict(n_options=3, domain_size=4, n_peaks=4, noise_seed=1)
     defaults.update(kwargs)
-    table_a, table_b = synth_landscape(**defaults)
+    table_a, table_b = synth_tables(**defaults)
     for name, table in (("env_a.csv", table_a), ("env_b.csv", table_b)):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -1067,24 +1067,31 @@ class TestStreamedTraces:
 
 
 class TestStreamedTables:
-    """`lidos synth` frees its plan-long arrays before it builds the tables,
-    and writes each table a block of plans at a time."""
+    """`lidos synth` builds only arrays of one value per plan, and no plan
+    tuple, dict or table; it writes each table a block of plans at a time,
+    from the slices of its environment's array."""
 
     def test_peak_memory_is_below_the_distance_matrix(self, tmp_path):
-        # 15,625 plans x 40 peaks of float64: the 5.0 MB a matrix of every
-        # plan-to-peak distance would take. The landscape builds no such
-        # matrix, only arrays of one value per plan, one center at a time.
-        matrix_bytes = 5**6 * 40 * 8
-        argv = ["synth", "--options", "6", "--domain-size", "5"]
-        # A first, untraced call leaves out what lazy imports allocate.
-        assert cli_main([*argv, "--out", str(tmp_path / "first")]) == 0
-        tracemalloc.start()
-        try:
-            assert cli_main([*argv, "--out", str(tmp_path / "traced")]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * matrix_bytes
+        shapes = [
+            # 15,625 plans x 40 peaks of float64: the 5.0 MB a matrix of every
+            # plan-to-peak distance would take. The landscape builds no such
+            # matrix, only arrays of one value per plan, one center at a time.
+            ("6", 1.25 * 5**6 * 40 * 8),
+            # 78,125 plans: a dict of plan tuples to floats takes over 100
+            # bytes a plan, where a float64 array takes 8.
+            ("7", 64 * 5**7),
+        ]
+        for options, bound in shapes:
+            argv = ["synth", "--options", options, "--domain-size", "5"]
+            # A first, untraced call leaves out what lazy imports allocate.
+            assert cli_main([*argv, "--out", str(tmp_path / f"first{options}")]) == 0
+            tracemalloc.start()
+            try:
+                assert cli_main([*argv, "--out", str(tmp_path / f"traced{options}")]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (options, peak)
 
     @pytest.mark.parametrize("options, domain_size, blocks, rest", [
         (1, 40, 0, 40),
@@ -1095,13 +1102,15 @@ class TestStreamedTables:
         assert cli_main(["synth", "--out", str(tmp_path), "--options", str(options),
                          "--domain-size", str(domain_size), "--peaks", "5",
                          "--seed", "4"]) == 0
-        tables = synth_landscape(n_options=options, domain_size=domain_size, n_peaks=5,
-                                 noise_seed=4)
-        for name, table in zip(("env_a.csv", "env_b.csv"), tables):
+        tables = synth_tables(n_options=options, domain_size=domain_size, n_peaks=5,
+                              noise_seed=4)
+        landscape = synth_landscape(n_options=options, domain_size=domain_size, n_peaks=5,
+                                    noise_seed=4)
+        for name, table, values in zip(("env_a.csv", "env_b.csv"), tables, landscape):
             expected = csv_text([*table.option_names, "performance"],
                                 ([*plan, repr(table.rows[plan])] for plan in sorted(table.rows)))
             assert (tmp_path / name).read_bytes() == expected.encode()
-            header, *chunks = cli._table_chunks(table, domain_size)
+            header, *chunks = cli._table_chunks(table.option_names, values, domain_size)
             lines = [cli.TABLE_BLOCK] * blocks + [rest] * (rest > 0)
             assert [chunk.count("\n") for chunk in chunks] == lines
 
@@ -1109,11 +1118,12 @@ class TestStreamedTables:
         path = tmp_path / "env_b.csv"
         write_atomic(path, "previous\n")
         table_chunks = cli._table_chunks
+        calls = itertools.count(1)
 
-        def failing(table, domain_size):
-            *chunks, last = table_chunks(table, domain_size)
+        def failing(option_names, values, domain_size):
+            *chunks, last = table_chunks(option_names, values, domain_size)
             yield from chunks
-            if table.environment.id == "B":
+            if next(calls) == 2:  # environment B's table
                 assert list(tmp_path.glob(".env_b.csv.*.tmp")), "not written through a temporary"
                 raise RuntimeError("formatting failed")
             yield last

@@ -12,7 +12,7 @@ from lidos.planner import (
     boundary_mutation,
     uniform_crossover,
 )
-from lidos.twin import synth_landscape
+from lidos.twin import synth_tables
 
 from conftest import assert_accounting, make_space, make_table, make_twin
 
@@ -288,7 +288,7 @@ class TestEnvironmentChange:
 
 class TestRunScenarioLeg:
     def test_budget_reached_at_generation_granularity(self):
-        ta, tb = synth_landscape(n_options=4, domain_size=5, n_peaks=10, noise_seed=2)
+        ta, tb = synth_tables(n_options=4, domain_size=5, n_peaks=10, noise_seed=2)
         space = ta.implied_space()
         twin = make_twin(space, ta, current="A")
         planner = MmoPlanner(space, twin, PlannerParams(k=10_000), seed=1)
@@ -327,7 +327,7 @@ class TestRunScenarioLeg:
 
 class TestDeterminism:
     def test_identical_traces_for_identical_seeds(self):
-        ta, tb = synth_landscape(n_options=3, domain_size=5, n_peaks=5, noise_seed=3)
+        ta, tb = synth_tables(n_options=3, domain_size=5, n_peaks=5, noise_seed=3)
         space = ta.implied_space()
 
         def run(seed):
@@ -346,7 +346,7 @@ class TestDeterminism:
 
 class TestMeasurementAccounting:
     def test_distinct_plans_per_epoch_match_counter(self, twin_probe):
-        ta, tb = synth_landscape(n_options=3, domain_size=5, n_peaks=5, noise_seed=4)
+        ta, tb = synth_tables(n_options=3, domain_size=5, n_peaks=5, noise_seed=4)
         space = ta.implied_space()
         twin = make_twin(space, ta, tb, current="A")
         planner = MmoPlanner(space, twin, PlannerParams(), seed=11)

@@ -16,6 +16,7 @@ from lidos.twin import (
     MeasurementTable,
     load_measurements,
     synth_landscape,
+    synth_tables,
 )
 
 from conftest import make_space, make_table, make_twin, squared_distance
@@ -498,24 +499,34 @@ class TestRepairOracle:
 
 class TestSynthLandscape:
     def test_deterministic(self):
-        a1, b1 = synth_landscape(n_options=3, domain_size=4, n_peaks=3, noise_seed=5)
-        a2, b2 = synth_landscape(n_options=3, domain_size=4, n_peaks=3, noise_seed=5)
+        a1, b1 = synth_tables(n_options=3, domain_size=4, n_peaks=3, noise_seed=5)
+        a2, b2 = synth_tables(n_options=3, domain_size=4, n_peaks=3, noise_seed=5)
         assert a1.rows == a2.rows
         assert b1.rows == b2.rows
 
+    def test_values_do_not_depend_on_the_jitter_block(self, monkeypatch):
+        # 64 plans: blocks of 5 leave a partial last block, blocks of 64 none.
+        landscapes = []
+        for block in (5, 64):
+            monkeypatch.setattr(twin_module, "_JITTER_BLOCK", block)
+            landscapes.append(synth_landscape(n_options=3, domain_size=4, n_peaks=3))
+        for values, again in zip(*landscapes):
+            assert values.dtype == np.float64 and values.shape == (64,)
+            assert values.tobytes() == again.tobytes()
+
     def test_different_seeds_differ(self):
-        a1, _ = synth_landscape(n_options=3, domain_size=4, n_peaks=3, noise_seed=5)
-        a2, _ = synth_landscape(n_options=3, domain_size=4, n_peaks=3, noise_seed=6)
+        a1, _ = synth_tables(n_options=3, domain_size=4, n_peaks=3, noise_seed=5)
+        a2, _ = synth_tables(n_options=3, domain_size=4, n_peaks=3, noise_seed=6)
         assert a1.rows != a2.rows
 
     def test_shared_space_and_direction(self):
-        ta, tb = synth_landscape(n_options=3, domain_size=4, n_peaks=3)
+        ta, tb = synth_tables(n_options=3, domain_size=4, n_peaks=3)
         assert set(ta.rows) == set(tb.rows)
         assert ta.environment.direction == "minimize"
         assert ta.implied_space() == tb.implied_space()
 
     def test_two_peaks_optimum_shift(self):
-        ta, tb = synth_landscape(n_options=3, domain_size=5, n_peaks=2, noise_seed=1)
+        ta, tb = synth_tables(n_options=3, domain_size=5, n_peaks=2, noise_seed=1)
         argmin_a = min(ta.rows, key=ta.rows.get)
         argmin_b = min(tb.rows, key=tb.rows.get)
         assert argmin_a != argmin_b
@@ -562,15 +573,15 @@ class TestSynthLandscape:
 
     def test_plan_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(twin_module, "SYNTH_MAX_PLANS", 64)
-        table, _ = synth_landscape(n_options=3, domain_size=4, n_peaks=3)
-        assert len(table) == 64
+        values, _ = synth_landscape(n_options=3, domain_size=4, n_peaks=3)
+        assert len(values) == 64
         with pytest.raises(ValueError, match="more than the 64 plans"):
             synth_landscape(n_options=2, domain_size=9, n_peaks=3)
 
     def test_distance_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(twin_module, "SYNTH_MAX_DISTANCES", 64 * 3)
-        table, _ = synth_landscape(n_options=3, domain_size=4, n_peaks=3)
-        assert len(table) == 64
+        values, _ = synth_landscape(n_options=3, domain_size=4, n_peaks=3)
+        assert len(values) == 64
         with pytest.raises(ValueError, match="more than the 192 plan-to-peak distances"):
             synth_landscape(n_options=3, domain_size=4, n_peaks=4)
 
