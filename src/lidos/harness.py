@@ -9,10 +9,9 @@ import io
 import math
 import os
 import random
-import secrets
 import statistics
 from dataclasses import dataclass, field, replace
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +30,8 @@ TRAJECTORY_HEADER = ("planner", "measurement_index", "median_best", "iqr_best",
 _VALUE_KEYS = {"system": "system", "seed": "base_seed", "repetitions": "repetitions",
                "planners": "planners", "k": "k", "stride": "trajectory_stride"}
 _INT_KEYS = ("seed", "repetitions", "k", "stride")
+# Records per block of `read_traces_csv`.
+_TRACE_BLOCK = 4096
 
 
 class ScenarioValueError(ValueError):
@@ -480,35 +481,32 @@ def traces_csv_text(label: str, rep: int, trace: RunTrace) -> str:
         events["env_change"].view(np.uint8).tolist()))
 
 
-def _trace_columns(path: str | Path) -> tuple[np.ndarray, tuple]:
-    """The line number of every non-blank record after the header, and the
-    records' cells as eight columns."""
-    # The parse makes one list per record and no reference cycles; pausing
-    # the cyclic collector spares it repeated full passes over those lists.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        with Path(path).open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+def _trace_blocks(path: str | Path):
+    """Yield, per block of up to `_TRACE_BLOCK` records after the header, the
+    line number of every non-blank record and the records' cells as eight
+    columns."""
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
             header = tuple(next(reader, ()))
             if header != TRACE_HEADER:
                 raise ValueError(f"{path}: unexpected trace header {header!r}")
-            records = list(reader)
-        # A record's line is its position after the header.
-        lines = np.arange(2, len(records) + 2)
-        if set(map(len, records)) != {len(TRACE_HEADER)}:
-            lines = lines[[bool(row) for row in records]]
-            records = [row for row in records if row]
-            for line, row in zip(lines, records):
-                if len(row) != len(TRACE_HEADER):
-                    raise ValueError(
-                        f"{path}:{line}: expected {len(TRACE_HEADER)} cells, got {len(row)}")
-        return lines, tuple(zip(*records)) or ((),) * len(TRACE_HEADER)
-    except csv.Error as exc:
-        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-    finally:
-        if collecting:
-            gc.enable()
+            first = 2
+            while records := list(islice(reader, _TRACE_BLOCK)):
+                # A record's line is its position after the header.
+                lines = np.arange(first, first + len(records))
+                first += len(records)
+                if set(map(len, records)) != {len(TRACE_HEADER)}:
+                    lines = lines[[bool(row) for row in records]]
+                    records = [row for row in records if row]
+                    for line, row in zip(lines, records):
+                        if len(row) != len(TRACE_HEADER):
+                            raise ValueError(f"{path}:{line}: expected "
+                                             f"{len(TRACE_HEADER)} cells, got {len(row)}")
+                if records:
+                    yield lines, tuple(zip(*records))
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def read_traces_csv(path: str | Path, spec: ScenarioSpec
@@ -529,17 +527,12 @@ def read_traces_csv(path: str | Path, spec: ScenarioSpec
     a change row opens the next leg, and every row is in the environment of
     its leg. A leg holds fewer measurement rows than its budget plus one
     default population."""
-    lines, (label_c, rep_c, index_c, env_c, ft_c, best_c, sent_c, change_c) = \
-        _trace_columns(path)
-    if not len(lines):
-        return (), {}
-
-    def bad(mask, message):
+    def bad(lines, mask, message):
         found = np.flatnonzero(mask)
         if len(found):
             raise ValueError(f"{path}:{lines[found[0]]}: {message}")
 
-    def column(cells, convert, dtype):
+    def column(lines, cells, convert, dtype):
         try:
             return np.fromiter(map(convert, cells), dtype, len(cells))
         except (ValueError, OverflowError):
@@ -550,40 +543,64 @@ def read_traces_csv(path: str | Path, spec: ScenarioSpec
                     raise ValueError(f"{path}:{line}: {exc}") from None
             raise
 
-    def coded(cells):
-        """The distinct cells in order of appearance, and each cell's code."""
-        distinct = tuple(dict.fromkeys(cells))
-        code_of = {cell: code for code, cell in enumerate(distinct)}
-        return distinct, np.fromiter(map(code_of.__getitem__, cells), np.int64, len(cells))
+    def coded(code_of, cells):
+        """Each cell's code in `code_of`, where a cell it lacks takes the next
+        code, so codes follow the order of first appearance in the file."""
+        for cell in dict.fromkeys(cells):
+            code_of.setdefault(cell, len(code_of))
+        return np.fromiter(map(code_of.__getitem__, cells), np.int64, len(cells))
 
-    events = np.empty(len(lines), TRACE_DTYPE)
-    reps = column(rep_c, int, np.int64)
-    events["measurement_index"] = column(index_c, int, np.int64)
-    for name, cells in (("adaptation_sent", sent_c), ("env_change", change_c)):
-        if not set(cells) <= {"0", "1"}:
-            bad([cell not in ("0", "1") for cell in cells], f"{name} must be 0 or 1")
-        # Every cell is now a single ASCII digit.
-        events[name] = np.frombuffer("".join(cells).encode(), np.uint8) == ord("1")
-    change = events["env_change"]
-    bad(events["adaptation_sent"] & change,
-        "a row cannot be both an adaptation and an environment change")
-    for name, cells in (("ft", ft_c), ("best_ft", best_c)):
-        events[name] = column([cell or "nan" for cell in cells], float, np.float64)
-        bad(~change & ~np.isfinite(events[name]),
-            f"a measurement or adaptation row needs a finite {name}")
-        # The other rows are known to be non-empty now.
-        if cells.count("") != change.sum():
-            bad(change & np.array([cell != "" for cell in cells]),
-                f"an environment-change row leaves {name} empty")
-    env_ids, events["env"] = coded(env_c)
+    def piece(lines, columns):
+        """One block's rows, checked, as its lines, events, reps and label codes."""
+        label_c, rep_c, index_c, env_c, ft_c, best_c, sent_c, change_c = columns
+        events = np.empty(len(lines), TRACE_DTYPE)
+        reps = column(lines, rep_c, int, np.int64)
+        events["measurement_index"] = column(lines, index_c, int, np.int64)
+        for name, cells in (("adaptation_sent", sent_c), ("env_change", change_c)):
+            if not set(cells) <= {"0", "1"}:
+                bad(lines, [cell not in ("0", "1") for cell in cells],
+                    f"{name} must be 0 or 1")
+            # Every cell is now a single ASCII digit.
+            events[name] = np.frombuffer("".join(cells).encode(), np.uint8) == ord("1")
+        change = events["env_change"]
+        bad(lines, events["adaptation_sent"] & change,
+            "a row cannot be both an adaptation and an environment change")
+        for name, cells in (("ft", ft_c), ("best_ft", best_c)):
+            events[name] = column(lines, [cell or "nan" for cell in cells], float, np.float64)
+            bad(lines, ~change & ~np.isfinite(events[name]),
+                f"a measurement or adaptation row needs a finite {name}")
+            # The other rows are known to be non-empty now.
+            if cells.count("") != change.sum():
+                bad(lines, change & np.array([cell != "" for cell in cells]),
+                    f"an environment-change row leaves {name} empty")
+        events["env"] = coded(env_code, env_c)
+        return lines, events, reps, coded(label_code, label_c)
+
+    # Each block becomes arrays before the next is read, so no more than one
+    # block's cells are held; the arrays are joined once.
+    label_code: dict[str, int] = {}
+    env_code: dict[str, int] = {}
+    # The parse makes one list per record and no reference cycles; pausing
+    # the cyclic collector spares it repeated passes over those lists.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        pieces = [piece(*block) for block in _trace_blocks(path)]
+    finally:
+        if collecting:
+            gc.enable()
+    if not pieces:
+        return (), {}
+    lines, events, reps, label_codes = map(np.concatenate, zip(*pieces))
+    del pieces
+    labels, env_ids = tuple(label_code), tuple(env_code)
 
     # A list that gives label `kind@n` gives n labels of that kind, so every
     # label of a file is among those of a list with each kind that often.
-    labels, label_codes = coded(label_c)
     known = {label for label, _ in planner_labels(PLANNER_KINDS * len(labels))}
     for code, label in enumerate(labels):
         if label not in known:
-            bad(label_codes == code, f"unknown planner label {label!r}")
+            bad(lines, label_codes == code, f"unknown planner label {label!r}")
 
     # Group by (label, rep); the sort is stable, so each group keeps file order.
     order = np.lexsort((reps, label_codes))
@@ -738,7 +755,7 @@ def _write_chunks_atomic(path: str | Path, chunks) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     # Exclusive create under a random name rather than tempfile.mkstemp,
     # which would leave every output readable by its owner only.
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:

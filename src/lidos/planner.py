@@ -3,12 +3,21 @@ environment-change handling, and run traces."""
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
+
+# hashlib loads OpenSSL's libcrypto, several MB of every process; CPython's
+# built-in SHA-256 gives the same digests without it.
+try:
+    from _sha2 import sha256 as _sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 from .mmo import ScoredPlan, assign_auxiliary, environmental_selection, transform
 from .space import ConfigSpace, Plan
@@ -22,7 +31,7 @@ STALL_GENERATIONS = 25
 
 def derive_seed(*parts) -> int:
     """Stable cross-process seed from arbitrary labelled parts."""
-    digest = hashlib.sha256(":".join(str(p) for p in parts).encode("utf-8")).digest()
+    digest = _sha256(":".join(str(p) for p in parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 

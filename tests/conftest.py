@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lidos
 from lidos import stats
 from lidos.harness import TRACE_HEADER, csv_text, traces_csv_text
 from lidos.space import ConfigSpace, OptionSpec
@@ -22,6 +25,15 @@ def pytest_configure(config) -> None:
     for category in ("RuntimeWarning", "ResourceWarning",
                      "pytest.PytestUnraisableExceptionWarning"):
         config.addinivalue_line("filterwarnings", f"error::{category}")
+
+
+def child_env(**env: str) -> dict[str, str]:
+    """This process's environment plus `env`, with the directory that the
+    imported `lidos` comes from first on PYTHONPATH, so that a child Python
+    process imports the same package."""
+    src = str(Path(lidos.__file__).resolve().parent.parent)
+    return dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def traces_text(bundle) -> str:

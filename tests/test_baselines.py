@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -15,7 +18,7 @@ from lidos.baselines import (
 from lidos.planner import MmoPlanner, PlannerParams, derive_seed
 from lidos.twin import synth_tables
 
-from conftest import make_space, make_table, make_twin
+from conftest import child_env, make_space, make_table, make_twin
 
 
 def rugged_two_env(n_values=6, seed=31):
@@ -169,6 +172,11 @@ class TestChangeHandling:
         assert after1 == after2
 
 
+# Part lists of the seeds a run derives, and some that only a caller could.
+SEED_PARTS = [(), (0,), (1, "lidos", 0), (11, "stationary", 1), (7, "restart", 3),
+              (3955309019, "scott-knott"), ("é", -2, 2.5, None)]
+
+
 class TestDeriveSeed:
     def test_stable_and_distinct(self):
         assert derive_seed(1, "lidos", 0) == derive_seed(1, "lidos", 0)
@@ -181,6 +189,25 @@ class TestDeriveSeed:
         assert derive_seed(0) == int.from_bytes(
             __import__("hashlib").sha256(b"0").digest()[:8], "big"
         )
+
+    @pytest.mark.parametrize("parts", SEED_PARTS)
+    def test_equals_the_first_eight_bytes_of_sha256(self, parts):
+        text = ":".join(map(str, parts)).encode("utf-8")
+        assert derive_seed(*parts) == int.from_bytes(hashlib.sha256(text).digest()[:8], "big")
+
+    def test_hashlib_fallback_gives_the_same_seeds(self):
+        # A process without CPython's built-in SHA-256 modules takes hashlib's.
+        script = (
+            "import sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "import hashlib\n"
+            "from lidos import planner\n"
+            "assert planner._sha256 is hashlib.sha256\n"
+            f"print([planner.derive_seed(*parts) for parts in {SEED_PARTS!r}])\n")
+        done = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                              capture_output=True, text=True, check=False)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"{[derive_seed(*parts) for parts in SEED_PARTS]}\n"
 
 
 class TestDifferentRowSets:

@@ -10,19 +10,16 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import lidos
 from lidos.cli import main as cli_main
 from lidos.harness import bundle_from_traces, parse_scenario, run_scenario
 
-from conftest import traces_text
+from conftest import child_env, traces_text
 
 # `lidos synth --options 5 --domain-size 6 --peaks 12 --seed 4`: 7,776 plans.
 SYNTH_ARGS = ["--options", "5", "--domain-size", "6", "--peaks", "12", "--seed", "4"]
@@ -250,10 +247,7 @@ def test_sparse_run_bytes(tmp_path):
 def run_program(*args: str, **env: str) -> None:
     """Run `python -m lidos` with `args` in this process's environment plus
     `env`, and check that it exits 0."""
-    src = str(Path(lidos.__file__).resolve().parent.parent)
-    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "lidos", *args], env=env,
+    done = subprocess.run([sys.executable, "-m", "lidos", *args], env=child_env(**env),
                           capture_output=True, text=True, check=False)
     assert done.returncode == 0, done.stderr
 

@@ -513,6 +513,26 @@ class TestSummaries:
             assert e.median == pytest.approx(-canonical[e.label], abs=1e-12)
 
 
+# Damages to the cells of one measurement row of traces.csv, each with the
+# error it must cause at that row's line.
+ROW_DAMAGES = [
+    (lambda cells: cells[:-1], "expected 8 cells, got 7"),
+    (lambda cells: cells[:1] + ["x"] + cells[2:], "invalid literal for int()"),
+    (lambda cells: cells[:4] + ["fast"] + cells[5:], "could not convert string to float"),
+    (lambda cells: cells[:6] + ["2", "0"], "adaptation_sent must be 0 or 1"),
+    (lambda cells: cells[:6] + ["0", "true"], "env_change must be 0 or 1"),
+    (lambda cells: cells[:6] + ["1", "1"],
+     "a row cannot be both an adaptation and an environment change"),
+    (lambda cells: cells[:4] + [""] + cells[5:],
+     "a measurement or adaptation row needs a finite ft"),
+    (lambda cells: cells[:5] + ["nan"] + cells[6:],
+     "a measurement or adaptation row needs a finite best_ft"),
+    (lambda cells: cells[:7] + ["1"], "an environment-change row leaves ft empty"),
+]
+ROW_DAMAGE_IDS = ["short-row", "bad-rep", "bad-ft", "flag-2", "flag-word", "both-flags",
+                  "empty-ft", "nan-best-ft", "valued-change"]
+
+
 class TestCli:
     def test_run_then_summarize_round_trip(self, tmp_path):
         manifest = write_small_dataset(tmp_path)
@@ -736,21 +756,7 @@ class TestCli:
         assert "traces.csv:5: field larger than field limit" in capsys.readouterr().err
 
     # Line 5 is a measurement row of the first leg.
-    @pytest.mark.parametrize("damage, message", [
-        (lambda cells: cells[:-1], "expected 8 cells, got 7"),
-        (lambda cells: cells[:1] + ["x"] + cells[2:], "invalid literal for int()"),
-        (lambda cells: cells[:4] + ["fast"] + cells[5:], "could not convert string to float"),
-        (lambda cells: cells[:6] + ["2", "0"], "adaptation_sent must be 0 or 1"),
-        (lambda cells: cells[:6] + ["0", "true"], "env_change must be 0 or 1"),
-        (lambda cells: cells[:6] + ["1", "1"],
-         "a row cannot be both an adaptation and an environment change"),
-        (lambda cells: cells[:4] + [""] + cells[5:],
-         "a measurement or adaptation row needs a finite ft"),
-        (lambda cells: cells[:5] + ["nan"] + cells[6:],
-         "a measurement or adaptation row needs a finite best_ft"),
-        (lambda cells: cells[:7] + ["1"], "an environment-change row leaves ft empty"),
-    ], ids=["short-row", "bad-rep", "bad-ft", "flag-2", "flag-word", "both-flags",
-            "empty-ft", "nan-best-ft", "valued-change"])
+    @pytest.mark.parametrize("damage, message", ROW_DAMAGES, ids=ROW_DAMAGE_IDS)
     def test_damaged_trace_row_exits_2_with_location(self, tmp_path, capsys, damage, message):
         manifest = write_small_dataset(tmp_path)
         out = tmp_path / "out"
@@ -991,27 +997,34 @@ class TestWriteAtomic:
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
+def long_bundle(smoke_bundle) -> ResultBundle:
+    """The smoke scenario's planners over 100 repetitions of 250 made-up
+    rows, the middle one the change from A to B, under legs whose budgets
+    admit them: about 3 MB of traces.csv, in chunks of about 15 KB."""
+    rng = np.random.default_rng(3)
+    spec = replace(smoke_bundle.spec, repetitions=100, legs=tuple(
+        replace(leg, measurement_budget=250) for leg in smoke_bundle.spec.legs))
+    traces = {}
+    for label in smoke_bundle.labels:
+        for rep in range(spec.repetitions):
+            events = np.zeros(250, TRACE_DTYPE)
+            # The change row carries the count of the 125 rows before it.
+            events["measurement_index"] = np.arange(1, 251) - (np.arange(250) >= 125)
+            events["env"][125:] = 1
+            events["ft"] = rng.random(250)
+            events["best_ft"] = np.minimum.accumulate(events["ft"])
+            events["env_change"][125] = True
+            events["ft"][125] = events["best_ft"][125] = np.nan
+            traces[(label, rep)] = RunTrace(events, ("A", "B"))
+    return ResultBundle(spec=spec, labels=smoke_bundle.labels, traces=traces)
+
+
 class TestStreamedTraces:
-    """traces.csv is written one repetition at a time, never held whole."""
+    """traces.csv is written one repetition at a time, never held whole, and
+    read a block of rows at a time."""
 
     def test_peak_memory_is_a_fraction_of_the_file(self, smoke_bundle, tmp_path, monkeypatch):
-        # 2 planners x 100 repetitions x 250 rows, about 3 MB of text in
-        # chunks of about 15 KB.
-        rng = np.random.default_rng(3)
-        spec = replace(smoke_bundle.spec, repetitions=100)
-        traces = {}
-        for label in smoke_bundle.labels:
-            for rep in range(spec.repetitions):
-                events = np.zeros(250, TRACE_DTYPE)
-                events["measurement_index"] = np.arange(1, 251)
-                events["env"][125:] = 1
-                events["ft"] = rng.random(250)
-                events["best_ft"] = np.minimum.accumulate(events["ft"])
-                events["env_change"][125] = True
-                events["ft"][125] = events["best_ft"][125] = np.nan
-                traces[(label, rep)] = RunTrace(events, ["A", "B"])
-        bundle = ResultBundle(spec=spec, labels=smoke_bundle.labels, traces=traces)
-
+        bundle = long_bundle(smoke_bundle)
         peaks = {}
         real_replace = os.replace
 
@@ -1031,6 +1044,26 @@ class TestStreamedTraces:
         size = (tmp_path / "traces.csv").stat().st_size
         assert size > 3_000_000
         assert peaks["traces.csv"] < size / 4
+
+    def test_reading_peaks_below_three_times_the_file(self, smoke_bundle, tmp_path):
+        # A reader that holds a list of cells per row peaks near 9 times the
+        # file.
+        bundle = long_bundle(smoke_bundle)
+        path = tmp_path / "traces.csv"
+        write_atomic(path, traces_text(bundle))
+        tracemalloc.start()
+        try:
+            labels, traces = read_traces_csv(path, bundle.spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 3_000_000
+        assert peak < 3 * size
+        assert labels == bundle.labels and list(traces) == list(bundle.traces)
+        for key, trace in bundle.traces.items():
+            assert traces[key].events.tobytes() == trace.events.tobytes(), key
+            assert traces[key].env_ids == trace.env_ids, key
 
     def test_failure_mid_stream_keeps_the_previous_file(self, smoke_bundle, tmp_path,
                                                         monkeypatch):
@@ -1064,6 +1097,61 @@ class TestStreamedTraces:
         written = {p.name: p.read_bytes() for p in out.iterdir()}
         assert cli_main(["summarize", *scenario]) == 0
         assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+
+
+class TestTraceBlocks:
+    """`read_traces_csv` turns `_TRACE_BLOCK` records at a time into arrays;
+    a row's checks and line number do not depend on its block."""
+
+    BLOCK = 16
+
+    @pytest.fixture
+    def run_out(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_TRACE_BLOCK", self.BLOCK)
+        manifest = write_small_dataset(tmp_path)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--scenario", str(manifest), "--out", str(out)]) == 0
+        return manifest, out
+
+    @staticmethod
+    def summarize_error(manifest, out, capsys) -> str:
+        capsys.readouterr()
+        assert cli_main(["summarize", "--scenario", str(manifest), "--out", str(out)]) == 2
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage, message", ROW_DAMAGES, ids=ROW_DAMAGE_IDS)
+    def test_damage_past_the_first_block_names_its_line(self, run_out, capsys, damage,
+                                                        message):
+        manifest, out = run_out
+        path = out / "traces.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        # A measurement row of the fourth block, past its first record.
+        at = next(i for i in range(3 * self.BLOCK + 3, len(lines))
+                  if lines[i].endswith(",0,0\n"))
+        lines[at] = ",".join(damage(lines[at].rstrip("\n").split(","))) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        err = self.summarize_error(manifest, out, capsys)
+        assert f"traces.csv:{at + 1}: " in err and message in err
+
+    def test_blank_lines_across_blocks_keep_later_line_numbers(self, run_out, capsys):
+        manifest, out = run_out
+        path = out / "traces.csv"
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "traces.csv"}
+        header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        # Blank lines from the second-to-last record of the first block on:
+        # that block ends in two, the next holds only blank ones, and the one
+        # after starts with one.
+        rows[self.BLOCK - 2:self.BLOCK - 2] = ["\n"] * (self.BLOCK + 3)
+        path.write_text(header + "".join(rows), encoding="utf-8")
+        assert cli_main(["summarize", "--scenario", str(manifest), "--out", str(out)]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()
+                if p.name != "traces.csv"} == before
+        at = next(i for i in range(3 * self.BLOCK + 3, len(rows))
+                  if rows[i].endswith(",0,0\n"))
+        rows[at] = rows[at].replace(",0,0\n", ",0\n")
+        path.write_text(header + "".join(rows), encoding="utf-8")
+        err = self.summarize_error(manifest, out, capsys)
+        assert f"traces.csv:{at + 2}: expected 8 cells, got 7" in err
 
 
 class TestStreamedTables:

@@ -4,6 +4,8 @@ import functools
 import itertools
 import math
 import random
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -486,8 +488,8 @@ class TestRepairOracle:
         space = make_space(*(tuple(range(0, 9 * k + 1, k)) for k in (1, 3, 7, 100)))
         rows = {space.random_plan(rng): 0.0 for _ in range(200)}
         table = make_table(space, rows)
-        itemsize = np.dtype(np.int64).itemsize
-        monkeypatch.setattr(twin_module, "_TERM_CACHE_BYTES", room * itemsize * len(rows))
+        term_size = sys.getsizeof(np.zeros(len(rows), np.int64))
+        monkeypatch.setattr(twin_module, "_TERM_CACHE_BYTES", room * term_size)
         distance = functools.partial(squared_distance, space)
         for _ in range(100):
             plan = space.random_plan(rng)
@@ -496,6 +498,48 @@ class TestRepairOracle:
         assert sum(map(len, table._terms)) == room
         assert all(term.dtype == np.int64 for cache in table._terms
                    for term in cache.values())
+
+    def test_terms_are_cached_on_their_second_use(self):
+        # The first queries give each option a value once each; the next
+        # ones give those values again, in plans not asked for before.
+        rng = random.Random(30)
+        space = make_space(*(tuple(range(60)),) * 3)
+        rows = {space.random_plan(rng): 0.0 for _ in range(150)}
+        table = make_table(space, rows)
+        for plan in [(v, v, v) for v in range(30)]:
+            assert table.nearest(plan, space) == brute_force_repair(rows, plan, space)
+        assert not any(table._terms)
+        for shift in (1, 2):
+            for plan in [(v, (v + shift) % 30, (v + 2 * shift) % 30) for v in range(30)]:
+                assert table.nearest(plan, space) == brute_force_repair(rows, plan, space)
+            assert [sorted(cache) for cache in table._terms] == [list(range(30))] * 3
+
+    def test_python_int_terms_count_their_objects(self, monkeypatch):
+        # Values 2**40 / 50 apart make every distance term a Python int of
+        # about 2**80, whose object takes several times its 8-byte pointer;
+        # the cache must hold no more bytes than its bound all the same.
+        bound = 1 << 19
+        monkeypatch.setattr(twin_module, "_TERM_CACHE_BYTES", bound)
+        rng = random.Random(40)
+        domain = tuple(k * 2**40 // 50 for k in range(51))
+        space = make_space(domain, domain, domain)
+        assert space.distance_dtype == "object"
+        rows = {space.random_plan(rng): 0.0 for _ in range(600)}
+        table = make_table(space, rows)
+        queries = [space.random_plan(rng) for _ in range(100)]
+        tracemalloc.start()
+        try:
+            answers = [table.nearest(plan, space) for plan in queries]
+            held = tracemalloc.get_traced_memory()[0]
+            for cache in table._terms:
+                cache.clear()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert bound / 2 < freed <= bound
+        distance = weighted(space.weights)
+        assert answers == [brute_force_nearest(rows, plan, distance) for plan in queries]
+
 
 class TestSynthLandscape:
     def test_deterministic(self):
