@@ -76,12 +76,11 @@ class MeasurementTable:
         self.rows = rows
         self._validated_for: ConfigSpace | None = None
         # Nearest-plan search state, built per space searched under: the sorted
-        # plans, one column per option in the space's distance dtype, the
-        # values asked for once and the terms cached per (option, value) pair,
-        # the cache's bytes left, and the memo of answers.
+        # plans, one column per option in the space's distance dtype, the terms
+        # cached per (option, value) pair, the cache's bytes left, and the
+        # memo of answers.
         self._sorted_plans: list[Plan] = []
         self._columns: np.ndarray | None = None
-        self._asked: list[set[int]] = []
         self._terms: list[dict[int, np.ndarray]] = []
         self._room = 0
         self._nearest: dict[Plan, Plan] = {}
@@ -125,16 +124,14 @@ class MeasurementTable:
         The rows must be plans of `space`, and `plan` one value per option
         within its [min, max], or this raises ValueError; so every distance
         fits `space.distance_dtype`, the dtype of the columns and of the terms
-        cached per (option, value), from a value's second use on, up to
-        `_TERM_CACHE_BYTES`. Exact in any order, the first minimum is the
-        answer.
+        cached per (option, value) up to `_TERM_CACHE_BYTES`. Exact in any
+        order, the first minimum is the answer.
         """
         if space is not self._nearest_space and space != self._nearest_space:
             self.validate_space(space)
             self._sorted_plans = sorted(self.rows)
             self._columns = np.asarray(list(zip(*self._sorted_plans)),
                                        dtype=space.distance_dtype)
-            self._asked = [set() for _ in space.options]
             self._terms = [{} for _ in space.options]
             self._room = _TERM_CACHE_BYTES
             self._nearest = {}
@@ -153,8 +150,7 @@ class MeasurementTable:
 
     def _term(self, option: int, value: int, weight: int) -> np.ndarray:
         """The column of ``weight * (column - value) ** 2`` for one option,
-        cached from its second use on while it fits the cache's room, so
-        values asked for once keep no term; a value outside the option's
+        cached while it fits the cache's room; a value outside the option's
         [min, max] raises ValueError."""
         cache = self._terms[option]
         term = cache.get(value)
@@ -166,10 +162,7 @@ class MeasurementTable:
             term = np.subtract(self._columns[option], value)
             np.square(term, out=term)
             np.multiply(term, weight, out=term)
-            asked = self._asked[option]
-            if value not in asked:
-                asked.add(value)
-            elif term.nbytes <= self._room:
+            if term.nbytes <= self._room:
                 # The array with its header, and a term of Python ints with
                 # their objects, each of which CPython may allocate a digit
                 # longer than its value needs: a product's length is bounded

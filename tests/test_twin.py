@@ -499,21 +499,6 @@ class TestRepairOracle:
         assert all(term.dtype == np.int64 for cache in table._terms
                    for term in cache.values())
 
-    def test_terms_are_cached_on_their_second_use(self):
-        # The first queries give each option a value once each; the next
-        # ones give those values again, in plans not asked for before.
-        rng = random.Random(30)
-        space = make_space(*(tuple(range(60)),) * 3)
-        rows = {space.random_plan(rng): 0.0 for _ in range(150)}
-        table = make_table(space, rows)
-        for plan in [(v, v, v) for v in range(30)]:
-            assert table.nearest(plan, space) == brute_force_repair(rows, plan, space)
-        assert not any(table._terms)
-        for shift in (1, 2):
-            for plan in [(v, (v + shift) % 30, (v + 2 * shift) % 30) for v in range(30)]:
-                assert table.nearest(plan, space) == brute_force_repair(rows, plan, space)
-            assert [sorted(cache) for cache in table._terms] == [list(range(30))] * 3
-
     def test_python_int_terms_count_their_objects(self, monkeypatch):
         # Values 2**40 / 50 apart make every distance term a Python int of
         # about 2**80, whose object takes several times its 8-byte pointer;
