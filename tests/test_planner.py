@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from lidos.baselines import PLANNER_KINDS, make_planner
+from lidos.mmo import ScoredPlan
 from lidos.planner import (
     MmoPlanner,
     PlannerParams,
@@ -100,6 +102,150 @@ class TestOperators:
         for keys in ([], [0.5]):
             with pytest.raises(ValueError, match="at least two"):
                 binary_tournament(keys, random.Random(0))
+
+
+# -- reference generation --------------------------------------------------------
+#
+# One generation composed of three separate operators, as the planner made it
+# before its generation loop drew for them in place. The loop must make the
+# same draws in the same order, so every offspring, population, trace and
+# generator state below equals the reference's.
+
+
+def reference_tournament(keys: list, rng: random.Random) -> int:
+    a, b = rng.sample(range(len(keys)), 2)
+    return a if keys[a] <= keys[b] else b
+
+
+def reference_crossover(a, b, rate: float, rng: random.Random):
+    draw = rng.random
+    if draw() >= rate:
+        return a, b
+    ca, cb = list(a), list(b)
+    for i in range(len(ca)):
+        if draw() < 0.5:
+            ca[i], cb[i] = cb[i], ca[i]
+    return tuple(ca), tuple(cb)
+
+
+def reference_mutation(plan, ends, rate: float, rng: random.Random):
+    draw = rng.random
+    values = list(plan)
+    for i, (low, high) in enumerate(ends):
+        if draw() < rate:
+            values[i] = low if draw() < 0.5 else high
+    return tuple(values)
+
+
+def reference_generation(planner) -> list:
+    """`step_generation` through the reference operators; returns the
+    offspring handed to replacement, as (plan, ft) pairs."""
+    params = planner.params
+    n = params.population_size
+    population, rng, twin = planner.population, planner.rng, planner.twin
+    keys = planner._tournament_keys()
+    offspring, pool_plans = [], set()
+    attempts_left = 50 * n
+    while len(offspring) < n and attempts_left > 0:
+        p1 = population[reference_tournament(keys, rng)]
+        p2 = population[reference_tournament(keys, rng)]
+        c1, c2 = reference_crossover(p1.plan, p2.plan, params.crossover_rate, rng)
+        c1 = reference_mutation(c1, planner.ends, params.mutation_rate, rng)
+        c2 = reference_mutation(c2, planner.ends, params.mutation_rate, rng)
+        for child in (twin.repair(c1), twin.repair(c2)):
+            attempts_left -= 1
+            if len(offspring) >= n:
+                break
+            if planner.distinct_offspring and child in pool_plans:
+                continue
+            pool_plans.add(child)
+            offspring.append(ScoredPlan(plan=child, ft=planner._measure(child)))
+    handed = [(o.plan, o.ft) for o in offspring]
+    planner._replace(offspring)
+    planner._maybe_send_adaptation()
+    return handed
+
+
+def recording_offspring(planner) -> list:
+    """Make `planner` record, per generation, the offspring its `_replace`
+    receives, as (plan, ft) pairs; returns the list they go to."""
+    handed = []
+    replace = planner._replace
+
+    def recorded(offspring):
+        handed.append([(o.plan, o.ft) for o in offspring])
+        replace(offspring)
+
+    planner._replace = recorded
+    return handed
+
+
+def planner_state(planner) -> tuple:
+    """Everything a generation may change, with every float compared by its
+    bits: the population in order, the best plan, the interval counters, the
+    trace and the generator."""
+    members = [(m.plan, m.ft, m.fa, m.g1, m.g2, m.rank, m.crowding)
+               for m in planner.population]
+    best = planner.s_best and (planner.s_best.plan, planner.s_best.ft)
+    return (repr(members), repr(best), planner.t, planner.epoch_measurements,
+            planner._last_sent_ft, planner.twin.counter, planner.trace.events.tobytes(),
+            planner.trace.env_ids, planner.rng.getstate())
+
+
+ORACLE_DOMAINS = ((0, 1, 2, 3, 4), (-3, 0, 8), (0, 1), (2, 5, 6, 9))
+# Every even population size at the default rates (None), and each pair of
+# crossover and mutation rates from 0, 1 and the default at sizes on both
+# sides of the tournament's switch from `Random.sample`'s pool path to its
+# set path.
+ORACLE_CASES = tuple(
+    [(size, (None, None)) for size in range(2, 61, 2)]
+    + [(size, rates) for size in (2, 20, 22, 60)
+       for rates in itertools.product((0.0, 1.0, None), repeat=2) if rates != (None, None)])
+
+
+def oracle_twin(space, keep: float):
+    """Two environments over a seeded subset of the space's plans (all of
+    them at `keep` 1.0), so that off-table children take a repair search."""
+    rng = random.Random(5)
+    plans = [p for p in itertools.product(*ORACLE_DOMAINS) if rng.random() < keep]
+    tables = (make_table(space, {p: rng.uniform(0, 10) for p in plans}, env_id=env_id,
+                         direction=direction)
+              for env_id, direction in (("A", "minimize"), ("B", "maximize")))
+    return make_twin(space, *tables, current="A")
+
+
+class TestGenerationOracle:
+    """`step_generation` against `reference_generation`: the same offspring,
+    population, trace and generator state after every generation, for every
+    planner kind, every even population size from 2 to 60 (from 22 on the
+    tournament takes `Random.sample`'s set path), crossover and mutation
+    rates of 0, 1 and the defaults, and 30 seeds, on a table of every plan
+    and on one that sends most children to a repair search."""
+
+    @pytest.mark.parametrize("kind", PLANNER_KINDS)
+    @pytest.mark.parametrize("keep", (1.0, 0.4))
+    def test_generations_match_reference(self, kind, keep):
+        space = make_space(*ORACLE_DOMAINS)
+        for case, (size, (crossover, mutation)) in enumerate(ORACLE_CASES):
+            rates = {name: rate for name, rate in (("crossover_rate", crossover),
+                                                   ("mutation_rate", mutation))
+                     if rate is not None}
+            params = PlannerParams(population_size=size, k=7, **rates)
+            seed = case % 30
+            loop, reference = (make_planner(kind, space, oracle_twin(space, keep), params, seed)
+                               for _ in range(2))
+            handed = recording_offspring(loop)
+            for planner in (loop, reference):
+                planner.init_run()
+            for generation in range(4):
+                if generation == 2:
+                    for planner in (loop, reference):
+                        planner.on_environment_change("B")
+                expected = reference_generation(reference)
+                loop.step_generation()
+                where = (size, crossover, mutation, seed, generation)
+                assert handed[-1] == expected, where
+                assert planner_state(loop) == planner_state(reference), where
 
 
 class TestInitRun:
