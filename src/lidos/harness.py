@@ -11,7 +11,7 @@ import os
 import random
 import statistics
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -469,16 +469,21 @@ def csv_text(header, rows) -> str:
 
 
 def traces_csv_text(label: str, rep: int, trace: RunTrace) -> str:
-    """One repetition's rows of traces.csv, without the header."""
+    """One repetition's rows of traces.csv, without the header. The label,
+    the rep and each env id are quoted once, as `csv_text` quotes a cell; a
+    number never needs quotes. The trailing empty cell keeps a lone empty
+    cell from being written as ``""``."""
     events = trace.events
-    env_ids = trace.env_ids
-    values = [[repr(v) if v == v else "" for v in events[name].tolist()]
-              for name in ("ft", "best_ft")]
-    return csv_text(None, zip(
-        repeat(label), repeat(rep), events["measurement_index"].tolist(),
-        [env_ids[code] for code in events["env"].tolist()], *values,
-        events["adaptation_sent"].view(np.uint8).tolist(),
-        events["env_change"].view(np.uint8).tolist()))
+    head = csv_text(None, [(label, rep, "")])[:-2]
+    env_ids = [csv_text(None, [(env_id, "")])[:-2] for env_id in trace.env_ids]
+    ft, best_ft = ([repr(v) if v == v else "" for v in events[name].tolist()]
+                   for name in ("ft", "best_ft"))
+    return "".join([
+        f"{head},{index},{env_ids[env]},{value},{best},{sent},{change}\n"
+        for index, env, value, best, sent, change in zip(
+            events["measurement_index"].tolist(), events["env"].tolist(), ft, best_ft,
+            events["adaptation_sent"].view(np.uint8).tolist(),
+            events["env_change"].view(np.uint8).tolist())])
 
 
 def _trace_blocks(path: str | Path):

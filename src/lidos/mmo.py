@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
 from operator import attrgetter
 
 import numpy as np
@@ -50,13 +49,11 @@ def assign_auxiliary(pool: list[ScoredPlan], space: ConfigSpace) -> None:
     # Columns in plan order (stable), so the first maximum of a row is the
     # lexicographically lowest donor, the earliest pool member among equals.
     # Members outside the nearest set get a gap of -1, below any real one.
-    order = sorted(range(len(pool)), key=lambda j: pool[j].plan)
-    coords = np.fromiter(chain.from_iterable(map(attrgetter("plan"), pool)),
-                         space.distance_dtype, len(pool) * len(space.options))
-    coords = coords.reshape(len(pool), -1)
-    dist = sum((weight * (column[:, None] - column[order]) ** 2
-                for column, weight in zip(coords.T, space.weights) if weight),
-               np.zeros((len(pool), len(pool)), dtype=space.distance_dtype))
+    plans = [s.plan for s in pool]
+    order = sorted(range(len(pool)), key=plans.__getitem__)
+    coords = np.array(plans, dtype=space.distance_dtype)
+    steps = coords[:, None, :] - coords[order]
+    dist = (steps * steps) @ np.array(space.weights, dtype=space.distance_dtype)
     # A member is not its own neighbor: its cell lies above every distance.
     dist[np.arange(len(pool)), np.argsort(order)] = dist.max() + 1
     ft = np.asarray([s.ft for s in pool])
@@ -90,8 +87,9 @@ def nondominated_sort(pool: list[ScoredPlan]) -> list[list[ScoredPlan]]:
     """
     tails: list[tuple[float, float]] = []
     fronts: list[list[int]] = []
-    for i in sorted(range(len(pool)), key=lambda i: (pool[i].g1, pool[i].g2)):
-        key = (pool[i].g2, pool[i].g1)
+    keys = [(s.g1, s.g2) for s in pool]
+    for i in sorted(range(len(pool)), key=keys.__getitem__):
+        key = keys[i][::-1]
         rank = bisect_left(tails, key)
         if rank == len(tails):
             tails.append(key)

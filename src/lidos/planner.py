@@ -158,32 +158,6 @@ def binary_tournament(keys: list, rng: random.Random) -> int:
     return i if keys[i] <= keys[j] else j
 
 
-def uniform_crossover(a: Plan, b: Plan, rate: float, rng: random.Random) -> tuple[Plan, Plan]:
-    draw = rng.random
-    if draw() >= rate:
-        return a, b
-    ca, cb = list(a), list(b)
-    for i in range(len(ca)):
-        if draw() < 0.5:
-            ca[i], cb[i] = cb[i], ca[i]
-    return tuple(ca), tuple(cb)
-
-
-def boundary_mutation(plan: Plan, ends: tuple[tuple[int, int], ...], rate: float,
-                      rng: random.Random) -> Plan:
-    """Per gene, with the given probability, jump to the low or the high end
-    of its option's domain on a fair coin. `ends` holds each option's
-    (low, high) pair in plan order."""
-    draw = rng.random
-    values = None
-    for i, (low, high) in enumerate(ends):
-        if draw() < rate:
-            if values is None:
-                values = list(plan)
-            values[i] = low if draw() < 0.5 else high
-    return plan if values is None else tuple(values)
-
-
 class BasePlanner:
     """Shared generational loop over a measurement twin.
 
@@ -219,15 +193,23 @@ class BasePlanner:
         """Measure a random population under the twin's current environment."""
         if self.twin.current is None:
             raise ValueError("twin has no current environment")
-        self.population = [self._eval(p) for p in self._spawn_plans()]
+        self.population = [ScoredPlan(p, self._measure(p)) for p in self._spawn_plans()]
         self._score_population()
 
     def step_generation(self) -> None:
         """One generation: mate, vary, repair, measure (cache-aware), replace,
-        and possibly emit an adaptation."""
+        and possibly emit an adaptation.
+
+        Each pair of children makes its draws in this order, which every
+        trace byte rests on: two binary tournaments; the crossover gate, and
+        past it one swap draw per gene; then per gene of the first child, and
+        then of the second, the mutation draw and, where it hits, a fair coin
+        between the low and the high end of the gene's domain."""
         n = self.params.population_size
         crossover_rate, mutation_rate = self.params.crossover_rate, self.params.mutation_rate
-        population, rng, twin, ends = self.population, self.rng, self.twin, self.ends
+        population, rng, ends = self.population, self.rng, self.ends
+        repair, measure, draw = self.twin.repair, self._measure, rng.random
+        genes = range(len(ends))
         # The population stays fixed until `_replace`, so its keys do too.
         keys = self._tournament_keys()
         offspring: list[ScoredPlan] = []
@@ -236,19 +218,24 @@ class BasePlanner:
         # unobtainable; cap the attempts so the generation always terminates.
         attempts_left = 50 * n
         while len(offspring) < n and attempts_left > 0:
-            p1 = population[binary_tournament(keys, rng)]
-            p2 = population[binary_tournament(keys, rng)]
-            c1, c2 = uniform_crossover(p1.plan, p2.plan, crossover_rate, rng)
-            c1 = boundary_mutation(c1, ends, mutation_rate, rng)
-            c2 = boundary_mutation(c2, ends, mutation_rate, rng)
-            for child in (twin.repair(c1), twin.repair(c2)):
+            a = list(population[binary_tournament(keys, rng)].plan)
+            b = list(population[binary_tournament(keys, rng)].plan)
+            if draw() < crossover_rate:
+                for i in genes:
+                    if draw() < 0.5:
+                        a[i], b[i] = b[i], a[i]
+            for child in (a, b):
+                for i in genes:
+                    if draw() < mutation_rate:
+                        child[i] = ends[i][0] if draw() < 0.5 else ends[i][1]
+            for child in (repair(tuple(a)), repair(tuple(b))):
                 attempts_left -= 1
                 if len(offspring) >= n:
                     break
                 if self.distinct_offspring and child in pool_plans:
                     continue
                 pool_plans.add(child)
-                offspring.append(self._eval(child))
+                offspring.append(ScoredPlan(child, measure(child)))
         self._replace(offspring)
         self._maybe_send_adaptation()
 
@@ -284,21 +271,19 @@ class BasePlanner:
 
     # -- shared internals ----------------------------------------------------
 
-    def _eval(self, plan: Plan) -> ScoredPlan:
-        return ScoredPlan(plan=plan, ft=self._measure(plan))
-
     def _measure(self, plan: Plan) -> float:
         """Measure through the twin; genuine measurements advance the interval
         counter, update the best plan, and append a trace event."""
-        before = self.twin.counter
-        ft = self.twin.measure(plan)
-        if self.twin.counter == before:
+        twin = self.twin
+        before = twin.counter
+        ft = twin.measure(plan)
+        if twin.counter == before:
             return ft
         self.t += 1
         self.epoch_measurements += 1
         if self.s_best is None or ft < self.s_best.ft:
             self.s_best = ScoredPlan(plan=plan, ft=ft)
-        self.trace.record(self.twin.counter, self.twin.current.id, ft, self.s_best.ft)
+        self.trace.record(twin.counter, twin.current.id, ft, self.s_best.ft)
         return ft
 
     def _spawn_plans(self) -> list[Plan]:

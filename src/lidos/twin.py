@@ -76,11 +76,13 @@ class MeasurementTable:
         self.rows = rows
         self._validated_for: ConfigSpace | None = None
         # Nearest-plan search state, built per space searched under: the sorted
-        # plans, one column per option in the space's distance dtype, the terms
-        # cached per (option, value) pair, the cache's bytes left, and the
-        # memo of answers.
+        # plans, one column per option in the space's distance dtype, two
+        # row-length buffers every search reuses (the distance sum and an
+        # uncached term), the terms cached per (option, value) pair, the
+        # cache's bytes left, and the memo of answers.
         self._sorted_plans: list[Plan] = []
         self._columns: np.ndarray | None = None
+        self._sum = self._scratch = None
         self._terms: list[dict[int, np.ndarray]] = []
         self._room = 0
         self._nearest: dict[Plan, Plan] = {}
@@ -132,6 +134,8 @@ class MeasurementTable:
             self._sorted_plans = sorted(self.rows)
             self._columns = np.asarray(list(zip(*self._sorted_plans)),
                                        dtype=space.distance_dtype)
+            self._sum, self._scratch = (np.empty(len(self.rows), space.distance_dtype)
+                                        for _ in range(2))
             self._terms = [{} for _ in space.options]
             self._room = _TERM_CACHE_BYTES
             self._nearest = {}
@@ -141,17 +145,18 @@ class MeasurementTable:
             return found
         if len(plan) != len(space.options):
             raise ValueError(f"plan {plan!r} does not give each option of the space one value")
-        terms = list(map(self._term, range(len(plan)), plan, space.weights))
-        dist = terms[0].copy()
-        for term in terms[1:]:
-            dist += term
+        dist = self._sum
+        np.copyto(dist, self._term(0, plan[0], space.weights[0]))
+        for option in range(1, len(plan)):
+            np.add(dist, self._term(option, plan[option], space.weights[option]), out=dist)
         found = self._nearest[plan] = self._sorted_plans[int(dist.argmin())]
         return found
 
     def _term(self, option: int, value: int, weight: int) -> np.ndarray:
         """The column of ``weight * (column - value) ** 2`` for one option,
-        cached while it fits the cache's room; a value outside the option's
-        [min, max] raises ValueError."""
+        cached while it fits the cache's room, and otherwise made in the
+        scratch buffer the next uncached term overwrites; a value outside the
+        option's [min, max] raises ValueError."""
         cache = self._terms[option]
         term = cache.get(value)
         if term is None:
@@ -159,7 +164,7 @@ class MeasurementTable:
             if not spec.domain[0] <= value <= spec.domain[-1]:
                 raise ValueError(f"value {value} of option {spec.name!r} is outside its "
                                  f"[min, max], [{spec.domain[0]}, {spec.domain[-1]}]")
-            term = np.subtract(self._columns[option], value)
+            term = np.subtract(self._columns[option], value, out=self._scratch)
             np.square(term, out=term)
             np.multiply(term, weight, out=term)
             if term.nbytes <= self._room:
@@ -172,7 +177,7 @@ class MeasurementTable:
                     size += sum(map(sys.getsizeof, term)) + len(term) * sys.int_info.sizeof_digit
                 if size <= self._room:
                     self._room -= size
-                    cache[value] = term
+                    term = cache[value] = term.copy()
         return term
 
 
@@ -269,6 +274,9 @@ class CyberTwin:
         self.current: Environment | None = None
         self.counter = 0
         self._cache: set[Plan] = set()
+        # The current table's rows and sign, read for every plan measured.
+        self._rows: dict[Plan, float] = {}
+        self._sign = 1.0
 
     def current_table(self) -> MeasurementTable:
         if self.current is None:
@@ -281,22 +289,23 @@ class CyberTwin:
         env_id = env if isinstance(env, str) else env.id
         if env_id not in self.tables:
             raise ValueError(f"unknown environment {env_id!r}")
-        self.current = self.tables[env_id].environment
+        table = self.tables[env_id]
+        self.current = table.environment
+        self._rows, self._sign = table.rows, self.current.sign
         self._cache = set()
 
     def measure(self, plan: Plan) -> float:
-        table = self.current_table()
         try:
-            raw = table.rows[plan]
+            raw = self._rows[plan]
         except KeyError:
             raise KeyError(
                 f"plan {plan!r} has no measurement under environment "
-                f"{table.environment.id!r}"
+                f"{self.current_table().environment.id!r}"
             ) from None
         if plan not in self._cache:
             self._cache.add(plan)
             self.counter += 1
-        return raw * self.current.sign
+        return raw * self._sign
 
     def coverage(self) -> float:
         return len(self._cache) / len(self.current_table())
@@ -308,10 +317,9 @@ class CyberTwin:
         nearest-plan search under the space's normalized distance, which the
         table memoizes (off-table offspring recur a lot on sparse datasets).
         """
-        table = self.current_table()
-        if plan in table.rows:
+        if plan in self._rows:
             return plan
-        return table.nearest(plan, self.space)
+        return self.current_table().nearest(plan, self.space)
 
 
 def synth_landscape(n_options: int = 6, domain_size: int = 5, n_peaks: int = 40,

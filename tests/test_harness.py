@@ -19,6 +19,7 @@ import pytest
 from lidos import cli, harness
 from lidos.cli import main as cli_main
 from lidos.harness import (
+    TRACE_HEADER,
     ScenarioSpec,
     bundle_from_traces,
     csv_text,
@@ -28,6 +29,7 @@ from lidos.harness import (
     read_traces_csv,
     run_scenario,
     summarize_bundle,
+    traces_csv_text,
     trajectories_csv_text,
     trajectory_rows,
     write_atomic,
@@ -1085,18 +1087,51 @@ class TestStreamedTraces:
         assert not list(tmp_path.glob(".traces.csv.*.tmp"))
 
     def test_quoted_environment_id_round_trips(self, tmp_path):
+        # An environment id with a comma and a quote, and a repeated planner
+        # kind, whose second label is `stationary@2`: traces.csv is what
+        # `csv.writer` writes for the cells, and summarize reads it back.
         manifest = write_small_dataset(tmp_path)
         text = manifest.read_text(encoding="utf-8")
         manifest.write_text(text.replace("environment: A ", 'environment: A,"x ')
-                            .replace("leg: A ", 'leg: A,"x '), encoding="utf-8")
+                            .replace("leg: A ", 'leg: A,"x ')
+                            .replace("planners: lidos, stationary",
+                                     "planners: lidos, stationary, stationary"),
+                            encoding="utf-8")
         out = tmp_path / "out"
         scenario = ["--scenario", str(manifest), "--out", str(out)]
         assert cli_main(["run", *scenario]) == 0
         rows = (out / "traces.csv").read_text(encoding="utf-8").splitlines()
         assert rows[1].startswith('lidos,0,1,"A,""x",')
+        bundle = run_scenario(parse_scenario(manifest))
+        assert bundle.labels == ("lidos", "stationary", "stationary@2")
+        assert rows[0] == ",".join(TRACE_HEADER)
+        assert "\n".join(rows[1:]) + "\n" == "".join(
+            csv_writer_rows(label, rep, bundle.traces[(label, rep)])
+            for label in bundle.labels for rep in range(bundle.spec.repetitions))
         written = {p.name: p.read_bytes() for p in out.iterdir()}
         assert cli_main(["summarize", *scenario]) == 0
         assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+
+
+    def test_trace_rows_quote_as_csv_writer(self):
+        # Ids a scenario cannot spell are quoted as `csv.writer` quotes them
+        # too, the empty id included, which alone on a row would be `""`.
+        trace = RunTrace()
+        for index, env_id in enumerate(["", 'say "hi"', "a,b", "x\ny", " ", "\r", "B"]):
+            trace.record(index, env_id, env_change=True)
+            trace.record(index + 1, env_id, 0.5 * index, -0.25, adaptation_sent=index % 2 == 1)
+        assert traces_csv_text("k,@2", 3, trace) == csv_writer_rows("k,@2", 3, trace)
+
+
+def csv_writer_rows(label: str, rep: int, trace: RunTrace) -> str:
+    """One repetition's traces.csv rows as `csv.writer` writes their cells."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for index, env, ft, best_ft, sent, change in trace.events.tolist():
+        writer.writerow([label, rep, index, trace.env_ids[env],
+                         repr(ft) if ft == ft else "", repr(best_ft) if best_ft == best_ft else "",
+                         int(sent), int(change)])
+    return buf.getvalue()
 
 
 class TestTraceBlocks:

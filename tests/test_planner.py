@@ -11,8 +11,6 @@ from lidos.planner import (
     MmoPlanner,
     PlannerParams,
     binary_tournament,
-    boundary_mutation,
-    uniform_crossover,
 )
 from lidos.twin import synth_tables
 
@@ -51,30 +49,55 @@ class TestParams:
             PlannerParams(k=0)
 
 
+def generations_of_two(domains, a, b, rates: dict, generations: int, seed: int = 0) -> list:
+    """Children of a single-objective planner whose population is reset to
+    the plans a and b before each generation, on a flat table of every plan,
+    so that either parent wins a tournament: each pair of children, in
+    order."""
+    space = make_space(*domains)
+    twin = make_twin(space, make_table(space, grid_rows(domains, lambda p: 1.0)),
+                     current="e")
+    params = PlannerParams(population_size=2, k=10_000, **rates)
+    planner = make_planner("pseudo_dynamic", space, twin, params, seed)
+    handed = recording_offspring(planner)
+    for _ in range(generations):
+        planner.population = [ScoredPlan(p, planner._measure(p)) for p in (a, b)]
+        planner.step_generation()
+    return [tuple(plan for plan, _ in children) for children in handed]
+
+
 class TestOperators:
+    """The operators' properties, seen through whole generations."""
+
     def test_crossover_disabled_passthrough(self):
-        rng = random.Random(0)
         a, b = (0, 0, 0), (1, 1, 1)
-        assert uniform_crossover(a, b, 0.0, rng) == (a, b)
+        pairs = generations_of_two(((0, 1),) * 3, a, b,
+                                   dict(crossover_rate=0.0, mutation_rate=0.0), 50)
+        assert {child for pair in pairs for child in pair} == {a, b}
 
     def test_crossover_swaps_genes_only(self):
-        rng = random.Random(1)
+        # A pair of children holds, gene by gene, its parents' two values:
+        # a 0 and a 1 from a and b, or twice the value of a parent drawn twice.
         a, b = (0, 0, 0, 0), (1, 1, 1, 1)
-        for _ in range(50):
-            c1, c2 = uniform_crossover(a, b, 1.0, rng)
-            for x, y in zip(c1, c2):
-                assert {x, y} == {0, 1}
+        pairs = generations_of_two(((0, 1),) * 4, a, b,
+                                   dict(crossover_rate=1.0, mutation_rate=0.0), 50, seed=1)
+        for c1, c2 in pairs:
+            assert len({x + y for x, y in zip(c1, c2)}) == 1, (c1, c2)
+        assert {child for pair in pairs for child in pair} - {a, b}, "no gene was swapped"
 
     def test_mutation_disabled_identity(self):
-        rng = random.Random(2)
-        assert boundary_mutation((1, 5), ((0, 2), (0, 9)), 0.0, rng) == (1, 5)
+        # Crossover only moves values between children: each gene holds a
+        # parent's value at that gene, never a domain end no parent holds.
+        a, b = (1, 5), (2, 3)
+        pairs = generations_of_two((tuple(range(3)), tuple(range(10))), a, b,
+                                   dict(crossover_rate=1.0, mutation_rate=0.0), 50, seed=2)
+        for child in (child for pair in pairs for child in pair):
+            assert child[0] in (1, 2) and child[1] in (5, 3), child
 
     def test_mutation_hits_bounds_only(self):
-        rng = random.Random(3)
-        seen = set()
-        for _ in range(200):
-            seen.add(boundary_mutation((2,), ((0, 4),), 1.0, rng)[0])
-        assert seen == {0, 4}
+        pairs = generations_of_two((tuple(range(5)),), (2,), (3,),
+                                   dict(crossover_rate=0.0, mutation_rate=1.0), 100, seed=3)
+        assert {child for pair in pairs for child in pair} == {(0,), (4,)}
 
     def test_planner_ends_are_domain_ends(self):
         space = make_space((0, 1, 2), (3,), (-4, 0, 7, 9))

@@ -205,8 +205,17 @@ class TestMeasure:
     def test_unknown_plan(self):
         space = make_space((0, 1))
         twin = make_twin(space, make_table(space, {(0,): 7.0}), current="e")
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match=r"plan \(1,\) has no measurement under "
+                                           r"environment 'e'"):
             twin.measure((1,))
+
+    def test_no_current_environment(self):
+        space = make_space((0, 1))
+        twin = make_twin(space, make_table(space, {(0,): 7.0}))
+        for call in (twin.measure, twin.repair):
+            for plan in ((0,), (1,)):
+                with pytest.raises(ValueError, match="twin has no current environment"):
+                    call(plan)
 
     def test_unknown_environment(self):
         space = make_space((0, 1))
@@ -498,6 +507,34 @@ class TestRepairOracle:
         assert sum(map(len, table._terms)) == room
         assert all(term.dtype == np.int64 for cache in table._terms
                    for term in cache.values())
+
+    def test_searches_past_a_full_cache_reuse_two_buffers(self, monkeypatch):
+        # 50,000 rows over seven options of 10,000 values: once the term
+        # cache is full, a search's uncached terms and its sum go into the
+        # table's two row-length buffers, allocated when the search state is
+        # built, so 200 more searches raise the traced peak by less than one
+        # row-length.
+        monkeypatch.setattr(twin_module, "_TERM_CACHE_BYTES", 4 << 20)
+        rng = random.Random(50)
+        domain = tuple(range(10_000))
+        space = make_space(*(domain,) * 7)
+        rows = {tuple(rng.choices(domain, k=7)): 0.0 for _ in range(50_000)}
+        table = make_table(space, rows)
+        row_bytes = 8 * len(rows)
+        queries = [tuple(rng.choices(domain, k=7)) for _ in range(220)]
+        for plan in queries[:20]:
+            table.nearest(plan, space)
+        assert table._room < row_bytes, "the term cache is not full"
+        tracemalloc.start()
+        try:
+            answers = [table.nearest(plan, space) for plan in queries[20:]]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < row_bytes
+        distance = weighted(space.weights)
+        for plan, found in list(zip(queries[20:], answers))[:2]:
+            assert found == brute_force_nearest(rows, plan, distance)
 
     def test_python_int_terms_count_their_objects(self, monkeypatch):
         # Values 2**40 / 50 apart make every distance term a Python int of
