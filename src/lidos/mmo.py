@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
 
 import numpy as np
@@ -51,7 +52,8 @@ def assign_auxiliary(pool: list[ScoredPlan], space: ConfigSpace) -> None:
     # Members outside the nearest set get a gap of -1, below any real one.
     plans = [s.plan for s in pool]
     order = sorted(range(len(pool)), key=plans.__getitem__)
-    coords = np.array(plans, dtype=space.distance_dtype)
+    coords = np.fromiter(chain.from_iterable(plans), space.distance_dtype,
+                         len(pool) * len(space.options)).reshape(len(pool), -1)
     steps = coords[:, None, :] - coords[order]
     dist = (steps * steps) @ np.array(space.weights, dtype=space.distance_dtype)
     # A member is not its own neighbor: its cell lies above every distance.
@@ -89,7 +91,8 @@ def nondominated_sort(pool: list[ScoredPlan]) -> list[list[ScoredPlan]]:
     fronts: list[list[int]] = []
     keys = [(s.g1, s.g2) for s in pool]
     for i in sorted(range(len(pool)), key=keys.__getitem__):
-        key = keys[i][::-1]
+        g1, g2 = keys[i]
+        key = (g2, g1)
         rank = bisect_left(tails, key)
         if rank == len(tails):
             tails.append(key)
