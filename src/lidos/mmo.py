@@ -55,7 +55,8 @@ def assign_auxiliary(pool: list[ScoredPlan], space: ConfigSpace) -> None:
     coords = np.fromiter(chain.from_iterable(plans), space.distance_dtype,
                          len(pool) * len(space.options)).reshape(len(pool), -1)
     steps = coords[:, None, :] - coords[order]
-    dist = (steps * steps) @ np.array(space.weights, dtype=space.distance_dtype)
+    steps *= steps
+    dist = steps @ np.array(space.weights, dtype=space.distance_dtype)
     # A member is not its own neighbor: its cell lies above every distance.
     dist[np.arange(len(pool)), np.argsort(order)] = dist.max() + 1
     ft = np.asarray([s.ft for s in pool])
