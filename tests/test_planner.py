@@ -86,13 +86,15 @@ class TestOperators:
         assert {child for pair in pairs for child in pair} - {a, b}, "no gene was swapped"
 
     def test_mutation_disabled_identity(self):
-        # Crossover only moves values between children: each gene holds a
-        # parent's value at that gene, never a domain end no parent holds.
+        # Crossover only moves values between the two children, so at every
+        # gene a pair holds exactly its two parents' values; no domain end
+        # that no parent holds ever appears.
         a, b = (1, 5), (2, 3)
         pairs = generations_of_two((tuple(range(3)), tuple(range(10))), a, b,
                                    dict(crossover_rate=1.0, mutation_rate=0.0), 50, seed=2)
-        for child in (child for pair in pairs for child in pair):
-            assert child[0] in (1, 2) and child[1] in (5, 3), child
+        for c1, c2 in pairs:
+            assert any(all(sorted((x, y)) == sorted((p, q)) for x, y, p, q in zip(c1, c2, *parents))
+                       for parents in ((a, a), (b, b), (a, b))), (c1, c2)
 
     def test_mutation_hits_bounds_only(self):
         pairs = generations_of_two((tuple(range(5)),), (2,), (3,),
