@@ -131,10 +131,10 @@ class TestOperators:
 
 # -- reference generation --------------------------------------------------------
 #
-# One generation composed of three separate operators, as the planner made it
-# before its generation loop drew for them in place. The loop must make the
-# same draws in the same order, so every offspring, population, trace and
-# generator state below equals the reference's.
+# One generation composed of three separate operators, each making its own
+# draws: the reference that `step_generation`'s single loop is checked
+# against. The loop must make the same draws in the same order, so every
+# offspring, population, trace and generator state equals the reference's.
 
 
 def reference_tournament(keys: list, rng: random.Random) -> int:
@@ -245,7 +245,7 @@ class TestGenerationOracle:
     planner kind, every even population size from 2 to 60 (from 22 on the
     tournament takes `Random.sample`'s set path), crossover and mutation
     rates of 0, 1 and the defaults, and 30 seeds, on a table of every plan
-    and on one that sends most children to a repair search."""
+    and on one that sends off-table children to a repair search."""
 
     @pytest.mark.parametrize("kind", PLANNER_KINDS)
     @pytest.mark.parametrize("keep", (1.0, 0.4))
