@@ -405,6 +405,74 @@ class TestRepairOracle:
                 answers.add((plan, found))
         assert len(answers) > len(queries)
 
+    def test_whole_grid(self):
+        # Every plan of a small grid is searched on first use, after each
+        # environment switch, under a second space whose wider first domain
+        # gives other weights, and under the first space again; the spaces
+        # hold zero-span options, non-contiguous domains and one-row tables.
+        # Values between domain values, wrong lengths and values outside the
+        # [min, max] are asked between the grid passes.
+        rng = random.Random(25)
+        for trial in range(24):
+            domains = [random_domain(rng) for _ in range(rng.randint(1, 4))]
+            domains[trial % len(domains)] = ((3,), (1, 2, 4, 8, 9))[trial % 2]
+            base = make_space(*domains)
+            wide = make_space((domains[0][0] - 30,) + domains[0], *domains[1:])
+            grid = list(itertools.product(*domains))
+            tables = {}
+            for env_id in "AB":
+                size = rng.choice((1, 2, rng.randint(1, len(grid))))
+                tables[env_id] = {plan: 0.0 for plan in rng.sample(grid, size)}
+            twin = make_twin(base, *(make_table(base, rows, env_id)
+                                     for env_id, rows in tables.items()))
+            expected = {env_id: [brute_force_repair(rows, plan, base) for plan in grid]
+                        for env_id, rows in tables.items()}
+            for env_id in "ABA":
+                twin.set_environment(env_id)
+                assert [twin.repair(plan) for plan in grid] == expected[env_id]
+                self.check_off_grid(twin.tables[env_id], base, rng)
+            table = twin.tables["A"]
+            wide_grid = list(itertools.product(*(o.domain for o in wide.options)))
+            assert [table.nearest(plan, wide) for plan in wide_grid] == [
+                brute_force_repair(tables["A"], plan, wide) for plan in wide_grid]
+            assert [table.nearest(plan, base) for plan in grid] == expected["A"]
+
+    def check_off_grid(self, table, space, rng):
+        """In-range values off the domains answer by the formula, and wrong
+        lengths and values outside the [min, max] keep their messages."""
+        distance = weighted(space.weights)
+        for _ in range(3):
+            plan = tuple(rng.randint(o.domain[0], o.domain[-1]) for o in space.options)
+            assert table.nearest(plan, space) == brute_force_nearest(table.rows, plan, distance)
+        plan = tuple(o.domain[0] for o in space.options)
+        for wrong in (plan + plan[:1], plan[1:]):
+            with pytest.raises(ValueError, match="does not give each option of the space"):
+                table.nearest(wrong, space)
+        with pytest.raises(ValueError, match=r"outside its \[min, max\]"):
+            table.nearest((space.options[0].domain[-1] + 1,) + plan[1:], space)
+
+    def test_whole_grid_of_tie_heavy_layouts(self):
+        # The layouts of `test_tie_heavy_layouts` on grids small enough to
+        # search every plan: many plans have several rows at one distance.
+        rng = random.Random(11)
+        for n_options, span in ((3, 6), (2, 9), (4, 4), (3, 7)):
+            space = make_space(*(tuple(range(span + 1)),) * n_options)
+            query = tuple(rng.randint(3, span - 3) if span > 5 else 1
+                          for _ in range(n_options))
+            base = [rng.choice((0, 1, 1, 2, 3)) for _ in range(n_options)]
+            rows = {}
+            for _ in range(300):
+                step = rng.sample(base, n_options)
+                plan = tuple(q + d * rng.choice((-1, 1)) for q, d in zip(query, step))
+                if space.validate_plan(plan) and plan != query:
+                    rows[plan] = 0.0
+            assert len(rows) > 1
+            twin = make_twin(space, make_table(space, rows), current="e")
+            grid = list(itertools.product(range(span + 1), repeat=n_options))
+            expected = [brute_force_repair(rows, plan, space) for plan in grid]
+            for _ in range(2):
+                assert [twin.repair(plan) for plan in grid] == expected
+
     def test_term_cache_follows_the_scale(self):
         # The spaces differ only in their domain ends, so in their weights.
         # Each query is searched under both, alternately, so a term or an
