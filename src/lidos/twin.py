@@ -27,7 +27,8 @@ SYNTH_MAX_DISTANCES = 2**24
 _JITTER_BLOCK = 4096
 
 # Bytes of distance terms one table caches per space for its nearest-plan
-# searches; past this, a search computes the uncached terms anew.
+# scans; past this, a scan computes the uncached terms anew. It also bounds
+# the work of each pass, and so the size, of a nearest-row map.
 _TERM_CACHE_BYTES = 16 << 20
 
 
@@ -52,7 +53,10 @@ class MeasurementTable:
     """Plan -> raw performance lookup for a single environment.
 
     The rows are read-only after construction, so tables are safely shared
-    across runs; the nearest-plan search's caches grow as searches run.
+    across runs. The nearest-plan search builds its state per space at the
+    first search under it: a map of the nearest row of every plan of the
+    domain grid where `_nearest_map` admits the grid, and the scan's columns,
+    term cache and memo only once a plan the map does not answer is searched.
     """
 
     def __init__(self, environment: Environment, option_names: tuple[str, ...],
@@ -75,18 +79,22 @@ class MeasurementTable:
         self.option_names = option_names
         self.rows = rows
         self._validated_for: ConfigSpace | None = None
-        # Nearest-plan search state, built per space searched under: the sorted
-        # plans, one column per option in the space's distance dtype, two
-        # row-length buffers every search reuses (the distance sum and an
-        # uncached term), the terms cached per (option, value) pair, the
-        # cache's bytes left, and the memo of answers.
+        # Nearest-plan search state, per space searched under: the sorted
+        # plans; the nearest-row map and each option's value -> grid offset,
+        # where `_nearest_map` builds them; and the scan's state, built at the
+        # first query the map does not answer: one column per option in the
+        # space's distance dtype, two row-length buffers every scan reuses
+        # (the distance sum and an uncached term), the terms cached per
+        # (option, value) pair, the cache's bytes left, and the memo.
+        self._nearest_space: ConfigSpace | None = None
         self._sorted_plans: list[Plan] = []
+        self._map: list[Plan] | None = None
+        self._offsets: list[dict[int, int]] = []
         self._columns: np.ndarray | None = None
         self._sum = self._scratch = None
         self._terms: list[dict[int, np.ndarray]] = []
         self._room = 0
         self._nearest: dict[Plan, Plan] = {}
-        self._nearest_space: ConfigSpace | None = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -121,30 +129,44 @@ class MeasurementTable:
     def nearest(self, plan: Plan, space: ConfigSpace) -> Plan:
         """The measured plan nearest to `plan` by the integer distance
         ``sum_j space.weights[j] * (row[j] - plan[j]) ** 2``; ties go to the
-        lexicographically lowest plan. Answers are memoized per space.
+        lexicographically lowest plan.
 
         The rows must be plans of `space`, and `plan` one value per option
-        within its [min, max], or this raises ValueError; so every distance
-        fits `space.distance_dtype`, the dtype of the columns and of the terms
-        cached per (option, value) up to `_TERM_CACHE_BYTES`. Exact in any
-        order, the first minimum is the answer.
+        within its [min, max], or this raises ValueError. Two searches serve
+        it, each exact. Where `_nearest_map` admits the space's grid, the
+        first search under the space maps every grid plan to its nearest
+        row, and a plan of domain values is then one lookup. Any other plan,
+        or any plan under a space the map does not admit, is scanned: every
+        distance fits `space.distance_dtype`, the dtype of the columns and of
+        the terms cached per (option, value) up to `_TERM_CACHE_BYTES`, and in
+        any order the first minimum is the answer. Scanned answers are
+        memoized per space.
         """
         if space is not self._nearest_space and space != self._nearest_space:
             self.validate_space(space)
+            self._nearest_space = space
             self._sorted_plans = sorted(self.rows)
+            self._map, self._offsets = _nearest_map(space, self._sorted_plans)
+            self._columns = None
+            self._terms = []
+            self._nearest = {}
+        if self._map is not None and len(plan) == len(self._offsets):
+            try:
+                return self._map[sum(map(dict.__getitem__, self._offsets, plan))]
+            except KeyError:
+                pass
+        found = self._nearest.get(plan)
+        if found is not None:
+            return found
+        if len(plan) != len(space.options):
+            raise ValueError(f"plan {plan!r} does not give each option of the space one value")
+        if self._columns is None:
             self._columns = np.asarray(list(zip(*self._sorted_plans)),
                                        dtype=space.distance_dtype)
             self._sum, self._scratch = (np.empty(len(self.rows), space.distance_dtype)
                                         for _ in range(2))
             self._terms = [{} for _ in space.options]
             self._room = _TERM_CACHE_BYTES
-            self._nearest = {}
-            self._nearest_space = space
-        found = self._nearest.get(plan)
-        if found is not None:
-            return found
-        if len(plan) != len(space.options):
-            raise ValueError(f"plan {plan!r} does not give each option of the space one value")
         dist = self._sum
         np.copyto(dist, self._term(0, plan[0], space.weights[0]))
         for option in range(1, len(plan)):
@@ -179,6 +201,63 @@ class MeasurementTable:
                     self._room -= size
                     term = cache[value] = term.copy()
         return term
+
+
+def _nearest_map(space: ConfigSpace, plans: list[Plan],
+                 ) -> tuple[list[Plan] | None, list[dict[int, int]]]:
+    """The nearest of the sorted `plans` to every plan of the space's domain
+    grid, listed by the plan's flat position in the grid's C order, and per
+    option the map of each domain value to its offset in that position; or
+    None and no offsets where the map is not both exact and small.
+
+    Each grid cell holds an int64 key ``distance << b | row``, with ``b =
+    len(plans).bit_length()``: the row's sorted index, so the least key is
+    the nearest row and, on a tie, the lowest plan. A row's own cell starts
+    at distance 0, and every other cell at a sentinel above every real key;
+    one min-plus pass per option then gives each cell the least, over the
+    cells that differ from it in that option alone, of their key plus the
+    option's weighted squared step, as in Felzenszwalb and Huttenlocher's
+    separable distance transform. The map is built only where
+
+    - the distances are int64, and ``(options + 1) * L << b`` is below 2**62,
+      with L = lcm(span**2), so no key, sentinel or sum of a pass overflows;
+    - a pass's work, each cell once per value of its option, is no more than
+      the int64 values `_TERM_CACHE_BYTES` holds, so the map (its cells x 8 B)
+      fits that budget too and no wide domain makes its build quadratic;
+    - the grid has no more cells than the scan's full term set has values,
+      the sum of the domain sizes times the rows.
+    """
+    shape = tuple(len(option.domain) for option in space.options)
+    cells = math.prod(shape)
+    bits = len(plans).bit_length()
+    sentinel = (len(shape) + 1) * math.lcm(
+        *(option.span**2 for option in space.options if option.span)) << bits
+    if not (space.distance_dtype == "int64" and sentinel < 2**62
+            and cells * max(shape) * 8 <= _TERM_CACHE_BYTES
+            and cells <= sum(shape) * len(plans)):
+        return None, []
+    offsets, strides = [], []
+    stride = cells
+    for option in space.options:
+        stride //= len(option.domain)
+        strides.append(stride)
+        offsets.append({value: i * stride for i, value in enumerate(option.domain)})
+    keys = np.full(cells, sentinel, np.int64)
+    keys[[sum(map(dict.__getitem__, offsets, plan)) for plan in plans]] = np.arange(len(plans))
+    for option, weight, stride in zip(space.options, space.weights, strides):
+        if not weight:
+            continue
+        # The cells as (earlier options, this option's values, later
+        # options): each target value takes the least over the source values
+        # of the source's key plus the weighted squared step between them.
+        values = np.asarray(option.domain, np.int64)
+        source = keys.reshape(-1, len(values), stride)
+        keys, buffer = np.full_like(source, sentinel), np.empty_like(source)
+        for i, value in enumerate(option.domain):
+            steps = weight * (values - value) ** 2 << bits
+            np.minimum(keys, np.add(source[:, i:i + 1], steps[:, None], out=buffer), out=keys)
+    rows = np.bitwise_and(keys.reshape(-1), (1 << bits) - 1)
+    return np.fromiter(plans, object, len(plans))[rows].tolist(), offsets
 
 
 def load_measurements(path: str | Path, env: Environment) -> MeasurementTable:
@@ -315,7 +394,8 @@ class CyberTwin:
 
         Plans already in the table pass through; others go to the table's
         nearest-plan search under the space's normalized distance, which the
-        table memoizes (off-table offspring recur a lot on sparse datasets).
+        table answers from its nearest-row map or memoizes (off-table
+        offspring recur a lot on sparse datasets).
         """
         if plan in self._rows:
             return plan

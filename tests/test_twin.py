@@ -631,6 +631,68 @@ class TestRepairOracle:
         assert answers == [brute_force_nearest(rows, plan, distance) for plan in queries]
 
 
+class TestNearestMapRule:
+    """A table on each side of each condition of the nearest-row map's rule:
+    both sides answer every grid plan as the formula does, and a table the
+    map serves holds no columns, term cache or memo afterwards."""
+
+    def grid_answers(self, table, space, mapped):
+        grid = list(itertools.product(*(o.domain for o in space.options)))
+        found = [table.nearest(plan, space) for plan in grid]
+        assert found == [brute_force_repair(table.rows, plan, space) for plan in grid]
+        assert (table._map is not None) == mapped
+        assert (table._columns is None and not any(table._terms)
+                and not table._nearest) == mapped
+        return found
+
+    def test_work_of_a_pass_within_the_budget(self, monkeypatch):
+        # 64 cells of four values each: a pass takes 64 x 4 x 8 B.
+        space = make_space(*((0, 1, 2, 3),) * 3)
+        rng = random.Random(3)
+        rows = {space.random_plan(rng): 0.0 for _ in range(10)}
+        answers = []
+        for budget, mapped in ((64 * 4 * 8, True), (64 * 4 * 8 - 1, False)):
+            monkeypatch.setattr(twin_module, "_TERM_CACHE_BYTES", budget)
+            answers.append(self.grid_answers(make_table(space, rows), space, mapped))
+        assert answers[0] == answers[1]
+
+    def test_cells_against_the_full_term_set(self):
+        # 27 cells against nine domain values times the rows, and 6 cells
+        # against five times the rows: the map at 27 = 9 x 3, the scan at
+        # 6 = 5 x 1 + 1.
+        space = make_space(*((0, 1, 2),) * 3)
+        rows = {(0, 0, 1): 0.0, (2, 1, 0): 0.0, (1, 2, 2): 0.0}
+        self.grid_answers(make_table(space, rows), space, True)
+        del rows[(1, 2, 2)]
+        self.grid_answers(make_table(space, rows), space, False)
+        space = make_space((0, 1), (0, 1, 2))
+        self.grid_answers(make_table(space, {(1, 1): 0.0, (0, 2): 0.0}), space, True)
+        self.grid_answers(make_table(space, {(1, 1): 0.0}), space, False)
+
+    def test_key_past_2_62(self):
+        # L = (2**29)**2 = 2**58, so (1 + 1) * L << b reaches 2**62 at b = 3,
+        # four rows; the distances fit int64 either way.
+        space = make_space((0, 1, 2, 2**29))
+        assert space.distance_dtype == "int64"
+        rows = {(0,): 0.0, (2,): 0.0, (2**29,): 0.0}
+        self.grid_answers(make_table(space, rows), space, True)
+        rows[(1,)] = 0.0
+        self.grid_answers(make_table(space, rows), space, False)
+
+    def test_object_distances(self):
+        # The same shape and weights, once with values past int64: the
+        # answers are the same plans, shifted.
+        shift = 2**70
+        small = make_space((0, 1, 3), (0, 5, 10))
+        large = make_space((shift, shift + 1, shift + 3), (0, 5, 10))
+        assert (small.distance_dtype, large.distance_dtype) == ("int64", "object")
+        rows = {(1, 0): 0.0, (3, 10): 0.0, (0, 5): 0.0}
+        found = self.grid_answers(make_table(small, rows), small, True)
+        shifted = self.grid_answers(
+            make_table(large, {(a + shift, b): v for (a, b), v in rows.items()}), large, False)
+        assert shifted == [(a + shift, b) for a, b in found]
+
+
 class TestSynthLandscape:
     def test_deterministic(self):
         a1, b1 = synth_tables(n_options=3, domain_size=4, n_peaks=3, noise_seed=5)
