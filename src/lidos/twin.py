@@ -147,7 +147,7 @@ class MeasurementTable:
             self._nearest_space = space
             self._sorted_plans = sorted(self.rows)
             self._map, self._offsets = _nearest_map(space, self._sorted_plans)
-            self._columns = None
+            self._columns = self._sum = self._scratch = None
             self._terms = []
             self._nearest = {}
         if self._map is not None and len(plan) == len(self._offsets):
