@@ -28,7 +28,7 @@ _JITTER_BLOCK = 4096
 
 # Bytes of distance terms one table caches per space for its nearest-plan
 # scans; past this, a scan computes the uncached terms anew. It also bounds
-# the work of each pass, and so the size, of a nearest-row map.
+# a nearest-row map's build: its grid arrays, and the work of each pass.
 _TERM_CACHE_BYTES = 16 << 20
 
 
@@ -144,12 +144,14 @@ class MeasurementTable:
         """
         if space is not self._nearest_space and space != self._nearest_space:
             self.validate_space(space)
-            self._nearest_space = space
-            self._sorted_plans = sorted(self.rows)
-            self._map, self._offsets = _nearest_map(space, self._sorted_plans)
+            plans = sorted(self.rows)
+            self._map, self._offsets = _nearest_map(space, plans)
+            self._sorted_plans = plans
             self._columns = self._sum = self._scratch = None
             self._terms = []
             self._nearest = {}
+            # Last, so a build that raises leaves the space to be built again.
+            self._nearest_space = space
         if self._map is not None and len(plan) == len(self._offsets):
             try:
                 return self._map[sum(map(dict.__getitem__, self._offsets, plan))]
@@ -208,7 +210,7 @@ def _nearest_map(space: ConfigSpace, plans: list[Plan],
     """The nearest of the sorted `plans` to every plan of the space's domain
     grid, listed by the plan's flat position in the grid's C order, and per
     option the map of each domain value to its offset in that position; or
-    None and no offsets where the map is not both exact and small.
+    None and no offsets where the map would not be exact or would not fit.
 
     Each grid cell holds an int64 key ``distance << b | row``, with ``b =
     len(plans).bit_length()``: the row's sorted index, so the least key is
@@ -221,11 +223,9 @@ def _nearest_map(space: ConfigSpace, plans: list[Plan],
 
     - the distances are int64, and ``(options + 1) * L << b`` is below 2**62,
       with L = lcm(span**2), so no key, sentinel or sum of a pass overflows;
-    - a pass's work, each cell once per value of its option, is no more than
-      the int64 values `_TERM_CACHE_BYTES` holds, so the map (its cells x 8 B)
-      fits that budget too and no wide domain makes its build quadratic;
-    - the grid has no more cells than the scan's full term set has values,
-      the sum of the domain sizes times the rows.
+    - at 8 B a cell, both the build's grid arrays, at most three at once,
+      and a pass's work, each cell once per value of its option, fit
+      `_TERM_CACHE_BYTES`, so no wide domain makes the build quadratic.
     """
     shape = tuple(len(option.domain) for option in space.options)
     cells = math.prod(shape)
@@ -233,8 +233,7 @@ def _nearest_map(space: ConfigSpace, plans: list[Plan],
     sentinel = (len(shape) + 1) * math.lcm(
         *(option.span**2 for option in space.options if option.span)) << bits
     if not (space.distance_dtype == "int64" and sentinel < 2**62
-            and cells * max(shape) * 8 <= _TERM_CACHE_BYTES
-            and cells <= sum(shape) * len(plans)):
+            and cells * max(3, *shape) * 8 <= _TERM_CACHE_BYTES):
         return None, []
     offsets, strides = [], []
     stride = cells
@@ -243,7 +242,8 @@ def _nearest_map(space: ConfigSpace, plans: list[Plan],
         strides.append(stride)
         offsets.append({value: i * stride for i, value in enumerate(option.domain)})
     keys = np.full(cells, sentinel, np.int64)
-    keys[[sum(map(dict.__getitem__, offsets, plan)) for plan in plans]] = np.arange(len(plans))
+    keys[np.fromiter((sum(map(dict.__getitem__, offsets, plan)) for plan in plans),
+                     np.int64, len(plans))] = np.arange(len(plans))
     for option, weight, stride in zip(space.options, space.weights, strides):
         if not weight:
             continue
@@ -256,8 +256,12 @@ def _nearest_map(space: ConfigSpace, plans: list[Plan],
         for i, value in enumerate(option.domain):
             steps = weight * (values - value) ** 2 << bits
             np.minimum(keys, np.add(source[:, i:i + 1], steps[:, None], out=buffer), out=keys)
-    rows = np.bitwise_and(keys.reshape(-1), (1 << bits) - 1)
-    return np.fromiter(plans, object, len(plans))[rows].tolist(), offsets
+        del source, buffer
+    keys = keys.reshape(-1)
+    np.bitwise_and(keys, (1 << bits) - 1, out=keys)
+    nearest = np.fromiter(plans, object, len(plans))[keys]
+    del keys
+    return nearest.tolist(), offsets
 
 
 def load_measurements(path: str | Path, env: Environment) -> MeasurementTable:

@@ -656,18 +656,58 @@ class TestNearestMapRule:
             answers.append(self.grid_answers(make_table(space, rows), space, mapped))
         assert answers[0] == answers[1]
 
-    def test_cells_against_the_full_term_set(self):
-        # 27 cells against nine domain values times the rows, and 6 cells
-        # against five times the rows: the map at 27 = 9 x 3, the scan at
-        # 6 = 5 x 1 + 1.
-        space = make_space(*((0, 1, 2),) * 3)
-        rows = {(0, 0, 1): 0.0, (2, 1, 0): 0.0, (1, 2, 2): 0.0}
-        self.grid_answers(make_table(space, rows), space, True)
-        del rows[(1, 2, 2)]
-        self.grid_answers(make_table(space, rows), space, False)
-        space = make_space((0, 1), (0, 1, 2))
-        self.grid_answers(make_table(space, {(1, 1): 0.0, (0, 2): 0.0}), space, True)
-        self.grid_answers(make_table(space, {(1, 1): 0.0}), space, False)
+    def test_grid_arrays_within_the_budget(self, monkeypatch):
+        # 2**16 cells of two values each: the build holds at most three
+        # int64 arrays of the grid at once, so a budget of 3 x cells x 8 B
+        # admits the map and one byte less does not. Past the three arrays
+        # the traced peak holds only what does not grow with the grid
+        # (numpy's iteration buffers, the sorted rows), and the map keeps
+        # one 8 B list slot a cell.
+        space = make_space(*((0, 1),) * 16)
+        cells = 2**16
+        rng = random.Random(16)
+        rows = {space.random_plan(rng): 0.0 for _ in range(300)}
+        queries = [space.random_plan(rng) for _ in range(100)]
+        distance = weighted(space.weights)
+        expected = [brute_force_nearest(rows, plan, distance) for plan in queries]
+        for budget, mapped in ((3 * cells * 8, True), (3 * cells * 8 - 1, False)):
+            monkeypatch.setattr(twin_module, "_TERM_CACHE_BYTES", budget)
+            table = make_table(space, rows)
+            tracemalloc.start()
+            try:
+                first = table.nearest(queries[0], space)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert (table._map is not None) == mapped
+            if mapped:
+                assert peak - budget < 256 << 10
+                assert held - cells * 8 < 64 << 10
+            assert [first] + [table.nearest(plan, space) for plan in queries[1:]] == expected
+
+    def test_a_failed_build_is_built_again(self, monkeypatch):
+        # A map build that raises under a new space leaves the table's
+        # state for the old one, so the next search under the new space
+        # builds its map instead of answering from the old space's.
+        narrow = make_space((0, 1, 2), (0, 1, 2))
+        wide = make_space((0, 1, 2, 30), (0, 1, 2))
+        rows = {(0, 0): 0.0, (2, 1): 0.0, (1, 2): 0.0}
+        table = make_table(narrow, rows)
+        grid = list(itertools.product((0, 1, 2), repeat=2))
+        assert [table.nearest(plan, narrow) for plan in grid] == [
+            brute_force_repair(rows, plan, narrow) for plan in grid]
+        build = twin_module._nearest_map
+
+        def interrupted(space, plans):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(twin_module, "_nearest_map", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            table.nearest((1, 0), wide)
+        monkeypatch.setattr(twin_module, "_nearest_map", build)
+        assert [table.nearest(plan, wide) for plan in grid] == [
+            brute_force_repair(rows, plan, wide) for plan in grid]
+        assert table._map is not None
 
     def test_key_past_2_62(self):
         # L = (2**29)**2 = 2**58, so (1 + 1) * L << b reaches 2**62 at b = 3,
