@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
 import math
 import random
-import sys
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
@@ -26,9 +26,9 @@ SYNTH_MAX_DISTANCES = 2**24
 # Plans per block of `synth_landscape`'s jitter draws.
 _JITTER_BLOCK = 4096
 
-# Bytes of distance terms one table caches per space for its nearest-plan
-# scans; past this, a scan computes the uncached terms anew. It also bounds
-# a nearest-row map's build: its grid arrays, and the work of each pass.
+# Bytes one table spends per space on its nearest-plan search state: the
+# scan's term tables, an equal share per option, and a nearest-row map's
+# build, its grid arrays and the work of each pass.
 _TERM_CACHE_BYTES = 16 << 20
 
 
@@ -56,7 +56,7 @@ class MeasurementTable:
     across runs. The nearest-plan search builds its state per space at the
     first search under it: a map of the nearest row of every plan of the
     domain grid where `_nearest_map` admits the grid, and the scan's columns,
-    term cache and memo only once a plan the map does not answer is searched.
+    term tables and memo only once a plan the map does not answer is searched.
     """
 
     def __init__(self, environment: Environment, option_names: tuple[str, ...],
@@ -84,16 +84,15 @@ class MeasurementTable:
         # where `_nearest_map` builds them; and the scan's state, built at the
         # first query the map does not answer: one column per option in the
         # space's distance dtype, two row-length buffers every scan reuses
-        # (the distance sum and an uncached term), the terms cached per
-        # (option, value) pair, the cache's bytes left, and the memo.
+        # (the distance sum and an untabled term), each option's term table
+        # or None, and the memo.
         self._nearest_space: ConfigSpace | None = None
         self._sorted_plans: list[Plan] = []
         self._map: list[Plan] | None = None
         self._offsets: list[dict[int, int]] = []
         self._columns: np.ndarray | None = None
         self._sum = self._scratch = None
-        self._terms: list[dict[int, np.ndarray]] = []
-        self._room = 0
+        self._terms: list[np.ndarray | None] = []
         self._nearest: dict[Plan, Plan] = {}
 
     def __len__(self) -> int:
@@ -137,10 +136,11 @@ class MeasurementTable:
         first search under the space maps every grid plan to its nearest
         row, and a plan of domain values is then one lookup. Any other plan,
         or any plan under a space the map does not admit, is scanned: every
-        distance fits `space.distance_dtype`, the dtype of the columns and of
-        the terms cached per (option, value) up to `_TERM_CACHE_BYTES`, and in
-        any order the first minimum is the answer. Scanned answers are
-        memoized per space.
+        distance fits `space.distance_dtype`, the dtype of the columns, and in
+        any order the first minimum is the answer. Where the distances are
+        int64, an option whose terms for all its domain values fit its equal
+        share of `_TERM_CACHE_BYTES` has them in one table, built with the
+        columns. Scanned answers are memoized per space.
         """
         if space is not self._nearest_space and space != self._nearest_space:
             self.validate_space(space)
@@ -163,12 +163,18 @@ class MeasurementTable:
         if len(plan) != len(space.options):
             raise ValueError(f"plan {plan!r} does not give each option of the space one value")
         if self._columns is None:
-            self._columns = np.asarray(list(zip(*self._sorted_plans)),
-                                       dtype=space.distance_dtype)
+            columns = np.asarray(list(zip(*self._sorted_plans)), dtype=space.distance_dtype)
+            share = _TERM_CACHE_BYTES // len(space.options)
+            # numpy elides the temporaries of the square and the product where
+            # it can, so the build holds one table at a time.
+            self._terms = [
+                weight * np.subtract.outer(option.domain, column) ** 2
+                if space.distance_dtype == "int64" and len(option.domain) * column.nbytes <= share
+                else None for option, weight, column in zip(space.options, space.weights, columns)]
             self._sum, self._scratch = (np.empty(len(self.rows), space.distance_dtype)
                                         for _ in range(2))
-            self._terms = [{} for _ in space.options]
-            self._room = _TERM_CACHE_BYTES
+            # Last, so a build that raises leaves the scan to be built again.
+            self._columns = columns
         dist = self._sum
         np.copyto(dist, self._term(0, plan[0], space.weights[0]))
         for option in range(1, len(plan)):
@@ -177,32 +183,22 @@ class MeasurementTable:
         return found
 
     def _term(self, option: int, value: int, weight: int) -> np.ndarray:
-        """The column of ``weight * (column - value) ** 2`` for one option,
-        cached while it fits the cache's room, and otherwise made in the
-        scratch buffer the next uncached term overwrites; a value outside the
-        option's [min, max] raises ValueError."""
-        cache = self._terms[option]
-        term = cache.get(value)
-        if term is None:
-            spec = self._nearest_space.options[option]
-            if not spec.domain[0] <= value <= spec.domain[-1]:
-                raise ValueError(f"value {value} of option {spec.name!r} is outside its "
-                                 f"[min, max], [{spec.domain[0]}, {spec.domain[-1]}]")
-            term = np.subtract(self._columns[option], value, out=self._scratch)
-            np.square(term, out=term)
-            np.multiply(term, weight, out=term)
-            if term.nbytes <= self._room:
-                # The array with its header, and a term of Python ints with
-                # their objects, each of which CPython may allocate a digit
-                # longer than its value needs: a product's length is bounded
-                # by its factors', and not shrunk.
-                size = sys.getsizeof(term)
-                if term.dtype == object:
-                    size += sum(map(sys.getsizeof, term)) + len(term) * sys.int_info.sizeof_digit
-                if size <= self._room:
-                    self._room -= size
-                    term = cache[value] = term.copy()
-        return term
+        """The column of ``weight * (column - value) ** 2`` for one option:
+        a row of the option's term table for a domain value of a tabled
+        option, and otherwise made in the scratch buffer the next untabled
+        term overwrites; a value outside the option's [min, max] raises
+        ValueError."""
+        spec, table = self._nearest_space.options[option], self._terms[option]
+        if table is not None:
+            i = bisect.bisect_left(spec.domain, value)
+            if i < len(spec.domain) and spec.domain[i] == value:
+                return table[i]
+        if not spec.domain[0] <= value <= spec.domain[-1]:
+            raise ValueError(f"value {value} of option {spec.name!r} is outside its "
+                             f"[min, max], [{spec.domain[0]}, {spec.domain[-1]}]")
+        term = np.subtract(self._columns[option], value, out=self._scratch)
+        np.square(term, out=term)
+        return np.multiply(term, weight, out=term)
 
 
 def _nearest_map(space: ConfigSpace, plans: list[Plan],

@@ -16,8 +16,10 @@ import sys
 
 import pytest
 
+from lidos import harness
 from lidos.cli import main as cli_main
 from lidos.harness import bundle_from_traces, parse_scenario, run_scenario
+from lidos.twin import synth_tables
 
 from conftest import child_env, traces_text
 
@@ -331,6 +333,70 @@ def test_run_bundle_equals_its_read_back_traces(synth_dir, tmp_path, scenario):
         back = read.traces[key]
         assert back.events.tobytes() == trace.events.tobytes(), key
         assert back.env_ids == trace.env_ids, key
+
+
+def write_workload_scenario(directory, n_options, keep=None):
+    """A benchmark workload's inputs, over two repetitions: the tables of
+    `synth_tables(n_options, 5)`, the benchmark's landscape, keeping a
+    random `keep` share of the plans in both, and the benchmark's planners,
+    k and legs."""
+    directory.mkdir()
+    tables = synth_tables(n_options, 5)
+    plans = sorted(tables[0].rows)
+    if keep is not None:
+        plans = sorted(random.Random(1).sample(plans, int(len(plans) * keep)))
+    header = ",".join(tables[0].option_names) + ",performance\n"
+    for name, table in zip(("env_a.csv", "env_b.csv"), tables):
+        (directory / name).write_text(header + "".join(
+            ",".join(map(str, plan)) + f",{table.rows[plan]!r}\n" for plan in plans),
+            encoding="utf-8")
+    manifest = directory / "scenario.txt"
+    manifest.write_text(
+        "system: workload\n"
+        "seed: 3\n"
+        "repetitions: 2\n"
+        "k: 150\n"
+        "stride: 15\n"
+        "planners: lidos, lidos_sta, pseudo_dynamic, stationary\n"
+        "environment: A env_a.csv minimize\n"
+        "environment: B env_b.csv minimize\n"
+        "leg: A 150\n"
+        "leg: B 150\n",
+        encoding="utf-8",
+    )
+    return manifest
+
+
+@pytest.mark.parametrize("scenario", ["sparse-repair", "sparse", "dense"])
+def test_no_workload_reaches_the_scan(tmp_path, monkeypatch, scenario):
+    """On the sparse-repair shape (7,812 of 78,125 plans) and the sparse
+    golden, the nearest-row map answers every repair of a serial run, which
+    builds each table's map and never its scan; on the dense synth tables
+    no repair reaches `nearest` at all."""
+    if scenario == "sparse":
+        manifest = write_sparse_scenario(tmp_path / "inputs")
+    else:
+        manifest = write_workload_scenario(
+            tmp_path / "inputs", *((7, 0.1) if scenario == "sparse-repair" else (6,)))
+    loaded = []
+    load = harness.load_scenario_tables
+
+    def keep_tables(spec):
+        space, tables = load(spec)
+        loaded.extend(tables.values())
+        return space, tables
+
+    monkeypatch.setattr(harness, "load_scenario_tables", keep_tables)
+    run_scenario(parse_scenario(manifest), workers=1)
+    assert len(loaded) == 2
+    if scenario == "sparse-repair":
+        assert len(loaded[0]) == 7_812
+    for table in loaded:
+        if scenario == "dense":
+            assert table._nearest_space is None
+        else:
+            assert table._map is not None
+            assert table._columns is None and not table._nearest
 
 
 # The files `lidos summarize` rewrites from traces.csv.

@@ -557,32 +557,44 @@ class TestRepairOracle:
             with pytest.raises(ValueError, match=r"outside its \[min, max\]"):
                 table.nearest(plan, space)
 
-    @pytest.mark.parametrize("room", [0, 3])
-    def test_terms_past_the_cache_limit(self, monkeypatch, room):
-        # Once the cache is full, a search computes its uncached terms anew
-        # and adds them with the cached ones.
-        rng = random.Random(room)
-        space = make_space(*(tuple(range(0, 9 * k + 1, k)) for k in (1, 3, 7, 100)))
+    @pytest.mark.parametrize("tabled", [0, 3])
+    def test_terms_past_the_cache_limit(self, monkeypatch, tabled):
+        # Four options, one of four values and three of ten, over 200 rows:
+        # a budget of 4 x (4 x 200 x 8 B) gives each option a share that
+        # holds the narrow option's term table and no other, and one byte
+        # less holds none. A search adds the table's rows to the terms it
+        # computes anew, for values between domain values too, and both
+        # budgets give the same answers.
+        rng = random.Random(tabled)
+        domains = [tuple(range(0, 9 * k + 1, k)) for k in (1, 3, 7)]
+        domains.insert(tabled, (0, 2, 3, 9))
+        space = make_space(*domains)
         rows = {space.random_plan(rng): 0.0 for _ in range(200)}
-        table = make_table(space, rows)
-        term_size = sys.getsizeof(np.zeros(len(rows), np.int64))
-        monkeypatch.setattr(twin_module, "_TERM_CACHE_BYTES", room * term_size)
-        distance = functools.partial(squared_distance, space)
-        for _ in range(100):
-            plan = space.random_plan(rng)
-            assert table.nearest(plan, space) == brute_force_nearest(
-                rows, plan, distance)
-        assert sum(map(len, table._terms)) == room
-        assert all(term.dtype == np.int64 for cache in table._terms
-                   for term in cache.values())
+        queries = [tuple(rng.randint(d[0], d[-1]) for d in domains) for _ in range(100)]
+        distance = weighted(space.weights)
+        expected = [brute_force_nearest(rows, plan, distance) for plan in queries]
+        budget = 4 * (4 * len(rows) * 8)
+        for room, holders in ((budget, [tabled]), (budget - 1, [])):
+            monkeypatch.setattr(twin_module, "_TERM_CACHE_BYTES", room)
+            table = make_table(space, rows)
+            assert [table.nearest(plan, space) for plan in queries] == expected
+            assert table._map is None
+            assert [j for j, terms in enumerate(table._terms) if terms is not None] == holders
+        terms = make_table(space, rows)
+        monkeypatch.setattr(twin_module, "_TERM_CACHE_BYTES", budget)
+        terms.nearest(queries[0], space)
+        column = np.array(sorted(rows))[:, tabled]
+        assert terms._terms[tabled].dtype == np.int64
+        assert terms._terms[tabled].tolist() == [
+            [space.weights[tabled] * (int(c) - v) ** 2 for c in column]
+            for v in domains[tabled]]
 
-    def test_searches_past_a_full_cache_reuse_two_buffers(self, monkeypatch):
-        # 50,000 rows over seven options of 10,000 values: once the term
-        # cache is full, a search's uncached terms and its sum go into the
-        # table's two row-length buffers, allocated when the search state is
-        # built, so 200 more searches raise the traced peak by less than one
-        # row-length.
-        monkeypatch.setattr(twin_module, "_TERM_CACHE_BYTES", 4 << 20)
+    def test_searches_past_a_full_cache_reuse_two_buffers(self):
+        # 50,000 rows over seven options of 10,000 values: no option's term
+        # table fits its share of the budget, so a search's terms and its sum
+        # go into the table's two row-length buffers, allocated when the
+        # search state is built, and 200 more searches raise the traced peak
+        # by less than one row-length.
         rng = random.Random(50)
         domain = tuple(range(10_000))
         space = make_space(*(domain,) * 7)
@@ -592,7 +604,7 @@ class TestRepairOracle:
         queries = [tuple(rng.choices(domain, k=7)) for _ in range(220)]
         for plan in queries[:20]:
             table.nearest(plan, space)
-        assert table._room < row_bytes, "the term cache is not full"
+        assert table._terms == [None] * 7
         tracemalloc.start()
         try:
             answers = [table.nearest(plan, space) for plan in queries[20:]]
@@ -604,12 +616,12 @@ class TestRepairOracle:
         for plan, found in list(zip(queries[20:], answers))[:2]:
             assert found == brute_force_nearest(rows, plan, distance)
 
-    def test_python_int_terms_count_their_objects(self, monkeypatch):
+    def test_python_int_terms_count_their_objects(self):
         # Values 2**40 / 50 apart make every distance term a Python int of
-        # about 2**80, whose object takes several times its 8-byte pointer;
-        # the cache must hold no more bytes than its bound all the same.
-        bound = 1 << 19
-        monkeypatch.setattr(twin_module, "_TERM_CACHE_BYTES", bound)
+        # about 2**80, whose object takes several times its 8-byte pointer.
+        # Such a space builds no term table, however small, and caches no
+        # term: once ten searches have filled the scan's two buffers with int
+        # objects, 90 more searches hold less than one term's objects more.
         rng = random.Random(40)
         domain = tuple(k * 2**40 // 50 for k in range(51))
         space = make_space(domain, domain, domain)
@@ -617,16 +629,18 @@ class TestRepairOracle:
         rows = {space.random_plan(rng): 0.0 for _ in range(600)}
         table = make_table(space, rows)
         queries = [space.random_plan(rng) for _ in range(100)]
+        answers = [table.nearest(queries[0], space)]
+        assert table._terms == [None] * 3
         tracemalloc.start()
         try:
-            answers = [table.nearest(plan, space) for plan in queries]
-            held = tracemalloc.get_traced_memory()[0]
-            for cache in table._terms:
-                cache.clear()
-            freed = held - tracemalloc.get_traced_memory()[0]
+            answers += [table.nearest(plan, space) for plan in queries[1:10]]
+            held = -tracemalloc.get_traced_memory()[0]
+            answers += [table.nearest(plan, space) for plan in queries[10:]]
+            held += tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert bound / 2 < freed <= bound
+        one_term = sum(map(sys.getsizeof, (table._columns[0] - domain[-1]) ** 2))
+        assert held < one_term
         distance = weighted(space.weights)
         assert answers == [brute_force_nearest(rows, plan, distance) for plan in queries]
 
@@ -634,14 +648,14 @@ class TestRepairOracle:
 class TestNearestMapRule:
     """A table on each side of each condition of the nearest-row map's rule:
     both sides answer every grid plan as the formula does, and a table the
-    map serves holds no columns, term cache or memo afterwards."""
+    map serves holds no columns, term tables or memo afterwards."""
 
     def grid_answers(self, table, space, mapped):
         grid = list(itertools.product(*(o.domain for o in space.options)))
         found = [table.nearest(plan, space) for plan in grid]
         assert found == [brute_force_repair(table.rows, plan, space) for plan in grid]
         assert (table._map is not None) == mapped
-        assert (table._columns is None and not any(table._terms)
+        assert (table._columns is None and all(terms is None for terms in table._terms)
                 and not table._nearest) == mapped
         return found
 
@@ -708,6 +722,27 @@ class TestNearestMapRule:
         assert [table.nearest(plan, wide) for plan in grid] == [
             brute_force_repair(rows, plan, wide) for plan in grid]
         assert table._map is not None
+
+    def test_an_interrupted_scan_is_built_again(self, monkeypatch):
+        # A scan build interrupted at its buffers leaves no scan state, so
+        # the next query between domain values builds the scan again instead
+        # of reading term tables or buffers that were never made.
+        space = make_space((0, 4, 8), (0, 1, 2))
+        rows = {(0, 0): 0.0, (8, 1): 0.0, (4, 2): 0.0}
+        table = make_table(space, rows)
+        assert table.nearest((4, 1), space) == brute_force_repair(rows, (4, 1), space)
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "empty", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                table.nearest((5, 1), space)
+        queries = list(itertools.product(range(9), range(3)))
+        assert [table.nearest(plan, space) for plan in queries] == [
+            brute_force_nearest(rows, plan, weighted(space.weights)) for plan in queries]
+        assert table._map is not None and table._terms[0] is not None
 
     def test_key_past_2_62(self):
         # L = (2**29)**2 = 2**58, so (1 + 1) * L << b reaches 2**62 at b = 3,
