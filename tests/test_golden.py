@@ -375,9 +375,10 @@ def test_no_workload_reaches_the_scan(tmp_path, monkeypatch, scenario):
     no repair reaches `nearest` at all."""
     if scenario == "sparse":
         manifest = write_sparse_scenario(tmp_path / "inputs")
+    elif scenario == "sparse-repair":
+        manifest = write_workload_scenario(tmp_path / "inputs", 7, keep=0.1)
     else:
-        manifest = write_workload_scenario(
-            tmp_path / "inputs", *((7, 0.1) if scenario == "sparse-repair" else (6,)))
+        manifest = write_workload_scenario(tmp_path / "inputs", 6)
     loaded = []
     load = harness.load_scenario_tables
 
