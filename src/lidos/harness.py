@@ -146,7 +146,7 @@ def parse_scenario(path: str | Path, overrides: dict[str, str] | None = None) ->
     where: dict[str, list[str]] = {}
     environments: list[EnvironmentSource] = []
     legs: list[list[str]] = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -261,7 +261,9 @@ def load_scenario_tables(spec: ScenarioSpec) -> tuple[ConfigSpace, dict[str, Mea
         elif implied != space:
             raise spec.error(
                 f"dataset mismatch across environments: {source.environment.id!r} "
-                "implies a different config space", "environment", i)
+                "implies a different config space: " + space.difference(
+                    implied, spec.environments[0].environment.id, source.environment.id),
+                "environment", i)
         # Recorded here, so forked workers inherit the check instead of
         # each making it again.
         table.validate_space(space)

@@ -70,6 +70,28 @@ class ConfigSpace:
             -(2**63) <= o.domain[0] and o.domain[-1] < 2**63 for o in self.options)
         object.__setattr__(self, "distance_dtype", "int64" if fits else "object")
 
+    def difference(self, other: ConfigSpace, label: str, other_label: str) -> str:
+        """Where `other`, a space unequal to this one, differs from it: the
+        first option whose name differs, or the option counts, or else the
+        first option whose domain differs, with up to three of the values
+        only one side has; each space is named by its label."""
+        names = [[option.name for option in s.options] for s in (self, other)]
+        for j, (name, other_name) in enumerate(zip(*names)):
+            if name != other_name:
+                return f"option {j + 1} is {other_name!r} in {other_label!r} but {name!r} in {label!r}"
+        if len(names[0]) != len(names[1]):
+            return f"option count {len(names[1])} in {other_label!r} but {len(names[0])} in {label!r}"
+        for option, other_option in zip(self.options, other.options):
+            if option.domain != other_option.domain:
+                sides = []
+                for side, values, others in ((other_label, other_option.domain, option.domain),
+                                             (label, option.domain, other_option.domain)):
+                    if only := sorted(set(values) - set(others)):
+                        sides.append(", ".join(map(str, only[:3])) + ", ..." * (len(only) > 3)
+                                     + f" only in {side!r}")
+                return f"option {option.name!r} takes " + " and ".join(sides)
+        raise ValueError("the spaces are equal")
+
     def validate_plan(self, plan: Plan) -> bool:
         if len(plan) != len(self.options):
             return False

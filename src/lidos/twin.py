@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import bisect
 import csv
+import functools
 import itertools
 import math
 import random
+import warnings
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
@@ -25,6 +27,8 @@ SYNTH_MAX_PLANS = 2**20
 SYNTH_MAX_DISTANCES = 2**24
 # Plans per block of `synth_landscape`'s jitter draws.
 _JITTER_BLOCK = 4096
+# Data lines per block of `load_measurements`' parse.
+_LOAD_BLOCK = 4096
 
 # Bytes one table spends per space on its nearest-plan search state: the
 # scan's term tables, an equal share per option, and a nearest-row map's
@@ -50,34 +54,31 @@ class Environment:
 
 
 class MeasurementTable:
-    """Plan -> raw performance lookup for a single environment.
+    """Plan -> raw performance lookup for a single environment, stored as
+    sorted columns: per option its domain, the sorted distinct values of its
+    column, and an (options, rows) array `codes` of each row's index in each
+    domain, in the smallest unsigned dtype; and the rows' values as one
+    float64 vector. The rows are distinct and in lexicographic plan order.
 
     The rows are read-only after construction, so tables are safely shared
-    across runs. The nearest-plan search builds its state per space at the
-    first search under it: a map of the nearest row of every plan of the
-    domain grid where `_nearest_map` admits the grid, and the scan's columns,
-    term tables and memo only once a plan the map does not answer is searched.
+    across runs. The plan -> value dict `rows` is built at its first use, in
+    the process that measures: the one `lidos run` forks its workers from
+    only loads and checks tables, which need the columns alone. The
+    nearest-plan search builds its state per space at the first search
+    under it: a map of the nearest row of every plan of the domain grid
+    where `_nearest_map` admits the grid, and the scan's columns, term
+    tables and memo only once a plan the map does not answer is searched.
     """
 
     def __init__(self, environment: Environment, option_names: tuple[str, ...],
-                 rows: dict[Plan, float]):
-        if not option_names:
-            raise ValueError("a measurement table needs at least one option column")
-        if not rows:
-            raise ValueError(f"measurement table for {environment.id!r} is empty")
-        # Checked a column at a time; the rows are walked only to name the
-        # first bad one.
-        if (set(map(len, rows)) != {len(option_names)}
-                or not all(map(math.isfinite, rows.values()))):
-            for plan, value in rows.items():
-                if len(plan) != len(option_names):
-                    raise ValueError(
-                        f"plan {plan!r} does not match option columns {option_names}")
-                if not math.isfinite(value):
-                    raise ValueError(f"non-finite performance value for plan {plan!r}")
+                 domains: tuple[tuple[int, ...], ...], codes: np.ndarray, values: np.ndarray):
+        """Columns as described above, unchecked; `from_rows` builds and
+        checks a table from a dict."""
         self.environment = environment
         self.option_names = option_names
-        self.rows = rows
+        self.domains = domains
+        self.codes = codes
+        self.values = values
         self._validated_for: ConfigSpace | None = None
         # Nearest-plan search state, per space searched under: the sorted
         # plans; the nearest-row map and each option's value -> grid offset,
@@ -95,28 +96,59 @@ class MeasurementTable:
         self._terms: list[np.ndarray | None] = []
         self._nearest: dict[Plan, Plan] = {}
 
+    @classmethod
+    def from_rows(cls, environment: Environment, option_names: tuple[str, ...],
+                  rows: dict[Plan, float]) -> MeasurementTable:
+        """The table of a plan -> raw value dict."""
+        if not option_names:
+            raise ValueError("a measurement table needs at least one option column")
+        if not rows:
+            raise ValueError(f"measurement table for {environment.id!r} is empty")
+        # Checked a column at a time; the rows are walked only to name the
+        # first bad one.
+        if (set(map(len, rows)) != {len(option_names)}
+                or not all(map(math.isfinite, rows.values()))):
+            for plan, value in rows.items():
+                if len(plan) != len(option_names):
+                    raise ValueError(
+                        f"plan {plan!r} does not match option columns {option_names}")
+                if not math.isfinite(value):
+                    raise ValueError(f"non-finite performance value for plan {plan!r}")
+        columns = []
+        for column in zip(*rows):
+            try:
+                columns.append(_coded(np.array(column, np.int64)))
+            except OverflowError:
+                columns.append(_coded(np.array(column, object)))
+        return _sorted_table(environment, option_names,
+                             [(columns, np.fromiter(rows.values(), np.float64, len(rows)))])
+
+    @functools.cached_property
+    def rows(self) -> dict[Plan, float]:
+        """Plan -> raw value, in sorted plan order."""
+        columns = [np.array(domain, object)[column].tolist()
+                   for domain, column in zip(self.domains, self.codes)]
+        return dict(zip(zip(*columns), self.values.tolist()))
+
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.values)
 
     def implied_space(self) -> ConfigSpace:
         """Space whose domains are the sorted distinct values per option column."""
-        return ConfigSpace(
-            options=tuple(
-                OptionSpec(name=name, domain=tuple(sorted(set(col))))
-                for name, col in zip(self.option_names, zip(*self.rows))
-            )
-        )
+        return ConfigSpace(options=tuple(
+            OptionSpec(name=name, domain=domain)
+            for name, domain in zip(self.option_names, self.domains)))
 
     def validate_space(self, space: ConfigSpace) -> None:
         """Check every row key is a valid plan of `space` (cached per space).
 
-        Each option column's distinct values are checked against its domain;
-        the rows are walked only to name the first plan outside the space."""
+        Each option's domain is checked against the space's; the rows are
+        walked only to name the first plan outside the space."""
         if self._validated_for == space:
             return
         if len(space.options) != len(self.option_names) or any(
-                not set(col) <= set(option.domain)
-                for option, col in zip(space.options, zip(*self.rows))):
+                not set(domain) <= set(option.domain)
+                for option, domain in zip(space.options, self.domains)):
             for plan in self.rows:
                 if not space.validate_plan(plan):
                     raise ValueError(
@@ -144,9 +176,10 @@ class MeasurementTable:
         """
         if space is not self._nearest_space and space != self._nearest_space:
             self.validate_space(space)
-            plans = sorted(self.rows)
-            self._map, self._offsets = _nearest_map(space, plans)
-            self._sorted_plans = plans
+            nearest, self._offsets = _nearest_map(space, self.domains, self.codes)
+            self._sorted_plans = plans = list(self.rows)
+            self._map = None if nearest is None else np.fromiter(
+                plans, object, len(plans))[nearest].tolist()
             self._columns = self._sum = self._scratch = None
             self._terms = []
             self._nearest = {}
@@ -163,7 +196,8 @@ class MeasurementTable:
         if len(plan) != len(space.options):
             raise ValueError(f"plan {plan!r} does not give each option of the space one value")
         if self._columns is None:
-            columns = np.asarray(list(zip(*self._sorted_plans)), dtype=space.distance_dtype)
+            columns = np.array([np.asarray(domain, space.distance_dtype)[column]
+                                for domain, column in zip(self.domains, self.codes)])
             share = _TERM_CACHE_BYTES // len(space.options)
             # numpy elides the temporaries of the square and the product where
             # it can, so the build holds one table at a time.
@@ -171,7 +205,7 @@ class MeasurementTable:
                 weight * np.subtract.outer(option.domain, column) ** 2
                 if space.distance_dtype == "int64" and len(option.domain) * column.nbytes <= share
                 else None for option, weight, column in zip(space.options, space.weights, columns)]
-            self._sum, self._scratch = (np.empty(len(self.rows), space.distance_dtype)
+            self._sum, self._scratch = (np.empty(len(self), space.distance_dtype)
                                         for _ in range(2))
             # Last, so a build that raises leaves the scan to be built again.
             self._columns = columns
@@ -201,15 +235,16 @@ class MeasurementTable:
         return np.multiply(term, weight, out=term)
 
 
-def _nearest_map(space: ConfigSpace, plans: list[Plan],
-                 ) -> tuple[list[Plan] | None, list[dict[int, int]]]:
-    """The nearest of the sorted `plans` to every plan of the space's domain
-    grid, listed by the plan's flat position in the grid's C order, and per
-    option the map of each domain value to its offset in that position; or
-    None and no offsets where the map would not be exact or would not fit.
+def _nearest_map(space: ConfigSpace, domains: tuple[tuple[int, ...], ...], codes: np.ndarray,
+                 ) -> tuple[np.ndarray | None, list[dict[int, int]]]:
+    """The sorted index of the nearest of a table's rows, given by its
+    `domains` and `codes`, to every plan of the space's domain grid, listed
+    by the plan's flat position in the grid's C order, and per option the
+    map of each domain value to its offset in that position; or None and no
+    offsets where the map would not be exact or would not fit.
 
     Each grid cell holds an int64 key ``distance << b | row``, with ``b =
-    len(plans).bit_length()``: the row's sorted index, so the least key is
+    rows.bit_length()``: the row's sorted index, so the least key is
     the nearest row and, on a tie, the lowest plan. A row's own cell starts
     at distance 0, and every other cell at a sentinel above every real key;
     one min-plus pass per option then gives each cell the least, over the
@@ -225,7 +260,8 @@ def _nearest_map(space: ConfigSpace, plans: list[Plan],
     """
     shape = tuple(len(option.domain) for option in space.options)
     cells = math.prod(shape)
-    bits = len(plans).bit_length()
+    rows = codes.shape[1]
+    bits = rows.bit_length()
     sentinel = (len(shape) + 1) * math.lcm(
         *(option.span**2 for option in space.options if option.span)) << bits
     if not (space.distance_dtype == "int64" and sentinel < 2**62
@@ -238,8 +274,10 @@ def _nearest_map(space: ConfigSpace, plans: list[Plan],
         strides.append(stride)
         offsets.append({value: i * stride for i, value in enumerate(option.domain)})
     keys = np.full(cells, sentinel, np.int64)
-    keys[np.fromiter((sum(map(dict.__getitem__, offsets, plan)) for plan in plans),
-                     np.int64, len(plans))] = np.arange(len(plans))
+    # A row's position: per option, the offset of each table domain value,
+    # taken at the row's code.
+    keys[sum(np.array([offset[value] for value in domain], np.int64)[column]
+             for offset, domain, column in zip(offsets, domains, codes))] = np.arange(rows)
     for option, weight, stride in zip(space.options, space.weights, strides):
         if not weight:
             continue
@@ -255,19 +293,20 @@ def _nearest_map(space: ConfigSpace, plans: list[Plan],
         del source, buffer
     keys = keys.reshape(-1)
     np.bitwise_and(keys, (1 << bits) - 1, out=keys)
-    nearest = np.fromiter(plans, object, len(plans))[keys]
-    del keys
-    return nearest.tolist(), offsets
+    return keys, offsets
 
 
 def load_measurements(path: str | Path, env: Environment) -> MeasurementTable:
     """Load one environment's measurement CSV.
 
     Header is ``opt1,...,optN,performance``; one row per plan. Duplicate rows
-    are tolerated only when their performance values agree.
+    are tolerated only when their performance values agree. A UTF-8
+    byte-order mark is skipped. `_parsed_table` reads the data lines; where
+    it refuses them, the row walk reads them again, cell by cell, and names
+    the line of the first error.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -281,6 +320,12 @@ def load_measurements(path: str | Path, env: Environment) -> MeasurementTable:
             dupes = sorted({name for name in option_names if option_names.count(name) > 1})
             if dupes:
                 raise ValueError(f"{path}:1: duplicate option name(s): {dupes}")
+            table = _parsed_table(fh, env, option_names)
+            if table is not None:
+                return table
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
             rows: dict[Plan, float] = {}
             for lineno, row in enumerate(reader, 2):
                 if not "".join(row).strip():
@@ -308,7 +353,65 @@ def load_measurements(path: str | Path, env: Environment) -> MeasurementTable:
                 rows[plan] = value
         except csv.Error as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-    return MeasurementTable(environment=env, option_names=option_names, rows=rows)
+    return MeasurementTable.from_rows(env, option_names, rows)
+
+
+def _parsed_table(fh, env: Environment, option_names: tuple[str, ...]) -> MeasurementTable | None:
+    """The table of the lines left in `fh`, parsed by `np.loadtxt` a block of
+    `_LOAD_BLOCK` lines at a time; or None where a line could hold a cell
+    past the csv module's field limit, the parse refuses a line or warns, a
+    value is not finite, no line holds a row or two equal plans have
+    different values. Each block is coded (see `_coded`) before the next is
+    read."""
+    dtype = np.dtype([("", np.int64)] * len(option_names) + [("", np.float64)])
+    *options, value = dtype.names
+    parts = []
+    # A warning is an error here, so a numpy that reads a cell with one, as
+    # some read `1.5` for an integer, sends the file to the row walk.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        while lines := list(itertools.islice(fh, _LOAD_BLOCK)):
+            if max(map(len, lines)) > csv.field_size_limit():
+                return None
+            try:
+                block = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
+            except (ValueError, OverflowError, Warning):
+                return None
+            if not np.isfinite(block[value]).all():
+                return None
+            parts.append(([_coded(block[name]) for name in options], block[value].copy()))
+    return _sorted_table(env, option_names, parts) if parts else None
+
+
+def _coded(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A column's sorted distinct values, and each cell's index among them in
+    the smallest unsigned dtype."""
+    domain, codes = np.unique(column, return_inverse=True)
+    return domain, codes.astype(np.min_scalar_type(len(domain) - 1))
+
+
+def _sorted_table(env: Environment, option_names: tuple[str, ...], parts,
+                  ) -> MeasurementTable | None:
+    """The table of `parts`, blocks of rows each given as its coded columns
+    and its values: the blocks' domains merged, the rows sorted and each run
+    of equal plans kept once, with its last value, as the row walk's dict
+    keeps it; or None where equal plans have different values."""
+    domains = [np.unique(np.concatenate([coded[j][0] for coded, _ in parts]))
+               for j in range(len(option_names))]
+    dtype = np.min_scalar_type(max(map(len, domains)) - 1)
+    codes = np.concatenate([
+        np.array([np.searchsorted(domain, local).astype(dtype)[index]
+                  for domain, (local, index) in zip(domains, coded)]) for coded, _ in parts],
+        axis=1)
+    values = np.concatenate([values for _, values in parts])
+    order = np.lexsort(codes[::-1])
+    codes, values = codes[:, order], values[order]
+    same = (codes[:, 1:] == codes[:, :-1]).all(axis=0)
+    if (same & (values[1:] != values[:-1])).any():
+        return None
+    last = np.append(~same, True)
+    return MeasurementTable(env, option_names, tuple(tuple(domain.tolist()) for domain in domains),
+                            codes[:, last], values[last])
 
 
 def _as_int(cell: str) -> int:
@@ -509,9 +612,11 @@ def synth_tables(n_options: int = 6, domain_size: int = 5, **shape,
     """`synth_landscape`'s environments A and B as minimize measurement
     tables; `shape` takes its other arguments."""
     values = synth_landscape(n_options, domain_size, **shape)
-    plans = list(itertools.product(range(domain_size), repeat=n_options))
+    # Product order is the plans' sorted order.
+    codes = np.indices((domain_size,) * n_options,
+                       np.min_scalar_type(domain_size - 1)).reshape(n_options, -1)
     table_a, table_b = (
         MeasurementTable(Environment(id=env_id), synth_option_names(n_options),
-                         dict(zip(plans, env_values.tolist())))
+                         (tuple(range(domain_size)),) * n_options, codes, env_values)
         for env_id, env_values in zip("AB", values))
     return table_a, table_b

@@ -112,7 +112,7 @@ def make_space(*domains: tuple[int, ...]) -> ConfigSpace:
 
 def make_table(space: ConfigSpace, values: dict, env_id: str = "e",
                direction: str = "minimize") -> MeasurementTable:
-    return MeasurementTable(
+    return MeasurementTable.from_rows(
         environment=Environment(id=env_id, direction=direction),
         option_names=tuple(o.name for o in space.options),
         rows={plan: float(v) for plan, v in values.items()},

@@ -38,7 +38,7 @@ from lidos.harness import (
 from lidos.baselines import StationaryPlanner
 from lidos.harness import ResultBundle
 from lidos.planner import TRACE_DTYPE, PlannerParams, RunTrace, derive_seed
-from lidos.twin import synth_landscape, synth_tables
+from lidos.twin import synth_landscape, synth_option_names, synth_tables
 
 from conftest import assert_accounting, traces_text
 
@@ -240,6 +240,23 @@ class TestRunScenario:
             assert adaptations(spec, params) == sent
         assert adaptations(parse_scenario(manifest, {"k": "150"}), None) == 0
 
+    @pytest.mark.parametrize("name", ["env_a.csv", "scenario.txt"])
+    def test_a_byte_order_mark_is_skipped(self, tmp_path, name):
+        """A UTF-8 byte-order mark used to become part of the first option
+        name of a table, so the table implied a space of its own, or of the
+        first key of a manifest, which was then unknown."""
+        manifest = write_small_dataset(tmp_path)
+        plain = run_scenario(parse_scenario(manifest), PlannerParams(population_size=10))
+        path = tmp_path / name
+        path.write_text(path.read_text(encoding="utf-8"), encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        spec = parse_scenario(manifest)
+        assert spec.system == "smoke"
+        space, _ = load_scenario_tables(spec)
+        assert [option.name for option in space.options] == ["o1", "o2", "o3"]
+        bundle = run_scenario(spec, PlannerParams(population_size=10))
+        assert traces_text(bundle) == traces_text(plain)
+
     def test_dataset_mismatch_rejected(self, tmp_path):
         manifest = write_small_dataset(tmp_path)
         # Shrink environment B's dataset so its implied space differs.
@@ -285,6 +302,31 @@ class TestParallelRun:
         assert len(run_scenario(spec, params, workers=1).traces) == 4
         with pytest.raises(AssertionError, match="a process pool was created"):
             run_scenario(spec, params, workers=2)
+
+    def test_the_forking_process_builds_no_lookup(self, tmp_path, monkeypatch):
+        """Loading and checking a table needs only its columns; the plan ->
+        value dict is built by the process that measures. A repeated row
+        that agrees is one plan."""
+        manifest = write_small_dataset(tmp_path)
+        path = tmp_path / "env_b.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines + lines[1:4]), encoding="utf-8")
+        spec = parse_scenario(manifest)
+        loaded = []
+
+        def load(spec):
+            space, tables = load_scenario_tables(spec)
+            assert all("rows" not in vars(table) for table in tables.values())
+            assert [len(table) for table in tables.values()] == [64, 64]
+            loaded.append(tables)
+            return space, tables
+
+        monkeypatch.setattr(harness, "load_scenario_tables", load)
+        forked = run_scenario(spec, PlannerParams(population_size=10), workers=2)
+        assert all("rows" not in vars(table) for table in loaded[0].values())
+        serial = run_scenario(spec, PlannerParams(population_size=10), workers=1)
+        assert all("rows" in vars(table) for table in loaded[1].values())
+        assert traces_text(forked) == traces_text(serial)
 
     def test_value_error_in_a_worker_exits_2_as_in_the_serial_loop(
             self, tmp_path, capsys, monkeypatch):
@@ -705,10 +747,15 @@ class TestCli:
          "leg budget 10 is below the population size 20; "
          "initialization alone would exceed it"),
         ("environment: B env_b.csv", "environment: B env_small.csv", 8,
-         "dataset mismatch across environments: 'B' implies a different config space"),
+         "dataset mismatch across environments: 'B' implies a different config space: "
+         "option 'o1' takes 2, 3 only in 'A'"),
+        ("environment: B env_b.csv", "environment: B env_renamed.csv", 8,
+         "dataset mismatch across environments: 'B' implies a different config space: "
+         "option 2 is 'x' in 'B' but 'o2' in 'A'"),
         ("environment: B env_b.csv", "environment: B env_missing.csv", 8,
          "[Errno 2] No such file or directory: '{dir}/env_missing.csv'"),
-    ], ids=["budget-below-population", "dataset-mismatch", "missing-dataset"])
+    ], ids=["budget-below-population", "dataset-mismatch", "option-name-mismatch",
+            "missing-dataset"])
     def test_run_time_scenario_error_names_its_line(self, tmp_path, capsys, old, new,
                                                     lineno, message):
         """Errors found once the datasets load or the population size is
@@ -717,6 +764,8 @@ class TestCli:
         small = (tmp_path / "env_b.csv").read_text(encoding="utf-8").splitlines(keepends=True)
         (tmp_path / "env_small.csv").write_text("".join(small[: len(small) // 2]),
                                                 encoding="utf-8")
+        (tmp_path / "env_renamed.csv").write_text("".join(["o1,x,o3,performance\n", *small[1:]]),
+                                                  encoding="utf-8")
         text = manifest.read_text(encoding="utf-8")
         assert old in text
         manifest.write_text(text.replace(old, new), encoding="utf-8")
@@ -1218,8 +1267,8 @@ class TestStreamedTables:
 
     @pytest.mark.parametrize("options, domain_size, blocks, rest", [
         (1, 40, 0, 40),
-        (13, 2, 2, 0),
-        (3, 17, 1, 817),
+        (13, 2, 8, 0),
+        (3, 17, 4, 817),
     ], ids=["under-one-block", "whole-blocks", "partial-last-block"])
     def test_tables_are_their_csv_text(self, tmp_path, options, domain_size, blocks, rest):
         assert cli_main(["synth", "--out", str(tmp_path), "--options", str(options),
@@ -1236,6 +1285,23 @@ class TestStreamedTables:
             header, *chunks = cli._table_chunks(table.option_names, values, domain_size)
             lines = [cli.TABLE_BLOCK] * blocks + [rest] * (rest > 0)
             assert [chunk.count("\n") for chunk in chunks] == lines
+
+    @pytest.mark.parametrize("options, domain_size", [
+        (1, 2**16), (2, 2**8), (3, 41), (16, 2)])
+    def test_table_text_holds_one_block(self, options, domain_size):
+        """The text of one block of lines and its list of lines, with the
+        shared cells of the last options, whatever the shape: a single
+        option of 65,536 values used to hold a string per value, over 5 MiB."""
+        values = np.arange(domain_size**options) / 7
+        chunks = cli._table_chunks(synth_option_names(options), values, domain_size)
+        tracemalloc.start()
+        try:
+            size = sum(map(len, chunks))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > len(values) * (2 * options + 2)
+        assert peak < cli.TABLE_BLOCK * 320, peak
 
     def test_failure_in_the_last_block_keeps_the_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "env_b.csv"

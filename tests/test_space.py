@@ -143,3 +143,19 @@ class TestNormalizedDistance:
             b2 = (remap[b[0]], 3 + 5 * b[1])
             assert squared_distance(base, a, b) == squared_distance(scaled, a2, b2)
             assert integer_distance(base, a, b) == integer_distance(scaled, a2, b2)
+
+
+class TestDifference:
+    @pytest.mark.parametrize("options, difference", [
+        ((("a", (0, 1)),), "option count 1 in 'B' but 2 in 'A'"),
+        ((("a", (0, 1)), ("c", (0, 1)), ("b", (0,))), "option 2 is 'c' in 'B' but 'b' in 'A'"),
+        ((("a", (0, 1)), ("b", (0, 1, 2, 3, 4, 9))), "option 'b' takes 9 only in 'B'"),
+        ((("a", (0, 1)), ("b", (2, 5, 6, 7, 8))),
+         "option 'b' takes 5, 6, 7, ... only in 'B' and 0, 1, 3, ... only in 'A'"),
+    ], ids=["option-count", "option-name", "one-side", "both-sides"])
+    def test_the_first_difference_is_named(self, options, difference):
+        first = ConfigSpace((OptionSpec("a", (0, 1)), OptionSpec("b", (0, 1, 2, 3, 4))))
+        other = ConfigSpace(tuple(OptionSpec(name, domain) for name, domain in options))
+        assert first.difference(other, "A", "B") == difference
+        with pytest.raises(ValueError, match="equal"):
+            first.difference(first, "A", "B")

@@ -144,14 +144,127 @@ class TestLoadErrorsByteForByte:
     def test_table_rows_are_checked_in_order(self):
         env = Environment("e")
         with pytest.raises(ValueError) as exc:
-            MeasurementTable(env, ("a", "b"), {(0, 1): 1.0, (2, 3): float("nan"), (4,): 2.0})
+            MeasurementTable.from_rows(env, ("a", "b"), {(0, 1): 1.0, (2, 3): float("nan"), (4,): 2.0})
         assert str(exc.value) == "non-finite performance value for plan (2, 3)"
         with pytest.raises(ValueError) as exc:
-            MeasurementTable(env, ("a", "b"), {(0, 1): 1.0, (4,): 2.0, (2, 3): float("inf")})
+            MeasurementTable.from_rows(env, ("a", "b"), {(0, 1): 1.0, (4,): 2.0, (2, 3): float("inf")})
         assert str(exc.value) == "plan (4,) does not match option columns ('a', 'b')"
         with pytest.raises(ValueError) as exc:
-            MeasurementTable(env, ("a", "b"), {(0, 1): 1.0, (2, 3): -math.inf})
+            MeasurementTable.from_rows(env, ("a", "b"), {(0, 1): 1.0, (2, 3): -math.inf})
         assert str(exc.value) == "non-finite performance value for plan (2, 3)"
+
+
+def walked(monkeypatch, path):
+    """`load_measurements` through the row walk alone: the table of `path`,
+    or the text of the error it raises."""
+    with monkeypatch.context() as patch:
+        patch.setattr(twin_module, "_parsed_table", lambda *args: None)
+        return loaded(path)
+
+
+def loaded(path):
+    try:
+        return load_measurements(path, Environment("e"))
+    except ValueError as exc:
+        return str(exc).replace(str(path), "m.csv")
+
+
+def assert_same_table(table, other):
+    assert type(table) is type(other), (table, other)
+    if isinstance(table, str):
+        assert table == other
+        return
+    assert table.option_names == other.option_names
+    assert table.domains == other.domains
+    assert all(type(v) is int for domain in table.domains for v in domain)
+    assert table.codes.dtype == other.codes.dtype and np.array_equal(table.codes, other.codes)
+    assert table.values.tobytes() == other.values.tobytes()
+
+
+class TestLoaderParity:
+    """The vectorised parse and the row walk give the same table, or the
+    same `path:line` error, for every input; the parse hands every input it
+    refuses, warns on or finds at fault to the walk, which names the line."""
+
+    @pytest.mark.parametrize("text, expected", [
+        ("a,b,perf\n0,1,3.5\n1,0,4.5\n", {(0, 1): 3.5, (1, 0): 4.5}),
+        ("a,b,perf\n3.0,1,1.5\n", {(3, 1): 1.5}),
+        ("a,b,perf\n1e3,1,1.5\n", {(1000, 1): 1.5}),
+        ("a,b,perf\n1.0000000000000001,1,1.5\n",
+         "m.csv:2: option value '1.0000000000000001' is not an integer"),
+        ("a,b,perf\n0,1,1.0\n2.5,1,1.5\n", "m.csv:3: option value '2.5' is not an integer"),
+        ("a,b,perf\n1_000,1,1_0.5\n", {(1000, 1): 10.5}),
+        ("a,b,perf\n+2,1,+1.5\n", {(2, 1): 1.5}),
+        ("a,b,perf\n 4 ,1, 2.5 \n", {(4, 1): 2.5}),
+        ('a,b,perf\n"3",1,"1.5"\n', {(3, 1): 1.5}),
+        ('a,b,perf\n0,1,1.0\n"1,2",3,4.0\n', "m.csv:3: option value '1,2' is not a number"),
+        ("a,b,perf\n0,1,1.0\n#1,2,3.0\n", "m.csv:3: option value '#1' is not a number"),
+        ("a,b,perf\n0,1,1.0\n\n1,1,2.0\n\n", {(0, 1): 1.0, (1, 1): 2.0}),
+        ("a,b,perf\n0,1,1.0\n  \n , \t,\n,,\n1,1,2.0\n", {(0, 1): 1.0, (1, 1): 2.0}),
+        ("a,b,perf\n0,1,1.0\n0,1\n", "m.csv:3: expected 3 cells, got 2"),
+        ("a,b,perf\n0,1,1.0\n1,1,2.0,\n", "m.csv:3: expected 3 cells, got 4"),
+        ("a,b,perf\n0,1,1.0\n1,1,2.0\n0,1,1.0\n", {(0, 1): 1.0, (1, 1): 2.0}),
+        ("a,b,perf\n0,1,1.0\n1,1,2.0\n0,1,1.5\n",
+         "m.csv:4: duplicate plan (0, 1) with conflicting values 1.0 vs 1.5"),
+        ("a,b,perf\n0,1,0.0\n0,1,-0.0\n1,1,-0.0\n1,1,0.0\n", {(0, 1): -0.0, (1, 1): 0.0}),
+        ("a,b,perf\n0,1,1.0\n1,1,nan\n", "m.csv:3: non-finite performance value"),
+        ("a,b,perf\n0,1,-inf\n", "m.csv:2: non-finite performance value"),
+        ("a,b,perf\n0,1,1e400\n", "m.csv:2: non-finite performance value"),
+        ("a,b,perf\n9223372036854775808,1,1.0\n0,-9223372036854775809,2.0\n",
+         {(2**63, 1): 1.0, (0, -(2**63) - 1): 2.0}),
+        ("a,b,perf\n9223372036854775807,1,1.0\n", {(2**63 - 1, 1): 1.0}),
+        ("a,b,perf\n", "measurement table for 'e' is empty"),
+        ("a,b,perf\n\n\n", "measurement table for 'e' is empty"),
+        ("\ufeffa,b,perf\r\n0,1,1.5\r\n", {(0, 1): 1.5}),
+        ("a,b,perf\r0,1,1.5\r1,1,2.5", {(0, 1): 1.5, (1, 1): 2.5}),
+        ("a,b,perf\n0,1,1.0\n1\x00,1,2.0\n", "m.csv:3: option value '1\\x00' is not a number"),
+        ("a,b,perf\n0,1,1.0\n" + "0" * 131_072 + "1,1,2.0\n",
+         "m.csv:3: field larger than field limit (131072)"),
+    ], ids=["plain", "float-literal", "exponent", "inexact", "fraction", "underscores",
+            "plus-signs", "spaces", "quoted", "quoted-comma", "comment", "blank-lines",
+            "whitespace-lines", "short-row", "trailing-comma", "agreeing-duplicates",
+            "conflicting-duplicates", "signed-zero-duplicates", "nan", "inf", "overflow",
+            "past-int64", "int64-max", "header-only", "header-and-blanks", "byte-order-mark",
+            "cr-lines", "nul", "past-the-field-limit"])
+    def test_parse_and_walk_agree(self, tmp_path, monkeypatch, text, expected):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        table = loaded(path)
+        assert_same_table(table, walked(monkeypatch, path))
+        if isinstance(expected, str):
+            assert table == expected
+        else:
+            assert table.option_names == ("a", "b")
+            assert list(map(repr, table.rows.items())) == list(map(repr, sorted(expected.items())))
+
+    def test_a_plain_table_takes_the_parse(self, tmp_path, monkeypatch):
+        # Rows in random order over two blocks, so the blocks' domains are
+        # merged; the walk, which would build the table from a dict, is not
+        # reached.
+        plans = random.Random(5).sample(
+            list(itertools.product(range(3), range(-5, 3000))), 3 * twin_module._LOAD_BLOCK // 2)
+        path = write_csv(tmp_path, "m.csv", "a,b,perf\n" + "".join(
+            f"{a},{b},{i / 8}\n" for i, (a, b) in enumerate(plans)))
+        walk = walked(monkeypatch, path)
+        with monkeypatch.context() as patch:
+            patch.setattr(MeasurementTable, "from_rows", None)
+            table = loaded(path)
+        assert_same_table(table, walk)
+        assert table.codes.dtype == np.uint16
+        assert table.rows == {plan: i / 8 for i, plan in enumerate(plans)}
+        assert list(table.rows) == sorted(plans)
+
+    def test_random_files_agree(self, tmp_path, monkeypatch):
+        """Short files of cells drawn from the characters that number
+        literals, CSV and line ends are made of."""
+        rng = random.Random(27)
+        alphabet = list("0123456789+-.eE_,\"# \t\r\nnaifINF")
+        path = tmp_path / "m.csv"
+        for _ in range(300):
+            rows = ["".join(rng.choice(alphabet) for _ in range(rng.randrange(8)))
+                    for _ in range(rng.randrange(1, 4))]
+            path.write_text("a,perf\n0,1.0\n" + "\n".join(rows), encoding="utf-8")
+            assert_same_table(loaded(path), walked(monkeypatch, path))
 
 
 class TestEnvironment:
@@ -683,6 +796,9 @@ class TestNearestMapRule:
         for budget, mapped in ((3 * cells * 8, True), (3 * cells * 8 - 1, False)):
             monkeypatch.setattr(twin_module, "_TERM_CACHE_BYTES", budget)
             table = make_table(space, rows)
+            # The plan -> value lookup is built at first use; only the
+            # map's build is traced.
+            assert len(table.rows) == len(rows)
             tracemalloc.start()
             try:
                 first = table.nearest(queries[0], space)
@@ -708,7 +824,7 @@ class TestNearestMapRule:
             brute_force_repair(rows, plan, narrow) for plan in grid]
         build = twin_module._nearest_map
 
-        def interrupted(space, plans):
+        def interrupted(space, domains, codes):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(twin_module, "_nearest_map", interrupted)
