@@ -214,6 +214,19 @@ class TestRunScenario:
         again = run_scenario(spec, PlannerParams(population_size=10))
         assert traces_text(again) == traces_text(smoke_bundle)
 
+    def test_a_library_run_can_be_summarized(self, tmp_path):
+        """`run_scenario` used to take a population size that the traces do
+        not record, so `lidos summarize` refused the traces of a library run
+        with a population of 40; a run now always has the default."""
+        assert cli_main(["synth", "--out", str(tmp_path)]) == 0
+        spec = parse_scenario(tmp_path / "scenario.txt", {"repetitions": "3"})
+        with pytest.raises(TypeError):
+            run_scenario(spec, PlannerParams(population_size=40))
+        bundle = run_scenario(spec)
+        write_bundle_outputs(bundle, tmp_path)
+        again = bundle_from_traces(spec, tmp_path / "traces.csv")
+        assert traces_text(again) == traces_text(bundle)
+
     def test_budget_below_population_rejected(self, tmp_path):
         manifest = write_small_dataset(tmp_path)
         spec = parse_scenario(manifest)

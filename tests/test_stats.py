@@ -156,6 +156,16 @@ class TestA12:
         xs, ys = [1.0, 2.0, 5.0], [2.0, 4.0]
         assert a12(xs, ys) == a12([7 * x for x in xs], [7 * y for y in ys])
 
+    def test_numpy_arrays_accepted(self):
+        """The empty-sample check used to take an array's truth value, so an
+        array of two or more values raised numpy's "ambiguous" error."""
+        assert a12(np.array([1.0, 2.0]), np.array([3.0])) == 1.0
+        assert a12(np.array([3.0, 1.0]), [1.0, 3.0]) == a12([3.0, 1.0], [1.0, 3.0]) == 0.5
+        with pytest.raises(ValueError, match="both samples must be non-empty"):
+            a12(np.array([]), np.array([1.0]))
+        with pytest.raises(ValueError, match="both samples must be non-empty"):
+            a12([1.0], [])
+
 
 class TestSplitDelta:
     def test_hand_arithmetic(self):
