@@ -9,7 +9,6 @@ import io
 import math
 import os
 import random
-import statistics
 from dataclasses import dataclass, field, replace
 from itertools import chain, islice
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 from .baselines import PLANNER_KINDS, make_planner
 from .planner import TRACE_DTYPE, PlannerParams, RunTrace, derive_seed
 from .space import ConfigSpace
-from .stats import Summary, a12, scott_knott, speedup, summarize, wilcoxon_rank_sum
+from .stats import Summary, a12, quartiles, scott_knott, speedup, summarize, wilcoxon_rank_sum
 from .twin import DIRECTIONS, CyberTwin, Environment, MeasurementTable, load_measurements
 
 TRACE_HEADER = ("planner", "rep", "measurement_index", "env", "ft", "best_ft",
@@ -277,8 +276,7 @@ class WorkerLost(RuntimeError):
     repetition, so the run has no result."""
 
 
-def run_scenario(spec: ScenarioSpec, params: PlannerParams | None = None, *,
-                 workers: int = 1) -> ResultBundle:
+def run_scenario(spec: ScenarioSpec, *, workers: int = 1) -> ResultBundle:
     """Execute every planner x repetition: init under the first leg's
     environment, run each leg to its budget, firing an environment change
     between legs. Fully deterministic given (spec, base_seed).
@@ -290,9 +288,10 @@ def run_scenario(spec: ScenarioSpec, params: PlannerParams | None = None, *,
     Where the platform cannot fork, or one worker is asked for, they run one
     after another in this process.
 
-    `params` sets the population size and the rates; the adaptation interval
-    is always the spec's `k`."""
-    params = replace(params or PlannerParams(), k=spec.k)
+    Every planner takes the default population size and rates of
+    `PlannerParams`, which `read_traces_csv` checks the legs against, and the
+    spec's adaptation interval `k`."""
+    params = PlannerParams(k=spec.k)
     for i, leg in enumerate(spec.legs):
         if leg.measurement_budget < params.population_size:
             raise spec.error(
@@ -423,7 +422,7 @@ def summarize_bundle(bundle: ResultBundle) -> BundleSummary:
     ranks = sorted(
         (RankEntry(label, rank_of[label], stats[label].median, stats[label].iqr)
          for label in bundle.labels),
-        key=lambda e: (e.rank, float(np.percentile(finals[e.label], 50)), e.iqr),
+        key=lambda e: (e.rank, quartiles(finals[e.label])[1], e.iqr),
     )
 
     pairwise: list[PairwiseRow] = []
@@ -444,7 +443,7 @@ def summarize_bundle(bundle: ResultBundle) -> BundleSummary:
             # stays out of the median and is counted on its own.
             matched = [value for value in values if value != math.inf]
             speedups.append(SpeedupRow(
-                label, float(statistics.median(matched)) if matched else None,
+                label, quartiles(matched)[1] if matched else None,
                 len(values) - len(matched), values))
     return BundleSummary(
         summaries=stats,
@@ -725,15 +724,8 @@ def trajectory_rows(bundle: ResultBundle) -> list[tuple]:
             arr = column[~np.isnan(column)]
             if not len(arr):
                 continue
-            rows.append(
-                (
-                    label,
-                    m,
-                    float(np.percentile(arr, 50)),
-                    float(np.percentile(arr, 75) - np.percentile(arr, 25)),
-                    int(m in flagged),
-                )
-            )
+            q25, q50, q75 = quartiles(arr)
+            rows.append((label, m, q50, q75 - q25, int(m in flagged)))
     return rows
 
 

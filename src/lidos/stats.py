@@ -35,32 +35,32 @@ class Summary:
     iqr: float
 
 
+def quartiles(values) -> tuple[float, float, float]:
+    """The 25th, 50th and 75th percentiles of `values` by numpy's linear
+    interpolation; the median is the midpoint of the middle pair.
+
+    Each is its own `np.percentile` call: one call for all three can give a
+    quartile the other sign of zero."""
+    values = np.asarray(values, dtype=float)
+    q25, q50, q75 = (float(np.percentile(values, q)) for q in (25, 50, 75))
+    return q25, q50, q75
+
+
 def summarize(samples: Mapping[str, Sequence[float]]) -> dict[str, Summary]:
-    """Median (midpoint convention) and IQR (linear-interpolation percentiles)
-    per label."""
+    """Median and IQR (see `quartiles`) per label."""
     out: dict[str, Summary] = {}
     for label, values in samples.items():
-        values = np.asarray(values, dtype=float)
-        q25, q50, q75 = (float(np.percentile(values, q)) for q in (25, 50, 75))
+        q25, q50, q75 = quartiles(values)
         out[label] = Summary(median=q50, iqr=q75 - q25)
     return out
 
 
-def _doubled_midranks(values: list[float]) -> list[int]:
-    """Midranks scaled by 2 so tied ranks stay integral."""
-    n = len(values)
-    order = sorted(range(n), key=lambda i: values[i])
-    doubled = [0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        rank2 = (i + 1) + (j + 1)
-        for k in range(i, j + 1):
-            doubled[order[k]] = rank2
-        i = j + 1
-    return doubled
+def _doubled_midranks(values) -> tuple[np.ndarray, np.ndarray]:
+    """Midranks scaled by 2 so tied ranks stay integral, and the size of
+    each group of equal values."""
+    _, group, sizes = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(sizes)
+    return (2 * ends - sizes + 1)[group], sizes
 
 
 def wilcoxon_rank_sum(xs, ys) -> float:
@@ -70,38 +70,36 @@ def wilcoxon_rank_sum(xs, ys) -> float:
     ones use the normal approximation with tie-corrected variance. Degenerate
     samples (zero rank variance) return p = 1.
     """
-    xs = [float(v) for v in xs]
-    ys = [float(v) for v in ys]
-    if not xs or not ys:
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if not len(xs) or not len(ys):
         raise ValueError("both samples must be non-empty")
     n1, n2 = len(xs), len(ys)
     total = n1 + n2
-    doubled = _doubled_midranks(xs + ys)
-    observed2 = sum(doubled[:n1])
+    doubled, tie_sizes = _doubled_midranks(np.concatenate((xs, ys)))
+    observed2 = int(doubled[:n1].sum())
     mean2 = n1 * (total + 1)
 
     splits = math.comb(total, n1)
     if splits <= _EXACT_LIMIT:
         # Under the null every split of the pooled ranks is equally likely;
         # count the splits by the rank sum of the smaller side, whose distance
-        # from its own mean equals that of xs.
+        # from its own mean equals that of xs. Row k counts the k-subsets of
+        # the ranks added so far by doubled sum, and no doubled rank passes
+        # 2 * total, so row k - 1 ends before (k - 1) * 2 * total + 1.
         deviation = abs(observed2 - mean2)
         m = min(n1, n2)
         mean_m = m * (total + 1)
-        by_sum: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(m)]
-        for i, rank2 in enumerate(doubled):
+        by_sum = np.zeros((m + 1, m * 2 * total + 1), dtype=np.int64)
+        by_sum[0, 0] = 1
+        for i, rank2 in enumerate(doubled.tolist()):
             for k in range(min(i + 1, m), 0, -1):
-                into = by_sum[k]
-                for sum2, count in by_sum[k - 1].items():
-                    into[sum2 + rank2] = into.get(sum2 + rank2, 0) + count
-        extreme = sum(count for sum2, count in by_sum[m].items()
-                      if abs(sum2 - mean_m) >= deviation)
-        return extreme / splits
+                width = (k - 1) * 2 * total + 1
+                by_sum[k, rank2:rank2 + width] += by_sum[k - 1, :width]
+        far = np.abs(np.arange(by_sum.shape[1]) - mean_m) >= deviation
+        return int(by_sum[m, far].sum()) / splits
 
-    tie_sizes: dict[int, int] = {}
-    for rank2 in doubled:
-        tie_sizes[rank2] = tie_sizes.get(rank2, 0) + 1
-    tie_term = sum(t**3 - t for t in tie_sizes.values())
+    tie_term = sum(t**3 - t for t in tie_sizes.tolist())
     variance = n1 * n2 / 12.0 * ((total + 1) - tie_term / (total * (total - 1)))
     if variance <= 0:
         return 1.0
@@ -115,16 +113,11 @@ def a12(xs, ys) -> float:
     Counts pairs where x is smaller than y; ties count half. 0.5 means no
     effect; 0.56/0.64/0.71 are the usual small/medium/large thresholds.
     """
-    if not xs or not ys:
+    if not len(xs) or not len(ys):
         raise ValueError("both samples must be non-empty")
-    better = 0
-    ties = 0
-    for x in xs:
-        for y in ys:
-            if x == y:
-                ties += 1
-            elif x < y:
-                better += 1
+    x = np.asarray(xs)[:, np.newaxis]
+    better = int(np.count_nonzero(x < ys))
+    ties = int(np.count_nonzero(x == ys))
     return (better + 0.5 * ties) / (len(xs) * len(ys))
 
 
@@ -214,7 +207,7 @@ def scott_knott(samples: Mapping[str, Sequence[float]], rng: random.Random) -> d
             return split(left) + split(right)
         return [sub]
 
-    clusters = split(sorted(samples, key=lambda label: float(np.percentile(samples[label], 50))))
+    clusters = split(sorted(samples, key=lambda label: quartiles(samples[label])[1]))
     clusters.sort(key=lambda sub: sum(flat(sub)) / len(flat(sub)))
     return {label: rank for rank, cluster in enumerate(clusters, 1) for label in cluster}
 

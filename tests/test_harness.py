@@ -38,6 +38,7 @@ from lidos.harness import (
 from lidos.baselines import StationaryPlanner
 from lidos.harness import ResultBundle
 from lidos.planner import TRACE_DTYPE, PlannerParams, RunTrace, derive_seed
+from lidos.stats import quartiles
 from lidos.twin import synth_landscape, synth_option_names, synth_tables
 
 from conftest import assert_accounting, traces_text
@@ -180,7 +181,7 @@ class TestPlannerLabels:
 def smoke_bundle(tmp_path_factory):
     manifest = write_small_dataset(tmp_path_factory.mktemp("smoke"))
     spec = parse_scenario(manifest)
-    return run_scenario(spec, PlannerParams(population_size=10))
+    return run_scenario(spec)
 
 
 @pytest.fixture(scope="module")
@@ -191,13 +192,13 @@ def mixed_bundle(tmp_path_factory):
     manifest.write_text(manifest.read_text(encoding="utf-8").replace(
         "env_b.csv minimize", "env_b.csv maximize"), encoding="utf-8")
     spec = parse_scenario(manifest)
-    return run_scenario(spec, PlannerParams(population_size=10))
+    return run_scenario(spec)
 
 
 class TestRunScenario:
     def test_trace_shape(self, tmp_path, twin_probe):
         spec = parse_scenario(write_small_dataset(tmp_path))
-        bundle = run_scenario(spec, PlannerParams(population_size=10))
+        bundle = run_scenario(spec)
         assert bundle.labels == ("lidos", "stationary")
         assert list(bundle.traces) == [(label, rep) for label in bundle.labels
                                        for rep in range(spec.repetitions)]
@@ -211,7 +212,7 @@ class TestRunScenario:
     def test_deterministic_bytes(self, smoke_bundle, tmp_path):
         manifest = write_small_dataset(tmp_path)
         spec = parse_scenario(manifest)
-        again = run_scenario(spec, PlannerParams(population_size=10))
+        again = run_scenario(spec)
         assert traces_text(again) == traces_text(smoke_bundle)
 
     def test_a_library_run_can_be_summarized(self, tmp_path):
@@ -229,29 +230,27 @@ class TestRunScenario:
 
     def test_budget_below_population_rejected(self, tmp_path):
         manifest = write_small_dataset(tmp_path)
+        manifest.write_text(manifest.read_text(encoding="utf-8").replace(
+            " 30\n", " 19\n"), encoding="utf-8")
         spec = parse_scenario(manifest)
-        with pytest.raises(ValueError, match="below the population size"):
-            run_scenario(spec, PlannerParams(population_size=32))
+        with pytest.raises(ValueError, match="below the population size 20"):
+            run_scenario(spec)
 
-    def test_params_never_override_the_manifest_k(self, tmp_path):
-        """`params` sets the population size and the rates; the adaptation
-        interval is the spec's. Given params, a run used to take their
-        default k of 150 and, with legs of 40, send no adaptation."""
+    def test_adaptations_follow_the_manifest_k(self, tmp_path):
+        """The adaptation interval is the manifest's `k`: with legs of 40, a
+        `k` of 15 sends adaptations and one of 150 sends none."""
         manifest = write_small_dataset(tmp_path, domain_size=5)
         manifest.write_text(manifest.read_text(encoding="utf-8").replace(
             "k: 30\n", "k: 15\n").replace(" 30\n", " 40\n"), encoding="utf-8")
 
-        def adaptations(spec, params):
-            bundle = run_scenario(spec, params)
+        def adaptations(spec):
+            bundle = run_scenario(spec)
             return sum(int(t.events["adaptation_sent"].sum()) for t in bundle.traces.values())
 
         spec = parse_scenario(manifest)
         assert [leg.measurement_budget for leg in spec.legs] == [40, 40]
-        sent = adaptations(spec, None)
-        assert sent > 0
-        for params in (PlannerParams(), PlannerParams(k=150)):
-            assert adaptations(spec, params) == sent
-        assert adaptations(parse_scenario(manifest, {"k": "150"}), None) == 0
+        assert adaptations(spec) > 0
+        assert adaptations(parse_scenario(manifest, {"k": "150"})) == 0
 
     @pytest.mark.parametrize("name", ["env_a.csv", "scenario.txt"])
     def test_a_byte_order_mark_is_skipped(self, tmp_path, name):
@@ -259,7 +258,7 @@ class TestRunScenario:
         name of a table, so the table implied a space of its own, or of the
         first key of a manifest, which was then unknown."""
         manifest = write_small_dataset(tmp_path)
-        plain = run_scenario(parse_scenario(manifest), PlannerParams(population_size=10))
+        plain = run_scenario(parse_scenario(manifest))
         path = tmp_path / name
         path.write_text(path.read_text(encoding="utf-8"), encoding="utf-8-sig")
         assert path.read_bytes().startswith(b"\xef\xbb\xbf")
@@ -267,7 +266,7 @@ class TestRunScenario:
         assert spec.system == "smoke"
         space, _ = load_scenario_tables(spec)
         assert [option.name for option in space.options] == ["o1", "o2", "o3"]
-        bundle = run_scenario(spec, PlannerParams(population_size=10))
+        bundle = run_scenario(spec)
         assert traces_text(bundle) == traces_text(plain)
 
     def test_dataset_mismatch_rejected(self, tmp_path):
@@ -278,7 +277,7 @@ class TestRunScenario:
         b_path.write_text("\n".join(lines[: len(lines) // 2]) + "\n", encoding="utf-8")
         spec = parse_scenario(manifest)
         with pytest.raises(ValueError, match="mismatch"):
-            run_scenario(spec, PlannerParams(population_size=10))
+            run_scenario(spec)
 
     def test_duplicate_planner_kinds_identical_results(self, tmp_path):
         manifest = write_small_dataset(tmp_path)
@@ -292,7 +291,7 @@ class TestRunScenario:
             base_seed=spec.base_seed,
             trajectory_stride=spec.trajectory_stride,
         )
-        bundle = run_scenario(spec, PlannerParams(population_size=10))
+        bundle = run_scenario(spec)
         assert bundle.final_values("lidos") == bundle.final_values("lidos@2")
         summary = summarize_bundle(bundle)
         ranks = {e.label: e.rank for e in summary.ranks}
@@ -306,15 +305,14 @@ class TestParallelRun:
 
     def test_one_worker_creates_no_pool(self, tmp_path, monkeypatch):
         spec = parse_scenario(write_small_dataset(tmp_path))
-        params = PlannerParams(population_size=10)
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was created")
 
         monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", no_pool)
-        assert len(run_scenario(spec, params, workers=1).traces) == 4
+        assert len(run_scenario(spec, workers=1).traces) == 4
         with pytest.raises(AssertionError, match="a process pool was created"):
-            run_scenario(spec, params, workers=2)
+            run_scenario(spec, workers=2)
 
     def test_the_forking_process_builds_no_lookup(self, tmp_path, monkeypatch):
         """Loading and checking a table needs only its columns; the plan ->
@@ -335,9 +333,9 @@ class TestParallelRun:
             return space, tables
 
         monkeypatch.setattr(harness, "load_scenario_tables", load)
-        forked = run_scenario(spec, PlannerParams(population_size=10), workers=2)
+        forked = run_scenario(spec, workers=2)
         assert all("rows" not in vars(table) for table in loaded[0].values())
-        serial = run_scenario(spec, PlannerParams(population_size=10), workers=1)
+        serial = run_scenario(spec, workers=1)
         assert all("rows" in vars(table) for table in loaded[1].values())
         assert traces_text(forked) == traces_text(serial)
 
@@ -456,6 +454,19 @@ class TestSummaries:
         assert "  vs stationary       1.25x (missed 2 of 4)\n" in (
             tmp_path / "summary.txt").read_text(encoding="utf-8")
         assert "stationary,1,inf\n" in (tmp_path / "speedups.csv").read_text(encoding="utf-8")
+
+    def test_speedup_median_is_the_quartiles_median(self, smoke_bundle):
+        """The speedup median follows the rule of every other median. For
+        17/86 and 151/130 numpy's midpoint is one unit in the last place
+        above `statistics.median`'s, which it used to be."""
+        bundle = post_change_bundle(smoke_bundle.spec, [
+            ([3.0] * 16 + [1.0], [2.0] * 85 + [1.0]), ([1.0], [9.0]),
+            ([3.0] * 150 + [1.0], [2.0] * 129 + [1.0])])
+        (row,) = summarize_bundle(bundle).speedups
+        matched = [value for value in row.values if value != math.inf]
+        assert matched == [17 / 86, 151 / 130]
+        assert row.median == quartiles(matched)[1] == 0.6796064400715565
+        assert row.misses == 1
 
     def test_traces_override_manifest_repetitions(self, smoke_bundle, tmp_path):
         path = tmp_path / "traces.csv"
@@ -871,7 +882,7 @@ class TestCli:
             encoding="utf-8",
         )
         spec = parse_scenario(manifest)
-        bundle = run_scenario(spec, PlannerParams(population_size=10))
+        bundle = run_scenario(spec)
         write_bundle_outputs(bundle, tmp_path / "out")
         # The best raw value of B's table among the plans each repetition's
         # twin measured in the last leg.
@@ -1386,10 +1397,10 @@ def test_accounting_law_over_returning_legs(tmp_path, seed, twin_probe):
         f"system: returns\nseed: {seed}\nrepetitions: 2\nk: 15\n"
         "planners: lidos, lidos_sta, pseudo_dynamic, stationary\n"
         + "".join(f"environment: {e} env_{e}.csv minimize\n" for e in ids)
-        + "".join(f"leg: {e} {rng.randint(10, 25)}\n" for e in legs),
+        + "".join(f"leg: {e} {rng.randint(20, 35)}\n" for e in legs),
         encoding="utf-8",
     )
-    bundle = run_scenario(parse_scenario(manifest), PlannerParams(population_size=10))
+    bundle = run_scenario(parse_scenario(manifest))
     assert len(twin_probe) == len(bundle.traces) == 4 * 2
     for (key, trace), (twin, epochs) in zip(bundle.traces.items(), twin_probe.items()):
         assert [epoch.env_id for epoch in epochs] == legs, key

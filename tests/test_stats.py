@@ -11,7 +11,9 @@ from scipy.stats import rankdata
 import lidos.stats as stats_module
 from lidos.planner import RunTrace
 from lidos.stats import (
+    _doubled_midranks,
     a12,
+    quartiles,
     scott_knott,
     speedup,
     split_delta,
@@ -97,6 +99,18 @@ class TestWilcoxon:
                 ranksums(xs, ys).pvalue, abs=1e-10
             )
 
+    def test_large_tied_samples_match_scipy_asymptotic(self):
+        # With ties the variance takes the tie term of every group of equal
+        # values, both zeros in one group, as scipy's asymptotic test does.
+        from scipy.stats import mannwhitneyu
+
+        rng = random.Random(78)
+        for _ in range(20):
+            xs = [rng.choice((0.0, -0.0, 1.0, 2.0, 2.5)) for _ in range(rng.randint(20, 50))]
+            ys = [rng.choice((-0.0, 1.0, 2.0, 3.0)) for _ in range(rng.randint(20, 50))]
+            want = mannwhitneyu(xs, ys, method="asymptotic", use_continuity=False).pvalue
+            assert wilcoxon_rank_sum(xs, ys) == pytest.approx(want, abs=1e-12)
+
     def test_small_tie_free_samples_match_scipy_exact(self):
         from scipy.stats import mannwhitneyu
 
@@ -119,9 +133,32 @@ class TestWilcoxon:
         assert wilcoxon_rank_sum(xs[:3], ys + xs[3:]) == exact_rank_sum_p(xs[:3], ys + xs[3:])
         assert wilcoxon_rank_sum(ys + xs[3:], xs[:3]) == exact_rank_sum_p(ys + xs[3:], xs[:3])
 
+    def test_unbalanced_exact_samples(self):
+        # One side of 1 or 2 values against many: the exact path's rows of
+        # sums are as wide as the pooled ranks allow.
+        rng = random.Random(14)
+        for n1, n2 in ((1, 80), (80, 1), (2, 120)):
+            xs = [rng.choice((0.0, -0.0, 1.0, 3.0)) for _ in range(n1)]
+            ys = [rng.choice((0.0, -0.0, 1.0, 2.0)) for _ in range(n2)]
+            assert wilcoxon_rank_sum(xs, ys) == pytest.approx(
+                exact_rank_sum_p(xs, ys), abs=1e-12)
+
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             wilcoxon_rank_sum([], [1.0])
+
+
+class TestDoubledMidranks:
+    def test_matches_scipy_rankdata(self):
+        """Twice scipy's average ranks, on tie-heavy samples that hold both
+        zeros, which compare equal and share a rank."""
+        rng = random.Random(21)
+        for _ in range(300):
+            values = [rng.choice((0.0, -0.0, 1.0, -2.5, 7.0)) for _ in range(rng.randint(1, 60))]
+            doubled, sizes = _doubled_midranks(values)
+            assert doubled.tolist() == (2 * rankdata(values)).astype(int).tolist()
+            assert sorted(sizes.tolist()) == sorted(
+                values.count(v) for v in set(values))
 
 
 class TestA12:
@@ -160,6 +197,7 @@ class TestA12:
         """The empty-sample check used to take an array's truth value, so an
         array of two or more values raised numpy's "ambiguous" error."""
         assert a12(np.array([1.0, 2.0]), np.array([3.0])) == 1.0
+        assert type(a12(np.array([1.0, 2.0]), np.array([2.0]))) is float
         assert a12(np.array([3.0, 1.0]), [1.0, 3.0]) == a12([3.0, 1.0], [1.0, 3.0]) == 0.5
         with pytest.raises(ValueError, match="both samples must be non-empty"):
             a12(np.array([]), np.array([1.0]))
@@ -275,6 +313,36 @@ class TestBootstrap:
         assert len({len(set(ranks.values())) for ranks, _ in ours}) > 1
         monkeypatch.setattr(stats_module, "_bootstrap_rejects", reference_bootstrap_rejects)
         assert [ranked(samples) for samples in cases] == ours
+
+
+class TestQuartiles:
+    """`quartiles` is three separate `np.percentile` calls: one call for all
+    three q gives q75 = -0.0 on the first sample below, where separate calls
+    give 0.0."""
+
+    @staticmethod
+    def separate_calls(values):
+        return tuple(float(np.percentile(np.asarray(values, dtype=float), q))
+                     for q in (25, 50, 75))
+
+    def test_signed_zeros(self):
+        for values in ([0.0, 0.0, 0.0, 0.0, -0.0, -0.0, 0.0], [-0.0], [0.0, -0.0],
+                       [-0.0, -0.0, 0.0, 1.0]):
+            assert repr(quartiles(values)) == repr(self.separate_calls(values))
+
+    def test_matches_separate_percentile_calls(self):
+        rng = random.Random(22)
+        for case in range(3000):
+            n = rng.randint(1, 60)
+            if case % 2:
+                values = [rng.choice((0.0, -0.0, 0.5, -1e-300, 3e12)) for _ in range(n)]
+            else:
+                values = [round(rng.gauss(0, 1), rng.randint(0, 3)) for _ in range(n)]
+            assert repr(quartiles(values)) == repr(self.separate_calls(values)), values
+
+    def test_returns_floats(self):
+        assert quartiles(np.array([1, 2, 3, 4])) == (1.75, 2.5, 3.25)
+        assert all(type(q) is float for q in quartiles([1, 2]))
 
 
 class TestSummarize:
