@@ -39,8 +39,8 @@ def quartiles(values) -> tuple[float, float, float]:
     """The 25th, 50th and 75th percentiles of `values` by numpy's linear
     interpolation; the median is the midpoint of the middle pair.
 
-    Each is its own `np.percentile` call: one call for all three can give a
-    quartile the other sign of zero."""
+    Each is its own `np.percentile` call: when `values` hold both zeros, one
+    call for all three can return a zero quartile with the other sign."""
     values = np.asarray(values, dtype=float)
     q25, q50, q75 = (float(np.percentile(values, q)) for q in (25, 50, 75))
     return q25, q50, q75

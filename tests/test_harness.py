@@ -457,8 +457,9 @@ class TestSummaries:
 
     def test_speedup_median_is_the_quartiles_median(self, smoke_bundle):
         """The speedup median follows the rule of every other median. For
-        17/86 and 151/130 numpy's midpoint is one unit in the last place
-        above `statistics.median`'s, which it used to be."""
+        17/86 and 151/130 numpy's midpoint lies one unit in the last place
+        above that of `statistics.median`, which the speedup median used to
+        take."""
         bundle = post_change_bundle(smoke_bundle.spec, [
             ([3.0] * 16 + [1.0], [2.0] * 85 + [1.0]), ([1.0], [9.0]),
             ([3.0] * 150 + [1.0], [2.0] * 129 + [1.0])])
