@@ -72,9 +72,9 @@ def wilcoxon_rank_sum(xs, ys) -> float:
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if not len(xs) or not len(ys):
-        raise ValueError("both samples must be non-empty")
     n1, n2 = len(xs), len(ys)
+    if not n1 or not n2:
+        raise ValueError("both samples must be non-empty")
     total = n1 + n2
     doubled, tie_sizes = _doubled_midranks(np.concatenate((xs, ys)))
     observed2 = int(doubled[:n1].sum())
