@@ -8,7 +8,6 @@ from .harness import (
     summarize_bundle,
     write_bundle_outputs,
 )
-from .planner import PlannerParams
 from .space import ConfigSpace, OptionSpec
 from .twin import (
     CyberTwin,
@@ -27,7 +26,6 @@ __all__ = [
     "ScenarioSpec",
     "PLANNER_KINDS",
     "make_planner",
-    "PlannerParams",
     "ConfigSpace",
     "OptionSpec",
     "Environment",

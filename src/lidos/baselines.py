@@ -3,12 +3,7 @@
 from __future__ import annotations
 
 from .mmo import ScoredPlan
-from .planner import (
-    BasePlanner,
-    MmoPlanner,
-    PlannerParams,
-    derive_seed,
-)
+from .planner import BasePlanner, MmoPlanner, derive_seed
 from .space import ConfigSpace
 from .twin import CyberTwin, Environment
 
@@ -73,7 +68,7 @@ _PLANNERS = {
 
 
 def make_planner(kind: str, space: ConfigSpace, twin: CyberTwin,
-                 params: PlannerParams, seed: int) -> BasePlanner:
+                 seed: int, k: int = 150) -> BasePlanner:
     """Build one of the four planner treatments; they differ only in selection
     and change handling, never in measurement semantics."""
     try:
@@ -82,4 +77,4 @@ def make_planner(kind: str, space: ConfigSpace, twin: CyberTwin,
         raise ValueError(
             f"unknown planner kind {kind!r}; expected one of {PLANNER_KINDS}"
         ) from None
-    return cls(space, twin, params, seed)
+    return cls(space, twin, seed, k)

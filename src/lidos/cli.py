@@ -12,13 +12,13 @@ from pathlib import Path
 from .harness import (
     ScenarioSpec,
     WorkerLost,
-    _write_chunks_atomic,
     bundle_from_traces,
     csv_text,
     parse_scenario,
     run_scenario,
     write_atomic,
     write_bundle_outputs,
+    write_chunks_atomic,
 )
 from .twin import synth_landscape, synth_option_names
 
@@ -131,7 +131,7 @@ def _cmd_synth(args) -> int:
     option_names = synth_option_names(args.options)
     out = Path(args.out)
     for name, values in zip(("env_a.csv", "env_b.csv"), landscape):
-        _write_chunks_atomic(out / name, _table_chunks(option_names, values, args.domain_size))
+        write_chunks_atomic(out / name, _table_chunks(option_names, values, args.domain_size))
     manifest = "\n".join(
         [
             "system: synth",

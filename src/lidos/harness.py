@@ -15,14 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
+from . import planner
 from .baselines import PLANNER_KINDS, make_planner
-from .planner import TRACE_DTYPE, PlannerParams, RunTrace, derive_seed
+from .planner import TRACE_DTYPE, RunTrace, derive_seed
 from .space import ConfigSpace
 from .stats import Summary, a12, quartiles, scott_knott, speedup, summarize, wilcoxon_rank_sum
 from .twin import DIRECTIONS, CyberTwin, Environment, MeasurementTable, load_measurements
 
-TRACE_HEADER = ("planner", "rep", "measurement_index", "env", "ft", "best_ft",
-                "adaptation_sent", "env_change")
+TRACE_HEADER = ("planner", "rep") + TRACE_DTYPE.names
 TRAJECTORY_HEADER = ("planner", "measurement_index", "median_best", "iqr_best",
                      "env_change")
 # The manifest keys that hold one value each, and the ScenarioSpec fields they set.
@@ -288,19 +288,18 @@ def run_scenario(spec: ScenarioSpec, *, workers: int = 1) -> ResultBundle:
     Where the platform cannot fork, or one worker is asked for, they run one
     after another in this process.
 
-    Every planner takes the default population size and rates of
-    `PlannerParams`, which `read_traces_csv` checks the legs against, and the
-    spec's adaptation interval `k`."""
-    params = PlannerParams(k=spec.k)
+    Every planner takes the population size and rates of `lidos.planner`,
+    which `read_traces_csv` checks the legs against, and the spec's
+    adaptation interval `k`."""
     for i, leg in enumerate(spec.legs):
-        if leg.measurement_budget < params.population_size:
+        if leg.measurement_budget < planner.POPULATION_SIZE:
             raise spec.error(
                 f"leg budget {leg.measurement_budget} is below the population size "
-                f"{params.population_size}; initialization alone would exceed it", "leg", i)
+                f"{planner.POPULATION_SIZE}; initialization alone would exceed it", "leg", i)
     space, tables = load_scenario_tables(spec)
     labeled = planner_labels(spec.planners)
     tasks = [(label, kind, rep) for label, kind in labeled for rep in range(spec.repetitions)]
-    job = (spec, params, space, tables)
+    job = (spec, space, tables)
     workers = min(workers, len(tasks))
     if workers > 1 and _can_fork():
         results = _run_forked(job, tasks, workers)
@@ -317,16 +316,16 @@ def _run_repetition(job, kind: str, rep: int) -> RunTrace:
     """One planner's repetition over every leg, on a fresh twin: its trace,
     every recorded row joined into `events`, so that a worker sends back
     arrays and no pending tuples."""
-    spec, params, space, tables = job
+    spec, space, tables = job
     twin = CyberTwin(space, tables.values())
     twin.set_environment(spec.legs[0].env_id)
-    planner = make_planner(kind, space, twin, params, derive_seed(spec.base_seed, kind, rep))
-    planner.init_run()
-    planner.run_scenario_leg(spec.legs[0].measurement_budget)
+    search = make_planner(kind, space, twin, derive_seed(spec.base_seed, kind, rep), spec.k)
+    search.init_run()
+    search.run_scenario_leg(spec.legs[0].measurement_budget)
     for leg in spec.legs[1:]:
-        planner.on_environment_change(leg.env_id)
-        planner.run_scenario_leg(leg.measurement_budget)
-    return RunTrace(planner.trace.events, planner.trace.env_ids)
+        search.on_environment_change(leg.env_id)
+        search.run_scenario_leg(leg.measurement_budget)
+    return RunTrace(search.trace.events, search.trace.env_ids)
 
 
 def _can_fork() -> bool:
@@ -652,7 +651,7 @@ def read_traces_csv(path: str | Path, spec: ScenarioSpec
     first_bad(events["env"] != leg_env[leg_of], lambda at: (
         f"environment {env_ids[events['env'][at]]!r} in leg {leg_of[at] + 1}, "
         f"where the scenario runs {legs[leg_of[at]]!r}"))
-    population = PlannerParams().population_size
+    population = planner.POPULATION_SIZE
     budget = np.array([leg.measurement_budget for leg in spec.legs])[leg_of]
     in_leg = running_count(measured, first_of_group | events["env_change"])
     first_bad(measured & (in_leg >= budget + population), lambda at: (
@@ -741,10 +740,10 @@ def trajectories_csv_text(bundle: ResultBundle) -> str:
 
 def write_atomic(path: str | Path, content: str) -> None:
     """Write-then-rename so partially written outputs never appear."""
-    _write_chunks_atomic(path, (content,))
+    write_chunks_atomic(path, (content,))
 
 
-def _write_chunks_atomic(path: str | Path, chunks) -> None:
+def write_chunks_atomic(path: str | Path, chunks) -> None:
     """Write the strings `chunks` yields, in order, then rename, so that a
     generated file is never held whole and never appears partly written: a
     failure while a chunk is made or written unlinks the temporary. Each
@@ -799,7 +798,7 @@ def write_bundle_outputs(bundle: ResultBundle, out_dir: str | Path,
     direction = bundle.spec.final_environment().direction
     if include_traces:
         # One repetition at a time: the whole file is never one string.
-        _write_chunks_atomic(out / "traces.csv", chain(
+        write_chunks_atomic(out / "traces.csv", chain(
             [csv_text(TRACE_HEADER, ())],
             (traces_csv_text(label, rep, bundle.traces[(label, rep)])
              for label in bundle.labels for rep in range(bundle.spec.repetitions))))

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,29 +27,18 @@ from .twin import CyberTwin, Environment
 # before either the budget or full coverage is hit.
 STALL_GENERATIONS = 25
 
+# The one GA setting every planner kind shares: members per population, and
+# the chance that a pair of children crosses over and that a gene mutates.
+# The population size must be even and at least 2.
+POPULATION_SIZE = 20
+CROSSOVER_RATE = 0.9
+MUTATION_RATE = 0.1
+
 
 def derive_seed(*parts) -> int:
     """Stable cross-process seed from arbitrary labelled parts."""
     digest = _sha256(":".join(str(p) for p in parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-@dataclass(frozen=True)
-class PlannerParams:
-    population_size: int = 20
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.1
-    k: int = 150
-
-    def __post_init__(self) -> None:
-        if self.population_size < 2 or self.population_size % 2:
-            raise ValueError("population_size must be even and at least 2")
-        for name in ("crossover_rate", "mutation_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if self.k < 1:
-            raise ValueError("adaptation interval k must be positive")
 
 
 # One row per trace event. `env` indexes `RunTrace.env_ids`; `ft` and
@@ -172,10 +160,14 @@ class BasePlanner:
     # parents, so populations stay plan-diverse whenever the dataset allows.
     distinct_offspring = False
 
-    def __init__(self, space: ConfigSpace, twin: CyberTwin, params: PlannerParams, seed: int):
+    def __init__(self, space: ConfigSpace, twin: CyberTwin, seed: int, k: int = 150):
+        """`seed` seeds the planner's generator and `k` is its adaptation
+        interval, in genuine measurements."""
+        if k < 1:
+            raise ValueError("adaptation interval k must be positive")
         self.space = space
         self.twin = twin
-        self.params = params
+        self.k = k
         self.base_seed = seed
         self.rng = random.Random(seed)
         self.ends = tuple((o.domain[0], o.domain[-1]) for o in space.options)
@@ -205,8 +197,7 @@ class BasePlanner:
         past it one swap draw per gene; then per gene of the first child, and
         then of the second, the mutation draw and, where it hits, a fair coin
         between the low and the high end of the gene's domain."""
-        n = self.params.population_size
-        crossover_rate, mutation_rate = self.params.crossover_rate, self.params.mutation_rate
+        n, crossover_rate, mutation_rate = POPULATION_SIZE, CROSSOVER_RATE, MUTATION_RATE
         population, rng, ends = self.population, self.rng, self.ends
         repair, measure, draw = self.twin.repair, self._measure, rng.random
         genes = range(len(ends))
@@ -288,7 +279,7 @@ class BasePlanner:
 
     def _spawn_plans(self) -> list[Plan]:
         """Random measured plans, distinct whenever the dataset allows it."""
-        n = self.params.population_size
+        n = POPULATION_SIZE
         table = self.twin.current_table()
         target = min(n, len(table))
         chosen: list[Plan] = []
@@ -333,7 +324,7 @@ class BasePlanner:
     def _maybe_send_adaptation(self) -> None:
         """Emit the best plan once the interval is full and it improves on the
         previously emitted plan; emission resets the interval counter."""
-        if self.t < self.params.k or self.s_best is None:
+        if self.t < self.k or self.s_best is None:
             return
         if self._last_sent_ft is not None and self.s_best.ft >= self._last_sent_ft:
             return
@@ -377,7 +368,7 @@ class MmoPlanner(BasePlanner):
         # the scored union never builds up clones of surviving plans.
         parent_plans = {m.plan for m in self.population}
         union = self.population + [o for o in offspring if o.plan not in parent_plans]
-        self.population = self._select(union, self.params.population_size)
+        self.population = self._select(union, POPULATION_SIZE)
 
     def _select(self, pool: list[ScoredPlan], n: int) -> list[ScoredPlan]:
         """Score every member on (g1, g2) afresh and keep the best n."""

@@ -121,6 +121,22 @@ def a12(xs, ys) -> float:
     return (better + 0.5 * ties) / (len(xs) * len(ys))
 
 
+def _sums_in_order(rows) -> np.ndarray:
+    """The sum of each row of `rows` (of its values, when one-dimensional),
+    added left to right from 0 as CPython 3.11's `sum()` adds floats.
+
+    From 3.12 on `sum()` compensates its rounding, so the same values can sum
+    to another float, and a Scott-Knott split or rank with them.
+    `np.add.accumulate` adds in order, where `np.sum` adds pairwise; the
+    closing ``+ 0.0`` turns a row of only -0.0 into the 0.0 that `sum()`'s
+    integer start gives."""
+    return np.add.accumulate(np.asarray(rows, dtype=float), axis=-1)[..., -1] + 0.0
+
+
+def _mean(values) -> float:
+    return float(_sums_in_order(values)) / len(values)
+
+
 def split_delta(left, right) -> float:
     """Expected mean-difference gain of splitting one list into two sub-lists:
     sum over sub-lists of |sub|/|all| * (mean(sub) - mean(all))^2."""
@@ -129,28 +145,27 @@ def split_delta(left, right) -> float:
     if not left or not right:
         raise ValueError("both sides of a split must be non-empty")
     both = left + right
-    grand = sum(both) / len(both)
+    grand = _mean(both)
     out = 0.0
     for side in (left, right):
-        side_mean = sum(side) / len(side)
-        out += len(side) / len(both) * (side_mean - grand) ** 2
+        out += len(side) / len(both) * (_mean(side) - grand) ** 2
     return out
 
 
 def _bootstrap_rejects(left: list[float], right: list[float], rng: random.Random) -> bool:
     """Whether resampling the pooled values rejects equal means: the draws,
-    sums and verdict of ``_RESAMPLES`` rounds of ``[rng.choice(pool) for _ in
-    left]`` and ``[... for _ in right]`` compared by ``sum(...) / len(...)``,
-    with the picks of `_ROUNDS_PER_BLOCK` rounds drawn at a time and each
-    side of a round added by Python's own ``sum()``."""
-    observed = abs(sum(left) / len(left) - sum(right) / len(right))
+    means and verdict of ``_RESAMPLES`` rounds of ``[rng.choice(pool) for _
+    in left]`` and ``[... for _ in right]``, with the picks of
+    `_ROUNDS_PER_BLOCK` rounds drawn at a time and each side of a round added
+    in order by `_sums_in_order`."""
+    observed = abs(_mean(left) - _mean(right))
     pool = np.asarray(left + right, dtype=float)
     n, cut = len(pool), len(left)
     extreme = 0
     for _ in range(_RESAMPLES // _ROUNDS_PER_BLOCK):
         block = pool[_choice_indices(rng, n, _ROUNDS_PER_BLOCK * n)].reshape(-1, n)
-        lhs = np.fromiter(map(sum, block[:, :cut].tolist()), float) / cut
-        rhs = np.fromiter(map(sum, block[:, cut:].tolist()), float) / len(right)
+        lhs = _sums_in_order(block[:, :cut]) / cut
+        rhs = _sums_in_order(block[:, cut:]) / len(right)
         extreme += int(np.count_nonzero(np.abs(lhs - rhs) >= observed))
     return extreme / _RESAMPLES <= 1.0 - _CONFIDENCE
 
@@ -208,7 +223,7 @@ def scott_knott(samples: Mapping[str, Sequence[float]], rng: random.Random) -> d
         return [sub]
 
     clusters = split(sorted(samples, key=lambda label: quartiles(samples[label])[1]))
-    clusters.sort(key=lambda sub: sum(flat(sub)) / len(flat(sub)))
+    clusters.sort(key=lambda sub: _mean(flat(sub)))
     return {label: rank for rank, cluster in enumerate(clusters, 1) for label in cluster}
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import lidos
-from lidos import stats
+from lidos import planner, stats
 from lidos.harness import TRACE_HEADER, csv_text, traces_csv_text
 from lidos.space import ConfigSpace, OptionSpec
 from lidos.twin import CyberTwin, Environment, MeasurementTable
@@ -87,17 +87,31 @@ def reference_auxiliary(pool, space: ConfigSpace) -> list[float]:
             for s in pool]
 
 
+def sum_in_order(values):
+    """`values` added left to right from 0: what the builtin `sum()` of
+    floats gives up to CPython 3.11. From 3.12 on it compensates its
+    rounding, and can end on another float."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
+def mean_in_order(values) -> float:
+    return sum_in_order(values) / len(values)
+
+
 def reference_bootstrap_rejects(left, right, rng) -> bool:
     """Scott-Knott's bootstrap one `Random.choice` per resampled value: the
     loop whose draws, sums and verdict `stats._bootstrap_rejects` reproduces
     a block at a time."""
-    observed = abs(sum(left) / len(left) - sum(right) / len(right))
+    observed = abs(mean_in_order(left) - mean_in_order(right))
     pool = list(left) + list(right)
     extreme = 0
     for _ in range(stats._RESAMPLES):
         lhs = [rng.choice(pool) for _ in left]
         rhs = [rng.choice(pool) for _ in right]
-        if abs(sum(lhs) / len(lhs) - sum(rhs) / len(rhs)) >= observed:
+        if abs(mean_in_order(lhs) - mean_in_order(rhs)) >= observed:
             extreme += 1
     return extreme / stats._RESAMPLES <= 1.0 - stats._CONFIDENCE
 
@@ -125,6 +139,19 @@ def make_twin(space: ConfigSpace, *tables: MeasurementTable,
     if current is not None:
         twin.set_environment(current)
     return twin
+
+
+@pytest.fixture
+def ga(monkeypatch):
+    """Set the planners' GA constants for one test, as in
+    `ga(population=8, crossover=0.0, mutation=0.0)`; a value left out keeps
+    its constant, and each returns when the test ends."""
+    def set_constants(population=None, crossover=None, mutation=None) -> None:
+        for name, value in (("POPULATION_SIZE", population), ("CROSSOVER_RATE", crossover),
+                            ("MUTATION_RATE", mutation)):
+            if value is not None:
+                monkeypatch.setattr(planner, name, value)
+    return set_constants
 
 
 @pytest.fixture

@@ -15,7 +15,8 @@ from lidos.baselines import (
     StationaryPlanner,
     make_planner,
 )
-from lidos.planner import MmoPlanner, PlannerParams, derive_seed
+from lidos import planner as planner_module
+from lidos.planner import MmoPlanner, derive_seed
 from lidos.twin import synth_tables
 
 from conftest import child_env, make_space, make_table, make_twin
@@ -43,7 +44,7 @@ class TestMakePlanner:
         }
         for kind in PLANNER_KINDS:
             twin = make_twin(space, ta, tb, current="A")
-            planner = make_planner(kind, space, twin, PlannerParams(), 1)
+            planner = make_planner(kind, space, twin, 1)
             assert isinstance(planner, classes[kind])
             assert planner.kind == kind
 
@@ -51,22 +52,26 @@ class TestMakePlanner:
         space, ta, tb = rugged_two_env()
         twin = make_twin(space, ta, tb, current="A")
         with pytest.raises(ValueError, match="unknown planner kind"):
-            make_planner("annealing", space, twin, PlannerParams(), 1)
+            make_planner("annealing", space, twin, 1)
 
-    def test_shared_parameterization(self):
+    def test_shared_parameterization(self, ga):
+        # Every kind takes the module's population size and the given k.
         space, ta, tb = rugged_two_env()
-        params = PlannerParams(population_size=10, k=33)
+        ga(population=10)
         for kind in PLANNER_KINDS:
             twin = make_twin(space, ta, tb, current="A")
-            planner = make_planner(kind, space, twin, params, 1)
-            assert planner.params is params
+            planner = make_planner(kind, space, twin, 1, k=33)
+            planner.init_run()
+            assert planner.k == 33
+            assert len(planner.population) == 10
 
 
 class TestSoga:
-    def test_elitism_keeps_pool_minimum(self):
+    def test_elitism_keeps_pool_minimum(self, ga):
         space, ta, tb = rugged_two_env()
         twin = make_twin(space, ta, tb, current="A")
-        planner = PseudoDynamicPlanner(space, twin, PlannerParams(population_size=8, k=10_000), 5)
+        ga(population=8)
+        planner = PseudoDynamicPlanner(space, twin, 5, k=10_000)
         planner.init_run()
         for _ in range(10):
             pool_min = min(m.ft for m in planner.population)
@@ -74,14 +79,13 @@ class TestSoga:
             new_min = min(m.ft for m in planner.population)
             assert new_min <= pool_min
 
-    def test_operators_off_keep_initial_plans(self):
+    def test_operators_off_keep_initial_plans(self, ga):
         # Identity operators leave tournament selection as the only force:
         # no plan outside the initial set can appear, and elitism pins the best.
         space, ta, tb = rugged_two_env()
         twin = make_twin(space, ta, tb, current="A")
-        params = PlannerParams(population_size=8, crossover_rate=0.0,
-                               mutation_rate=0.0, k=10_000)
-        planner = PseudoDynamicPlanner(space, twin, params, 5)
+        ga(population=8, crossover=0.0, mutation=0.0)
+        planner = PseudoDynamicPlanner(space, twin, 5, k=10_000)
         planner.init_run()
         initial = {m.plan for m in planner.population}
         best = min(m.ft for m in planner.population)
@@ -91,11 +95,12 @@ class TestSoga:
         assert min(m.ft for m in planner.population) == best
         assert twin.counter == len(initial)  # no new measurements either
 
-    def test_cache_hits_do_not_advance_t(self):
+    def test_cache_hits_do_not_advance_t(self, ga):
         space = make_space((0, 1))
         table = make_table(space, {(0,): 1.0, (1,): 2.0})
         twin = make_twin(space, table, current="e")
-        planner = PseudoDynamicPlanner(space, twin, PlannerParams(population_size=2, k=1000), 0)
+        ga(population=2)
+        planner = PseudoDynamicPlanner(space, twin, 0, k=1000)
         planner.init_run()
         t_before = planner.t
         planner.step_generation()
@@ -103,23 +108,25 @@ class TestSoga:
 
 
 class TestRestart:
-    def test_same_seed_same_population(self):
+    def test_same_seed_same_population(self, ga):
         space, ta, tb = rugged_two_env()
         twin1 = make_twin(space, ta, tb, current="A")
-        p1 = StationaryPlanner(space, twin1, PlannerParams(population_size=8), 3)
+        ga(population=8)
+        p1 = StationaryPlanner(space, twin1, 3)
         p1.init_run()
         p1.restart(12345)
         pop1 = [m.plan for m in p1.population]
         twin2 = make_twin(space, ta, tb, current="A")
-        p2 = StationaryPlanner(space, twin2, PlannerParams(population_size=8), 99)
+        p2 = StationaryPlanner(space, twin2, 99)
         p2.init_run()
         p2.restart(12345)
         assert [m.plan for m in p2.population] == pop1
 
-    def test_counter_grows_by_distinct_plans_only(self):
+    def test_counter_grows_by_distinct_plans_only(self, ga):
         space, ta, tb = rugged_two_env()
         twin = make_twin(space, ta, tb, current="A")
-        planner = StationaryPlanner(space, twin, PlannerParams(population_size=8), 3)
+        ga(population=8)
+        planner = StationaryPlanner(space, twin, 3)
         planner.init_run()
         before = twin.counter
         planner.on_environment_change("B")
@@ -127,10 +134,11 @@ class TestRestart:
         assert twin.counter == before + new_distinct
         assert new_distinct <= 8
 
-    def test_resets_best_and_interval(self):
+    def test_resets_best_and_interval(self, ga):
         space, ta, tb = rugged_two_env()
         twin = make_twin(space, ta, tb, current="A")
-        planner = StationaryPlanner(space, twin, PlannerParams(population_size=8), 3)
+        ga(population=8)
+        planner = StationaryPlanner(space, twin, 3)
         planner.init_run()
         planner.on_environment_change("B")
         assert planner.t == len({m.plan for m in planner.population})
@@ -138,11 +146,15 @@ class TestRestart:
 
 
 class TestChangeHandling:
+    @pytest.fixture(autouse=True)
+    def population_of_ten(self, ga):
+        ga(population=10)
+
     def run_to_change(self, kind, seed=7):
         ta, tb = synth_tables(n_options=3, domain_size=5, n_peaks=5, noise_seed=1)
         space = ta.implied_space()
         twin = make_twin(space, ta, tb, current="A")
-        planner = make_planner(kind, space, twin, PlannerParams(population_size=10), seed)
+        planner = make_planner(kind, space, twin, seed)
         planner.init_run()
         planner.run_scenario_leg(30)
         before = sorted(m.plan for m in planner.population)
@@ -229,20 +241,20 @@ class TestDifferentRowSets:
     @pytest.mark.parametrize("kind", PLANNER_KINDS)
     def test_change_to_disjoint_rows(self, kind):
         space, twin, rows_b = self.parity_twin()
-        planner = make_planner(kind, space, twin, PlannerParams(), seed=5)
+        planner = make_planner(kind, space, twin, seed=5)
         planner.init_run()
         planner.run_scenario_leg(20)
         planner.on_environment_change("B")
         assert all(m.plan in rows_b for m in planner.population)
         assert all(m.ft == rows_b[m.plan] for m in planner.population)
-        assert len(planner.population) == PlannerParams().population_size
+        assert len(planner.population) == planner_module.POPULATION_SIZE
         planner.run_scenario_leg(20)
         after = planner.trace.measurements_after_change(1)
         assert len(after) and all(planner.trace.env_ids[code] == "B" for code in after["env"])
 
     def test_remeasured_plan_is_the_repaired_plan(self):
         space, twin, rows_b = self.parity_twin()
-        planner = make_planner("pseudo_dynamic", space, twin, PlannerParams(), seed=5)
+        planner = make_planner("pseudo_dynamic", space, twin, seed=5)
         planner.init_run()
         old_plans = [m.plan for m in planner.population]
         planner.on_environment_change("B")

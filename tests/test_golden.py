@@ -21,7 +21,7 @@ from lidos.cli import main as cli_main
 from lidos.harness import bundle_from_traces, parse_scenario, run_scenario
 from lidos.twin import synth_tables
 
-from conftest import child_env, traces_text
+from conftest import child_env, sum_in_order, traces_text
 
 # `lidos synth --options 5 --domain-size 6 --peaks 12 --seed 4`: 7,776 plans.
 SYNTH_ARGS = ["--options", "5", "--domain-size", "6", "--peaks", "12", "--seed", "4"]
@@ -194,7 +194,9 @@ def write_sparse_scenario(directory, directions=("minimize", "minimize")):
         weights = [rng.uniform(-1.0, 1.0) for _ in SPARSE_DOMAINS]
         lines = [header]
         for plan in plans:
-            value = sum(w * v for w, v in zip(weights, plan)) + rng.uniform(0.0, 6.0)
+            # Added in order, as `sum()` does up to 3.11: the digests were
+            # taken with those values.
+            value = sum_in_order(w * v for w, v in zip(weights, plan)) + rng.uniform(0.0, 6.0)
             lines.append(",".join(map(str, plan)) + f",{value!r}\n")
         (directory / name).write_text("".join(lines), encoding="utf-8")
     manifest = directory / "scenario.txt"

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lidos import cli, harness
+from lidos import cli, harness, planner
 from lidos.cli import main as cli_main
 from lidos.harness import (
     TRACE_HEADER,
@@ -37,7 +37,7 @@ from lidos.harness import (
 )
 from lidos.baselines import StationaryPlanner
 from lidos.harness import ResultBundle
-from lidos.planner import TRACE_DTYPE, PlannerParams, RunTrace, derive_seed
+from lidos.planner import TRACE_DTYPE, RunTrace, derive_seed
 from lidos.stats import quartiles
 from lidos.twin import synth_landscape, synth_option_names, synth_tables
 
@@ -222,7 +222,7 @@ class TestRunScenario:
         assert cli_main(["synth", "--out", str(tmp_path)]) == 0
         spec = parse_scenario(tmp_path / "scenario.txt", {"repetitions": "3"})
         with pytest.raises(TypeError):
-            run_scenario(spec, PlannerParams(population_size=40))
+            run_scenario(spec, 40)
         bundle = run_scenario(spec)
         write_bundle_outputs(bundle, tmp_path)
         again = bundle_from_traces(spec, tmp_path / "traces.csv")
@@ -235,6 +235,28 @@ class TestRunScenario:
         spec = parse_scenario(manifest)
         with pytest.raises(ValueError, match="below the population size 20"):
             run_scenario(spec)
+
+    def test_run_and_summarize_read_one_population(self, tmp_path, monkeypatch):
+        """`run_scenario`'s leg-budget check and `read_traces_csv`'s bound on
+        a leg's rows read `lidos.planner.POPULATION_SIZE` when they run, as
+        the planners do, so a run and its read-back agree on one population."""
+        manifest = write_small_dataset(tmp_path, n_options=5, domain_size=5, n_peaks=10)
+        spec = parse_scenario(manifest)
+        default = run_scenario(spec)
+        write_bundle_outputs(default, tmp_path / "default")
+        monkeypatch.setattr(planner, "POPULATION_SIZE", 10)
+        bundle = run_scenario(spec)
+        assert traces_text(bundle) != traces_text(default)
+        write_bundle_outputs(bundle, tmp_path / "ten")
+        again = bundle_from_traces(spec, tmp_path / "ten" / "traces.csv")
+        assert traces_text(again) == traces_text(bundle)
+        # Populations of 20 take a leg of 30 past 30 + 10 rows.
+        with pytest.raises(ValueError, match=r"budget plus one population \(10\)"):
+            bundle_from_traces(spec, tmp_path / "default" / "traces.csv")
+        manifest.write_text(manifest.read_text(encoding="utf-8").replace(
+            "leg: A 30\n", "leg: A 9\n"), encoding="utf-8")
+        with pytest.raises(ValueError, match="leg budget 9 is below the population size 10;"):
+            run_scenario(parse_scenario(manifest))
 
     def test_adaptations_follow_the_manifest_k(self, tmp_path):
         """The adaptation interval is the manifest's `k`: with legs of 40, a

@@ -5,13 +5,10 @@ import random
 
 import pytest
 
+from lidos import planner as planner_module
 from lidos.baselines import PLANNER_KINDS, make_planner
 from lidos.mmo import ScoredPlan
-from lidos.planner import (
-    MmoPlanner,
-    PlannerParams,
-    binary_tournament,
-)
+from lidos.planner import MmoPlanner, binary_tournament
 from lidos.twin import synth_tables
 
 from conftest import assert_accounting, make_space, make_table, make_twin
@@ -34,31 +31,23 @@ def small_setup(n_values=5, seed=0, direction="minimize", value_fn=None):
 
 
 class TestParams:
-    def test_odd_population_rejected(self):
-        with pytest.raises(ValueError, match="even"):
-            PlannerParams(population_size=7)
-
-    def test_rates_bounded(self):
-        with pytest.raises(ValueError, match="crossover_rate"):
-            PlannerParams(crossover_rate=1.5)
-        with pytest.raises(ValueError, match="mutation_rate"):
-            PlannerParams(mutation_rate=-0.1)
-
     def test_interval_positive(self):
+        space, twin, _ = small_setup()
         with pytest.raises(ValueError, match="k must be positive"):
-            PlannerParams(k=0)
+            MmoPlanner(space, twin, seed=0, k=0)
 
 
-def generations_of_two(domains, a, b, rates: dict, generations: int, seed: int = 0) -> list:
-    """Children of a single-objective planner whose population is reset to
-    the plans a and b before each generation, on a flat table of every plan,
-    so that either parent wins a tournament: each pair of children, in
-    order."""
+def generations_of_two(ga, domains, a, b, rates: dict, generations: int,
+                       seed: int = 0) -> list:
+    """Children of a single-objective planner of two members, at the rates
+    `rates` set through `ga`, whose population is reset to the plans a and b
+    before each generation, on a flat table of every plan, so that either
+    parent wins a tournament: each pair of children, in order."""
     space = make_space(*domains)
     twin = make_twin(space, make_table(space, grid_rows(domains, lambda p: 1.0)),
                      current="e")
-    params = PlannerParams(population_size=2, k=10_000, **rates)
-    planner = make_planner("pseudo_dynamic", space, twin, params, seed)
+    ga(population=2, **rates)
+    planner = make_planner("pseudo_dynamic", space, twin, seed, k=10_000)
     handed = recording_offspring(planner)
     for _ in range(generations):
         planner.population = [ScoredPlan(p, planner._measure(p)) for p in (a, b)]
@@ -69,42 +58,42 @@ def generations_of_two(domains, a, b, rates: dict, generations: int, seed: int =
 class TestOperators:
     """The operators' properties, seen through whole generations."""
 
-    def test_crossover_disabled_passthrough(self):
+    def test_crossover_disabled_passthrough(self, ga):
         a, b = (0, 0, 0), (1, 1, 1)
-        pairs = generations_of_two(((0, 1),) * 3, a, b,
-                                   dict(crossover_rate=0.0, mutation_rate=0.0), 50)
+        pairs = generations_of_two(ga, ((0, 1),) * 3, a, b,
+                                   dict(crossover=0.0, mutation=0.0), 50)
         assert {child for pair in pairs for child in pair} == {a, b}
 
-    def test_crossover_swaps_genes_only(self):
+    def test_crossover_swaps_genes_only(self, ga):
         # A pair of children holds, gene by gene, its parents' two values:
         # a 0 and a 1 from a and b, or twice the value of a parent drawn twice.
         a, b = (0, 0, 0, 0), (1, 1, 1, 1)
-        pairs = generations_of_two(((0, 1),) * 4, a, b,
-                                   dict(crossover_rate=1.0, mutation_rate=0.0), 50, seed=1)
+        pairs = generations_of_two(ga, ((0, 1),) * 4, a, b,
+                                   dict(crossover=1.0, mutation=0.0), 50, seed=1)
         for c1, c2 in pairs:
             assert len({x + y for x, y in zip(c1, c2)}) == 1, (c1, c2)
         assert {child for pair in pairs for child in pair} - {a, b}, "no gene was swapped"
 
-    def test_mutation_disabled_identity(self):
+    def test_mutation_disabled_identity(self, ga):
         # Crossover only moves values between the two children, so at every
         # gene a pair holds exactly its two parents' values; no domain end
         # that no parent holds ever appears.
         a, b = (1, 5), (2, 3)
-        pairs = generations_of_two((tuple(range(3)), tuple(range(10))), a, b,
-                                   dict(crossover_rate=1.0, mutation_rate=0.0), 50, seed=2)
+        pairs = generations_of_two(ga, (tuple(range(3)), tuple(range(10))), a, b,
+                                   dict(crossover=1.0, mutation=0.0), 50, seed=2)
         for c1, c2 in pairs:
             assert any(all(sorted((x, y)) == sorted((p, q)) for x, y, p, q in zip(c1, c2, *parents))
                        for parents in ((a, a), (b, b), (a, b))), (c1, c2)
 
-    def test_mutation_hits_bounds_only(self):
-        pairs = generations_of_two((tuple(range(5)),), (2,), (3,),
-                                   dict(crossover_rate=0.0, mutation_rate=1.0), 100, seed=3)
+    def test_mutation_hits_bounds_only(self, ga):
+        pairs = generations_of_two(ga, (tuple(range(5)),), (2,), (3,),
+                                   dict(crossover=0.0, mutation=1.0), 100, seed=3)
         assert {child for pair in pairs for child in pair} == {(0,), (4,)}
 
     def test_planner_ends_are_domain_ends(self):
         space = make_space((0, 1, 2), (3,), (-4, 0, 7, 9))
         planner = MmoPlanner(space, make_twin(space, make_table(space, {(0, 3, 0): 1.0})),
-                             PlannerParams(), seed=0)
+                             seed=0)
         assert planner.ends == ((0, 2), (3, 3), (-4, 9))
 
     def test_tournament_draws_as_random_sample(self):
@@ -165,8 +154,7 @@ def reference_mutation(plan, ends, rate: float, rng: random.Random):
 def reference_generation(planner) -> list:
     """`step_generation` through the reference operators; returns the
     offspring handed to replacement, as (plan, ft) pairs."""
-    params = planner.params
-    n = params.population_size
+    n = planner_module.POPULATION_SIZE
     population, rng, twin = planner.population, planner.rng, planner.twin
     keys = planner._tournament_keys()
     offspring, pool_plans = [], set()
@@ -174,9 +162,9 @@ def reference_generation(planner) -> list:
     while len(offspring) < n and attempts_left > 0:
         p1 = population[reference_tournament(keys, rng)]
         p2 = population[reference_tournament(keys, rng)]
-        c1, c2 = reference_crossover(p1.plan, p2.plan, params.crossover_rate, rng)
-        c1 = reference_mutation(c1, planner.ends, params.mutation_rate, rng)
-        c2 = reference_mutation(c2, planner.ends, params.mutation_rate, rng)
+        c1, c2 = reference_crossover(p1.plan, p2.plan, planner_module.CROSSOVER_RATE, rng)
+        c1 = reference_mutation(c1, planner.ends, planner_module.MUTATION_RATE, rng)
+        c2 = reference_mutation(c2, planner.ends, planner_module.MUTATION_RATE, rng)
         for child in (twin.repair(c1), twin.repair(c2)):
             attempts_left -= 1
             if len(offspring) >= n:
@@ -218,14 +206,16 @@ def planner_state(planner) -> tuple:
 
 
 ORACLE_DOMAINS = ((0, 1, 2, 3, 4), (-3, 0, 8), (0, 1), (2, 5, 6, 9))
-# Every even population size at the default rates (None), and each pair of
-# crossover and mutation rates from 0, 1 and the default at sizes on both
+DEFAULT_RATES = (planner_module.CROSSOVER_RATE, planner_module.MUTATION_RATE)
+# Every even population size at the default rates, and each other pair of
+# crossover and mutation rates from 0, 1 and the defaults at sizes on both
 # sides of the tournament's switch from `Random.sample`'s pool path to its
 # set path.
 ORACLE_CASES = tuple(
-    [(size, (None, None)) for size in range(2, 61, 2)]
+    [(size, DEFAULT_RATES) for size in range(2, 61, 2)]
     + [(size, rates) for size in (2, 20, 22, 60)
-       for rates in itertools.product((0.0, 1.0, None), repeat=2) if rates != (None, None)])
+       for rates in itertools.product((0.0, 1.0, DEFAULT_RATES[0]), (0.0, 1.0, DEFAULT_RATES[1]))
+       if rates != DEFAULT_RATES])
 
 
 def oracle_twin(space, keep: float):
@@ -249,15 +239,12 @@ class TestGenerationOracle:
 
     @pytest.mark.parametrize("kind", PLANNER_KINDS)
     @pytest.mark.parametrize("keep", (1.0, 0.4))
-    def test_generations_match_reference(self, kind, keep):
+    def test_generations_match_reference(self, kind, keep, ga):
         space = make_space(*ORACLE_DOMAINS)
         for case, (size, (crossover, mutation)) in enumerate(ORACLE_CASES):
-            rates = {name: rate for name, rate in (("crossover_rate", crossover),
-                                                   ("mutation_rate", mutation))
-                     if rate is not None}
-            params = PlannerParams(population_size=size, k=7, **rates)
+            ga(population=size, crossover=crossover, mutation=mutation)
             seed = case % 30
-            loop, reference = (make_planner(kind, space, oracle_twin(space, keep), params, seed)
+            loop, reference = (make_planner(kind, space, oracle_twin(space, keep), seed, k=7)
                                for _ in range(2))
             handed = recording_offspring(loop)
             for planner in (loop, reference):
@@ -276,7 +263,7 @@ class TestGenerationOracle:
 class TestInitRun:
     def test_counts_match_population(self):
         space, twin, _ = small_setup()
-        planner = MmoPlanner(space, twin, PlannerParams(), seed=1)
+        planner = MmoPlanner(space, twin, seed=1)
         planner.init_run()
         assert twin.counter == 20
         assert planner.t == 20
@@ -285,26 +272,28 @@ class TestInitRun:
 
     def test_deterministic_population(self):
         space, twin, _ = small_setup()
-        p1 = MmoPlanner(space, twin, PlannerParams(), seed=9)
+        p1 = MmoPlanner(space, twin, seed=9)
         p1.init_run()
         twin2 = make_twin(space, list(twin.tables.values())[0], current="e")
-        p2 = MmoPlanner(space, twin2, PlannerParams(), seed=9)
+        p2 = MmoPlanner(space, twin2, seed=9)
         p2.init_run()
         assert [m.plan for m in p1.population] == [m.plan for m in p2.population]
 
-    def test_tiny_dataset_full_coverage(self):
+    def test_tiny_dataset_full_coverage(self, ga):
         space = make_space((0, 1))
         table = make_table(space, {(0,): 1.0, (1,): 2.0})
         twin = make_twin(space, table, current="e")
-        planner = MmoPlanner(space, twin, PlannerParams(population_size=2), seed=0)
+        ga(population=2)
+        planner = MmoPlanner(space, twin, seed=0)
         planner.init_run()
         assert twin.coverage() == 1.0
 
-    def test_dataset_smaller_than_population(self):
+    def test_dataset_smaller_than_population(self, ga):
         space = make_space((0, 1))
         table = make_table(space, {(0,): 1.0, (1,): 2.0})
         twin = make_twin(space, table, current="e")
-        planner = MmoPlanner(space, twin, PlannerParams(population_size=4), seed=0)
+        ga(population=4)
+        planner = MmoPlanner(space, twin, seed=0)
         planner.init_run()
         assert len(planner.population) == 4
         assert twin.counter == 2  # only distinct plans cost measurements
@@ -312,33 +301,34 @@ class TestInitRun:
     def test_requires_current_environment(self):
         space, twin, _ = small_setup()
         twin2 = make_twin(space, list(twin.tables.values())[0])
-        planner = MmoPlanner(space, twin2, PlannerParams(), seed=0)
+        planner = MmoPlanner(space, twin2, seed=0)
         with pytest.raises(ValueError, match="current environment"):
             planner.init_run()
 
     def test_best_plan_is_population_minimum(self):
         space, twin, rows = small_setup()
-        planner = MmoPlanner(space, twin, PlannerParams(), seed=4)
+        planner = MmoPlanner(space, twin, seed=4)
         planner.init_run()
         assert planner.s_best.ft == min(m.ft for m in planner.population)
 
 
 class TestStepGeneration:
-    def test_cache_hits_do_not_advance_t(self):
+    def test_cache_hits_do_not_advance_t(self, ga):
         space = make_space((0, 1))
         table = make_table(space, {(0,): 1.0, (1,): 2.0})
         twin = make_twin(space, table, current="e")
-        planner = MmoPlanner(space, twin, PlannerParams(population_size=2, k=1000), seed=0)
+        ga(population=2)
+        planner = MmoPlanner(space, twin, seed=0, k=1000)
         planner.init_run()
         t_before = planner.t
         planner.step_generation()
         assert planner.t == t_before  # both plans already measured
         assert twin.counter == 2
 
-    def test_operators_off_keep_initial_plans(self):
+    def test_operators_off_keep_initial_plans(self, ga):
         space, twin, _ = small_setup()
-        params = PlannerParams(crossover_rate=0.0, mutation_rate=0.0, k=10_000)
-        planner = MmoPlanner(space, twin, params, seed=3)
+        ga(crossover=0.0, mutation=0.0)
+        planner = MmoPlanner(space, twin, seed=3, k=10_000)
         planner.init_run()
         initial = {m.plan for m in planner.population}
         for _ in range(5):
@@ -347,7 +337,7 @@ class TestStepGeneration:
 
     def test_best_monotone_within_epoch(self):
         space, twin, _ = small_setup(n_values=8)
-        planner = MmoPlanner(space, twin, PlannerParams(k=10_000), seed=5)
+        planner = MmoPlanner(space, twin, seed=5, k=10_000)
         planner.init_run()
         bests = planner.trace.events["best_ft"][planner.trace.measurement_mask()].tolist()
         for _ in range(10):
@@ -357,10 +347,10 @@ class TestStepGeneration:
 
 
 class TestAdaptationEvents:
-    def test_emitted_once_interval_full(self):
+    def test_emitted_once_interval_full(self, ga):
         space, twin, _ = small_setup()
-        params = PlannerParams(crossover_rate=0.0, mutation_rate=0.0, k=20)
-        planner = MmoPlanner(space, twin, params, seed=6)
+        ga(crossover=0.0, mutation=0.0)
+        planner = MmoPlanner(space, twin, seed=6, k=20)
         planner.init_run()  # t == 20 == k
         for _ in range(5):
             planner.step_generation()
@@ -373,7 +363,7 @@ class TestAdaptationEvents:
 
     def test_every_emission_strictly_improves(self):
         space, twin, _ = small_setup(n_values=10)
-        planner = MmoPlanner(space, twin, PlannerParams(k=15), seed=7)
+        planner = MmoPlanner(space, twin, seed=7, k=15)
         planner.init_run()
         planner.run_scenario_leg(120)
         sent = planner.trace.events[planner.trace.events["adaptation_sent"]]
@@ -384,7 +374,7 @@ class TestAdaptationEvents:
     def test_interval_elapses_between_emissions(self):
         space, twin, _ = small_setup(n_values=10)
         k = 15
-        planner = MmoPlanner(space, twin, PlannerParams(k=k), seed=8)
+        planner = MmoPlanner(space, twin, seed=8, k=k)
         planner.init_run()
         planner.run_scenario_leg(120)
         events = planner.trace.events
@@ -401,14 +391,15 @@ class TestEnvironmentChange:
         tb = make_table(space, rows_b, env_id="B")
         return make_twin(space, ta, tb, current="A")
 
-    def test_population_remeasured_not_replaced(self):
+    def test_population_remeasured_not_replaced(self, ga):
         domains = (tuple(range(4)), tuple(range(4)))
         space = make_space(*domains)
         rng = random.Random(1)
         rows_a = grid_rows(domains, lambda p: rng.uniform(0, 10))
         rows_b = grid_rows(domains, lambda p: rng.uniform(0, 10))
         twin = self.two_env_twin(rows_a, rows_b, space)
-        planner = MmoPlanner(space, twin, PlannerParams(population_size=8), seed=2)
+        ga(population=8)
+        planner = MmoPlanner(space, twin, seed=2)
         planner.init_run()
         before = sorted(m.plan for m in planner.population)
         counter_before = twin.counter
@@ -419,12 +410,13 @@ class TestEnvironmentChange:
         assert planner.t == distinct
         assert planner.epoch_measurements == distinct
 
-    def test_best_reset_to_remeasured_values(self):
+    def test_best_reset_to_remeasured_values(self, ga):
         space = make_space((0, 1, 2))
         rows_a = {(0,): 0.0, (1,): 5.0, (2,): 6.0}
         rows_b = {(0,): 9.0, (1,): 1.0, (2,): 2.0}
         twin = self.two_env_twin(rows_a, rows_b, space)
-        planner = MmoPlanner(space, twin, PlannerParams(population_size=2), seed=0)
+        ga(population=2)
+        planner = MmoPlanner(space, twin, seed=0)
         planner.init_run()
         planner.run_scenario_leg()  # covers the space, best is (0,) at 0.0
         assert planner.s_best.plan == (0,)
@@ -433,23 +425,25 @@ class TestEnvironmentChange:
             rows_b[m.plan] for m in planner.population
         )
 
-    def test_identical_tables_keep_best_value(self):
+    def test_identical_tables_keep_best_value(self, ga):
         domains = (tuple(range(4)), tuple(range(4)))
         space = make_space(*domains)
         rng = random.Random(8)
         rows = grid_rows(domains, lambda p: rng.uniform(0, 10))
         twin = self.two_env_twin(rows, dict(rows), space)
-        planner = MmoPlanner(space, twin, PlannerParams(population_size=8), seed=4)
+        ga(population=8)
+        planner = MmoPlanner(space, twin, seed=4)
         planner.init_run()
         before = planner.s_best.ft
         planner.on_environment_change("B")
         assert planner.s_best.ft <= before  # same landscape, best re-found
         assert planner.s_best.ft == min(rows[m.plan] for m in planner.population)
 
-    def test_change_event_recorded(self):
+    def test_change_event_recorded(self, ga):
         space = make_space((0, 1))
         twin = self.two_env_twin({(0,): 1.0, (1,): 2.0}, {(0,): 3.0, (1,): 0.5}, space)
-        planner = MmoPlanner(space, twin, PlannerParams(population_size=2), seed=0)
+        ga(population=2)
+        planner = MmoPlanner(space, twin, seed=0)
         planner.init_run()
         planner.on_environment_change("B")
         changes = planner.trace.events[planner.trace.events["env_change"]]
@@ -462,35 +456,37 @@ class TestRunScenarioLeg:
         ta, tb = synth_tables(n_options=4, domain_size=5, n_peaks=10, noise_seed=2)
         space = ta.implied_space()
         twin = make_twin(space, ta, current="A")
-        planner = MmoPlanner(space, twin, PlannerParams(k=10_000), seed=1)
+        planner = MmoPlanner(space, twin, seed=1, k=10_000)
         planner.init_run()
         planner.run_scenario_leg(60)
         assert 60 <= planner.epoch_measurements < 60 + 20
 
     def test_budget_zero_returns_unchanged(self):
         space, twin, _ = small_setup()
-        planner = MmoPlanner(space, twin, PlannerParams(), seed=1)
+        planner = MmoPlanner(space, twin, seed=1)
         planner.init_run()
         events_before = len(planner.trace.events)
         planner.run_scenario_leg(0)
         assert len(planner.trace.events) == events_before
 
-    def test_coverage_complete_halts(self):
+    def test_coverage_complete_halts(self, ga):
         space = make_space((0, 1))
         table = make_table(space, {(0,): 1.0, (1,): 2.0})
         twin = make_twin(space, table, current="e")
-        planner = MmoPlanner(space, twin, PlannerParams(population_size=2), seed=0)
+        ga(population=2)
+        planner = MmoPlanner(space, twin, seed=0)
         planner.init_run()
         assert twin.coverage() == 1.0
         planner.run_scenario_leg()  # no budget: stops on coverage alone
         assert twin.counter == 2
 
-    def test_stall_guard_terminates_unreachable_budget(self):
+    def test_stall_guard_terminates_unreachable_budget(self, ga):
         # Only two plans exist, so a budget of 100 can never be met.
         space = make_space((0, 1), (0, 1))
         table = make_table(space, {(0, 0): 1.0, (1, 1): 2.0})
         twin = make_twin(space, table, current="e")
-        planner = MmoPlanner(space, twin, PlannerParams(population_size=2), seed=0)
+        ga(population=2)
+        planner = MmoPlanner(space, twin, seed=0)
         planner.init_run()
         planner.run_scenario_leg(100)
         assert planner.epoch_measurements == 2
@@ -503,7 +499,7 @@ class TestDeterminism:
 
         def run(seed):
             twin = make_twin(space, ta, tb, current="A")
-            planner = MmoPlanner(space, twin, PlannerParams(), seed=seed)
+            planner = MmoPlanner(space, twin, seed=seed)
             planner.init_run()
             planner.run_scenario_leg(40)
             planner.on_environment_change("B")
@@ -520,7 +516,7 @@ class TestMeasurementAccounting:
         ta, tb = synth_tables(n_options=3, domain_size=5, n_peaks=5, noise_seed=4)
         space = ta.implied_space()
         twin = make_twin(space, ta, tb, current="A")
-        planner = MmoPlanner(space, twin, PlannerParams(), seed=11)
+        planner = MmoPlanner(space, twin, seed=11)
         planner.init_run()
         planner.run_scenario_leg(50)
         planner.on_environment_change("B")

@@ -21,7 +21,7 @@ from lidos.stats import (
     wilcoxon_rank_sum,
 )
 
-from conftest import reference_bootstrap_rejects
+from conftest import reference_bootstrap_rejects, sum_in_order
 
 
 def exact_rank_sum_p(xs, ys):
@@ -259,6 +259,41 @@ class TestScottKnott:
         draws = rng.getstate()
         assert scott_knott({"a": [1.0, 2.0]}, rng) == {"a": 1}
         assert rng.getstate() == draws  # nothing to split, nothing drawn
+
+
+def compensated_sum(values, start=0):
+    """The builtin `sum()` of CPython 3.12 and later: ints added exactly,
+    floats with Neumaier's compensation, which 3.11 does not make."""
+    values = list(values)
+    if all(isinstance(value, int) for value in values):
+        return sum_in_order([start, *values])
+    total, compensation = float(start), 0.0
+    for value in map(float, values):
+        added = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - added) + value
+        else:
+            compensation += (value - added) + total
+        total = added
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+class TestAddingOrder:
+    """The statistics add in order, as the builtin `sum()` does up to
+    CPython 3.11, under any Python: a compensated `sum()` put into
+    `lidos.stats` changes neither a split's gain nor a rank."""
+
+    def test_a_compensated_sum_changes_nothing(self, monkeypatch):
+        cancelling = [1e16, 1.0, -1e16, 2.0]
+        assert (sum_in_order(cancelling), compensated_sum(cancelling)) == (2.0, 3.0)
+        # Three labels whose two candidate splits gain the same but for the
+        # last bit, which a compensated sum turns the other way.
+        middle = [0.3, -0.3, 0.9, -0.9]
+        samples = {"a": [v - 1.3 for v in middle], "b": middle,
+                   "c": [v + 1.3 for v in middle]}
+        monkeypatch.setattr(stats_module, "sum", compensated_sum, raising=False)
+        assert repr(split_delta(cancelling[:2], cancelling[2:])) == "2.5e+31"
+        assert scott_knott(samples, random.Random(0)) == {"a": 1, "b": 1, "c": 2}
 
 
 def bootstrap_cases(count: int, seed: int):
