@@ -161,6 +161,27 @@ class TestParseScenario:
         with pytest.raises(ValueError, match="unknown planner"):
             parse_scenario(manifest)
 
+    def test_dataset_path_keeps_inner_whitespace(self, tmp_path):
+        """The path is the text between the id and the direction, or the
+        units, stripped only at its ends: `my  data/env_a.csv` used to be
+        opened as `my data/env_a.csv`, and a tab became a space."""
+        write_small_dataset(tmp_path)
+        for name, folder in (("env_a.csv", "my  data"), ("env_b.csv", "tab\tdata")):
+            (tmp_path / folder).mkdir()
+            (tmp_path / name).rename(tmp_path / folder / name)
+        manifest = tmp_path / "spaced.txt"
+        manifest.write_text(
+            "system: s\nenvironment: A   my  data/env_a.csv  minimize\n"
+            "environment: B tab\tdata/env_b.csv maximize msgs/min\nleg: A 30\nleg: B 30\n",
+            encoding="utf-8",
+        )
+        spec = parse_scenario(manifest)
+        assert [source.dataset_path for source in spec.environments] == [
+            tmp_path / "my  data" / "env_a.csv", tmp_path / "tab\tdata" / "env_b.csv"]
+        assert spec.environments[1].environment.units == "msgs/min"
+        _, tables = load_scenario_tables(spec)
+        assert set(tables) == {"A", "B"}
+
 
 class TestPlannerLabels:
     def test_unique_pass_through(self):
@@ -1027,6 +1048,45 @@ class TestCli:
             "leg with a budget of 60 stops before its budget plus one population (20)\n")
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("planners, legs, empty, label", [
+        # B maximized: the summary used to give leg A's minimize best with
+        # B's sign, the wrong-units summary the leg checks rule out.
+        ("stationary", "AB", 2, "stationary"),
+        # It used to exit 2 with `empty post-change segment` and no line.
+        ("lidos,stationary", "AB", 2, "lidos"),
+        ("stationary", "AB", 1, "stationary"),
+        ("stationary", "ABA", 2, "stationary"),
+    ], ids=["last-leg", "last-leg-with-lidos", "first-leg", "middle-leg"])
+    def test_every_leg_holds_a_measurement_row(self, tmp_path, capsys, planners, legs, empty,
+                                               label):
+        """A planner measures in every leg, a fresh population or the kept
+        one re-measured, so a leg without a measurement row is refused at the
+        row where it ends: the change row that opens the next leg, or the
+        trace's last row."""
+        manifest = write_small_dataset(tmp_path)
+        text = manifest.read_text(encoding="utf-8").replace(
+            "env_b.csv minimize", "env_b.csv maximize").replace("leg: A 30\nleg: B 30\n", "")
+        manifest.write_text(text + "".join(f"leg: {env_id} 30\n" for env_id in legs),
+                            encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_main(["run", "--scenario", str(manifest), "--out", str(out),
+                         "--planners", planners, "--repetitions", "1"]) == 0
+        path = out / "traces.csv"
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        rows = _without_leg(rows, empty)
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        # With its rows gone, the last leg ends at the change row that opens it.
+        changes = [line for line, row in enumerate(rows, 2)
+                   if row.startswith(f"{label},0,") and row.endswith(",0,1")]
+        line = changes[min(empty, len(legs) - 1) - 1]
+        capsys.readouterr()
+        assert cli_main(["summarize", "--scenario", str(manifest), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:{line}: leg {empty} of {label!r} repetition 0 "
+            "holds no measurement row\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     @pytest.mark.parametrize("damage, message", [
         # Two measurement rows of `lidos` repetition 0 trade their indices.
         (lambda rows, change: _swap_indices(rows, 4, 5),
@@ -1068,6 +1128,22 @@ def _shift_index(rows: list[str], i: int) -> None:
     cells = rows[i].split(",")
     cells[2] = str(int(cells[2]) + 1)
     rows[i] = ",".join(cells)
+
+
+def _without_leg(rows: list[str], leg: int) -> list[str]:
+    """Trace rows without the measurement and adaptation rows of each
+    trace's leg `leg` (from 1), each measurement_index recounted."""
+    kept, legs, counts = [], {}, {}
+    for row in rows:
+        cells = row.split(",")
+        key = tuple(cells[:2])
+        legs[key] = legs.get(key, 1) + (cells[-1] == "1")
+        if legs[key] == leg and cells[-1] == "0":
+            continue
+        counts[key] = counts.get(key, 0) + (cells[-2:] == ["0", "0"])
+        cells[2] = str(counts[key])
+        kept.append(",".join(cells))
+    return kept
 
 
 class TestWriteAtomic:
@@ -1334,7 +1410,7 @@ class TestStreamedTables:
             assert [chunk.count("\n") for chunk in chunks] == lines
 
     @pytest.mark.parametrize("options, domain_size", [
-        (1, 2**16), (2, 2**8), (3, 41), (16, 2)])
+        (1, 2**16), (2, 2**8), (2, 2**10), (3, 41), (16, 2)])
     def test_table_text_holds_one_block(self, options, domain_size):
         """The text of one block of lines and its list of lines, with the
         shared cells of the last options, whatever the shape: a single
