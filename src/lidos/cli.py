@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import chain, islice, product
+from itertools import islice, product
 from pathlib import Path
 
 from .harness import (
@@ -159,32 +159,20 @@ def _table_chunks(option_names: tuple[str, ...], values, domain_size: int):
     environment's array in product order, which is the sorted order of the
     plans, and each block's floats are taken from its slice. Plan cells are
     integers and performances floats, neither of which the CSV writer quotes,
-    so the lines are joined directly. A plan's cells are the cells of its
-    first options, made one at a time, joined to each of a shared list of
-    the cells of its last n // 2 options. Within `SYNTH_MAX_PLANS` that list
-    holds at most 2**10 entries, so no plan tuple is built and what is held
-    stays within one block for every shape."""
-    rest = len(option_names) // 2
-    suffixes = [",".join(("",) + tail)
-                for tail in product(*(map(str, range(domain_size)) for _ in range(rest)))]
-    cells = chain.from_iterable(map(head.__add__, suffixes)
-                                for head in _heads(domain_size, len(option_names) - rest))
+    so the lines are joined directly. A plan's cells are `product`'s tuple
+    over one shared list of an option's value strings, joined by commas; a
+    single option's cells come from the range itself. Within
+    `SYNTH_MAX_PLANS` two or more options have at most 2**10 values each, so
+    no plan tuple is kept and what is held stays within one block for every
+    shape."""
+    n = len(option_names)
+    cells = (map(",".join, product(*[[str(v) for v in range(domain_size)]] * n)) if n > 1
+             else map(str, range(domain_size)))
     yield csv_text([*option_names, "performance"], ())
     for start in range(0, len(values), TABLE_BLOCK):
         yield "".join([f"{cell},{value!r}\n" for cell, value
                        in zip(islice(cells, TABLE_BLOCK),
                               values[start:start + TABLE_BLOCK].tolist())])
-
-
-def _heads(domain_size: int, options: int):
-    """The cells of `options` options of `domain_size` values each, joined by
-    commas, one plan at a time in product order."""
-    if options == 1:
-        yield from map(str, range(domain_size))
-        return
-    for first in map(str, range(domain_size)):
-        for rest in _heads(domain_size, options - 1):
-            yield f"{first},{rest}"
 
 
 if __name__ == "__main__":

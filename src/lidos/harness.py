@@ -10,7 +10,7 @@ import math
 import os
 import random
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -191,14 +191,14 @@ def _parse_environment(rest: str, base_dir: Path, where: str) -> EnvironmentSour
         raise ValueError(f"{where}: expected 'environment: ID PATH DIRECTION [UNITS]'")
     env_id = tokens[0]
     if tokens[-1] in DIRECTIONS:
-        direction, units, path_tokens = tokens[-1], "", tokens[1:-1]
+        direction, units, after = tokens[-1], "", 1
     elif len(tokens) >= 4 and tokens[-2] in DIRECTIONS:
-        direction, units, path_tokens = tokens[-2], tokens[-1], tokens[1:-2]
+        direction, units, after = tokens[-2], tokens[-1], 2
     else:
         raise ValueError(f"{where}: direction must be one of {DIRECTIONS}")
-    if not path_tokens:
-        raise ValueError(f"{where}: missing dataset path")
-    dataset = Path(" ".join(path_tokens))
+    # The path is the text between the id and the direction, so it keeps
+    # its inner whitespace; at least one token lies there.
+    dataset = Path(rest[len(env_id):].rsplit(maxsplit=after)[0].strip())
     if not dataset.is_absolute():
         dataset = base_dir / dataset
     return EnvironmentSource(
@@ -529,13 +529,17 @@ def read_traces_csv(path: str | Path, spec: ScenarioSpec
     `planner_labels`). Every environment the file names must be declared in
     `spec`, the scenario the traces were run under, and each trace must
     follow its legs: the trace holds one change row per leg after the first,
-    a change row opens the next leg, and every row is in the environment of
-    its leg. A leg holds fewer measurement rows than its budget plus one
+    a change row opens the next leg, every leg holds a measurement row, and
+    every row is in the environment of its leg. A leg holds fewer measurement rows than its budget plus one
     default population."""
-    def bad(lines, mask, message):
+    def refuse(lines, mask, message):
+        """Refuse the earliest of `lines` that `mask` flags; `message` is the
+        text, or maps the flagged position to it."""
         found = np.flatnonzero(mask)
         if len(found):
-            raise ValueError(f"{path}:{lines[found[0]]}: {message}")
+            at = found[np.argmin(lines[found])]
+            text = message(at) if callable(message) else message
+            raise ValueError(f"{path}:{lines[at]}: {text}")
 
     def column(lines, cells, convert, dtype):
         try:
@@ -563,20 +567,20 @@ def read_traces_csv(path: str | Path, spec: ScenarioSpec
         events["measurement_index"] = column(lines, index_c, int, np.int64)
         for name, cells in (("adaptation_sent", sent_c), ("env_change", change_c)):
             if not set(cells) <= {"0", "1"}:
-                bad(lines, [cell not in ("0", "1") for cell in cells],
+                refuse(lines, [cell not in ("0", "1") for cell in cells],
                     f"{name} must be 0 or 1")
             # Every cell is now a single ASCII digit.
             events[name] = np.frombuffer("".join(cells).encode(), np.uint8) == ord("1")
         change = events["env_change"]
-        bad(lines, events["adaptation_sent"] & change,
+        refuse(lines, events["adaptation_sent"] & change,
             "a row cannot be both an adaptation and an environment change")
         for name, cells in (("ft", ft_c), ("best_ft", best_c)):
             events[name] = column(lines, [cell or "nan" for cell in cells], float, np.float64)
-            bad(lines, ~change & ~np.isfinite(events[name]),
+            refuse(lines, ~change & ~np.isfinite(events[name]),
                 f"a measurement or adaptation row needs a finite {name}")
             # The other rows are known to be non-empty now.
             if cells.count("") != change.sum():
-                bad(lines, change & np.array([cell != "" for cell in cells]),
+                refuse(lines, change & np.array([cell != "" for cell in cells]),
                     f"an environment-change row leaves {name} empty")
         events["env"] = coded(env_code, env_c)
         return lines, events, reps, coded(label_code, label_c)
@@ -605,7 +609,7 @@ def read_traces_csv(path: str | Path, spec: ScenarioSpec
     known = {label for label, _ in planner_labels(PLANNER_KINDS * len(labels))}
     for code, label in enumerate(labels):
         if label not in known:
-            bad(lines, label_codes == code, f"unknown planner label {label!r}")
+            refuse(lines, label_codes == code, f"unknown planner label {label!r}")
 
     # Group by (label, rep); the sort is stable, so each group keeps file order.
     order = np.lexsort((reps, label_codes))
@@ -620,17 +624,9 @@ def read_traces_csv(path: str | Path, spec: ScenarioSpec
         total = np.cumsum(flags)
         return total - (total - flags)[opens][np.cumsum(opens) - 1]
 
-    def first_bad(mask, message):
-        """Refuse the row that comes first in the file of those `mask` flags
-        in grouped order; `message` maps its grouped position to the text."""
-        found = np.flatnonzero(mask)
-        if len(found):
-            at = found[np.argmin(grouped_lines[found])]
-            raise ValueError(f"{path}:{grouped_lines[at]}: {message(at)}")
-
     measured = ~(events["adaptation_sent"] | events["env_change"])
     counted = running_count(measured, first_of_group)
-    first_bad(events["measurement_index"] != counted, lambda at: (
+    refuse(grouped_lines, events["measurement_index"] != counted, lambda at: (
         "measurement_index must count the trace's measurement rows: "
         f"expected {counted[at]}, got {events['measurement_index'][at]}"))
     traces = {(labels[label_codes[start]], int(reps[start])): RunTrace(events[start:end], env_ids)
@@ -641,20 +637,28 @@ def read_traces_csv(path: str | Path, spec: ScenarioSpec
             raise ValueError(f"{path}: environment {env_id!r} is not declared in the scenario")
     legs = [leg.env_id for leg in spec.legs]
     leg_of = running_count(events["env_change"], first_of_group)
-    for start, end in zip(starts, starts[1:]):
-        if leg_of[end - 1] != len(legs) - 1:
-            raise ValueError(
-                f"{path}:{grouped_lines[end - 1]}: trace of {labels[label_codes[start]]!r} "
-                f"repetition {reps[start]} ends in leg {leg_of[end - 1] + 1} "
-                f"of the scenario's {len(legs)}")
+    last_of_group = np.append(first_of_group[1:], True)
+    refuse(grouped_lines, last_of_group & (leg_of != len(legs) - 1), lambda at: (
+        f"trace of {labels[label_codes[at]]!r} repetition {reps[at]} ends in leg "
+        f"{leg_of[at] + 1} of the scenario's {len(legs)}"))
+    # A leg ends at the change row that opens the next one, or at the trace's
+    # last row. Per row, `empty` is the number of a leg that ends there with
+    # no measurement row, or 0: at a change row the leg before it, counted
+    # by the row before, and at a trace's last row its own leg.
+    in_leg = running_count(measured, first_of_group | events["env_change"])
+    before = np.where(first_of_group, 0, np.roll(in_leg, 1))
+    empty = np.where(events["env_change"] & (before == 0), leg_of,
+                     np.where(last_of_group & (in_leg == 0), leg_of + 1, 0))
+    refuse(grouped_lines, empty, lambda at: (
+        f"leg {empty[at]} of {labels[label_codes[at]]!r} repetition {reps[at]} "
+        "holds no measurement row"))
     leg_env = np.array([env_ids.index(env_id) if env_id in env_ids else -1 for env_id in legs])
-    first_bad(events["env"] != leg_env[leg_of], lambda at: (
+    refuse(grouped_lines, events["env"] != leg_env[leg_of], lambda at: (
         f"environment {env_ids[events['env'][at]]!r} in leg {leg_of[at] + 1}, "
         f"where the scenario runs {legs[leg_of[at]]!r}"))
     population = planner.POPULATION_SIZE
     budget = np.array([leg.measurement_budget for leg in spec.legs])[leg_of]
-    in_leg = running_count(measured, first_of_group | events["env_change"])
-    first_bad(measured & (in_leg >= budget + population), lambda at: (
+    refuse(grouped_lines, measured & (in_leg >= budget + population), lambda at: (
         f"leg {leg_of[at] + 1} reaches {in_leg[at]} measurement rows, but a leg with a budget "
         f"of {budget[at]} stops before its budget plus one population ({population})"))
     return labels, traces
@@ -695,12 +699,7 @@ def trajectory_rows(bundle: ResultBundle) -> list[tuple]:
     value in its own environment's units."""
     spec = bundle.spec
     stride = spec.trajectory_stride
-    nominal_total = sum(leg.measurement_budget for leg in spec.legs)
-    boundaries = []
-    running = 0
-    for leg in spec.legs[:-1]:
-        running += leg.measurement_budget
-        boundaries.append(running)
+    *boundaries, nominal_total = accumulate(leg.measurement_budget for leg in spec.legs)
     flagged = {math.ceil(b / stride) * stride for b in boundaries}
 
     sign_of = {source.environment.id: source.environment.sign

@@ -116,22 +116,23 @@ def binary_tournament(keys: list, rng: random.Random) -> int:
     """Pick two distinct members at random and return the index of the one
     with the lower key, the first pick on ties.
 
-    The draws are exactly those of `rng.sample(range(len(keys)), 2)`, made
-    the way `Random._randbelow` makes them: a draw below m takes
-    `m.bit_length()` bits from `getrandbits` and repeats until it is below m.
-    For a sample of two, `Random.sample` takes its pool path up to 21
-    members: the second draw is over the n - 1 members left, with the last
-    member moved into the first pick's slot. Beyond 21 it takes its set path
-    and redraws while the second pick repeats the first."""
+    The draws are exactly those of `rng.sample(range(len(keys)), 2)`. Up to
+    21 members, where `Random.sample` takes its pool path, they are made
+    inline, the way `Random._randbelow` makes them: a draw below m takes
+    `m.bit_length()` bits from `getrandbits` and repeats until it is below m,
+    and the second draw is over the n - 1 members left, with the last member
+    moved into the first pick's slot. Beyond 21 members `rng.sample` draws."""
     n = len(keys)
     if n < 2:
         raise ValueError("a tournament needs at least two members")
-    getrandbits = rng.getrandbits
-    bits = n.bit_length()
-    i = getrandbits(bits)
-    while i >= n:
+    if n > 21:
+        i, j = rng.sample(range(n), 2)
+    else:
+        getrandbits = rng.getrandbits
+        bits = n.bit_length()
         i = getrandbits(bits)
-    if n <= 21:
+        while i >= n:
+            i = getrandbits(bits)
         m = n - 1
         bits = m.bit_length()
         j = getrandbits(bits)
@@ -139,10 +140,6 @@ def binary_tournament(keys: list, rng: random.Random) -> int:
             j = getrandbits(bits)
         if j == i:
             j = m
-    else:
-        j = getrandbits(bits)
-        while j >= n or j == i:
-            j = getrandbits(bits)
     return i if keys[i] <= keys[j] else j
 
 
