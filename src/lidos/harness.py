@@ -530,8 +530,8 @@ def read_traces_csv(path: str | Path, spec: ScenarioSpec
     `spec`, the scenario the traces were run under, and each trace must
     follow its legs: the trace holds one change row per leg after the first,
     a change row opens the next leg, every leg holds a measurement row, and
-    every row is in the environment of its leg. A leg holds fewer measurement rows than its budget plus one
-    default population."""
+    every row is in the environment of its leg. A leg holds fewer measurement
+    rows than its budget plus one default population."""
     def refuse(lines, mask, message):
         """Refuse the earliest of `lines` that `mask` flags; `message` is the
         text, or maps the flagged position to it."""
@@ -568,20 +568,20 @@ def read_traces_csv(path: str | Path, spec: ScenarioSpec
         for name, cells in (("adaptation_sent", sent_c), ("env_change", change_c)):
             if not set(cells) <= {"0", "1"}:
                 refuse(lines, [cell not in ("0", "1") for cell in cells],
-                    f"{name} must be 0 or 1")
+                       f"{name} must be 0 or 1")
             # Every cell is now a single ASCII digit.
             events[name] = np.frombuffer("".join(cells).encode(), np.uint8) == ord("1")
         change = events["env_change"]
         refuse(lines, events["adaptation_sent"] & change,
-            "a row cannot be both an adaptation and an environment change")
+               "a row cannot be both an adaptation and an environment change")
         for name, cells in (("ft", ft_c), ("best_ft", best_c)):
             events[name] = column(lines, [cell or "nan" for cell in cells], float, np.float64)
             refuse(lines, ~change & ~np.isfinite(events[name]),
-                f"a measurement or adaptation row needs a finite {name}")
+                   f"a measurement or adaptation row needs a finite {name}")
             # The other rows are known to be non-empty now.
             if cells.count("") != change.sum():
                 refuse(lines, change & np.array([cell != "" for cell in cells]),
-                    f"an environment-change row leaves {name} empty")
+                       f"an environment-change row leaves {name} empty")
         events["env"] = coded(env_code, env_c)
         return lines, events, reps, coded(label_code, label_c)
 
