@@ -1087,6 +1087,43 @@ class TestCli:
             "holds no measurement row\n")
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    # The last row of `lidos` repetition 0 is an adaptation row, and the row
+    # before it a measurement row of the same leg.
+    @pytest.mark.parametrize("row, cell, value, message", [
+        (-1, 5, "-5.0", "an adaptation row's ft and best_ft must be the least ft of its leg "
+                        "so far, {best}; got {best} and -5.0"),
+        (-1, 4, "-5.0", "an adaptation row's ft and best_ft must be the least ft of its leg "
+                        "so far, {best}; got -5.0 and {best}"),
+        (-2, 5, "1000000000.0",
+         "best_ft must be the least ft of its leg so far, {best}; got 1000000000.0"),
+        (-2, 4, "-5.0", "best_ft must be the least ft of its leg so far, -5.0; got {best}"),
+    ], ids=["adaptation-best-ft", "adaptation-ft", "measurement-best-ft", "measurement-ft"])
+    def test_best_ft_must_be_the_least_ft_of_its_leg(self, tmp_path, capsys, row, cell, value,
+                                                     message):
+        """A planner records on each measurement row the least ft of its leg
+        so far, and sends that best on an adaptation row as both its ft and
+        best_ft. A `best_ft` of -5.0 on the last row, which no row's ft
+        holds, used to be summarized: `lidos` got that median, and every
+        pairwise row moved."""
+        manifest = write_small_dataset(tmp_path)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--scenario", str(manifest), "--out", str(out)]) == 0
+        path = out / "traces.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        at = [i for i, line in enumerate(lines) if line.startswith("lidos,0,")][row]
+        cells = lines[at].rstrip("\n").split(",")
+        assert cells[6:] == (["1", "0"] if row == -1 else ["0", "0"])
+        best = cells[5]
+        cells[cell] = value
+        lines[at] = ",".join(cells) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert cli_main(["summarize", "--scenario", str(manifest), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:{at + 1}: {message.format(best=best)}\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     @pytest.mark.parametrize("damage, message", [
         # Two measurement rows of `lidos` repetition 0 trade their indices.
         (lambda rows, change: _swap_indices(rows, 4, 5),
