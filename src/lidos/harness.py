@@ -531,7 +531,9 @@ def read_traces_csv(path: str | Path, spec: ScenarioSpec
     follow its legs: the trace holds one change row per leg after the first,
     a change row opens the next leg, every leg holds a measurement row, and
     every row is in the environment of its leg. A leg holds fewer measurement
-    rows than its budget plus one default population."""
+    rows than its budget plus one default population. A measurement row's
+    `best_ft` is the least `ft` of its leg's measurement rows up to it, and an
+    adaptation row holds that best as both its `ft` and its `best_ft`."""
     def refuse(lines, mask, message):
         """Refuse the earliest of `lines` that `mask` flags; `message` is the
         text, or maps the flagged position to it."""
@@ -661,6 +663,20 @@ def read_traces_csv(path: str | Path, spec: ScenarioSpec
     refuse(grouped_lines, measured & (in_leg >= budget + population), lambda at: (
         f"leg {leg_of[at] + 1} reaches {in_leg[at]} measurement rows, but a leg with a budget "
         f"of {budget[at]} stops before its budget plus one population ({population})"))
+    # A measurement row records the least ft of its leg so far, and an
+    # adaptation row sends that best as both its ft and its best_ft.
+    best = np.where(measured, events["ft"], np.inf)
+    opens = np.flatnonzero(first_of_group | events["env_change"]).tolist()
+    for start, end in zip(opens, opens[1:] + [len(best)]):
+        best[start:end] = np.minimum.accumulate(best[start:end])
+    sent = events["adaptation_sent"]
+    ft, best_ft = events["ft"], events["best_ft"]
+    refuse(grouped_lines, (measured | sent) & (best_ft != best) | sent & (ft != best),
+           lambda at: (
+               "an adaptation row's ft and best_ft must be the least ft of its leg so far, "
+               f"{float(best[at])}; got {float(ft[at])} and {float(best_ft[at])}" if sent[at]
+               else "best_ft must be the least ft of its leg so far, "
+               f"{float(best[at])}; got {float(best_ft[at])}"))
     return labels, traces
 
 

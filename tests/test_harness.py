@@ -1223,7 +1223,9 @@ def long_bundle(smoke_bundle) -> ResultBundle:
             events["measurement_index"] = np.arange(1, 251) - (np.arange(250) >= 125)
             events["env"][125:] = 1
             events["ft"] = rng.random(250)
-            events["best_ft"] = np.minimum.accumulate(events["ft"])
+            # Each leg's best starts afresh, as a planner's does.
+            for leg in (slice(0, 125), slice(126, 250)):
+                events["best_ft"][leg] = np.minimum.accumulate(events["ft"][leg])
             events["env_change"][125] = True
             events["ft"][125] = events["best_ft"][125] = np.nan
             traces[(label, rep)] = RunTrace(events, ("A", "B"))
