@@ -8,10 +8,13 @@ import gc
 import io
 import math
 import os
+import pickle
 import random
+import signal
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain, islice
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -301,7 +304,7 @@ def run_scenario(spec: ScenarioSpec, *, workers: int = 1) -> ResultBundle:
     tasks = [(label, kind, rep) for label, kind in labeled for rep in range(spec.repetitions)]
     job = (spec, space, tables)
     workers = min(workers, len(tasks))
-    if workers > 1 and _can_fork():
+    if workers > 1 and hasattr(os, "fork"):
         results = _run_forked(job, tasks, workers)
     else:
         results = (_run_repetition(job, kind, rep) for _, kind, rep in tasks)
@@ -328,45 +331,92 @@ def _run_repetition(job, kind: str, rep: int) -> RunTrace:
     return RunTrace(search.trace.events, search.trace.env_ids)
 
 
-def _can_fork() -> bool:
-    import multiprocessing
-
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-# The job of a forked worker: set in the worker by `_start_worker`, never in
-# the process that forks it.
-_worker_job = None
-
-
-def _start_worker(job) -> None:
-    global _worker_job
-    _worker_job = job
-
-
-def _worker_repetition(task) -> RunTrace:
-    _, kind, rep = task
-    return _run_repetition(_worker_job, kind, rep)
-
-
 def _run_forked(job, tasks, workers: int) -> list[RunTrace]:
-    """Run every task in a pool of forked workers, one task per call; the
-    results come back in task order.
+    """Run every task in `workers` forked worker processes; the results come
+    back in task order.
+
+    Worker `w` runs the share `tasks[w::workers]` in order and sends one
+    pickle of its results through its own pipe. The parent reads the workers
+    in fork order and reaps each. A worker stops at its first failure and
+    sends it instead; of the failures, the one earliest in task order is
+    raised, as the serial loop would raise it. A worker that ends without its
+    pickle raises WorkerLost, once the workers still running are killed and
+    reaped.
 
     Forked workers inherit the job, loaded tables included, where spawned ones
-    would import the package and load every table again. The pool forks all
-    its workers before it starts its manager thread; the only other threads
-    are the idle ones of numpy's BLAS pool, which no repetition calls into."""
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_start_worker, initargs=(job,)) as pool:
+    would import the package and load every table again. The heap is frozen
+    across the forks, so a worker's collector never walks, and so never
+    copies, what it inherits. The only other threads are the idle ones of
+    numpy's BLAS pool, which no repetition calls into."""
+    live: list[tuple[int, io.BufferedReader]] = []  # unreaped workers: pid, pipe
+    outcomes = []
+    try:
+        unfreeze = not gc.get_freeze_count()
+        gc.freeze()
         try:
-            return list(pool.map(_worker_repetition, tasks))
-        except BrokenProcessPool:
-            raise WorkerLost("a worker process ended abruptly before returning "
-                             "its repetition") from None
+            for w in range(workers):
+                read, write = os.pipe()
+                try:
+                    pid = os.fork()
+                except BaseException:
+                    os.close(read)
+                    os.close(write)
+                    raise
+                if not pid:
+                    _work(job, tasks[w::workers], write, [p.fileno() for _, p in live] + [read])
+                os.close(write)
+                live.append((pid, open(read, "rb")))
+        finally:
+            if unfreeze:
+                gc.unfreeze()
+        while live:
+            pid, pipe = live[0]
+            with pipe:
+                try:
+                    outcome = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    outcome = None
+            status = os.waitpid(pid, 0)[1]
+            del live[0]
+            if status or outcome is None:
+                raise WorkerLost("a worker process ended abruptly before returning "
+                                 "its repetition")
+            outcomes.append(outcome)
+    finally:
+        for pid, pipe in live:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failures = {w + len(done) * workers: failure
+                for w, (done, failure) in enumerate(outcomes) if failure is not None}
+    if failures:
+        raise failures[min(failures)]
+    results = [None] * len(tasks)
+    for w, (done, _) in enumerate(outcomes):
+        results[w::workers] = done
+    return results
+
+
+def _work(job, share, write: int, inherited: list[int]) -> NoReturn:
+    """The body of a forked worker: close the pipe ends it inherits, run its
+    share of the tasks, write one pickle of `(results, failure)` to `write`,
+    where `failure` is the exception that stopped the share or None, and
+    exit. It never returns into its caller's stack."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        results, failure = [], None
+        try:
+            for _, kind, rep in share:
+                results.append(_run_repetition(job, kind, rep))
+        except Exception as exc:  # the parent raises it
+            failure = exc
+        with open(write, "wb") as pipe:
+            pickle.dump((results, failure), pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 # -- summaries ---------------------------------------------------------------

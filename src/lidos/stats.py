@@ -39,11 +39,32 @@ def quartiles(values) -> tuple[float, float, float]:
     """The 25th, 50th and 75th percentiles of `values` by numpy's linear
     interpolation; the median is the midpoint of the middle pair.
 
-    Each is its own `np.percentile` call: when `values` hold both zeros, one
-    call for all three can return a zero quartile with the other sign."""
+    Each repeats, step by step, one `np.percentile(values, q)` call of numpy
+    2.4.6 (`_quantile` and `_lerp` in `numpy/lib/_function_base_impl.py`),
+    so each is the same float, zero signs included. Which of `0.0` and
+    `-0.0` lands at an index follows numpy's introselect, so each q makes
+    its own partition of the values, with numpy's kth, not one sort."""
     values = np.asarray(values, dtype=float)
-    q25, q50, q75 = (float(np.percentile(values, q)) for q in (25, 50, 75))
+    q25, q50, q75 = (_linear_percentile(values, q) for q in (0.25, 0.5, 0.75))
     return q25, q50, q75
+
+
+def _linear_percentile(values: np.ndarray, q: float) -> float:
+    n = len(values)
+    index = (n - 1) * q
+    if index < 0:
+        below = above = 0
+    elif index >= n - 1:
+        below = above = -1
+    else:
+        below = math.floor(index)
+        above = below + 1
+    gamma = index - below
+    part = np.partition(values, sorted({-1, 0, below, above}))
+    if math.isnan(part[-1]):
+        return float(part[-1])
+    a, b = float(part[below]), float(part[above])
+    return b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma
 
 
 def summarize(samples: Mapping[str, Sequence[float]]) -> dict[str, Summary]:

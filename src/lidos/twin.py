@@ -396,7 +396,9 @@ def _sorted_table(env: Environment, option_names: tuple[str, ...], parts,
     and its values: the blocks' domains merged, the rows sorted and each run
     of equal plans kept once, with its last value, as the row walk's dict
     keeps it; or None where equal plans have different values."""
-    domains = [np.unique(np.concatenate([coded[j][0] for coded, _ in parts]))
+    # With a flag, np.unique skips its masked-array check, which imports numpy.ma.
+    domains = [np.unique(np.concatenate([coded[j][0] for coded, _ in parts]),
+                         return_counts=True)[0]
                for j in range(len(option_names))]
     dtype = np.min_scalar_type(max(map(len, domains)) - 1)
     codes = np.concatenate([

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import concurrent.futures.process
 import csv
 import gc
 import io
@@ -9,6 +8,7 @@ import math
 import os
 import random
 import re
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -343,18 +343,18 @@ class TestRunScenario:
 
 
 class TestParallelRun:
-    """More than one worker forks a pool; one worker never does. A failure in
-    a worker ends `lidos run` as cleanly as a failure in the serial loop."""
+    """More than one worker forks; one worker never does. A failure in a
+    worker ends `lidos run` as cleanly as a failure in the serial loop."""
 
     def test_one_worker_creates_no_pool(self, tmp_path, monkeypatch):
         spec = parse_scenario(write_small_dataset(tmp_path))
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was created")
+        def no_fork():
+            raise AssertionError("a worker was forked")
 
-        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         assert len(run_scenario(spec, workers=1).traces) == 4
-        with pytest.raises(AssertionError, match="a process pool was created"):
+        with pytest.raises(AssertionError, match="a worker was forked"):
             run_scenario(spec, workers=2)
 
     def test_the_forking_process_builds_no_lookup(self, tmp_path, monkeypatch):
@@ -403,6 +403,57 @@ class TestParallelRun:
             errors.append(capsys.readouterr().err)
             assert not out.exists()
         assert errors == ["error: stationary repetition 1 cannot change environment\n"] * 2
+
+    def test_earliest_failure_in_task_order_is_reported(self, tmp_path, capsys, monkeypatch):
+        """Tasks run in (planner, repetition) order, and worker `w` of n runs
+        tasks w, w + n, ...; `lidos` repetition 1 is task 1 and `stationary`
+        repetition 0 task 2. Both fail, on different workers where there are
+        several, and the serial loop's message is the one reported."""
+        manifest = write_small_dataset(tmp_path)
+        failing = {derive_seed(11, "lidos", 1): "lidos repetition 1",
+                   derive_seed(11, "stationary", 0): "stationary repetition 0"}
+        begin = planner.BasePlanner._begin_epoch
+
+        def failing_begin(self, env):
+            if self.base_seed in failing:
+                raise ValueError(f"{failing[self.base_seed]} cannot change environment")
+            begin(self, env)
+
+        monkeypatch.setattr(planner.BasePlanner, "_begin_epoch", failing_begin)
+        errors = []
+        for workers in (1, 2, 3, 4):
+            out = tmp_path / f"out{workers}"
+            assert cli_main(["run", "--scenario", str(manifest), "--out", str(out)],
+                            workers=workers) == 2
+            errors.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert errors == ["error: lidos repetition 1 cannot change environment\n"] * 4
+
+    def test_dead_worker_ends_the_run_without_waiting_for_its_sibling(
+            self, tmp_path, capsys, monkeypatch):
+        """Worker 0 dies in its first task while worker 1 would take a minute
+        over its own: the run ends at once, with every worker reaped."""
+        manifest = write_small_dataset(tmp_path)
+        parent = os.getpid()
+        dying = derive_seed(11, "lidos", 0)
+        begin = planner.BasePlanner._begin_epoch
+
+        def slow_begin(self, env):
+            if os.getpid() != parent:
+                if self.base_seed == dying:
+                    os._exit(1)
+                time.sleep(60)
+            begin(self, env)
+
+        monkeypatch.setattr(planner.BasePlanner, "_begin_epoch", slow_begin)
+        started = time.monotonic()
+        assert cli_main(["run", "--scenario", str(manifest), "--out", str(tmp_path / "out")],
+                        workers=2) == 2
+        assert time.monotonic() - started < 30
+        assert capsys.readouterr().err == (
+            "error: a worker process ended abruptly before returning its repetition\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_dead_worker_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch):
         manifest = write_small_dataset(tmp_path)

@@ -1,5 +1,7 @@
 """What the `lidos` commands load: CPython's built-in SHA-256 gives the run
-seeds, so no command maps OpenSSL's libcrypto, several MB of every process."""
+seeds, so no command maps OpenSSL's libcrypto, several MB of every process;
+`lidos run` forks its workers itself, with no process pool; and the
+statistics never reach `numpy.ma`, which numpy imports on first use."""
 
 from __future__ import annotations
 
@@ -12,13 +14,26 @@ import pytest
 from conftest import child_env
 
 COMMANDS = """
+import resource
 import sys
 from lidos.cli import main
+
+UNUSED = ("numpy.ma", "concurrent.futures", "multiprocessing")
+
+
+def forked():
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss > 0
+
+
 assert main(["synth", "--out", "d", "--options", "3", "--domain-size", "4"]) == 0
+assert not [name for name in UNUSED if name in sys.modules]
+assert not forked()
 assert main(["run", "--scenario", "d/scenario.txt", "--out", "o", "--repetitions", "2"],
             workers=2) == 0
-assert "concurrent.futures.process" in sys.modules, "the run did not fork"
+assert forked(), "the run did not fork"
+assert not [name for name in UNUSED if name in sys.modules]
 assert main(["summarize", "--scenario", "d/scenario.txt", "--out", "o"]) == 0
+assert not [name for name in UNUSED if name in sys.modules]
 print(sorted(name for name in ("_hashlib", "_ssl") if name in sys.modules))
 """
 

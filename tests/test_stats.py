@@ -351,9 +351,10 @@ class TestBootstrap:
 
 
 class TestQuartiles:
-    """`quartiles` is three separate `np.percentile` calls: one call for all
-    three q gives q75 = -0.0 on the first sample below, where separate calls
-    give 0.0."""
+    """`quartiles` repeats numpy's linear method, and gives what three
+    separate `np.percentile` calls give, by `repr`: one call for all three q
+    gives q75 = -0.0 on the first sample below, where separate calls give
+    0.0."""
 
     @staticmethod
     def separate_calls(values):
@@ -374,6 +375,33 @@ class TestQuartiles:
             else:
                 values = [round(rng.gauss(0, 1), rng.randint(0, 3)) for _ in range(n)]
             assert repr(quartiles(values)) == repr(self.separate_calls(values)), values
+
+    def test_zeros_of_both_signs_at_the_middle_pair(self):
+        for values in ([0.0, -0.0], [-0.0, 0.0], [-1.0, 0.0, -0.0, 1.0], [-1.0, -0.0, 0.0, 1.0],
+                       [2.0, -0.0, 0.0, -3.0, 0.0, -0.0], [0.0, -0.0, -0.0, 0.0, 5.0, -5.0]):
+            assert repr(quartiles(values)) == repr(self.separate_calls(values)), values
+
+    def test_a_zero_median_takes_its_sign_from_the_partition(self):
+        """The middle pair of this 44-value sample is two zeros. numpy's
+        introselect leaves a -0.0 where a sort leaves a 0.0, so the median is
+        -0.0 where the midpoint of the sorted middle pair is 0.0."""
+        rng = random.Random(0)
+        values = [rng.choice((0.0, -0.0, 0.0, -0.0, 1.5, -2.0)) for _ in range(44)]
+        a, b = sorted(values)[21:23]
+        assert repr(b - (b - a) * 0.5) == "0.0"
+        assert repr(quartiles(values)) == repr(self.separate_calls(values)) == "(0.0, -0.0, 0.0)"
+
+    def test_one_value(self):
+        for value in (-0.0, 0.0, 2.5, -1e-300):
+            assert repr(quartiles([value])) == repr(self.separate_calls([value])) == repr(
+                (value,) * 3)
+
+    def test_empty_input_raises_as_percentile_does(self):
+        with pytest.raises(IndexError) as ours:
+            quartiles([])
+        with pytest.raises(IndexError) as numpys:
+            np.percentile(np.array([], dtype=float), 50)
+        assert str(ours.value) == str(numpys.value)
 
     def test_returns_floats(self):
         assert quartiles(np.array([1, 2, 3, 4])) == (1.75, 2.5, 3.25)
