@@ -357,6 +357,29 @@ class TestParallelRun:
         with pytest.raises(AssertionError, match="a worker was forked"):
             run_scenario(spec, workers=2)
 
+    def test_the_heap_is_frozen_only_across_the_forks(self, tmp_path, monkeypatch):
+        """Workers inherit a frozen heap, so their collectors never walk, and
+        so never copy, what they inherit. The parent unfreezes it once the
+        workers are forked, unless its caller had frozen it."""
+        spec = parse_scenario(write_small_dataset(tmp_path))
+        fork, counts = os.fork, []
+
+        def counting_fork():
+            counts.append(gc.get_freeze_count())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        assert gc.get_freeze_count() == 0
+        run_scenario(spec, workers=2)
+        assert len(counts) == 2 and min(counts) > 0
+        assert gc.get_freeze_count() == 0
+        gc.freeze()
+        try:
+            run_scenario(spec, workers=2)
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+
     def test_the_forking_process_builds_no_lookup(self, tmp_path, monkeypatch):
         """Loading and checking a table needs only its columns; the plan ->
         value dict is built by the process that measures. A repeated row

@@ -396,6 +396,11 @@ class TestQuartiles:
             assert repr(quartiles([value])) == repr(self.separate_calls([value])) == repr(
                 (value,) * 3)
 
+    def test_a_nan_gives_nan_as_percentile_does(self):
+        for values in ([math.nan], [1.0, math.nan, 0.0]):
+            assert repr(quartiles(values)) == repr(self.separate_calls(values)) == (
+                "(nan, nan, nan)")
+
     def test_empty_input_raises_as_percentile_does(self):
         with pytest.raises(IndexError) as ours:
             quartiles([])
