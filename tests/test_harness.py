@@ -20,6 +20,8 @@ from lidos import cli, harness, planner
 from lidos.cli import main as cli_main
 from lidos.harness import (
     TRACE_HEADER,
+    EnvironmentSource,
+    LegSpec,
     ScenarioSpec,
     bundle_from_traces,
     csv_text,
@@ -39,7 +41,7 @@ from lidos.baselines import StationaryPlanner
 from lidos.harness import ResultBundle
 from lidos.planner import TRACE_DTYPE, RunTrace, derive_seed
 from lidos.stats import quartiles
-from lidos.twin import synth_landscape, synth_option_names, synth_tables
+from lidos.twin import Environment, synth_landscape, synth_option_names, synth_tables
 
 from conftest import assert_accounting, traces_text
 
@@ -139,6 +141,15 @@ class TestParseScenario:
         )
         with pytest.raises(ValueError, match="undeclared"):
             parse_scenario(manifest)
+
+    def test_manifest_integers_keep_pythons_literal_grammar(self, tmp_path):
+        """A manifest integer is read by `int`, so an underscore between
+        digits is accepted, as in a table cell; only `traces.csv`, which a
+        program writes, is held to the writer's characters."""
+        manifest = write_small_dataset(tmp_path)
+        manifest.write_text(manifest.read_text(encoding="utf-8").replace(
+            "repetitions: 2\n", "repetitions: 0_2\n"), encoding="utf-8")
+        assert parse_scenario(manifest).repetitions == 2
 
     def test_environment_may_follow_its_leg(self, tmp_path):
         write_small_dataset(tmp_path)
@@ -256,6 +267,22 @@ class TestRunScenario:
         spec = parse_scenario(manifest)
         with pytest.raises(ValueError, match="below the population size 20"):
             run_scenario(spec)
+
+    @pytest.mark.parametrize("old, new, lineno, message", [
+        ("leg: A 30\n", "leg: A 10\n", 9, "leg budget 10 is below the population size 20"),
+        ("environment: B env_b.csv", "environment: B env_missing.csv", 8,
+         "[Errno 2] No such file or directory"),
+    ], ids=["budget-below-population", "missing-dataset"])
+    def test_a_replaced_spec_keeps_its_places(self, tmp_path, old, new, lineno, message):
+        """A spec copied with `dataclasses.replace` names the manifest line of
+        a run-time error, as the parsed spec does; the copy used to name none."""
+        manifest = write_small_dataset(tmp_path)
+        manifest.write_text(manifest.read_text(encoding="utf-8").replace(old, new),
+                            encoding="utf-8")
+        copy = replace(parse_scenario(manifest), planners=("lidos",))
+        with pytest.raises(ValueError) as exc:
+            run_scenario(copy)
+        assert str(exc.value).startswith(f"{manifest}:{lineno}: {message}")
 
     def test_run_and_summarize_read_one_population(self, tmp_path, monkeypatch):
         """`run_scenario`'s leg-budget check and `read_traces_csv`'s bound on
@@ -459,6 +486,34 @@ class TestParallelRun:
         manifest = write_small_dataset(tmp_path)
         parent = os.getpid()
         dying = derive_seed(11, "lidos", 0)
+        begin = planner.BasePlanner._begin_epoch
+
+        def slow_begin(self, env):
+            if os.getpid() != parent:
+                if self.base_seed == dying:
+                    os._exit(1)
+                time.sleep(60)
+            begin(self, env)
+
+        monkeypatch.setattr(planner.BasePlanner, "_begin_epoch", slow_begin)
+        started = time.monotonic()
+        assert cli_main(["run", "--scenario", str(manifest), "--out", str(tmp_path / "out")],
+                        workers=2) == 2
+        assert time.monotonic() - started < 30
+        assert capsys.readouterr().err == (
+            "error: a worker process ended abruptly before returning its repetition\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_dead_worker_ends_the_run_while_an_earlier_sibling_works(
+            self, tmp_path, capsys, monkeypatch):
+        """Worker 1 dies in its first task, task 1, while worker 0 would take
+        a minute over each of its own: the run ends at once, with every worker
+        reaped. The workers' pipes used to be read in fork order, so a dead
+        worker was noticed only once every earlier worker had finished."""
+        manifest = write_small_dataset(tmp_path)
+        parent = os.getpid()
+        dying = derive_seed(11, "lidos", 1)
         begin = planner.BasePlanner._begin_epoch
 
         def slow_begin(self, env):
@@ -719,6 +774,10 @@ ROW_DAMAGE_IDS = ["short-row", "bad-rep", "bad-ft", "flag-2", "flag-word", "both
                   "empty-ft", "nan-best-ft", "valued-change"]
 
 
+CODE_SOURCES = tuple(EnvironmentSource(Environment(env_id, "minimize"), Path(f"{env_id}.csv"))
+                     for env_id in "AB")
+
+
 class TestCli:
     def test_run_then_summarize_round_trip(self, tmp_path):
         manifest = write_small_dataset(tmp_path)
@@ -861,8 +920,13 @@ class TestCli:
          "scenario.txt:9: duplicate environment id 'A'"),
         ("planners: lidos, stationary\n", "planners: ,,\n",
          "scenario.txt:6: scenario lists no planners"),
+        ("stride: 10\n", "stride: 0\n", "scenario.txt:5: stride must be positive"),
+        ("environment: A env_a.csv minimize\nenvironment: B env_b.csv minimize\n", "",
+         "scenario.txt: scenario declares no environments"),
+        ("leg: B 30\n", "", "scenario.txt: a transition scenario needs at least two legs"),
     ], ids=["unknown-planner", "undeclared-environment", "zero-repetitions", "zero-k",
-            "zero-leg-budget", "duplicate-environment", "empty-planners"])
+            "zero-leg-budget", "duplicate-environment", "empty-planners", "zero-stride",
+            "no-environments", "one-leg"])
     def test_manifest_value_error_names_its_line(self, tmp_path, capsys, old, new, message):
         manifest = write_small_dataset(tmp_path)
         text = manifest.read_text(encoding="utf-8")
@@ -876,7 +940,11 @@ class TestCli:
         (["--k", "0"], "error: --k: k must be positive"),
         (["--k", "abc"], "error: --k: expected an integer, got 'abc'"),
         (["--planners", "nope"], "error: --planners: unknown planner kind 'nope'"),
-    ], ids=["zero-k", "word-k", "unknown-planner"])
+        (["--repetitions", "0"], "error: --repetitions: repetitions must be positive"),
+        (["--stride", "0"], "error: --stride: stride must be positive"),
+        (["--planners", ","], "error: --planners: scenario lists no planners"),
+    ], ids=["zero-k", "word-k", "unknown-planner", "zero-repetitions", "zero-stride",
+            "empty-planners"])
     def test_flag_value_error_names_its_flag(self, tmp_path, capsys, flags, message):
         manifest = write_small_dataset(tmp_path)
         code = cli_main(["run", "--scenario", str(manifest), "--out", str(tmp_path / "o"),
@@ -915,6 +983,30 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: {manifest}:{lineno}: {message.format(dir=tmp_path)}\n")
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(planners=("lidos", "nope")), "unknown planner kind 'nope'"),
+        (dict(legs=(LegSpec("A", 30), LegSpec("C", 150))),
+         "leg references undeclared environment 'C'"),
+        (dict(repetitions=0), "repetitions must be positive"),
+        (dict(k=0), "k must be positive"),
+        (dict(trajectory_stride=0), "stride must be positive"),
+        (dict(legs=(LegSpec("A", 30), LegSpec("B", 0))), "leg budgets must be positive"),
+        (dict(environments=(CODE_SOURCES[0],) * 2), "duplicate environment id 'A'"),
+        (dict(planners=()), "scenario lists no planners"),
+        (dict(environments=()), "scenario declares no environments"),
+        (dict(legs=(LegSpec("A", 30),)), "a transition scenario needs at least two legs"),
+    ], ids=["unknown-planner", "undeclared-environment", "zero-repetitions", "zero-k",
+            "zero-stride", "zero-leg-budget", "duplicate-environment", "empty-planners",
+            "no-environments", "one-leg"])
+    def test_value_error_of_a_spec_built_in_code_names_no_place(self, change, message):
+        """The refusals that name a manifest line or a flag above give their
+        bare message for a spec built in code, which has no places."""
+        fields = dict(system="s", environments=CODE_SOURCES,
+                      legs=(LegSpec("A", 30), LegSpec("B", 30)))
+        with pytest.raises(ValueError) as exc:
+            ScenarioSpec(**{**fields, **change})
+        assert str(exc.value) == message
 
     def test_flag_replaces_a_bad_manifest_value_before_it_is_checked(self, tmp_path):
         manifest = write_small_dataset(tmp_path)
@@ -962,6 +1054,40 @@ class TestCli:
         assert cli_main(["summarize", "--scenario", str(manifest), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "traces.csv:5: " in err and message in err
+
+    # Line 5 is a measurement row of the first leg: lidos repetition 0, with
+    # measurement_index 4 and a negative ft and best_ft. Each cell keeps its
+    # value under Python's int() or float(), but holds a character that no
+    # trace writer writes.
+    @pytest.mark.parametrize("column, cell", [
+        (1, "-0"), (1, "+0"), (1, " 0"), (1, "0_0"), (1, "\u0660"),
+        (2, "0_4"), (2, "+4"), (2, "4 "),
+        (4, "-0_{}"), (4, " -{}"), (5, "-0_{}"), (5, "-{} "),
+    ], ids=["rep-minus", "rep-plus", "rep-space", "rep-underscore", "rep-arabic-zero",
+            "index-underscore", "index-plus", "index-space",
+            "ft-underscore", "ft-space", "best-ft-underscore", "best-ft-space"])
+    def test_number_cells_hold_only_the_writers_characters(self, tmp_path, capsys,
+                                                          column, cell):
+        """`lidos summarize` used to accept these cells, since `int` and
+        `float` read them as the numbers the run wrote."""
+        manifest = write_small_dataset(tmp_path)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--scenario", str(manifest), "--out", str(out)]) == 0
+        path = out / "traces.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        cells = lines[4].rstrip("\n").split(",")
+        assert cells[:3] == ["lidos", "0", "4"] and cells[4].startswith("-")
+        old = cells[column]
+        cells[column] = cell.format(old[1:])
+        assert float(cells[column]) == float(old)
+        lines[4] = ",".join(cells) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert cli_main(["summarize", "--scenario", str(manifest), "--out", str(out)]) == 2
+        name = TRACE_HEADER[column]
+        assert capsys.readouterr().err == (
+            f"error: {path}:5: {name} holds a character no trace writer writes: "
+            f"{cells[column]!r}\n")
 
     def test_empty_ft_after_the_change_exits_2(self, tmp_path, capsys):
         """A baseline's first measurement after the change with an empty ft
