@@ -10,6 +10,7 @@ import math
 import os
 import pickle
 import random
+import select
 import signal
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain, islice
@@ -36,24 +37,6 @@ _INT_KEYS = ("seed", "repetitions", "k", "stride")
 _TRACE_BLOCK = 4096
 
 
-class ScenarioValueError(ValueError):
-    """A scenario value that fails its check. `key` is its manifest key and
-    `index` its entry among that key's lines, or None if no line is to blame."""
-
-    def __init__(self, message: str, key: str, index: int | None = 0) -> None:
-        super().__init__(message)
-        self.key, self.index = key, index
-
-    def located(self, where: dict[str, list[str]], manifest: str = "") -> ValueError:
-        """This error as a ValueError that starts with where its value came
-        from: its entry's `path:line` or `--key` in `where`, else `manifest`
-        if given."""
-        places = where.get(self.key, [])
-        here = (places[self.index] if self.index is not None and self.index < len(places)
-                else manifest)
-        return ValueError(f"{here}: {self}" if here else str(self))
-
-
 @dataclass(frozen=True)
 class EnvironmentSource:
     environment: Environment
@@ -76,39 +59,42 @@ class ScenarioSpec:
     k: int = 150
     base_seed: int = 0
     trajectory_stride: int = 15
-    # Where each entry of a manifest key came from, `path:line` or `--key`;
-    # `parse_scenario` fills it in, and a spec built in code has none.
-    where: dict[str, list[str]] = field(default_factory=dict, init=False, repr=False,
+    # Where each entry of a manifest key came from, `path:line` or `--key`,
+    # and under "" the manifest itself; `parse_scenario` passes it in, a
+    # `replace` copy keeps it, and a spec built in code has none.
+    where: dict[str, list[str]] = field(default_factory=dict, kw_only=True, repr=False,
                                         compare=False)
 
     def __post_init__(self) -> None:
         if not self.environments:
-            raise ScenarioValueError("scenario declares no environments", "environment", None)
+            raise self.error("scenario declares no environments", "")
         ids = [e.environment.id for e in self.environments]
         for i, env_id in enumerate(ids):
             if env_id in ids[:i]:
-                raise ScenarioValueError(f"duplicate environment id {env_id!r}", "environment", i)
+                raise self.error(f"duplicate environment id {env_id!r}", "environment", i)
         if len(self.legs) < 2:
-            raise ScenarioValueError("a transition scenario needs at least two legs", "leg", None)
+            raise self.error("a transition scenario needs at least two legs", "")
         for i, leg in enumerate(self.legs):
             if leg.env_id not in ids:
-                raise ScenarioValueError(
-                    f"leg references undeclared environment {leg.env_id!r}", "leg", i)
+                raise self.error(f"leg references undeclared environment {leg.env_id!r}",
+                                 "leg", i)
             if leg.measurement_budget < 1:
-                raise ScenarioValueError("leg budgets must be positive", "leg", i)
+                raise self.error("leg budgets must be positive", "leg", i)
         if not self.planners:
-            raise ScenarioValueError("scenario lists no planners", "planners")
+            raise self.error("scenario lists no planners", "planners")
         for kind in self.planners:
             if kind not in PLANNER_KINDS:
-                raise ScenarioValueError(f"unknown planner kind {kind!r}", "planners")
+                raise self.error(f"unknown planner kind {kind!r}", "planners")
         for key in ("repetitions", "k", "stride"):
             if getattr(self, _VALUE_KEYS[key]) < 1:
-                raise ScenarioValueError(f"{key} must be positive", key)
+                raise self.error(f"{key} must be positive", key)
 
-    def error(self, message: str, key: str, index: int) -> ValueError:
-        """An error in the `index`-th entry of manifest key `key`, naming the
-        line or flag it came from when the spec was parsed."""
-        return ScenarioValueError(message, key, index).located(self.where)
+    def error(self, message: str, key: str, index: int = 0) -> ValueError:
+        """An error in the `index`-th entry of manifest key `key`, or in the
+        manifest as a whole under key "", that starts with the line, flag or
+        path it came from when the spec was parsed."""
+        places = self.where.get(key, ())
+        return ValueError(f"{places[index]}: {message}" if index < len(places) else message)
 
     def environment_of(self, env_id: str) -> Environment:
         for source in self.environments:
@@ -144,8 +130,9 @@ def parse_scenario(path: str | Path, overrides: dict[str, str] | None = None) ->
     """
     path = Path(path)
     fields: dict[str, str] = {}
-    # Where each entry of a key came from: `path:line`, or `--key` for an override.
-    where: dict[str, list[str]] = {}
+    # Where each entry of a key came from: `path:line`, or `--key` for an
+    # override; the manifest's own path under "".
+    where: dict[str, list[str]] = {"": [str(path)]}
     environments: list[EnvironmentSource] = []
     legs: list[list[str]] = []
     for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), 1):
@@ -180,12 +167,7 @@ def parse_scenario(path: str | Path, overrides: dict[str, str] | None = None) ->
         kwargs["planners"] = tuple(p.strip() for p in fields["planners"].split(",") if p.strip())
     kwargs["legs"] = tuple(LegSpec(env_id, _int(budget, where["leg"][i]))
                            for i, (env_id, budget) in enumerate(legs))
-    try:
-        spec = ScenarioSpec(environments=tuple(environments), **kwargs)
-    except ScenarioValueError as exc:
-        raise exc.located(where, str(path)) from None
-    object.__setattr__(spec, "where", where)
-    return spec
+    return ScenarioSpec(environments=tuple(environments), where=where, **kwargs)
 
 
 def _parse_environment(rest: str, base_dir: Path, where: str) -> EnvironmentSource:
@@ -336,20 +318,21 @@ def _run_forked(job, tasks, workers: int) -> list[RunTrace]:
     back in task order.
 
     Worker `w` runs the share `tasks[w::workers]` in order and sends one
-    pickle of its results through its own pipe. The parent reads the workers
-    in fork order and reaps each. A worker stops at its first failure and
-    sends it instead; of the failures, the one earliest in task order is
-    raised, as the serial loop would raise it. A worker that ends without its
-    pickle raises WorkerLost, once the workers still running are killed and
-    reaped.
+    pickle of its results through its own pipe. The parent waits on every
+    unread pipe at once, and reads and reaps each worker whose pipe is ready,
+    so a worker that dies is noticed when its pipe closes, whatever the
+    others are doing. A worker stops at its first failure and sends it
+    instead; of the failures, the one earliest in task order is raised, as
+    the serial loop would raise it. A worker that ends without its pickle
+    raises WorkerLost, once the workers still running are killed and reaped.
 
     Forked workers inherit the job, loaded tables included, where spawned ones
     would import the package and load every table again. The heap is frozen
     across the forks, so a worker's collector never walks, and so never
     copies, what it inherits. The only other threads are the idle ones of
     numpy's BLAS pool, which no repetition calls into."""
-    live: list[tuple[int, io.BufferedReader]] = []  # unreaped workers: pid, pipe
-    outcomes = []
+    live: dict[io.BufferedReader, tuple[int, int]] = {}  # unreaped workers: pipe -> w, pid
+    outcomes = [None] * workers
     try:
         unfreeze = not gc.get_freeze_count()
         gc.freeze()
@@ -363,27 +346,29 @@ def _run_forked(job, tasks, workers: int) -> list[RunTrace]:
                     os.close(write)
                     raise
                 if not pid:
-                    _work(job, tasks[w::workers], write, [p.fileno() for _, p in live] + [read])
+                    _work(job, tasks[w::workers], write, [p.fileno() for p in live] + [read])
                 os.close(write)
-                live.append((pid, open(read, "rb")))
+                live[open(read, "rb")] = w, pid
         finally:
             if unfreeze:
                 gc.unfreeze()
         while live:
-            pid, pipe = live[0]
-            with pipe:
-                try:
-                    outcome = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):
-                    outcome = None
-            status = os.waitpid(pid, 0)[1]
-            del live[0]
-            if status or outcome is None:
-                raise WorkerLost("a worker process ended abruptly before returning "
-                                 "its repetition")
-            outcomes.append(outcome)
+            for pipe in select.select(list(live), [], [])[0]:
+                w, pid = live[pipe]
+                with pipe:
+                    try:
+                        outcome = pickle.load(pipe)
+                    except (EOFError, pickle.UnpicklingError):
+                        outcome = None
+                status = os.waitpid(pid, 0)[1]
+                # Only now, so a load that raises leaves the worker to be killed.
+                del live[pipe]
+                if status or outcome is None:
+                    raise WorkerLost("a worker process ended abruptly before returning "
+                                     "its repetition")
+                outcomes[w] = outcome
     finally:
-        for pid, pipe in live:
+        for pipe, (_, pid) in live.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -604,6 +589,14 @@ def read_traces_csv(path: str | Path, spec: ScenarioSpec
                     raise ValueError(f"{path}:{line}: {exc}") from None
             raise
 
+    def written(lines, name, cells, extra=""):
+        """Refuse the earliest of `cells` that holds a character other than
+        the digits and `extra`: what a trace writer writes in a number cell.
+        One pass over the joined cells serves a block that holds none."""
+        if "".join(cells).strip("0123456789" + extra):
+            refuse(lines, [bool(cell.strip("0123456789" + extra)) for cell in cells],
+                   lambda at: f"{name} holds a character no trace writer writes: {cells[at]!r}")
+
     def coded(code_of, cells):
         """Each cell's code in `code_of`, where a cell it lacks takes the next
         code, so codes follow the order of first appearance in the file."""
@@ -617,6 +610,8 @@ def read_traces_csv(path: str | Path, spec: ScenarioSpec
         events = np.empty(len(lines), TRACE_DTYPE)
         reps = column(lines, rep_c, int, np.int64)
         events["measurement_index"] = column(lines, index_c, int, np.int64)
+        written(lines, "rep", rep_c)
+        written(lines, "measurement_index", index_c)
         for name, cells in (("adaptation_sent", sent_c), ("env_change", change_c)):
             if not set(cells) <= {"0", "1"}:
                 refuse(lines, [cell not in ("0", "1") for cell in cells],
@@ -634,6 +629,7 @@ def read_traces_csv(path: str | Path, spec: ScenarioSpec
             if cells.count("") != change.sum():
                 refuse(lines, change & np.array([cell != "" for cell in cells]),
                        f"an environment-change row leaves {name} empty")
+            written(lines, name, cells, "-+.e")
         events["env"] = coded(env_code, env_c)
         return lines, events, reps, coded(label_code, label_c)
 
