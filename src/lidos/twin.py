@@ -81,15 +81,16 @@ class MeasurementTable:
         self.values = values
         self._validated_for: ConfigSpace | None = None
         # Nearest-plan search state, per space searched under: the sorted
-        # plans; the nearest-row map and each option's value -> grid offset,
-        # where `_nearest_map` builds them; and the scan's state, built at the
-        # first query the map does not answer: one column per option in the
-        # space's distance dtype, two row-length buffers every scan reuses
-        # (the distance sum and an untabled term), each option's term table
-        # or None, and the memo.
+        # plans; the nearest-row map, an int64 array of the sorted index of
+        # each grid plan's nearest row, and each option's value -> grid
+        # offset, where `_nearest_map` builds them; and the scan's state,
+        # built at the first query the map does not answer: one column per
+        # option in the space's distance dtype, two row-length buffers every
+        # scan reuses (the distance sum and an untabled term), each option's
+        # term table or None, and the memo.
         self._nearest_space: ConfigSpace | None = None
         self._sorted_plans: list[Plan] = []
-        self._map: list[Plan] | None = None
+        self._map: np.ndarray | None = None
         self._offsets: list[dict[int, int]] = []
         self._columns: np.ndarray | None = None
         self._sum = self._scratch = None
@@ -176,10 +177,8 @@ class MeasurementTable:
         """
         if space is not self._nearest_space and space != self._nearest_space:
             self.validate_space(space)
-            nearest, self._offsets = _nearest_map(space, self.domains, self.codes)
-            self._sorted_plans = plans = list(self.rows)
-            self._map = None if nearest is None else np.fromiter(
-                plans, object, len(plans))[nearest].tolist()
+            self._map, self._offsets = _nearest_map(space, self.domains, self.codes)
+            self._sorted_plans = list(self.rows)
             self._columns = self._sum = self._scratch = None
             self._terms = []
             self._nearest = {}
@@ -187,7 +186,8 @@ class MeasurementTable:
             self._nearest_space = space
         if self._map is not None and len(plan) == len(self._offsets):
             try:
-                return self._map[sum(map(dict.__getitem__, self._offsets, plan))]
+                return self._sorted_plans[self._map[sum(map(dict.__getitem__, self._offsets,
+                                                            plan))]]
             except KeyError:
                 pass
         found = self._nearest.get(plan)

@@ -785,7 +785,7 @@ class TestNearestMapRule:
         # admits the map and one byte less does not. Past the three arrays
         # the traced peak holds only what does not grow with the grid
         # (numpy's iteration buffers, the sorted rows), and the map keeps
-        # one 8 B list slot a cell.
+        # one 8 B int64 row index a cell.
         space = make_space(*((0, 1),) * 16)
         cells = 2**16
         rng = random.Random(16)
