@@ -111,7 +111,8 @@ def parse_scenario(path: str | Path, overrides: dict[str, str] | None = None) ->
     as given on the command line) replacing its one-value keys before any
     value is checked. An error names the manifest line (`path:line:`) or the
     flag (`--key:`) its value came from; so do the errors `run_scenario`
-    finds in the spec's datasets and leg budgets.
+    finds in the spec's datasets and leg budgets, also for a copy of the spec
+    made with `dataclasses.replace`.
 
     Line-based key-value grammar (``#`` comments allowed)::
 

@@ -177,8 +177,8 @@ class MeasurementTable:
         """
         if space is not self._nearest_space and space != self._nearest_space:
             self.validate_space(space)
-            self._map, self._offsets = _nearest_map(space, self.domains, self.codes)
             self._sorted_plans = list(self.rows)
+            self._map, self._offsets = _nearest_map(space, self.domains, self.codes)
             self._columns = self._sum = self._scratch = None
             self._terms = []
             self._nearest = {}
@@ -186,8 +186,8 @@ class MeasurementTable:
             self._nearest_space = space
         if self._map is not None and len(plan) == len(self._offsets):
             try:
-                return self._sorted_plans[self._map[sum(map(dict.__getitem__, self._offsets,
-                                                            plan))]]
+                cell = sum(map(dict.__getitem__, self._offsets, plan))
+                return self._sorted_plans[self._map[cell]]
             except KeyError:
                 pass
         found = self._nearest.get(plan)
