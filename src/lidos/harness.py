@@ -590,12 +590,12 @@ def read_traces_csv(path: str | Path, spec: ScenarioSpec
                     raise ValueError(f"{path}:{line}: {exc}") from None
             raise
 
-    def written(lines, name, cells, extra=""):
+    def written(lines, name, cells, chars=b"0123456789"):
         """Refuse the earliest of `cells` that holds a character other than
-        the digits and `extra`: what a trace writer writes in a number cell.
-        One pass over the joined cells serves a block that holds none."""
-        if "".join(cells).strip("0123456789" + extra):
-            refuse(lines, [bool(cell.strip("0123456789" + extra)) for cell in cells],
+        the ASCII `chars` a trace writer writes in this number column. One
+        pass over the joined cells serves a block that holds none."""
+        if "".join(cells).encode().translate(None, chars):
+            refuse(lines, [bool(cell.encode().translate(None, chars)) for cell in cells],
                    lambda at: f"{name} holds a character no trace writer writes: {cells[at]!r}")
 
     def coded(code_of, cells):
@@ -630,7 +630,7 @@ def read_traces_csv(path: str | Path, spec: ScenarioSpec
             if cells.count("") != change.sum():
                 refuse(lines, change & np.array([cell != "" for cell in cells]),
                        f"an environment-change row leaves {name} empty")
-            written(lines, name, cells, "-+.e")
+            written(lines, name, cells, b"0123456789-+.e")
         events["env"] = coded(env_code, env_c)
         return lines, events, reps, coded(label_code, label_c)
 
