@@ -454,6 +454,39 @@ class TestParallelRun:
             assert not out.exists()
         assert errors == ["error: stationary repetition 1 cannot change environment\n"] * 2
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("environment: B env_b.csv", "environment: B env_missing.csv",
+         "{manifest}:8: [Errno 2] No such file or directory: '{dir}/env_missing.csv'"),
+        ("environment: B env_b.csv", "environment: B env_small.csv",
+         "{manifest}:8: dataset mismatch across environments: 'B' implies a different "
+         "config space: option 'o1' takes 2, 3 only in 'A'"),
+        ("environment: B env_b.csv", "environment: B env_bad.csv",
+         "{dir}/env_bad.csv:3: option value 'x' is not a number"),
+    ], ids=["missing-dataset", "dataset-mismatch", "malformed-cell"])
+    def test_a_table_fault_reads_as_in_the_serial_loop(self, tmp_path, capsys, old, new,
+                                                       message):
+        """A table that fails to load or check ends a forked run with the
+        serial loop's message, and leaves no worker behind."""
+        manifest = write_small_dataset(tmp_path)
+        lines = (tmp_path / "env_b.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        (tmp_path / "env_small.csv").write_text("".join(lines[: len(lines) // 2]),
+                                                encoding="utf-8")
+        (tmp_path / "env_bad.csv").write_text(
+            "".join([lines[0], lines[1], "x" + lines[2][1:], *lines[3:]]), encoding="utf-8")
+        text = manifest.read_text(encoding="utf-8")
+        assert old in text
+        manifest.write_text(text.replace(old, new), encoding="utf-8")
+        errors = []
+        for workers in (1, 2):
+            out = tmp_path / f"out{workers}"
+            assert cli_main(["run", "--scenario", str(manifest), "--out", str(out)],
+                            workers=workers) == 2
+            errors.append(capsys.readouterr().err)
+            assert not out.exists()
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert errors == [f"error: {message.format(manifest=manifest, dir=tmp_path)}\n"] * 2
+
     def test_earliest_failure_in_task_order_is_reported(self, tmp_path, capsys, monkeypatch):
         """Tasks run in (planner, repetition) order, and worker `w` of n runs
         tasks w, w + n, ...; `lidos` repetition 1 is task 1 and `stationary`

@@ -267,6 +267,55 @@ class TestLoaderParity:
             assert_same_table(loaded(path), walked(monkeypatch, path))
 
 
+def one_shot_rows(table):
+    """The plan -> value dict of `table`, built from one whole-column list
+    per option."""
+    columns = [np.array(domain, object)[column].tolist()
+               for domain, column in zip(table.domains, table.codes)]
+    return dict(zip(zip(*columns), table.values.tolist()))
+
+
+class TestRowsBuild:
+    """`rows` is built a block of `_LOAD_BLOCK` codes at a time: the dict it
+    keeps is the one-shot dict, and the build holds little more than it."""
+
+    @pytest.mark.parametrize("base", [0, 2**70], ids=["int64", "python-int"])
+    def test_equals_the_one_shot_dict(self, tmp_path, base):
+        rng = random.Random(33)
+        plans = rng.sample(list(itertools.product(range(base - 2, base + 3), range(50),
+                                                  range(60))),
+                           3 * twin_module._LOAD_BLOCK + 100)
+        lines = [f"{a},{b},{c},{i / 8}\n" for i, (a, b, c) in enumerate(plans)]
+        # Repeated rows that agree are one plan.
+        lines += rng.sample(lines, 500)
+        table = load_measurements(write_csv(tmp_path, "m.csv", "a,b,c,perf\n" + "".join(lines)),
+                                  Environment("e"))
+        assert len(table) == len(plans) > 3 * twin_module._LOAD_BLOCK
+        expected = one_shot_rows(table)
+        assert list(map(repr, table.rows.items())) == list(map(repr, expected.items()))
+        assert list(table.rows) == sorted(plans)
+        assert all(type(v) is int for plan in table.rows for v in plan)
+
+    def test_the_build_holds_little_more_than_the_dict(self):
+        # 17 binary options, as in the x264-shaped subset. A one-shot build
+        # holds one list of every row's value per option at once: about
+        # 2.7 MiB over the dict at this size.
+        n = 20_000
+        plans = np.array(sorted(random.Random(17).sample(range(2**17), n)))
+        codes = (plans >> np.arange(16, -1, -1)[:, None] & 1).astype(np.uint8)
+        table = MeasurementTable(Environment("e"), tuple(f"o{j}" for j in range(17)),
+                                 ((0, 1),) * 17, codes, np.arange(n) / 8)
+        tracemalloc.start()
+        try:
+            rows = table.rows
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == n
+        assert peak - kept < 1 << 20
+        assert rows == one_shot_rows(table)
+
+
 class TestEnvironment:
     def test_sign_follows_direction(self):
         for direction, sign in (("minimize", 1.0), ("maximize", -1.0)):
