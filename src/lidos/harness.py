@@ -249,8 +249,7 @@ def load_scenario_tables(spec: ScenarioSpec) -> tuple[ConfigSpace, dict[str, Mea
                 "implies a different config space: " + space.difference(
                     implied, spec.environments[0].environment.id, source.environment.id),
                 "environment", i)
-        # Recorded here, so forked workers inherit the check instead of
-        # each making it again.
+        # Recorded on the table, so every repetition's twin finds it made.
         table.validate_space(space)
         tables[source.environment.id] = table
     assert space is not None
@@ -269,10 +268,11 @@ def run_scenario(spec: ScenarioSpec, *, workers: int = 1) -> ResultBundle:
 
     Each (planner, repetition) pair is independent of the others. With
     `workers` above 1 they run as separate tasks in that many forked worker
-    processes (at most one per task), and their results merge back in
-    (planner, repetition) order, so the bundle is the same for any count.
-    Where the platform cannot fork, or one worker is asked for, they run one
-    after another in this process.
+    processes (at most one per task), each of which loads the tables itself,
+    and their results merge back in (planner, repetition) order, so the
+    bundle is the same for any count. Where the platform cannot fork, or one
+    worker is asked for, this process loads the tables and runs the pairs one
+    after another.
 
     Every planner takes the population size and rates of `lidos.planner`,
     which `read_traces_csv` checks the legs against, and the spec's
@@ -282,14 +282,13 @@ def run_scenario(spec: ScenarioSpec, *, workers: int = 1) -> ResultBundle:
             raise spec.error(
                 f"leg budget {leg.measurement_budget} is below the population size "
                 f"{planner.POPULATION_SIZE}; initialization alone would exceed it", "leg", i)
-    space, tables = load_scenario_tables(spec)
     labeled = planner_labels(spec.planners)
     tasks = [(label, kind, rep) for label, kind in labeled for rep in range(spec.repetitions)]
-    job = (spec, space, tables)
     workers = min(workers, len(tasks))
     if workers > 1 and hasattr(os, "fork"):
-        results = _run_forked(job, tasks, workers)
+        results = _run_forked(spec, tasks, workers)
     else:
+        job = (spec, *load_scenario_tables(spec))
         results = (_run_repetition(job, kind, rep) for _, kind, rep in tasks)
     return ResultBundle(
         spec=spec,
@@ -314,24 +313,27 @@ def _run_repetition(job, kind: str, rep: int) -> RunTrace:
     return RunTrace(search.trace.events, search.trace.env_ids)
 
 
-def _run_forked(job, tasks, workers: int) -> list[RunTrace]:
-    """Run every task in `workers` forked worker processes; the results come
-    back in task order.
+def _run_forked(spec: ScenarioSpec, tasks, workers: int) -> list[RunTrace]:
+    """Run every task of `spec` in `workers` forked worker processes; the
+    results come back in task order.
 
-    Worker `w` runs the share `tasks[w::workers]` in order and sends one
-    pickle of its results through its own pipe. The parent waits on every
+    Worker `w` loads the scenario's tables, runs the share `tasks[w::workers]`
+    in order and sends one pickle of its results through its own pipe. The parent waits on every
     unread pipe at once, and reads and reaps each worker whose pipe is ready,
     so a worker that dies is noticed when its pipe closes, whatever the
     others are doing. A worker stops at its first failure and sends it
     instead; of the failures, the one earliest in task order is raised, as
-    the serial loop would raise it. A worker that ends without its pickle
-    raises WorkerLost, once the workers still running are killed and reaped.
+    the serial loop would raise it. A table that fails to load or check fails
+    every worker before its first task, so worker 0's failure, the serial
+    loop's, is raised. A worker that ends without its pickle raises
+    WorkerLost, once the workers still running are killed and reaped.
 
-    Forked workers inherit the job, loaded tables included, where spawned ones
-    would import the package and load every table again. The heap is frozen
-    across the forks, so a worker's collector never walks, and so never
-    copies, what it inherits. The only other threads are the idle ones of
-    numpy's BLAS pool, which no repetition calls into."""
+    This process loads no table, so it never holds the parse's blocks or the
+    tables beside the workers. Forked workers inherit the imported package
+    and the spec, where spawned ones would import the package again. The heap
+    is frozen across the forks, so a worker's collector never walks, and so
+    never copies, what it inherits. The only other threads are the idle ones
+    of numpy's BLAS pool, which no repetition calls into."""
     live: dict[io.BufferedReader, tuple[int, int]] = {}  # unreaped workers: pipe -> w, pid
     outcomes = [None] * workers
     try:
@@ -347,7 +349,7 @@ def _run_forked(job, tasks, workers: int) -> list[RunTrace]:
                     os.close(write)
                     raise
                 if not pid:
-                    _work(job, tasks[w::workers], write, [p.fileno() for p in live] + [read])
+                    _work(spec, tasks[w::workers], write, [p.fileno() for p in live] + [read])
                 os.close(write)
                 live[open(read, "rb")] = w, pid
         finally:
@@ -383,17 +385,19 @@ def _run_forked(job, tasks, workers: int) -> list[RunTrace]:
     return results
 
 
-def _work(job, share, write: int, inherited: list[int]) -> NoReturn:
-    """The body of a forked worker: close the pipe ends it inherits, run its
-    share of the tasks, write one pickle of `(results, failure)` to `write`,
-    where `failure` is the exception that stopped the share or None, and
-    exit. It never returns into its caller's stack."""
+def _work(spec: ScenarioSpec, share, write: int, inherited: list[int]) -> NoReturn:
+    """The body of a forked worker: close the pipe ends it inherits, load the
+    scenario's tables, run its share of the tasks, write one pickle of
+    `(results, failure)` to `write`, where `failure` is the exception that
+    stopped the load or the share or None, and exit. It never returns into
+    its caller's stack."""
     code = 1
     try:
         for fd in inherited:
             os.close(fd)
         results, failure = [], None
         try:
+            job = (spec, *load_scenario_tables(spec))
             for _, kind, rep in share:
                 results.append(_run_repetition(job, kind, rep))
         except Exception as exc:  # the parent raises it

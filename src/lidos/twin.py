@@ -27,7 +27,8 @@ SYNTH_MAX_PLANS = 2**20
 SYNTH_MAX_DISTANCES = 2**24
 # Plans per block of `synth_landscape`'s jitter draws.
 _JITTER_BLOCK = 4096
-# Data lines per block of `load_measurements`' parse.
+# Data lines per block of `load_measurements`' parse, and rows per block of
+# `MeasurementTable.rows`' build.
 _LOAD_BLOCK = 4096
 
 # Bytes one table spends per space on its nearest-plan search state: the
@@ -62,10 +63,9 @@ class MeasurementTable:
 
     The rows are read-only after construction, so tables are safely shared
     across runs. The plan -> value dict `rows` is built at its first use, in
-    the process that measures: the one `lidos run` forks its workers from
-    only loads and checks tables, which need the columns alone. The
-    nearest-plan search builds its state per space at the first search
-    under it: a map of the nearest row of every plan of the domain grid
+    the process that measures; loading and checking a table need the columns
+    alone. The nearest-plan search builds its state per space at the first
+    search under it: a map of the nearest row of every plan of the domain grid
     where `_nearest_map` admits the grid, and the scan's columns, term
     tables and memo only once a plan the map does not answer is searched.
     """
@@ -126,10 +126,16 @@ class MeasurementTable:
 
     @functools.cached_property
     def rows(self) -> dict[Plan, float]:
-        """Plan -> raw value, in sorted plan order."""
-        columns = [np.array(domain, object)[column].tolist()
-                   for domain, column in zip(self.domains, self.codes)]
-        return dict(zip(zip(*columns), self.values.tolist()))
+        """Plan -> raw value, in sorted plan order, built `_LOAD_BLOCK` rows
+        at a time, so no list of a whole column is held beside the dict."""
+        domains = [np.array(domain, object) for domain in self.domains]
+        rows: dict[Plan, float] = {}
+        for start in range(0, len(self), _LOAD_BLOCK):
+            block = slice(start, start + _LOAD_BLOCK)
+            columns = [domain[column[block]].tolist()
+                       for domain, column in zip(domains, self.codes)]
+            rows.update(zip(zip(*columns), self.values[block].tolist()))
+        return rows
 
     def __len__(self) -> int:
         return len(self.values)
