@@ -321,12 +321,13 @@ def _run_forked(spec: ScenarioSpec, tasks, workers: int) -> list[RunTrace]:
     in order and sends one pickle of its results through its own pipe. The
     parent waits on every unread pipe at once, and reads and reaps each worker
     whose pipe is ready, so a worker that dies is noticed when its pipe
-    closes, whatever the others are doing. A worker stops at its first failure and sends it
-    instead; of the failures, the one earliest in task order is raised, as
-    the serial loop would raise it. A table that fails to load or check fails
-    every worker before its first task, so worker 0's failure, the serial
-    loop's, is raised. A worker that ends without its pickle raises
-    WorkerLost, once the workers still running are killed and reaped.
+    closes, whatever the others are doing. A worker stops at its first
+    failure and sends it instead; of the failures, the one earliest in task
+    order is raised, as the serial loop would raise it. A table that fails to
+    load or check fails every worker before its first task, so worker 0's
+    failure, the serial loop's, is raised. A worker that ends without its
+    pickle raises WorkerLost, once the workers still running are killed and
+    reaped.
 
     This process loads no table, so it never holds the parse's blocks or the
     tables beside the workers. Forked workers inherit the imported package

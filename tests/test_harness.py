@@ -410,26 +410,29 @@ class TestParallelRun:
     def test_the_forking_process_builds_no_lookup(self, tmp_path, monkeypatch):
         """The forking process loads no table, so it builds no plan -> value
         dict either: each worker loads its own tables, and loading and
-        checking a table needs only its columns. A repeated row that agrees
-        is one plan."""
+        checking a table needs only its columns. The dict is built by the
+        process that measures. A repeated row that agrees is one plan."""
         manifest = write_small_dataset(tmp_path)
         path = tmp_path / "env_b.csv"
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         path.write_text("".join(lines + lines[1:4]), encoding="utf-8")
         spec = parse_scenario(manifest)
-        parent = os.getpid()
+        parent, forking, loaded = os.getpid(), True, []
 
         def load(spec):
-            assert os.getpid() != parent, "the forking process loaded a table"
+            assert not forking or os.getpid() != parent, "the forking process loaded a table"
             space, tables = load_scenario_tables(spec)
             assert all("rows" not in vars(table) for table in tables.values())
             assert [len(table) for table in tables.values()] == [64, 64]
+            loaded.append(tables)
             return space, tables
 
         monkeypatch.setattr(harness, "load_scenario_tables", load)
         forked = run_scenario(spec, workers=2)
-        monkeypatch.undo()
+        forking = False
         serial = run_scenario(spec, workers=1)
+        assert len(loaded) == 1
+        assert all("rows" in vars(table) for table in loaded[0].values())
         assert traces_text(forked) == traces_text(serial)
 
     def test_value_error_in_a_worker_exits_2_as_in_the_serial_loop(
