@@ -1052,6 +1052,68 @@ class TestCli:
         assert cli_main(["run", "--scenario", str(manifest), "--out", str(tmp_path / "o"),
                          "--repetitions", "1"]) == 0
 
+    @pytest.mark.parametrize("under", [(), ("sub",), ("sub", "deeper")],
+                             ids=["the-file", "under-the-file", "two-under-the-file"])
+    def test_out_that_cannot_be_a_directory_exits_2_before_the_run(
+            self, tmp_path, capsys, monkeypatch, under):
+        """An `--out` that is a file, or a path under one, used to run every
+        repetition and then fail to make the directory."""
+        manifest = write_small_dataset(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n", encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+
+        def no_run(spec, *, workers=1):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_scenario", no_run)
+        out = taken.joinpath(*under)
+        assert cli_main(["run", "--scenario", str(manifest), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --out: {taken} is not a directory\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("budget", ["9223372036854775000", "99999999999999999999"],
+                             ids=["within-int64", "past-int64"])
+    def test_leg_budget_past_the_stride_marks_exits_2_before_the_run(
+            self, tmp_path, capsys, budget):
+        """A trajectory holds an entry per stride mark, so such a budget used to
+        run every repetition, write `traces.csv` and then fail in numpy: a
+        MemoryError traceback, or numpy's "array is too big". `lidos
+        summarize` did the same on the traces of a run that fitted."""
+        manifest = write_small_dataset(tmp_path)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--scenario", str(manifest), "--out", str(out)]) == 0
+        written = {p.name: p.read_bytes() for p in out.iterdir()}
+        text = manifest.read_text(encoding="utf-8")
+        manifest.write_text(text.replace("leg: B 30\n", f"leg: B {budget}\n"),
+                            encoding="utf-8")
+        capsys.readouterr()
+        total = 30 + int(budget)
+        message = (f"error: {manifest}:10: legs of {total:,} measurements make "
+                   f"{total // 10:,} stride marks at stride 10, more than the 1,048,576 a "
+                   "scenario may have\n")
+        fresh = tmp_path / "fresh"
+        assert cli_main(["run", "--scenario", str(manifest), "--out", str(fresh)]) == 2
+        assert capsys.readouterr().err == message
+        assert not fresh.exists()
+        assert cli_main(["summarize", "--scenario", str(manifest), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == message
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+
+    def test_stride_flag_past_the_stride_marks_names_the_flag(self, tmp_path):
+        """Legs that fit at the manifest's stride, past the cap at the flag's."""
+        manifest = write_small_dataset(tmp_path)
+        text = manifest.read_text(encoding="utf-8")
+        manifest.write_text(text.replace("leg: B 30\n", f"leg: B {2**20}\n"),
+                            encoding="utf-8")
+        assert parse_scenario(manifest).trajectory_stride == 10
+        with pytest.raises(ValueError) as exc:
+            parse_scenario(manifest, {"stride": "1"})
+        assert str(exc.value) == ("--stride: legs of 1,048,606 measurements make 1,048,606 "
+                                  "stride marks at stride 1, more than the 1,048,576 a "
+                                  "scenario may have")
+
+
     def test_oversized_dataset_cell_exits_2_at_its_line(self, tmp_path, capsys):
         """A cell past the csv module's field limit used to escape as a
         csv.Error traceback."""
@@ -1387,6 +1449,46 @@ class TestCli:
         assert cli_main(["summarize", "--scenario", str(manifest), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert message.format(line=change + 1) in err
+
+
+class TestPatchPoints:
+    """Names a caller may replace in a module to watch a command, as the
+    benchmark's traced run does: each is the module's own attribute, and the
+    command looks it up there when it calls it."""
+
+    @staticmethod
+    def watched(monkeypatch, module, name):
+        assert name in vars(module), f"{module.__name__}.{name} is not its own attribute"
+        calls, original = [], vars(module)[name]
+
+        def watching(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, watching)
+        return calls
+
+    def test_run_calls_the_cli_run_scenario(self, tmp_path, monkeypatch):
+        manifest = write_small_dataset(tmp_path)
+        calls = self.watched(monkeypatch, cli, "run_scenario")
+        assert cli_main(["run", "--scenario", str(manifest), "--out",
+                         str(tmp_path / "out")]) == 0
+        assert len(calls) == 1 and calls[0][0].system == "smoke"
+
+    def test_synth_calls_the_cli_landscape_and_writer(self, tmp_path, monkeypatch):
+        landscapes = self.watched(monkeypatch, cli, "synth_landscape")
+        writes = self.watched(monkeypatch, cli, "write_atomic")
+        assert cli_main(["synth", "--out", str(tmp_path), "--options", "3",
+                         "--domain-size", "4", "--peaks", "4"]) == 0
+        assert len(landscapes) == 1
+        assert [Path(args[0]).name for args in writes] == ["scenario.txt"]
+
+    def test_bundle_outputs_call_the_harness_writer(self, smoke_bundle, tmp_path, monkeypatch):
+        writes = self.watched(monkeypatch, harness, "write_atomic")
+        write_bundle_outputs(smoke_bundle, tmp_path)
+        assert sorted(Path(args[0]).name for args in writes) == [
+            "pairwise.csv", "ranks.csv", "speedups.csv", "summary.csv", "summary.txt",
+            "trajectories.csv"]
 
 
 def _swap_indices(rows: list[str], i: int, j: int) -> None:

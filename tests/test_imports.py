@@ -45,3 +45,38 @@ def test_no_command_loads_openssl(tmp_path):
                           capture_output=True, text=True, check=False)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+# The modules of a run: `lidos synth` needs none of them.
+RUN_MODULES = ("lidos.harness", "lidos.planner", "lidos.mmo", "lidos.baselines", "lidos.stats")
+
+
+def run_python(code: str, cwd) -> list[str]:
+    """Run `code` in a fresh interpreter; the lines it prints."""
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=child_env(),
+                          capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_synth_loads_no_run_module(tmp_path):
+    """`lidos synth` builds a landscape and writes text: the CLI, the twin and
+    the space. The run harness, the planners and the statistics would be
+    compiled and held for nothing."""
+    code = ("import sys\nfrom lidos.cli import main\n"
+            "assert main(['synth', '--out', 'd', '--options', '3', '--domain-size', '4']) == 0\n"
+            f"print(sorted(name for name in {RUN_MODULES!r} if name in sys.modules))")
+    assert run_python(code, tmp_path)[-1] == "[]"
+
+
+def test_import_lidos_loads_no_numpy_and_no_module(tmp_path):
+    code = ("import sys\nimport lidos\n"
+            "print(sorted(name for name in sys.modules\n"
+            "             if name == 'numpy' or name.startswith(('numpy.', 'lidos.'))))")
+    assert run_python(code, tmp_path) == ["[]"]
+
+
+def test_star_import_binds_every_public_name(tmp_path):
+    code = ("import lidos\nfrom lidos import *\n"
+            "print(sorted(name for name in lidos.__all__ if name not in globals()))")
+    assert run_python(code, tmp_path) == ["[]"]
