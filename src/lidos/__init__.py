@@ -1,37 +1,39 @@
-"""Lifelong dynamic-optimization planning engine and benchmark harness."""
+"""Lifelong dynamic-optimization planning engine and benchmark harness.
 
-from .baselines import PLANNER_KINDS, make_planner
-from .harness import (
-    ScenarioSpec,
-    parse_scenario,
-    run_scenario,
-    summarize_bundle,
-    write_bundle_outputs,
-)
-from .space import ConfigSpace, OptionSpec
-from .twin import (
-    CyberTwin,
-    Environment,
-    MeasurementTable,
-    load_measurements,
-    synth_landscape,
-    synth_tables,
-)
+Each public name is imported from its home module on first use (PEP 562),
+so `import lidos` loads neither numpy nor any module of the package."""
 
-__all__ = [
-    "parse_scenario",
-    "run_scenario",
-    "summarize_bundle",
-    "write_bundle_outputs",
-    "ScenarioSpec",
-    "PLANNER_KINDS",
-    "make_planner",
-    "ConfigSpace",
-    "OptionSpec",
-    "Environment",
-    "MeasurementTable",
-    "CyberTwin",
-    "load_measurements",
-    "synth_landscape",
-    "synth_tables",
-]
+import importlib
+
+# Each public name, and the module it lives in.
+_HOMES = {
+    "parse_scenario": "harness",
+    "run_scenario": "harness",
+    "summarize_bundle": "harness",
+    "write_bundle_outputs": "harness",
+    "ScenarioSpec": "harness",
+    "PLANNER_KINDS": "baselines",
+    "make_planner": "baselines",
+    "ConfigSpace": "space",
+    "OptionSpec": "space",
+    "Environment": "twin",
+    "MeasurementTable": "twin",
+    "CyberTwin": "twin",
+    "load_measurements": "twin",
+    "synth_landscape": "twin",
+    "synth_tables": "twin",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -1,5 +1,7 @@
 """Command-line front end: run scenarios, recompute their outputs from
-traces, and generate synthetic landscape datasets."""
+traces, and generate synthetic landscape datasets. The run harness, with the
+planners and statistics it imports, is loaded only by the commands that run
+or summarize, so `lidos synth` never compiles or holds it."""
 
 from __future__ import annotations
 
@@ -9,18 +11,8 @@ import sys
 from itertools import islice, product
 from pathlib import Path
 
-from .harness import (
-    ScenarioSpec,
-    WorkerLost,
-    bundle_from_traces,
-    csv_text,
-    parse_scenario,
-    run_scenario,
-    write_atomic,
-    write_bundle_outputs,
-    write_chunks_atomic,
-)
 from .twin import synth_landscape, synth_option_names
+from .writers import csv_text, write_atomic, write_chunks_atomic
 
 # Plans per block of a table's text in `lidos synth`: a block's lines, floats
 # and text are the writer's whole working set, about 0.16 MiB at 1,024.
@@ -35,7 +27,7 @@ def main(argv=None, *, workers: int = 1) -> int:
     args.workers = workers
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, WorkerLost) as exc:
+    except (ValueError, KeyError, OSError, *_run_errors()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -48,6 +40,19 @@ def entry() -> None:
     except AttributeError:  # platforms without CPU affinity
         cpus = os.cpu_count() or 1
     sys.exit(main(workers=cpus))
+
+
+def _run_errors() -> tuple[type[Exception], ...]:
+    """`WorkerLost` once the run harness, which alone raises it, is loaded."""
+    harness = sys.modules.get(f"{__package__}.harness")
+    return (harness.WorkerLost,) if harness else ()
+
+
+def run_scenario(spec, *, workers: int = 1):
+    """`lidos.harness.run_scenario`, imported on the first run. `lidos run`
+    calls it through this name, where a caller may replace it."""
+    from .harness import run_scenario
+    return run_scenario(spec, workers=workers)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -97,13 +102,26 @@ def _scenario_args(p: argparse.ArgumentParser, keys) -> None:
         p.add_argument(f"--{key}", default=None, help=_OVERRIDES[key])
 
 
-def _load_spec(args) -> ScenarioSpec:
+def _load_spec(args):
+    from .harness import parse_scenario
     return parse_scenario(args.scenario, {key: getattr(args, key) for key in _OVERRIDES
                                           if getattr(args, key, None) is not None})
 
 
+def _refuse_unusable_out(out: str) -> None:
+    """Refuse an `--out` that is a file or a path under one, where no output
+    directory can be made, before anything runs or is created."""
+    for path in (Path(out), *Path(out).parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ValueError(f"--out: {path} is not a directory")
+            return
+
+
 def _cmd_run(args) -> int:
+    from .harness import write_bundle_outputs
     spec = _load_spec(args)
+    _refuse_unusable_out(args.out)
     bundle = run_scenario(spec, workers=args.workers)
     summary = write_bundle_outputs(bundle, args.out)
     print(f"ran {len(bundle.labels)} planner(s) x {spec.repetitions} repetition(s); "
@@ -114,6 +132,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
+    from .harness import bundle_from_traces, write_bundle_outputs
     bundle = bundle_from_traces(_load_spec(args), Path(args.out) / "traces.csv")
     write_bundle_outputs(bundle, args.out, include_traces=False)
     print(f"summary tables rewritten in {Path(args.out).resolve()}")

@@ -25,6 +25,7 @@ from .planner import TRACE_DTYPE, RunTrace, derive_seed
 from .space import ConfigSpace
 from .stats import Summary, a12, quartiles, scott_knott, speedup, summarize, wilcoxon_rank_sum
 from .twin import DIRECTIONS, CyberTwin, Environment, MeasurementTable, load_measurements
+from .writers import csv_text, write_atomic, write_chunks_atomic
 
 TRACE_HEADER = ("planner", "rep") + TRACE_DTYPE.names
 TRAJECTORY_HEADER = ("planner", "measurement_index", "median_best", "iqr_best",
@@ -35,6 +36,9 @@ _VALUE_KEYS = {"system": "system", "seed": "base_seed", "repetitions": "repetiti
 _INT_KEYS = ("seed", "repetitions", "k", "stride")
 # Records per block of `read_traces_csv`.
 _TRACE_BLOCK = 4096
+# The most stride marks a scenario's legs may make: `trajectory_rows` holds
+# each mark, and a value per mark and repetition of a planner.
+MAX_STRIDE_MARKS = 2**20
 
 
 @dataclass(frozen=True)
@@ -88,6 +92,15 @@ class ScenarioSpec:
         for key in ("repetitions", "k", "stride"):
             if getattr(self, _VALUE_KEYS[key]) < 1:
                 raise self.error(f"{key} must be positive", key)
+        stride = self.trajectory_stride
+        for i, total in enumerate(accumulate(leg.measurement_budget for leg in self.legs)):
+            if total // stride > MAX_STRIDE_MARKS:
+                # A stride given as a flag is named; else the leg that passes.
+                key, index = ("stride", 0) if self.where.get("stride") == ["--stride"] \
+                    else ("leg", i)
+                raise self.error(f"legs of {total:,} measurements make {total // stride:,} "
+                                 f"stride marks at stride {stride}, more than the "
+                                 f"{MAX_STRIDE_MARKS:,} a scenario may have", key, index)
 
     def error(self, message: str, key: str, index: int = 0) -> ValueError:
         """An error in the `index`-th entry of manifest key `key`, or in the
@@ -496,19 +509,6 @@ def summarize_bundle(bundle: ResultBundle) -> BundleSummary:
 # -- trace serialization -------------------------------------------------------
 
 
-def csv_text(header, rows) -> str:
-    """A header row (none if `header` is None) and then the rows, as CSV text
-    with bare newline line ends; every CSV the program writes goes through
-    here, or, for the tables of `lidos synth`, through the block writer of
-    `lidos.cli`, which writes the bytes this would."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if header is not None:
-        writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def traces_csv_text(label: str, rep: int, trace: RunTrace) -> str:
     """One repetition's rows of traces.csv, without the header. The label,
     the rep and each env id are quoted once, as `csv_text` quotes a cell; a
@@ -803,32 +803,6 @@ def trajectories_csv_text(bundle: ResultBundle) -> str:
 
 
 # -- emission -------------------------------------------------------------------
-
-
-def write_atomic(path: str | Path, content: str) -> None:
-    """Write-then-rename so partially written outputs never appear."""
-    write_chunks_atomic(path, (content,))
-
-
-def write_chunks_atomic(path: str | Path, chunks) -> None:
-    """Write the strings `chunks` yields, in order, then rename, so that a
-    generated file is never held whole and never appears partly written: a
-    failure while a chunk is made or written unlinks the temporary. Each
-    call creates its own uniquely named temporary beside the target, so
-    writers into one directory never share one."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # Exclusive create under a random name rather than tempfile.mkstemp,
-    # which would leave every output readable by its owner only.
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8")
-    try:
-        with fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink()
-        raise
 
 
 def render_text_summary(summary: BundleSummary, spec: ScenarioSpec) -> str:
