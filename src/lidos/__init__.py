@@ -33,7 +33,3 @@ def __getattr__(name: str):
     value = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
     globals()[name] = value
     return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})

@@ -1032,9 +1032,12 @@ class TestCli:
         (dict(planners=()), "scenario lists no planners"),
         (dict(environments=()), "scenario declares no environments"),
         (dict(legs=(LegSpec("A", 30),)), "a transition scenario needs at least two legs"),
+        (dict(legs=(LegSpec("A", 30), LegSpec("B", 2**20)), trajectory_stride=1),
+         "legs of 1,048,606 measurements make 1,048,606 stride marks at stride 1, more than "
+         "the 1,048,576 a scenario may have"),
     ], ids=["unknown-planner", "undeclared-environment", "zero-repetitions", "zero-k",
             "zero-stride", "zero-leg-budget", "duplicate-environment", "empty-planners",
-            "no-environments", "one-leg"])
+            "no-environments", "one-leg", "past-the-stride-marks"])
     def test_value_error_of_a_spec_built_in_code_names_no_place(self, change, message):
         """The refusals that name a manifest line or a flag above give their
         bare message for a spec built in code, which has no places."""
@@ -1112,7 +1115,6 @@ class TestCli:
         assert str(exc.value) == ("--stride: legs of 1,048,606 measurements make 1,048,606 "
                                   "stride marks at stride 1, more than the 1,048,576 a "
                                   "scenario may have")
-
 
     def test_oversized_dataset_cell_exits_2_at_its_line(self, tmp_path, capsys):
         """A cell past the csv module's field limit used to escape as a

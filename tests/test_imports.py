@@ -1,7 +1,8 @@
 """What the `lidos` commands load: CPython's built-in SHA-256 gives the run
 seeds, so no command maps OpenSSL's libcrypto, several MB of every process;
 `lidos run` forks its workers itself, with no process pool; and the
-statistics never reach `numpy.ma`, which numpy imports on first use."""
+statistics never reach `numpy.ma`, which numpy imports on first use; `lidos
+synth` loads no module of a run, and `import lidos` none of the package."""
 
 from __future__ import annotations
 
