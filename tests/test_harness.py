@@ -1075,6 +1075,26 @@ class TestCli:
         assert capsys.readouterr().err == f"error: --out: {taken} is not a directory\n"
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("under", [(), ("sub",), ("sub", "deeper")],
+                             ids=["the-file", "under-the-file", "two-under-the-file"])
+    def test_synth_out_that_cannot_be_a_directory_exits_2_before_the_landscape(
+            self, tmp_path, capsys, monkeypatch, under):
+        """`lidos synth` used to build the whole landscape and then fail with
+        a raw `[Errno 17] File exists` or `[Errno 20] Not a directory`."""
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n", encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+
+        def no_landscape(**kwargs):
+            raise AssertionError("the landscape was built")
+
+        monkeypatch.setattr(cli, "synth_landscape", no_landscape)
+        out = taken.joinpath(*under)
+        assert cli_main(["synth", "--out", str(out), "--options", "3",
+                         "--domain-size", "4", "--peaks", "4"]) == 2
+        assert capsys.readouterr().err == f"error: --out: {taken} is not a directory\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("budget", ["9223372036854775000", "99999999999999999999"],
                              ids=["within-int64", "past-int64"])
     def test_leg_budget_past_the_stride_marks_exits_2_before_the_run(
