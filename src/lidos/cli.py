@@ -11,8 +11,9 @@ import sys
 from itertools import islice, product
 from pathlib import Path
 
+from .fork import WorkerLost, run_tasks
 from .twin import synth_landscape, synth_option_names
-from .writers import csv_text, write_atomic, write_chunks_atomic
+from .writers import csv_text, remove_temporaries, write_atomic, write_chunks_atomic
 
 # Plans per block of a table's text in `lidos synth`: a block's lines, floats
 # and text are the writer's whole working set, about 0.16 MiB at 1,024.
@@ -20,32 +21,28 @@ TABLE_BLOCK = 1024
 
 
 def main(argv=None, *, workers: int = 1) -> int:
-    """Run one command; `workers` is the process count `lidos run` may use
-    (see `run_scenario`). Returns the exit code."""
+    """Run one command; `workers` is the process count `lidos run` and
+    `lidos synth` may use (see `lidos.fork.run_tasks`). Returns the exit
+    code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     args.workers = workers
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, *_run_errors()) as exc:
+    except (ValueError, KeyError, OSError, WorkerLost) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def entry() -> None:
-    """The `lidos` program: `main`, with the repetitions of `lidos run` spread
-    over every CPU this process may run on."""
+    """The `lidos` program: `main`, with the repetitions of `lidos run` and
+    the tables of `lidos synth` spread over every CPU this process may run
+    on."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
         cpus = os.cpu_count() or 1
     sys.exit(main(workers=cpus))
-
-
-def _run_errors() -> tuple[type[Exception], ...]:
-    """`WorkerLost` once the run harness, which alone raises it, is loaded."""
-    harness = sys.modules.get(f"{__package__}.harness")
-    return (harness.WorkerLost,) if harness else ()
 
 
 def run_scenario(spec, *, workers: int = 1):
@@ -140,6 +137,7 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    _refuse_unusable_out(args.out)
     landscape = synth_landscape(
         n_options=args.options,
         domain_size=args.domain_size,
@@ -149,8 +147,22 @@ def _cmd_synth(args) -> int:
     )
     option_names = synth_option_names(args.options)
     out = Path(args.out)
-    for name, values in zip(("env_a.csv", "env_b.csv"), landscape):
-        write_chunks_atomic(out / name, _table_chunks(option_names, values, args.domain_size))
+
+    def write_tables(share):
+        for name, values in share:
+            yield write_chunks_atomic(out / name,
+                                      _table_chunks(option_names, values, args.domain_size))
+
+    tables = list(zip(("env_a.csv", "env_b.csv"), landscape))
+    try:
+        # One worker per table, each writing from the arrays it inherits.
+        run_tasks(write_tables, tables, args.workers, "table")
+    except BaseException:
+        # A worker that is lost, or killed once another is, leaves its
+        # temporary behind.
+        for name, _ in tables:
+            remove_temporaries(out / name)
+        raise
     manifest = "\n".join(
         [
             "system: synth",

@@ -5,22 +5,18 @@ from __future__ import annotations
 
 import csv
 import gc
-import io
 import math
-import os
-import pickle
 import random
-import select
-import signal
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import accumulate, chain, islice
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
 from . import planner
 from .baselines import PLANNER_KINDS, make_planner
+from .fork import run_tasks
 from .planner import TRACE_DTYPE, RunTrace, derive_seed
 from .space import ConfigSpace
 from .stats import Summary, a12, quartiles, scott_knott, speedup, summarize, wilcoxon_rank_sum
@@ -269,11 +265,6 @@ def load_scenario_tables(spec: ScenarioSpec) -> tuple[ConfigSpace, dict[str, Mea
     return space, tables
 
 
-class WorkerLost(RuntimeError):
-    """A worker process of a parallel run ended before returning its
-    repetition, so the run has no result."""
-
-
 def run_scenario(spec: ScenarioSpec, *, workers: int = 1) -> ResultBundle:
     """Execute every planner x repetition: init under the first leg's
     environment, run each leg to its budget, firing an environment change
@@ -297,12 +288,7 @@ def run_scenario(spec: ScenarioSpec, *, workers: int = 1) -> ResultBundle:
                 f"{planner.POPULATION_SIZE}; initialization alone would exceed it", "leg", i)
     labeled = planner_labels(spec.planners)
     tasks = [(label, kind, rep) for label, kind in labeled for rep in range(spec.repetitions)]
-    workers = min(workers, len(tasks))
-    if workers > 1 and hasattr(os, "fork"):
-        results = _run_forked(spec, tasks, workers)
-    else:
-        job = (spec, *load_scenario_tables(spec))
-        results = (_run_repetition(job, kind, rep) for _, kind, rep in tasks)
+    results = run_tasks(partial(_run_share, spec), tasks, workers, "repetition")
     return ResultBundle(
         spec=spec,
         labels=tuple(label for label, _ in labeled),
@@ -310,117 +296,30 @@ def run_scenario(spec: ScenarioSpec, *, workers: int = 1) -> ResultBundle:
     )
 
 
-def _run_repetition(job, kind: str, rep: int) -> RunTrace:
-    """One planner's repetition over every leg, on a fresh twin: its trace,
-    every recorded row joined into `events`, so that a worker sends back
-    arrays and no pending tuples."""
-    spec, space, tables = job
-    twin = CyberTwin(space, tables.values())
-    twin.set_environment(spec.legs[0].env_id)
-    search = make_planner(kind, space, twin, derive_seed(spec.base_seed, kind, rep), spec.k)
-    search.init_run()
-    search.run_scenario_leg(spec.legs[0].measurement_budget)
-    for leg in spec.legs[1:]:
-        search.on_environment_change(leg.env_id)
-        search.run_scenario_leg(leg.measurement_budget)
-    return RunTrace(search.trace.events, search.trace.env_ids)
+def _run_share(spec: ScenarioSpec, share):
+    """Load the scenario's tables, then run each (label, kind, repetition)
+    task of `share` in order on a fresh twin: init under the first leg's
+    environment, each leg to its budget, a change between legs. It yields
+    each trace, every recorded row joined into `events`, so that a worker
+    sends back arrays and no pending tuples.
 
-
-def _run_forked(spec: ScenarioSpec, tasks, workers: int) -> list[RunTrace]:
-    """Run every task of `spec` in `workers` forked worker processes; the
-    results come back in task order.
-
-    Worker `w` loads the scenario's tables, runs the share `tasks[w::workers]`
-    in order and sends one pickle of its results through its own pipe. The
-    parent waits on every unread pipe at once, and reads and reaps each worker
-    whose pipe is ready, so a worker that dies is noticed when its pipe
-    closes, whatever the others are doing. A worker stops at its first
-    failure and sends it instead; of the failures, the one earliest in task
-    order is raised, as the serial loop would raise it. A table that fails to
-    load or check fails every worker before its first task, so worker 0's
-    failure, the serial loop's, is raised. A worker that ends without its
-    pickle raises WorkerLost, once the workers still running are killed and
-    reaped.
-
-    This process loads no table, so it never holds the parse's blocks or the
-    tables beside the workers. Forked workers inherit the imported package
-    and the spec, where spawned ones would import the package again. The heap
-    is frozen across the forks, so a worker's collector never walks, and so
-    never copies, what it inherits. The only other threads are the idle ones
-    of numpy's BLAS pool, which no repetition calls into."""
-    live: dict[io.BufferedReader, tuple[int, int]] = {}  # unreaped workers: pipe -> w, pid
-    outcomes = [None] * workers
-    try:
-        unfreeze = not gc.get_freeze_count()
-        gc.freeze()
-        try:
-            for w in range(workers):
-                read, write = os.pipe()
-                try:
-                    pid = os.fork()
-                except BaseException:
-                    os.close(read)
-                    os.close(write)
-                    raise
-                if not pid:
-                    _work(spec, tasks[w::workers], write, [p.fileno() for p in live] + [read])
-                os.close(write)
-                live[open(read, "rb")] = w, pid
-        finally:
-            if unfreeze:
-                gc.unfreeze()
-        while live:
-            for pipe in select.select(list(live), [], [])[0]:
-                w, pid = live[pipe]
-                with pipe:
-                    try:
-                        outcome = pickle.load(pipe)
-                    except (EOFError, pickle.UnpicklingError):
-                        outcome = None
-                status = os.waitpid(pid, 0)[1]
-                # Only now, so a load that raises leaves the worker to be killed.
-                del live[pipe]
-                if status or outcome is None:
-                    raise WorkerLost("a worker process ended abruptly before returning "
-                                     "its repetition")
-                outcomes[w] = outcome
-    finally:
-        for pipe, (_, pid) in live.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    failures = {w + len(done) * workers: failure
-                for w, (done, failure) in enumerate(outcomes) if failure is not None}
-    if failures:
-        raise failures[min(failures)]
-    results = [None] * len(tasks)
-    for w, (done, _) in enumerate(outcomes):
-        results[w::workers] = done
-    return results
-
-
-def _work(spec: ScenarioSpec, share, write: int, inherited: list[int]) -> NoReturn:
-    """The body of a forked worker: close the pipe ends it inherits, load the
-    scenario's tables, run its share of the tasks, write one pickle of
-    `(results, failure)` to `write`, where `failure` is the exception that
-    stopped the load or the share or None, and exit. It never returns into
-    its caller's stack."""
-    code = 1
-    try:
-        for fd in inherited:
-            os.close(fd)
-        results, failure = [], None
-        try:
-            job = (spec, *load_scenario_tables(spec))
-            for _, kind, rep in share:
-                results.append(_run_repetition(job, kind, rep))
-        except Exception as exc:  # the parent raises it
-            failure = exc
-        with open(write, "wb") as pipe:
-            pickle.dump((results, failure), pipe, pickle.HIGHEST_PROTOCOL)
-        code = 0
-    finally:
-        os._exit(code)
+    This is the serial loop, and in a forked run the body of each worker. So
+    a table that fails to load or check fails every worker before its first
+    task, and worker 0's failure, the serial loop's, is raised; and the
+    forking process loads no table, so it never holds the parse's blocks or
+    the tables beside the workers."""
+    space, tables = load_scenario_tables(spec)
+    for _, kind, rep in share:
+        twin = CyberTwin(space, tables.values())
+        twin.set_environment(spec.legs[0].env_id)
+        search = make_planner(kind, space, twin, derive_seed(spec.base_seed, kind, rep),
+                              spec.k)
+        search.init_run()
+        search.run_scenario_leg(spec.legs[0].measurement_budget)
+        for leg in spec.legs[1:]:
+            search.on_environment_change(leg.env_id)
+            search.run_scenario_leg(leg.measurement_budget)
+        yield RunTrace(search.trace.events, search.trace.env_ids)
 
 
 # -- summaries ---------------------------------------------------------------

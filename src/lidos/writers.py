@@ -47,3 +47,11 @@ def write_chunks_atomic(path: str | Path, chunks) -> None:
     except BaseException:
         tmp.unlink()
         raise
+
+
+def remove_temporaries(path: str | Path) -> None:
+    """Unlink the temporaries of `path` that `write_chunks_atomic` calls
+    left beside it, as one does when its process is killed mid-write."""
+    path = Path(path)
+    for tmp in path.parent.glob(f".{path.name}.*.tmp"):
+        tmp.unlink(missing_ok=True)

@@ -587,6 +587,95 @@ class TestParallelRun:
         assert not out.exists()
 
 
+SMALL_SYNTH = ("--options", "3", "--domain-size", "4", "--peaks", "4")
+
+
+class TestParallelSynth:
+    """With more than one worker, `lidos synth` forks one worker per table,
+    which writes it from the landscape arrays it inherits, and then writes
+    the manifest itself. A failure ends it as the serial loop would, with no
+    worker and no temporary left behind."""
+
+    @pytest.mark.parametrize("shape", [
+        SMALL_SYNTH,
+        ("--options", "1", "--domain-size", "64"),
+        ("--options", "7", "--domain-size", "5"),
+    ], ids=["3x4", "1x64", "7x5"])
+    def test_forked_tables_are_the_serial_bytes(self, tmp_path, shape):
+        written = []
+        for workers in (1, 2):
+            out = tmp_path / f"out{workers}"
+            assert cli_main(["synth", "--out", str(out), *shape], workers=workers) == 0
+            written.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(written[0]) == ["env_a.csv", "env_b.csv", "scenario.txt"]
+        assert written[1] == written[0]
+
+    def test_one_worker_per_table(self, tmp_path, monkeypatch):
+        fork, forks = os.fork, []
+
+        def counting_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        assert cli_main(["synth", "--out", str(tmp_path / "one"), *SMALL_SYNTH]) == 0
+        assert forks == []
+        assert cli_main(["synth", "--out", str(tmp_path / "eight"), *SMALL_SYNTH],
+                        workers=8) == 0
+        assert len(forks) == 2
+
+    def test_a_table_that_cannot_be_written_reads_as_in_the_serial_loop(self, tmp_path,
+                                                                         capsys):
+        errors = []
+        for workers in (1, 2):
+            out = tmp_path / f"out{workers}"
+            (out / "env_b.csv").mkdir(parents=True)
+            assert cli_main(["synth", "--out", str(out), *SMALL_SYNTH], workers=workers) == 2
+            err = capsys.readouterr().err.replace(str(out), "OUT")
+            errors.append(re.sub(r"\.[0-9a-f]{16}\.tmp", ".TMP.tmp", err))
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            assert sorted(p.name for p in out.iterdir()) == ["env_a.csv", "env_b.csv"]
+        assert errors == ["error: [Errno 21] Is a directory: 'OUT/.env_b.csv.TMP.tmp' -> "
+                          "'OUT/env_b.csv'\n"] * 2
+
+    def test_a_lost_worker_exits_2_and_leaves_no_temporary(self, tmp_path, capsys,
+                                                           monkeypatch):
+        """The worker of env_b.csv dies once the worker of env_a.csv has made
+        its temporary and would take a minute over its table: the command
+        ends at once, that worker is killed and reaped, and its temporary is
+        removed."""
+        parent = os.getpid()
+        write = cli.write_chunks_atomic
+
+        def slow(chunks):
+            yield next(chunks)
+            time.sleep(60)
+            yield from chunks
+
+        def dying_write(path, chunks):
+            if os.getpid() != parent:
+                if path.name == "env_b.csv":
+                    for _ in range(3000):
+                        if list(path.parent.glob(".env_a.csv.*.tmp")):
+                            break
+                        time.sleep(0.01)
+                    os._exit(1)
+                chunks = slow(chunks)
+            write(path, chunks)
+
+        monkeypatch.setattr(cli, "write_chunks_atomic", dying_write)
+        out = tmp_path / "out"
+        started = time.monotonic()
+        assert cli_main(["synth", "--out", str(out), *SMALL_SYNTH], workers=2) == 2
+        assert time.monotonic() - started < 30
+        assert capsys.readouterr().err == (
+            "error: a worker process ended abruptly before returning its table\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert list(out.iterdir()) == []
+
+
 def post_change_bundle(spec, posts) -> ResultBundle:
     """A bundle of lidos against stationary, one repetition per (baseline,
     lidos) pair of post-change values in `posts`; each trace holds one

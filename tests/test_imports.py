@@ -1,8 +1,9 @@
 """What the `lidos` commands load: CPython's built-in SHA-256 gives the run
 seeds, so no command maps OpenSSL's libcrypto, several MB of every process;
-`lidos run` forks its workers itself, with no process pool; and the
-statistics never reach `numpy.ma`, which numpy imports on first use; `lidos
-synth` loads no module of a run, and `import lidos` none of the package."""
+`lidos run` and `lidos synth` fork their workers themselves, with no process
+pool; and the statistics never reach `numpy.ma`, which numpy imports on
+first use; `lidos synth` loads no module of a run, and `import lidos` none
+of the package."""
 
 from __future__ import annotations
 
@@ -67,6 +68,18 @@ def test_synth_loads_no_run_module(tmp_path):
     code = ("import sys\nfrom lidos.cli import main\n"
             "assert main(['synth', '--out', 'd', '--options', '3', '--domain-size', '4']) == 0\n"
             f"print(sorted(name for name in {RUN_MODULES!r} if name in sys.modules))")
+    assert run_python(code, tmp_path)[-1] == "[]"
+
+
+def test_forked_synth_loads_no_run_module_and_no_pool(tmp_path):
+    """Over two workers `lidos synth` forks one per table, and still loads
+    no module of a run and no process pool."""
+    unused = (*RUN_MODULES, "multiprocessing", "concurrent.futures")
+    code = ("import resource\nimport sys\nfrom lidos.cli import main\n"
+            "assert main(['synth', '--out', 'd', '--options', '3', '--domain-size', '4'],\n"
+            "            workers=2) == 0\n"
+            "assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss > 0, 'no fork'\n"
+            f"print(sorted(name for name in {unused!r} if name in sys.modules))")
     assert run_python(code, tmp_path)[-1] == "[]"
 
 
