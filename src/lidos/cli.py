@@ -21,9 +21,9 @@ TABLE_BLOCK = 1024
 
 
 def main(argv=None, *, workers: int = 1) -> int:
-    """Run one command; `workers` is the process count `lidos run` and
-    `lidos synth` may use (see `lidos.fork.run_tasks`). Returns the exit
-    code."""
+    """Run one command; `workers` is the process count `lidos run`,
+    `lidos summarize` and `lidos synth` may use (see
+    `lidos.fork.run_tasks`). Returns the exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     args.workers = workers
@@ -35,9 +35,10 @@ def main(argv=None, *, workers: int = 1) -> int:
 
 
 def entry() -> None:
-    """The `lidos` program: `main`, with the repetitions of `lidos run` and
-    the tables of `lidos synth` spread over every CPU this process may run
-    on."""
+    """The `lidos` program: `main`, with the repetitions of `lidos run`, the
+    blocks of `traces.csv` that `lidos summarize` reads and the tables of
+    `lidos synth` spread over every CPU this process may run on.
+    `lidos.__main__.entry` calls it."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
@@ -130,7 +131,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_summarize(args) -> int:
     from .harness import bundle_from_traces, write_bundle_outputs
-    bundle = bundle_from_traces(_load_spec(args), Path(args.out) / "traces.csv")
+    bundle = bundle_from_traces(_load_spec(args), Path(args.out) / "traces.csv",
+                                workers=args.workers)
     write_bundle_outputs(bundle, args.out, include_traces=False)
     print(f"summary tables rewritten in {Path(args.out).resolve()}")
     return 0

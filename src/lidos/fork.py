@@ -1,7 +1,8 @@
 """Forked workers for the commands that split their work: `lidos run` over
-its planner x repetition pairs, and `lidos synth` over its two tables. This
-imports nothing else of the package, so `lidos synth` forks, and `lidos.cli`
-names `WorkerLost`, without loading the run harness."""
+its planner x repetition pairs, `lidos synth` over its two tables, and
+`lidos summarize` over runs of blocks of `traces.csv`. This imports nothing
+else of the package, so `lidos synth` forks, and `lidos.cli` names
+`WorkerLost`, without loading the run harness."""
 
 from __future__ import annotations
 
@@ -40,8 +41,11 @@ def run_tasks(run_share, tasks, workers: int, task_name: str) -> list:
     Forked workers inherit the imported package and the caller's objects,
     where spawned ones would import the package again. The heap is frozen
     across the forks, so a worker's collector never walks, and so never
-    copies, what it inherits. The only other threads are the idle ones of
-    numpy's BLAS pool, which no task calls into."""
+    copies, what it inherits. The `lidos` program forks a single-threaded
+    process, since it starts numpy with one OpenBLAS thread (see
+    `lidos.__main__`); in a library caller's process the only other threads
+    are likely the idle ones of numpy's BLAS pool, which no task calls
+    into."""
     workers = min(workers, len(tasks))
     if workers < 2 or not hasattr(os, "fork"):
         return list(run_share(tasks))

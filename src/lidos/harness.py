@@ -3,13 +3,11 @@ summary tables, and plot-ready trajectory data."""
 
 from __future__ import annotations
 
-import csv
-import gc
 import math
 import random
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -426,35 +424,7 @@ def traces_csv_text(label: str, rep: int, trace: RunTrace) -> str:
             events["env_change"].view(np.uint8).tolist())])
 
 
-def _trace_blocks(path: str | Path):
-    """Yield, per block of up to `_TRACE_BLOCK` records after the header, the
-    line number of every non-blank record and the records' cells as eight
-    columns."""
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = tuple(next(reader, ()))
-            if header != TRACE_HEADER:
-                raise ValueError(f"{path}: unexpected trace header {header!r}")
-            first = 2
-            while records := list(islice(reader, _TRACE_BLOCK)):
-                # A record's line is its position after the header.
-                lines = np.arange(first, first + len(records))
-                first += len(records)
-                if set(map(len, records)) != {len(TRACE_HEADER)}:
-                    lines = lines[[bool(row) for row in records]]
-                    records = [row for row in records if row]
-                    for line, row in zip(lines, records):
-                        if len(row) != len(TRACE_HEADER):
-                            raise ValueError(f"{path}:{line}: expected "
-                                             f"{len(TRACE_HEADER)} cells, got {len(row)}")
-                if records:
-                    yield lines, tuple(zip(*records))
-        except csv.Error as exc:
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-
-
-def read_traces_csv(path: str | Path, spec: ScenarioSpec
+def read_traces_csv(path: str | Path, spec: ScenarioSpec, *, workers: int = 1
                     ) -> tuple[tuple[str, ...], dict[tuple[str, int], RunTrace]]:
     """Rebuild run traces from an emitted CSV.
 
@@ -473,171 +443,24 @@ def read_traces_csv(path: str | Path, spec: ScenarioSpec
     every row is in the environment of its leg. A leg holds fewer measurement
     rows than its budget plus one default population. A measurement row's
     `best_ft` is the least `ft` of its leg's measurement rows up to it, and an
-    adaptation row holds that best as both its `ft` and its `best_ft`."""
-    def refuse(lines, mask, message):
-        """Refuse the earliest of `lines` that `mask` flags; `message` is the
-        text, or maps the flagged position to it."""
-        found = np.flatnonzero(mask)
-        if len(found):
-            at = found[np.argmin(lines[found])]
-            text = message(at) if callable(message) else message
-            raise ValueError(f"{path}:{lines[at]}: {text}")
+    adaptation row holds that best as both its `ft` and its `best_ft`.
 
-    def column(lines, cells, convert, dtype):
-        try:
-            return np.fromiter(map(convert, cells), dtype, len(cells))
-        except (ValueError, OverflowError):
-            for line, cell in zip(lines, cells):
-                try:
-                    np.array(convert(cell), dtype)
-                except (ValueError, OverflowError) as exc:
-                    raise ValueError(f"{path}:{line}: {exc}") from None
-            raise
-
-    def written(lines, name, cells, chars=b"0123456789"):
-        """Refuse the earliest of `cells` that holds a character other than
-        the ASCII `chars` a trace writer writes in this number column. One
-        pass over the joined cells serves a block that holds none."""
-        if "".join(cells).encode().translate(None, chars):
-            refuse(lines, [bool(cell.encode().translate(None, chars)) for cell in cells],
-                   lambda at: f"{name} holds a character no trace writer writes: {cells[at]!r}")
-
-    def coded(code_of, cells):
-        """Each cell's code in `code_of`, where a cell it lacks takes the next
-        code, so codes follow the order of first appearance in the file."""
-        for cell in dict.fromkeys(cells):
-            code_of.setdefault(cell, len(code_of))
-        return np.fromiter(map(code_of.__getitem__, cells), np.int64, len(cells))
-
-    def piece(lines, columns):
-        """One block's rows, checked, as its lines, events, reps and label codes."""
-        label_c, rep_c, index_c, env_c, ft_c, best_c, sent_c, change_c = columns
-        events = np.empty(len(lines), TRACE_DTYPE)
-        reps = column(lines, rep_c, int, np.int64)
-        events["measurement_index"] = column(lines, index_c, int, np.int64)
-        written(lines, "rep", rep_c)
-        written(lines, "measurement_index", index_c)
-        for name, cells in (("adaptation_sent", sent_c), ("env_change", change_c)):
-            if not set(cells) <= {"0", "1"}:
-                refuse(lines, [cell not in ("0", "1") for cell in cells],
-                       f"{name} must be 0 or 1")
-            # Every cell is now a single ASCII digit.
-            events[name] = np.frombuffer("".join(cells).encode(), np.uint8) == ord("1")
-        change = events["env_change"]
-        refuse(lines, events["adaptation_sent"] & change,
-               "a row cannot be both an adaptation and an environment change")
-        for name, cells in (("ft", ft_c), ("best_ft", best_c)):
-            events[name] = column(lines, [cell or "nan" for cell in cells], float, np.float64)
-            refuse(lines, ~change & ~np.isfinite(events[name]),
-                   f"a measurement or adaptation row needs a finite {name}")
-            # The other rows are known to be non-empty now.
-            if cells.count("") != change.sum():
-                refuse(lines, change & np.array([cell != "" for cell in cells]),
-                       f"an environment-change row leaves {name} empty")
-            written(lines, name, cells, b"0123456789-+.e")
-        events["env"] = coded(env_code, env_c)
-        return lines, events, reps, coded(label_code, label_c)
-
-    # Each block becomes arrays before the next is read, so no more than one
-    # block's cells are held; the arrays are joined once.
-    label_code: dict[str, int] = {}
-    env_code: dict[str, int] = {}
-    # The parse makes one list per record and no reference cycles; pausing
-    # the cyclic collector spares it repeated passes over those lists.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        pieces = [piece(*block) for block in _trace_blocks(path)]
-    finally:
-        if collecting:
-            gc.enable()
-    if not pieces:
-        return (), {}
-    lines, events, reps, label_codes = map(np.concatenate, zip(*pieces))
-    del pieces
-    labels, env_ids = tuple(label_code), tuple(env_code)
-
-    # A list that gives label `kind@n` gives n labels of that kind, so every
-    # label of a file is among those of a list with each kind that often.
-    known = {label for label, _ in planner_labels(PLANNER_KINDS * len(labels))}
-    for code, label in enumerate(labels):
-        if label not in known:
-            refuse(lines, label_codes == code, f"unknown planner label {label!r}")
-
-    # Group by (label, rep); the sort is stable, so each group keeps file order.
-    order = np.lexsort((reps, label_codes))
-    events, label_codes, reps = events[order], label_codes[order], reps[order]
-    first_of_group = np.concatenate(([True], (np.diff(label_codes) | np.diff(reps)) != 0))
-    starts = [*np.flatnonzero(first_of_group).tolist(), len(events)]
-    grouped_lines = lines[order]
-
-    def running_count(flags, opens):
-        """Per row, how many rows up to and including it are flagged, counted
-        from the last row at or before it that `opens` marks."""
-        total = np.cumsum(flags)
-        return total - (total - flags)[opens][np.cumsum(opens) - 1]
-
-    measured = ~(events["adaptation_sent"] | events["env_change"])
-    counted = running_count(measured, first_of_group)
-    refuse(grouped_lines, events["measurement_index"] != counted, lambda at: (
-        "measurement_index must count the trace's measurement rows: "
-        f"expected {counted[at]}, got {events['measurement_index'][at]}"))
-    traces = {(labels[label_codes[start]], int(reps[start])): RunTrace(events[start:end], env_ids)
-              for start, end in zip(starts, starts[1:])}
-    declared = {source.environment.id for source in spec.environments}
-    for env_id in env_ids:
-        if env_id not in declared:
-            raise ValueError(f"{path}: environment {env_id!r} is not declared in the scenario")
-    legs = [leg.env_id for leg in spec.legs]
-    leg_of = running_count(events["env_change"], first_of_group)
-    last_of_group = np.append(first_of_group[1:], True)
-    refuse(grouped_lines, last_of_group & (leg_of != len(legs) - 1), lambda at: (
-        f"trace of {labels[label_codes[at]]!r} repetition {reps[at]} ends in leg "
-        f"{leg_of[at] + 1} of the scenario's {len(legs)}"))
-    # A leg ends at the change row that opens the next one, or at the trace's
-    # last row. Per row, `empty` is the number of a leg that ends there with
-    # no measurement row, or 0: at a change row the leg before it, counted
-    # by the row before, and at a trace's last row its own leg.
-    in_leg = running_count(measured, first_of_group | events["env_change"])
-    before = np.where(first_of_group, 0, np.roll(in_leg, 1))
-    empty = np.where(events["env_change"] & (before == 0), leg_of,
-                     np.where(last_of_group & (in_leg == 0), leg_of + 1, 0))
-    refuse(grouped_lines, empty, lambda at: (
-        f"leg {empty[at]} of {labels[label_codes[at]]!r} repetition {reps[at]} "
-        "holds no measurement row"))
-    leg_env = np.array([env_ids.index(env_id) if env_id in env_ids else -1 for env_id in legs])
-    refuse(grouped_lines, events["env"] != leg_env[leg_of], lambda at: (
-        f"environment {env_ids[events['env'][at]]!r} in leg {leg_of[at] + 1}, "
-        f"where the scenario runs {legs[leg_of[at]]!r}"))
-    population = planner.POPULATION_SIZE
-    budget = np.array([leg.measurement_budget for leg in spec.legs])[leg_of]
-    refuse(grouped_lines, measured & (in_leg >= budget + population), lambda at: (
-        f"leg {leg_of[at] + 1} reaches {in_leg[at]} measurement rows, but a leg with a budget "
-        f"of {budget[at]} stops before its budget plus one population ({population})"))
-    # A measurement row records the least ft of its leg so far, and an
-    # adaptation row sends that best as both its ft and its best_ft.
-    best = np.where(measured, events["ft"], np.inf)
-    opens = np.flatnonzero(first_of_group | events["env_change"]).tolist()
-    for start, end in zip(opens, opens[1:] + [len(best)]):
-        best[start:end] = np.minimum.accumulate(best[start:end])
-    sent = events["adaptation_sent"]
-    ft, best_ft = events["ft"], events["best_ft"]
-    refuse(grouped_lines, (measured | sent) & (best_ft != best) | sent & (ft != best),
-           lambda at: (
-               "an adaptation row's ft and best_ft must be the least ft of its leg so far, "
-               f"{float(best[at])}; got {float(ft[at])} and {float(best_ft[at])}" if sent[at]
-               else "best_ft must be the least ft of its leg so far, "
-               f"{float(best[at])}; got {float(best_ft[at])}"))
-    return labels, traces
+    The file is read `_TRACE_BLOCK` records at a time. With `workers` above
+    1, a plain file of enough blocks is parsed in up to that many forked
+    worker processes (see `lidos.tracefile`); the result, or the first error,
+    is the same for any count. The file must not change while it is read."""
+    from .tracefile import read_traces
+    return read_traces(path, spec, _TRACE_BLOCK, workers)
 
 
-def bundle_from_traces(spec: ScenarioSpec, path: str | Path) -> ResultBundle:
+def bundle_from_traces(spec: ScenarioSpec, path: str | Path, *, workers: int = 1
+                       ) -> ResultBundle:
     """Rebuild a bundle from an emitted trace file, checked against `spec`
-    (see `read_traces_csv`).
+    (see `read_traces_csv`, which takes `workers`).
 
     The traces are the source of truth: the repetition count is adopted from
     the file (a run may have been executed with an overridden count)."""
-    labels, traces = read_traces_csv(path, spec)
+    labels, traces = read_traces_csv(path, spec, workers=workers)
     if not traces:
         raise ValueError(f"{path}: trace file holds no events")
     reps = sorted({rep for _, rep in traces})

@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from lidos import harness
+from lidos import harness, tracefile
 from lidos.cli import main as cli_main
 from lidos.harness import bundle_from_traces, parse_scenario, run_scenario
 from lidos.twin import synth_tables
@@ -318,9 +318,11 @@ def test_parallel_run_equals_serial(synth_dir, tmp_path, scenario):
 
 
 @pytest.mark.parametrize("scenario", ["dense", "sparse"])
-def test_run_bundle_equals_its_read_back_traces(synth_dir, tmp_path, scenario):
+def test_run_bundle_equals_its_read_back_traces(synth_dir, tmp_path, monkeypatch, scenario):
     """A run keeps exactly what traces.csv holds: every trace of a serial run
-    is the trace `bundle_from_traces` reads back from the run's file."""
+    is the trace `bundle_from_traces` reads back from the run's file, read
+    serially and over two and three forked workers. Blocks of 64 rows give
+    each worker several."""
     if scenario == "dense":
         spec = parse_scenario(synth_dir / "scenario.txt", DENSE_OVERRIDES)
     else:
@@ -328,13 +330,17 @@ def test_run_bundle_equals_its_read_back_traces(synth_dir, tmp_path, scenario):
     ran = run_scenario(spec)
     path = tmp_path / "traces.csv"
     path.write_text(traces_text(ran), encoding="utf-8")
-    read = bundle_from_traces(spec, path)
-    assert read.labels == ran.labels
-    assert list(read.traces) == list(ran.traces)
-    for key, trace in ran.traces.items():
-        back = read.traces[key]
-        assert back.events.tobytes() == trace.events.tobytes(), key
-        assert back.env_ids == trace.env_ids, key
+    monkeypatch.setattr(harness, "_TRACE_BLOCK", 64)
+    rows = sum(len(trace.events) for trace in ran.traces.values())
+    assert rows // 64 >= 3 * tracefile.MIN_RUN_BLOCKS
+    for workers in (1, 2, 3):
+        read = bundle_from_traces(spec, path, workers=workers)
+        assert read.labels == ran.labels
+        assert list(read.traces) == list(ran.traces)
+        for key, trace in ran.traces.items():
+            back = read.traces[key]
+            assert back.events.tobytes() == trace.events.tobytes(), (workers, key)
+            assert back.env_ids == trace.env_ids, (workers, key)
 
 
 def write_workload_scenario(directory, n_options, keep=None):

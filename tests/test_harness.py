@@ -8,6 +8,9 @@ import math
 import os
 import random
 import re
+import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -16,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lidos import cli, harness, planner
+from lidos import cli, harness, planner, tracefile
 from lidos.cli import main as cli_main
 from lidos.harness import (
     TRACE_HEADER,
@@ -43,7 +46,7 @@ from lidos.planner import TRACE_DTYPE, RunTrace, derive_seed
 from lidos.stats import quartiles
 from lidos.twin import Environment, synth_landscape, synth_option_names, synth_tables
 
-from conftest import assert_accounting, traces_text
+from conftest import assert_accounting, child_env, traces_text
 
 
 def write_small_dataset(tmp_path: Path, **kwargs) -> Path:
@@ -1237,7 +1240,11 @@ class TestCli:
         assert code == 2
         assert "env_a.csv:3: field larger than field limit" in capsys.readouterr().err
 
-    def test_oversized_trace_cell_exits_2_at_its_line(self, tmp_path, capsys):
+    def test_oversized_trace_cell_exits_2_at_its_line(self, tmp_path, capsys, monkeypatch):
+        """A line past the field limit is not plain, so `csv.reader` reads the
+        file, serially over any worker count, and refuses the cell; blocks of
+        16 rows would let a plain file of this run fork."""
+        monkeypatch.setattr(harness, "_TRACE_BLOCK", 16)
         manifest = write_small_dataset(tmp_path)
         out = tmp_path / "out"
         assert cli_main(["run", "--scenario", str(manifest), "--out", str(out)]) == 0
@@ -1245,9 +1252,12 @@ class TestCli:
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         lines[4] = "x" * 200_000 + lines[4]
         path.write_text("".join(lines), encoding="utf-8")
-        capsys.readouterr()
-        assert cli_main(["summarize", "--scenario", str(manifest), "--out", str(out)]) == 2
-        assert "traces.csv:5: field larger than field limit" in capsys.readouterr().err
+        assert tracefile._plain_bounds(path, 16) is None
+        for workers in (1, 2, 3):
+            capsys.readouterr()
+            assert cli_main(["summarize", "--scenario", str(manifest), "--out", str(out)],
+                            workers=workers) == 2
+            assert "traces.csv:5: field larger than field limit" in capsys.readouterr().err
 
     # Line 5 is a measurement row of the first leg.
     @pytest.mark.parametrize("damage, message", ROW_DAMAGES, ids=ROW_DAMAGE_IDS)
@@ -1796,7 +1806,11 @@ def csv_writer_rows(label: str, rep: int, trace: RunTrace) -> str:
 
 class TestTraceBlocks:
     """`read_traces_csv` turns `_TRACE_BLOCK` records at a time into arrays;
-    a row's checks and line number do not depend on its block."""
+    a row's checks and line number do not depend on its block. A plain file
+    of enough blocks is parsed over forked workers, each a run of whole
+    blocks, and reads as it does serially: the same traces or the same
+    error. Here the smoke run's 273 rows make 18 blocks, so two and three
+    workers fork."""
 
     BLOCK = 16
 
@@ -1808,14 +1822,46 @@ class TestTraceBlocks:
         assert cli_main(["run", "--scenario", str(manifest), "--out", str(out)]) == 0
         return manifest, out
 
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The worker count of each `run_tasks` call of the reader."""
+        counts, run_tasks = [], tracefile.run_tasks
+
+        def counting(run_share, tasks, workers, task_name):
+            counts.append(workers)
+            return run_tasks(run_share, tasks, workers, task_name)
+
+        monkeypatch.setattr(tracefile, "run_tasks", counting)
+        return counts
+
     @staticmethod
-    def summarize_error(manifest, out, capsys) -> str:
+    def summarize_error(manifest, out, capsys, workers=1) -> str:
         capsys.readouterr()
-        assert cli_main(["summarize", "--scenario", str(manifest), "--out", str(out)]) == 2
+        assert cli_main(["summarize", "--scenario", str(manifest), "--out", str(out)],
+                        workers=workers) == 2
         return capsys.readouterr().err
 
+    @staticmethod
+    def summarize(manifest, out, capsys, workers):
+        """The exit code, stderr and outputs of `lidos summarize` over
+        `workers`, run with only traces.csv in `out`."""
+        for p in out.iterdir():
+            if p.name != "traces.csv":
+                p.unlink()
+        capsys.readouterr()
+        code = cli_main(["summarize", "--scenario", str(manifest), "--out", str(out)],
+                        workers=workers)
+        return code, capsys.readouterr().err, {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def second_run_starts(self, lines) -> list[int]:
+        """The index in `lines` of the first line of the second run, over two
+        and over three workers."""
+        blocks = -(-(len(lines) - 1) // self.BLOCK)
+        assert blocks // tracefile.MIN_RUN_BLOCKS >= 3
+        return [1 + self.BLOCK * (blocks // workers) for workers in (2, 3)]
+
     @pytest.mark.parametrize("damage, message", ROW_DAMAGES, ids=ROW_DAMAGE_IDS)
-    def test_damage_past_the_first_block_names_its_line(self, run_out, capsys, damage,
+    def test_damage_past_the_first_block_names_its_line(self, run_out, capsys, forks, damage,
                                                         message):
         manifest, out = run_out
         path = out / "traces.csv"
@@ -1825,7 +1871,12 @@ class TestTraceBlocks:
                   if lines[i].endswith(",0,0\n"))
         lines[at] = ",".join(damage(lines[at].rstrip("\n").split(","))) + "\n"
         path.write_text("".join(lines), encoding="utf-8")
-        err = self.summarize_error(manifest, out, capsys)
+        errors = set()
+        for workers in (1, 2, 3):
+            forks.clear()
+            errors.add(self.summarize_error(manifest, out, capsys, workers))
+            assert forks == [workers]
+        [err] = errors
         assert f"traces.csv:{at + 1}: " in err and message in err
 
     def test_blank_lines_across_blocks_keep_later_line_numbers(self, run_out, capsys):
@@ -1847,6 +1898,201 @@ class TestTraceBlocks:
         path.write_text(header + "".join(rows), encoding="utf-8")
         err = self.summarize_error(manifest, out, capsys)
         assert f"traces.csv:{at + 2}: expected 8 cells, got 7" in err
+
+    @pytest.mark.parametrize("damage, message", ROW_DAMAGES, ids=ROW_DAMAGE_IDS)
+    def test_damage_at_a_run_start_reads_alike_over_any_worker_count(
+            self, run_out, capsys, forks, damage, message):
+        """A damaged row in the first block, or on the first line of the
+        second worker's run, fails at its own line, with one message over
+        one, two and three workers."""
+        manifest, out = run_out
+        path = out / "traces.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        for at in (4, *self.second_run_starts(lines)):
+            assert lines[at].endswith(",0,0\n")
+            damaged = lines.copy()
+            damaged[at] = ",".join(damage(lines[at].rstrip("\n").split(","))) + "\n"
+            path.write_text("".join(damaged), encoding="utf-8")
+            errors = set()
+            for workers in (1, 2, 3):
+                forks.clear()
+                errors.add(self.summarize_error(manifest, out, capsys, workers))
+                assert forks == [workers]
+            [err] = errors
+            assert err.startswith(f"error: {path}:{at + 1}: ") and message in err
+
+    def test_the_earliest_of_two_faults_is_reported_over_any_worker_count(
+            self, run_out, capsys, forks):
+        """A short row in a later run, which its worker refuses before any
+        row check, and a row check's fault at the end of the first run: the
+        serial reader's error, the earlier one, is reported."""
+        manifest, out = run_out
+        path = out / "traces.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        # The last measurement row of the first run over three workers, and
+        # the first of the third, which is in the second run over two.
+        blocks = -(-(len(lines) - 1) // self.BLOCK)
+        early = next(i for i in reversed(range(1 + self.BLOCK * (blocks // 3)))
+                     if lines[i].endswith(",0,0\n"))
+        late = next(i for i in range(1 + self.BLOCK * (2 * blocks // 3), len(lines))
+                    if lines[i].endswith(",0,0\n"))
+        lines[early] = lines[early].replace(",0,0\n", ",1,1\n")
+        lines[late] = lines[late].replace(",0,0\n", ",0\n")
+        path.write_text("".join(lines), encoding="utf-8")
+        for workers in (1, 2, 3):
+            forks.clear()
+            assert self.summarize_error(manifest, out, capsys, workers) == (
+                f"error: {path}:{early + 1}: "
+                "a row cannot be both an adaptation and an environment change\n")
+            assert forks == [workers]
+
+    def test_blank_lines_across_a_run_boundary_keep_later_line_numbers(self, run_out, capsys,
+                                                                       forks):
+        manifest, out = run_out
+        path = out / "traces.csv"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        header, *rows = before["traces.csv"].decode().splitlines(keepends=True)
+        # Blank lines from the second-to-last record of the first run over two
+        # workers on: that run ends in two, the second starts with a block of
+        # only blank ones, and the block after starts with one.
+        blocks = -(-(len(rows) + self.BLOCK + 3) // self.BLOCK)
+        boundary = self.BLOCK * (blocks // 2)
+        rows[boundary - 2:boundary - 2] = ["\n"] * (self.BLOCK + 3)
+        blank = header + "".join(rows)
+        path.write_text(blank, encoding="utf-8")
+        for workers in (1, 2, 3):
+            forks.clear()
+            assert self.summarize(manifest, out, capsys, workers) == (
+                0, "", {**before, "traces.csv": blank.encode()})
+            assert forks == [workers]
+        at = next(i for i in range(boundary + self.BLOCK + 1, len(rows))
+                  if rows[i].endswith(",0,0\n"))
+        rows[at] = rows[at].replace(",0,0\n", ",0\n")
+        path.write_text(header + "".join(rows), encoding="utf-8")
+        for workers in (1, 2, 3):
+            assert self.summarize_error(manifest, out, capsys, workers) == (
+                f"error: {path}:{at + 2}: expected 8 cells, got 7\n")
+
+    # Files the plain split may not read: each goes through `csv.reader`,
+    # serially, over any worker count. Each case edits the manifest's
+    # environment A, or the text of the run's traces.csv after its header
+    # (CRLF line ends there); an accepted file summarizes to the run's
+    # outputs.
+    @pytest.mark.parametrize("env_id, edit, error", [
+        ("A,1", None, None),
+        ("A\u00e9", None, None),
+        ("A", lambda text: text.replace("\n", "\r\n").replace("\r\n", "\n", 1), None),
+        ("A", lambda text: text[:-1], None),
+        ("A", lambda text: text.replace("\nlidos,0,4,", "\nlidos,0\0,4,"),
+         ":5: invalid literal for int() with base 10: '0\\x00'"),
+    ], ids=["quoted-id", "non-ascii-id", "crlf", "no-final-newline", "nul"])
+    def test_what_the_plain_split_may_not_read_goes_through_csv(
+            self, tmp_path, monkeypatch, capsys, forks, env_id, edit, error):
+        monkeypatch.setattr(harness, "_TRACE_BLOCK", self.BLOCK)
+        manifest = write_small_dataset(tmp_path)
+        manifest.write_text(manifest.read_text(encoding="utf-8")
+                            .replace("environment: A ", f"environment: {env_id} ")
+                            .replace("leg: A ", f"leg: {env_id} "), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_main(["run", "--scenario", str(manifest), "--out", str(out)]) == 0
+        path = out / "traces.csv"
+        ran = {p.name: p.read_bytes() for p in out.iterdir()}
+        if edit is not None:
+            path.write_bytes(edit(ran["traces.csv"].decode()).encode())
+        assert tracefile._plain_bounds(path, self.BLOCK) is None
+        results = set()
+        for workers in (1, 2, 3):
+            code, err, outputs = self.summarize(manifest, out, capsys, workers)
+            results.add((code, err))
+            assert forks == []
+            if error is None:
+                assert (code, err) == (0, "")
+                assert outputs == {**ran, "traces.csv": path.read_bytes()}
+        [(code, err)] = results
+        if error is not None:
+            assert code == 2 and err.startswith(f"error: {path}{error}")
+            assert err.count("\n") == 1
+
+    def test_a_worker_killed_mid_parse_exits_2_and_rewrites_nothing(self, run_out, capsys,
+                                                                    monkeypatch):
+        manifest, out = run_out
+        before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
+        parent, piece = os.getpid(), tracefile._piece
+
+        def dying_piece(path, lines, *rest):
+            # A block past the first of the second run.
+            if os.getpid() != parent and lines[0] > 10 * self.BLOCK:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return piece(path, lines, *rest)
+
+        monkeypatch.setattr(tracefile, "_piece", dying_piece)
+        capsys.readouterr()
+        assert cli_main(["summarize", "--scenario", str(manifest), "--out", str(out)],
+                        workers=2) == 2
+        assert capsys.readouterr().err == (
+            "error: a worker process ended abruptly before returning its blocks of "
+            "traces.csv\n")
+        assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()} == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+# `python -m lidos` with the arguments given, with two CPUs to spread its
+# work over, and with `os.fork` wrapped to print how many threads the
+# process holds at each fork.
+FORK_THREADS = """
+import os, runpy, sys
+fork = os.fork
+
+def counting_fork():
+    print("threads at fork:", len(os.listdir("/proc/self/task")), flush=True)
+    return fork()
+
+os.fork = counting_fork
+os.sched_getaffinity = lambda pid: {0, 1}
+sys.argv[0] = "lidos"
+runpy.run_module("lidos", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc")
+class TestProgramThreads:
+    """The `lidos` program starts numpy with one OpenBLAS thread, so each
+    command that forks forks a single-threaded process; a library caller's
+    process keeps its own setting."""
+
+    @staticmethod
+    def env() -> dict[str, str]:
+        env = child_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        return env
+
+    def fork_threads(self, cwd, *args: str) -> list[str]:
+        done = subprocess.run([sys.executable, "-c", FORK_THREADS, *args], cwd=cwd,
+                              env=self.env(), capture_output=True, text=True, check=False)
+        assert done.returncode == 0, done.stderr
+        return [line for line in done.stdout.splitlines() if line.startswith("threads at")]
+
+    def test_every_forking_command_forks_one_thread(self, smoke_bundle, tmp_path):
+        one = ["threads at fork: 1"] * 2
+        assert self.fork_threads(tmp_path, "synth", "--out", "d", *SMALL_SYNTH) == one
+        assert self.fork_threads(tmp_path, "run", "--scenario", "d/scenario.txt", "--out", "o",
+                                 "--repetitions", "2") == one
+        # 100 repetitions of 250 rows: 13 blocks of traces.csv.
+        bundle = long_bundle(smoke_bundle)
+        manifest = write_small_dataset(tmp_path)
+        manifest.write_text(manifest.read_text(encoding="utf-8").replace(" 30\n", " 250\n"),
+                            encoding="utf-8")
+        write_atomic(tmp_path / "long" / "traces.csv", traces_text(bundle))
+        assert self.fork_threads(tmp_path, "summarize", "--scenario", str(manifest),
+                                 "--out", "long") == one
+
+    def test_a_library_caller_keeps_its_setting(self, tmp_path):
+        code = ("import os\nimport lidos.__main__\nimport lidos.cli\n"
+                "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=self.env(),
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "None\n"
 
 
 class TestStreamedTables:
