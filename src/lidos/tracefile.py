@@ -7,10 +7,11 @@ lines, each ended by a newline, with no `"`, carriage return or NUL byte and
 none longer than `csv.field_size_limit()`. That is what the trace writer
 writes whenever every id is ASCII and needs no quoting, and there
 `csv.reader` would split each line at its commas and nothing else, so a
-plain file is split with `str.split`, a block of lines at a time. Any other file is read by
-`csv.reader`, which alone reads quoted cells, CRLF line ends and non-ASCII
-ids, and refuses a field past the limit. A plain file of enough blocks is
-parsed in forked workers, each over its own run of whole blocks."""
+plain file is split with `str.split`, a block of lines at a time. Any other
+file is read by `csv.reader`, which alone reads quoted cells, CRLF line ends
+and non-ASCII ids, and refuses a field past the limit. A plain file of
+enough blocks is parsed in forked workers, each over its own run of whole
+blocks."""
 
 from __future__ import annotations
 
