@@ -2094,6 +2094,16 @@ class TestProgramThreads:
                               capture_output=True, text=True, check=True)
         assert done.stdout == "None\n"
 
+    def test_the_cli_module_is_no_program(self, tmp_path):
+        # `lidos.__main__` is the one program entry: run as a module,
+        # `lidos.cli` runs nothing, so no command forks before numpy's
+        # thread setting.
+        done = subprocess.run([sys.executable, "-m", "lidos.cli", "synth", "--out", "d",
+                               *SMALL_SYNTH], cwd=tmp_path, env=self.env(),
+                              capture_output=True, text=True, check=False)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+        assert not (tmp_path / "d").exists()
+
 
 class TestStreamedTables:
     """`lidos synth` builds only arrays of one value per plan, and no plan
