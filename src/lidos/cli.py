@@ -206,7 +206,3 @@ def _table_chunks(option_names: tuple[str, ...], values, domain_size: int):
         yield "".join([f"{cell},{value!r}\n" for cell, value
                        in zip(islice(cells, TABLE_BLOCK),
                               values[start:start + TABLE_BLOCK].tolist())])
-
-
-if __name__ == "__main__":
-    entry()

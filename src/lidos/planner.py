@@ -143,25 +143,41 @@ def binary_tournament(keys: list, rng: random.Random) -> int:
     return i if keys[i] <= keys[j] else j
 
 
-class BasePlanner:
-    """Shared generational loop over a measurement twin.
+# Each planner kind as a row of its two factors. Selection ranks members on
+# the bi-objective (g1, g2) ("mmo"), whose offspring pools also collect
+# distinct plans, or on the target value alone ("soga"). An environment
+# change keeps the population and re-measures it ("keep"), or restarts it
+# from random plans ("restart").
+KINDS = {
+    "lidos": ("mmo", "keep"),
+    "lidos_sta": ("mmo", "restart"),
+    "pseudo_dynamic": ("soga", "keep"),
+    "stationary": ("soga", "restart"),
+}
 
-    Subclasses fix mating and replacement; everything else (cache-aware
-    measurement accounting, best-so-far tracking, adaptation triggering,
-    leg execution, restarts) is common to all planner kinds.
+
+class Planner:
+    """The generational loop over a measurement twin, for every planner kind.
+
+    The kind's row of `KINDS` fixes mating, replacement and change handling;
+    everything else (cache-aware measurement accounting, best-so-far
+    tracking, adaptation triggering, leg execution, restarts) is common to
+    all kinds.
     """
 
-    kind = "base"
-    # When set, offspring pools collect distinct plans (duplicates do not count
-    # toward the pool size) and replacement unions deduplicate against the
-    # parents, so populations stay plan-diverse whenever the dataset allows.
-    distinct_offspring = False
-
-    def __init__(self, space: ConfigSpace, twin: CyberTwin, seed: int, k: int = 150):
+    def __init__(self, kind: str, space: ConfigSpace, twin: CyberTwin, seed: int,
+                 k: int = 150):
         """`seed` seeds the planner's generator and `k` is its adaptation
         interval, in genuine measurements."""
+        try:
+            self.selection, self.change = KINDS[kind]
+        except KeyError:
+            raise ValueError(
+                f"unknown planner kind {kind!r}; expected one of {tuple(KINDS)}"
+            ) from None
         if k < 1:
             raise ValueError("adaptation interval k must be positive")
+        self.kind = kind
         self.space = space
         self.twin = twin
         self.k = k
@@ -198,6 +214,10 @@ class BasePlanner:
         population, rng, ends = self.population, self.rng, self.ends
         repair, measure, draw = self.twin.repair, self._measure, rng.random
         genes = range(len(ends))
+        # Bi-objective pools collect distinct plans: duplicates do not count
+        # toward the pool size, so populations stay plan-diverse whenever the
+        # dataset allows.
+        distinct = self.selection == "mmo"
         # The population stays fixed until `_replace`, so its keys do too.
         keys = self._tournament_keys()
         offspring: list[ScoredPlan] = []
@@ -220,7 +240,7 @@ class BasePlanner:
                 attempts_left -= 1
                 if len(offspring) >= n:
                     break
-                if self.distinct_offspring and child in pool_plans:
+                if distinct and child in pool_plans:
                     continue
                 pool_plans.add(child)
                 offspring.append(ScoredPlan(child, measure(child)))
@@ -228,7 +248,15 @@ class BasePlanner:
         self._maybe_send_adaptation()
 
     def on_environment_change(self, env: Environment | str) -> None:
-        raise NotImplementedError
+        """Begin the new epoch, then keep the population, re-measured and
+        re-scored under the new environment, or restart it from random plans
+        on a seed derived from the epoch."""
+        self._begin_epoch(env)
+        if self.change == "restart":
+            self.restart(derive_seed(self.base_seed, "restart", self.epoch))
+        else:
+            self._remeasure_population()
+            self._score_population()
 
     def run_scenario_leg(self, measurement_budget: int | None = None) -> RunTrace:
         """Run generations until the budget of genuine measurements since the
@@ -330,42 +358,36 @@ class BasePlanner:
         self._last_sent_ft = self.s_best.ft
         self.t = 0
 
-    # -- subclass hooks ------------------------------------------------------
+    # -- the two selection rules --------------------------------------------
 
     def _score_population(self) -> None:
-        pass
+        # Bi-objective: selecting all members keeps every one, but sets the
+        # ranks and crowding the next tournament reads and reorders the
+        # population by front, which the tournament's draws see. The target
+        # value needs no scoring.
+        if self.selection == "mmo":
+            self.population = self._select(self.population, len(self.population))
 
     def _tournament_keys(self) -> list:
         """Each member's tournament key, in population order; lower wins."""
-        raise NotImplementedError
+        if self.selection == "mmo":
+            return [(m.rank, -m.crowding) for m in self.population]
+        return [m.ft for m in self.population]
 
     def _replace(self, offspring: list[ScoredPlan]) -> None:
-        raise NotImplementedError
-
-
-class MmoPlanner(BasePlanner):
-    """The lifelong dynamic planner: bi-objective selection keeps diverse local
-    optima, and an environment change re-measures (rather than discards) the
-    population."""
-
-    kind = "lidos"
-    distinct_offspring = True
-
-    def _score_population(self) -> None:
-        # Selecting all members keeps every one, but sets the ranks and
-        # crowding the next tournament reads and reorders the population by
-        # front, which the tournament's draws see.
-        self.population = self._select(self.population, len(self.population))
-
-    def _tournament_keys(self) -> list:
-        return [(m.rank, -m.crowding) for m in self.population]
-
-    def _replace(self, offspring: list[ScoredPlan]) -> None:
-        # Offspring re-creating a parent plan merge into the parent copy, so
-        # the scored union never builds up clones of surviving plans.
-        parent_plans = {m.plan for m in self.population}
-        union = self.population + [o for o in offspring if o.plan not in parent_plans]
-        self.population = self._select(union, POPULATION_SIZE)
+        if self.selection == "mmo":
+            # Offspring re-creating a parent plan merge into the parent copy,
+            # so the scored union never builds up clones of surviving plans.
+            parent_plans = {m.plan for m in self.population}
+            union = self.population + [o for o in offspring if o.plan not in parent_plans]
+            self.population = self._select(union, POPULATION_SIZE)
+            return
+        # Generational replacement with 1-elitism.
+        elite = min(self.population, key=lambda m: m.ft)
+        if min(o.ft for o in offspring) > elite.ft:
+            worst = max(range(len(offspring)), key=lambda i: offspring[i].ft)
+            offspring[worst] = ScoredPlan(plan=elite.plan, ft=elite.ft)
+        self.population = offspring
 
     def _select(self, pool: list[ScoredPlan], n: int) -> list[ScoredPlan]:
         """Score every member on (g1, g2) afresh and keep the best n."""
@@ -374,7 +396,7 @@ class MmoPlanner(BasePlanner):
             transform(member)
         return environmental_selection(pool, n)
 
-    def on_environment_change(self, env: Environment | str) -> None:
-        self._begin_epoch(env)
-        self._remeasure_population()
-        self._score_population()
+
+# bench/tracing.py, their only user, patches planners under these names; they
+# go with the benchmark change of ROADMAP item 10.
+BasePlanner = MmoPlanner = Planner

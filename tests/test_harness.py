@@ -40,7 +40,6 @@ from lidos.harness import (
     write_atomic,
     write_bundle_outputs,
 )
-from lidos.baselines import StationaryPlanner
 from lidos.harness import ResultBundle
 from lidos.planner import TRACE_DTYPE, RunTrace, derive_seed
 from lidos.stats import quartiles
@@ -442,7 +441,7 @@ class TestParallelRun:
             self, tmp_path, capsys, monkeypatch):
         manifest = write_small_dataset(tmp_path)
         failing = derive_seed(11, "stationary", 1)
-        change = StationaryPlanner.on_environment_change
+        change = planner.Planner.on_environment_change
 
         def failing_change(self, env):
             if self.base_seed == failing:
@@ -450,7 +449,7 @@ class TestParallelRun:
             change(self, env)
 
         # Patched before the pool forks, so every worker inherits it.
-        monkeypatch.setattr(StationaryPlanner, "on_environment_change", failing_change)
+        monkeypatch.setattr(planner.Planner, "on_environment_change", failing_change)
         errors = []
         for workers in (1, 2):
             out = tmp_path / f"out{workers}"
@@ -501,14 +500,14 @@ class TestParallelRun:
         manifest = write_small_dataset(tmp_path)
         failing = {derive_seed(11, "lidos", 1): "lidos repetition 1",
                    derive_seed(11, "stationary", 0): "stationary repetition 0"}
-        begin = planner.BasePlanner._begin_epoch
+        begin = planner.Planner._begin_epoch
 
         def failing_begin(self, env):
             if self.base_seed in failing:
                 raise ValueError(f"{failing[self.base_seed]} cannot change environment")
             begin(self, env)
 
-        monkeypatch.setattr(planner.BasePlanner, "_begin_epoch", failing_begin)
+        monkeypatch.setattr(planner.Planner, "_begin_epoch", failing_begin)
         errors = []
         for workers in (1, 2, 3, 4):
             out = tmp_path / f"out{workers}"
@@ -525,7 +524,7 @@ class TestParallelRun:
         manifest = write_small_dataset(tmp_path)
         parent = os.getpid()
         dying = derive_seed(11, "lidos", 0)
-        begin = planner.BasePlanner._begin_epoch
+        begin = planner.Planner._begin_epoch
 
         def slow_begin(self, env):
             if os.getpid() != parent:
@@ -534,7 +533,7 @@ class TestParallelRun:
                 time.sleep(60)
             begin(self, env)
 
-        monkeypatch.setattr(planner.BasePlanner, "_begin_epoch", slow_begin)
+        monkeypatch.setattr(planner.Planner, "_begin_epoch", slow_begin)
         started = time.monotonic()
         assert cli_main(["run", "--scenario", str(manifest), "--out", str(tmp_path / "out")],
                         workers=2) == 2
@@ -553,7 +552,7 @@ class TestParallelRun:
         manifest = write_small_dataset(tmp_path)
         parent = os.getpid()
         dying = derive_seed(11, "lidos", 1)
-        begin = planner.BasePlanner._begin_epoch
+        begin = planner.Planner._begin_epoch
 
         def slow_begin(self, env):
             if os.getpid() != parent:
@@ -562,7 +561,7 @@ class TestParallelRun:
                 time.sleep(60)
             begin(self, env)
 
-        monkeypatch.setattr(planner.BasePlanner, "_begin_epoch", slow_begin)
+        monkeypatch.setattr(planner.Planner, "_begin_epoch", slow_begin)
         started = time.monotonic()
         assert cli_main(["run", "--scenario", str(manifest), "--out", str(tmp_path / "out")],
                         workers=2) == 2
@@ -575,14 +574,14 @@ class TestParallelRun:
     def test_dead_worker_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch):
         manifest = write_small_dataset(tmp_path)
         parent = os.getpid()
-        change = StationaryPlanner.on_environment_change
+        change = planner.Planner.on_environment_change
 
         def dying_change(self, env):
             if os.getpid() != parent:
                 os._exit(1)
             change(self, env)
 
-        monkeypatch.setattr(StationaryPlanner, "on_environment_change", dying_change)
+        monkeypatch.setattr(planner.Planner, "on_environment_change", dying_change)
         out = tmp_path / "out"
         assert cli_main(["run", "--scenario", str(manifest), "--out", str(out)], workers=2) == 2
         assert capsys.readouterr().err == (

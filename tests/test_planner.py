@@ -8,7 +8,7 @@ import pytest
 from lidos import planner as planner_module
 from lidos.baselines import PLANNER_KINDS, make_planner
 from lidos.mmo import ScoredPlan
-from lidos.planner import MmoPlanner, binary_tournament
+from lidos.planner import binary_tournament
 from lidos.twin import synth_tables
 
 from conftest import assert_accounting, make_space, make_table, make_twin
@@ -34,7 +34,7 @@ class TestParams:
     def test_interval_positive(self):
         space, twin, _ = small_setup()
         with pytest.raises(ValueError, match="k must be positive"):
-            MmoPlanner(space, twin, seed=0, k=0)
+            make_planner("lidos", space, twin, seed=0, k=0)
 
 
 def generations_of_two(ga, domains, a, b, rates: dict, generations: int,
@@ -92,8 +92,8 @@ class TestOperators:
 
     def test_planner_ends_are_domain_ends(self):
         space = make_space((0, 1, 2), (3,), (-4, 0, 7, 9))
-        planner = MmoPlanner(space, make_twin(space, make_table(space, {(0, 3, 0): 1.0})),
-                             seed=0)
+        twin = make_twin(space, make_table(space, {(0, 3, 0): 1.0}))
+        planner = make_planner("lidos", space, twin, seed=0)
         assert planner.ends == ((0, 2), (3, 3), (-4, 9))
 
     def test_tournament_draws_as_random_sample(self):
@@ -169,7 +169,7 @@ def reference_generation(planner) -> list:
             attempts_left -= 1
             if len(offspring) >= n:
                 break
-            if planner.distinct_offspring and child in pool_plans:
+            if planner.selection == "mmo" and child in pool_plans:
                 continue
             pool_plans.add(child)
             offspring.append(ScoredPlan(plan=child, ft=planner._measure(child)))
@@ -263,7 +263,7 @@ class TestGenerationOracle:
 class TestInitRun:
     def test_counts_match_population(self):
         space, twin, _ = small_setup()
-        planner = MmoPlanner(space, twin, seed=1)
+        planner = make_planner("lidos", space, twin, seed=1)
         planner.init_run()
         assert twin.counter == 20
         assert planner.t == 20
@@ -272,10 +272,10 @@ class TestInitRun:
 
     def test_deterministic_population(self):
         space, twin, _ = small_setup()
-        p1 = MmoPlanner(space, twin, seed=9)
+        p1 = make_planner("lidos", space, twin, seed=9)
         p1.init_run()
         twin2 = make_twin(space, list(twin.tables.values())[0], current="e")
-        p2 = MmoPlanner(space, twin2, seed=9)
+        p2 = make_planner("lidos", space, twin2, seed=9)
         p2.init_run()
         assert [m.plan for m in p1.population] == [m.plan for m in p2.population]
 
@@ -284,7 +284,7 @@ class TestInitRun:
         table = make_table(space, {(0,): 1.0, (1,): 2.0})
         twin = make_twin(space, table, current="e")
         ga(population=2)
-        planner = MmoPlanner(space, twin, seed=0)
+        planner = make_planner("lidos", space, twin, seed=0)
         planner.init_run()
         assert twin.coverage() == 1.0
 
@@ -293,7 +293,7 @@ class TestInitRun:
         table = make_table(space, {(0,): 1.0, (1,): 2.0})
         twin = make_twin(space, table, current="e")
         ga(population=4)
-        planner = MmoPlanner(space, twin, seed=0)
+        planner = make_planner("lidos", space, twin, seed=0)
         planner.init_run()
         assert len(planner.population) == 4
         assert twin.counter == 2  # only distinct plans cost measurements
@@ -301,13 +301,13 @@ class TestInitRun:
     def test_requires_current_environment(self):
         space, twin, _ = small_setup()
         twin2 = make_twin(space, list(twin.tables.values())[0])
-        planner = MmoPlanner(space, twin2, seed=0)
+        planner = make_planner("lidos", space, twin2, seed=0)
         with pytest.raises(ValueError, match="current environment"):
             planner.init_run()
 
     def test_best_plan_is_population_minimum(self):
         space, twin, rows = small_setup()
-        planner = MmoPlanner(space, twin, seed=4)
+        planner = make_planner("lidos", space, twin, seed=4)
         planner.init_run()
         assert planner.s_best.ft == min(m.ft for m in planner.population)
 
@@ -318,7 +318,7 @@ class TestStepGeneration:
         table = make_table(space, {(0,): 1.0, (1,): 2.0})
         twin = make_twin(space, table, current="e")
         ga(population=2)
-        planner = MmoPlanner(space, twin, seed=0, k=1000)
+        planner = make_planner("lidos", space, twin, seed=0, k=1000)
         planner.init_run()
         t_before = planner.t
         planner.step_generation()
@@ -328,7 +328,7 @@ class TestStepGeneration:
     def test_operators_off_keep_initial_plans(self, ga):
         space, twin, _ = small_setup()
         ga(crossover=0.0, mutation=0.0)
-        planner = MmoPlanner(space, twin, seed=3, k=10_000)
+        planner = make_planner("lidos", space, twin, seed=3, k=10_000)
         planner.init_run()
         initial = {m.plan for m in planner.population}
         for _ in range(5):
@@ -337,7 +337,7 @@ class TestStepGeneration:
 
     def test_best_monotone_within_epoch(self):
         space, twin, _ = small_setup(n_values=8)
-        planner = MmoPlanner(space, twin, seed=5, k=10_000)
+        planner = make_planner("lidos", space, twin, seed=5, k=10_000)
         planner.init_run()
         bests = planner.trace.events["best_ft"][planner.trace.measurement_mask()].tolist()
         for _ in range(10):
@@ -350,7 +350,7 @@ class TestAdaptationEvents:
     def test_emitted_once_interval_full(self, ga):
         space, twin, _ = small_setup()
         ga(crossover=0.0, mutation=0.0)
-        planner = MmoPlanner(space, twin, seed=6, k=20)
+        planner = make_planner("lidos", space, twin, seed=6, k=20)
         planner.init_run()  # t == 20 == k
         for _ in range(5):
             planner.step_generation()
@@ -363,7 +363,7 @@ class TestAdaptationEvents:
 
     def test_every_emission_strictly_improves(self):
         space, twin, _ = small_setup(n_values=10)
-        planner = MmoPlanner(space, twin, seed=7, k=15)
+        planner = make_planner("lidos", space, twin, seed=7, k=15)
         planner.init_run()
         planner.run_scenario_leg(120)
         sent = planner.trace.events[planner.trace.events["adaptation_sent"]]
@@ -374,7 +374,7 @@ class TestAdaptationEvents:
     def test_interval_elapses_between_emissions(self):
         space, twin, _ = small_setup(n_values=10)
         k = 15
-        planner = MmoPlanner(space, twin, seed=8, k=k)
+        planner = make_planner("lidos", space, twin, seed=8, k=k)
         planner.init_run()
         planner.run_scenario_leg(120)
         events = planner.trace.events
@@ -399,7 +399,7 @@ class TestEnvironmentChange:
         rows_b = grid_rows(domains, lambda p: rng.uniform(0, 10))
         twin = self.two_env_twin(rows_a, rows_b, space)
         ga(population=8)
-        planner = MmoPlanner(space, twin, seed=2)
+        planner = make_planner("lidos", space, twin, seed=2)
         planner.init_run()
         before = sorted(m.plan for m in planner.population)
         counter_before = twin.counter
@@ -416,7 +416,7 @@ class TestEnvironmentChange:
         rows_b = {(0,): 9.0, (1,): 1.0, (2,): 2.0}
         twin = self.two_env_twin(rows_a, rows_b, space)
         ga(population=2)
-        planner = MmoPlanner(space, twin, seed=0)
+        planner = make_planner("lidos", space, twin, seed=0)
         planner.init_run()
         planner.run_scenario_leg()  # covers the space, best is (0,) at 0.0
         assert planner.s_best.plan == (0,)
@@ -432,7 +432,7 @@ class TestEnvironmentChange:
         rows = grid_rows(domains, lambda p: rng.uniform(0, 10))
         twin = self.two_env_twin(rows, dict(rows), space)
         ga(population=8)
-        planner = MmoPlanner(space, twin, seed=4)
+        planner = make_planner("lidos", space, twin, seed=4)
         planner.init_run()
         before = planner.s_best.ft
         planner.on_environment_change("B")
@@ -443,7 +443,7 @@ class TestEnvironmentChange:
         space = make_space((0, 1))
         twin = self.two_env_twin({(0,): 1.0, (1,): 2.0}, {(0,): 3.0, (1,): 0.5}, space)
         ga(population=2)
-        planner = MmoPlanner(space, twin, seed=0)
+        planner = make_planner("lidos", space, twin, seed=0)
         planner.init_run()
         planner.on_environment_change("B")
         changes = planner.trace.events[planner.trace.events["env_change"]]
@@ -456,14 +456,14 @@ class TestRunScenarioLeg:
         ta, tb = synth_tables(n_options=4, domain_size=5, n_peaks=10, noise_seed=2)
         space = ta.implied_space()
         twin = make_twin(space, ta, current="A")
-        planner = MmoPlanner(space, twin, seed=1, k=10_000)
+        planner = make_planner("lidos", space, twin, seed=1, k=10_000)
         planner.init_run()
         planner.run_scenario_leg(60)
         assert 60 <= planner.epoch_measurements < 60 + 20
 
     def test_budget_zero_returns_unchanged(self):
         space, twin, _ = small_setup()
-        planner = MmoPlanner(space, twin, seed=1)
+        planner = make_planner("lidos", space, twin, seed=1)
         planner.init_run()
         events_before = len(planner.trace.events)
         planner.run_scenario_leg(0)
@@ -474,7 +474,7 @@ class TestRunScenarioLeg:
         table = make_table(space, {(0,): 1.0, (1,): 2.0})
         twin = make_twin(space, table, current="e")
         ga(population=2)
-        planner = MmoPlanner(space, twin, seed=0)
+        planner = make_planner("lidos", space, twin, seed=0)
         planner.init_run()
         assert twin.coverage() == 1.0
         planner.run_scenario_leg()  # no budget: stops on coverage alone
@@ -486,7 +486,7 @@ class TestRunScenarioLeg:
         table = make_table(space, {(0, 0): 1.0, (1, 1): 2.0})
         twin = make_twin(space, table, current="e")
         ga(population=2)
-        planner = MmoPlanner(space, twin, seed=0)
+        planner = make_planner("lidos", space, twin, seed=0)
         planner.init_run()
         planner.run_scenario_leg(100)
         assert planner.epoch_measurements == 2
@@ -499,7 +499,7 @@ class TestDeterminism:
 
         def run(seed):
             twin = make_twin(space, ta, tb, current="A")
-            planner = MmoPlanner(space, twin, seed=seed)
+            planner = make_planner("lidos", space, twin, seed=seed)
             planner.init_run()
             planner.run_scenario_leg(40)
             planner.on_environment_change("B")
@@ -516,7 +516,7 @@ class TestMeasurementAccounting:
         ta, tb = synth_tables(n_options=3, domain_size=5, n_peaks=5, noise_seed=4)
         space = ta.implied_space()
         twin = make_twin(space, ta, tb, current="A")
-        planner = MmoPlanner(space, twin, seed=11)
+        planner = make_planner("lidos", space, twin, seed=11)
         planner.init_run()
         planner.run_scenario_leg(50)
         planner.on_environment_change("B")
