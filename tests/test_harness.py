@@ -1571,6 +1571,67 @@ class TestCli:
         assert message.format(line=change + 1) in err
 
 
+class TestNotUtf8:
+    """A byte that UTF-8 does not decode, in any file a command reads, ends
+    the command with exit 2 and one line naming the file and the line that
+    holds it. The decoder's own position counts from the start of its read
+    chunk, not of the file or the line, so it alone locates nothing."""
+
+    @staticmethod
+    def spoil(path: Path, line: int, column: int) -> int:
+        """Put a 0xff byte at `column` of `line` of `path`, both counted from
+        1, and return the byte's offset in the file."""
+        lines = path.read_bytes().splitlines(keepends=True)
+        text = lines[line - 1]
+        lines[line - 1] = text[:column - 1] + b"\xff" + text[column - 1:]
+        path.write_bytes(b"".join(lines))
+        return sum(map(len, lines[:line - 1])) + column - 1
+
+    @staticmethod
+    def message(path: Path, line: int, column: int) -> str:
+        return (f"error: {path}:{line}: the line is not UTF-8: invalid start byte "
+                f"at column {column}\n")
+
+    def test_a_manifest_line_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        manifest = write_small_dataset(tmp_path)
+        self.spoil(manifest, 6, 12)
+        for command in ("run", "summarize"):
+            out = tmp_path / command
+            assert cli_main([command, "--scenario", str(manifest), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == self.message(manifest, 6, 12)
+            assert not out.exists()
+
+    def test_a_table_line_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        """The same line in the serial loop and from a forked worker, which
+        loads the tables itself."""
+        manifest = write_small_dataset(tmp_path)
+        table = tmp_path / "env_b.csv"
+        self.spoil(table, 40, 3)
+        for workers in (1, 2):
+            out = tmp_path / f"out{workers}"
+            assert cli_main(["run", "--scenario", str(manifest), "--out", str(out)],
+                            workers=workers) == 2
+            assert capsys.readouterr().err == self.message(table, 40, 3)
+            assert not out.exists()
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+    def test_a_trace_line_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        """Past the first 8 KiB, where the decoder's chunk no longer starts
+        at the file's start."""
+        manifest = write_small_dataset(tmp_path)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--scenario", str(manifest), "--out", str(out)]) == 0
+        path = out / "traces.csv"
+        line = len(path.read_bytes().splitlines()) - 2
+        assert self.spoil(path, line, 9) > 8192
+        for workers in (1, 2):
+            capsys.readouterr()
+            assert cli_main(["summarize", "--scenario", str(manifest), "--out", str(out)],
+                            workers=workers) == 2
+            assert capsys.readouterr().err == self.message(path, line, 9)
+
+
 class TestPatchPoints:
     """Names a caller may replace in a module to watch a command, as the
     benchmark's traced run does: each is the module's own attribute, and the
