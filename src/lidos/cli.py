@@ -6,7 +6,6 @@ or summarize, so `lidos synth` never compiles or holds it."""
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from itertools import islice, product
 from pathlib import Path
@@ -32,18 +31,6 @@ def main(argv=None, *, workers: int = 1) -> int:
     except (ValueError, KeyError, OSError, WorkerLost) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def entry() -> None:
-    """The `lidos` program: `main`, with the repetitions of `lidos run`, the
-    blocks of `traces.csv` that `lidos summarize` reads and the tables of
-    `lidos synth` spread over every CPU this process may run on.
-    `lidos.__main__.entry` calls it."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    sys.exit(main(workers=cpus))
 
 
 def run_scenario(spec, *, workers: int = 1):

@@ -15,13 +15,13 @@ import numpy as np
 from . import planner
 from .baselines import PLANNER_KINDS, make_planner
 from .fork import run_tasks
-from .planner import TRACE_DTYPE, RunTrace, derive_seed
+from .planner import TRACE_HEADER, RunTrace, derive_seed, planner_labels
 from .space import ConfigSpace
 from .stats import Summary, a12, quartiles, scott_knott, speedup, summarize, wilcoxon_rank_sum
-from .twin import DIRECTIONS, CyberTwin, Environment, MeasurementTable, load_measurements
+from .twin import (DIRECTIONS, CyberTwin, Environment, MeasurementTable, load_measurements,
+                   utf8_error)
 from .writers import csv_text, write_atomic, write_chunks_atomic
 
-TRACE_HEADER = ("planner", "rep") + TRACE_DTYPE.names
 TRAJECTORY_HEADER = ("planner", "measurement_index", "median_best", "iqr_best",
                      "env_change")
 # The manifest keys that hold one value each, and the ScenarioSpec fields they set.
@@ -143,7 +143,11 @@ def parse_scenario(path: str | Path, overrides: dict[str, str] | None = None) ->
     where: dict[str, list[str]] = {"": [str(path)]}
     environments: list[EnvironmentSource] = []
     legs: list[list[str]] = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), 1):
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise utf8_error(path, exc) from None
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -228,17 +232,6 @@ class ResultBundle:
         ]
 
 
-def planner_labels(planners: tuple[str, ...]) -> list[tuple[str, str]]:
-    """(label, kind) pairs; repeated kinds get positional suffixes."""
-    out: list[tuple[str, str]] = []
-    counts: dict[str, int] = {}
-    for kind in planners:
-        counts[kind] = counts.get(kind, 0) + 1
-        label = kind if counts[kind] == 1 else f"{kind}@{counts[kind]}"
-        out.append((label, kind))
-    return out
-
-
 def load_scenario_tables(spec: ScenarioSpec) -> tuple[ConfigSpace, dict[str, MeasurementTable]]:
     tables: dict[str, MeasurementTable] = {}
     space: ConfigSpace | None = None
@@ -256,8 +249,6 @@ def load_scenario_tables(spec: ScenarioSpec) -> tuple[ConfigSpace, dict[str, Mea
                 "implies a different config space: " + space.difference(
                     implied, spec.environments[0].environment.id, source.environment.id),
                 "environment", i)
-        # Recorded on the table, so every repetition's twin finds it made.
-        table.validate_space(space)
         tables[source.environment.id] = table
     assert space is not None
     return space, tables

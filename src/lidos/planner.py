@@ -51,6 +51,7 @@ TRACE_DTYPE = np.dtype([
     ("adaptation_sent", np.bool_),
     ("env_change", np.bool_),
 ])
+TRACE_HEADER = ("planner", "rep") + TRACE_DTYPE.names
 
 
 class RunTrace:
@@ -154,6 +155,17 @@ KINDS = {
     "pseudo_dynamic": ("soga", "keep"),
     "stationary": ("soga", "restart"),
 }
+
+
+def planner_labels(planners: tuple[str, ...]) -> list[tuple[str, str]]:
+    """(label, kind) pairs; repeated kinds get positional suffixes."""
+    out: list[tuple[str, str]] = []
+    counts: dict[str, int] = {}
+    for kind in planners:
+        counts[kind] = counts.get(kind, 0) + 1
+        label = kind if counts[kind] == 1 else f"{kind}@{counts[kind]}"
+        out.append((label, kind))
+    return out
 
 
 class Planner:

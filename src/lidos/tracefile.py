@@ -26,8 +26,8 @@ import numpy as np
 from . import planner
 from .baselines import PLANNER_KINDS
 from .fork import run_tasks
-from .harness import TRACE_HEADER, planner_labels
-from .planner import TRACE_DTYPE, RunTrace
+from .planner import TRACE_DTYPE, TRACE_HEADER, RunTrace, planner_labels
+from .twin import utf8_error
 
 _HEADER = (",".join(TRACE_HEADER) + "\n").encode()
 # Bytes per read of the plain test's one pass over the file.
@@ -153,7 +153,7 @@ def _read_pieces(path: str | Path, block: int, workers: int):
     label_code: dict[str, int] = {}
     env_code: dict[str, int] = {}
     for run_pieces, run_labels, run_envs in runs:
-        to_label, to_env = _recode(label_code, run_labels), _recode(env_code, run_envs)
+        to_label, to_env = _coded(label_code, run_labels), _coded(env_code, run_envs)
         for _, events, _, codes in run_pieces:
             events["env"] = to_env[events["env"]]
             codes[:] = to_label[codes]
@@ -246,6 +246,8 @@ def _csv_blocks(path: str | Path, block: int):
                     yield lines, tuple(zip(*records))
         except csv.Error as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise utf8_error(path, exc) from None
 
 
 def _parse(path: str | Path, blocks):
@@ -335,12 +337,6 @@ def _coded(code_of: dict[str, int], cells):
     for cell in dict.fromkeys(cells):
         code_of.setdefault(cell, len(code_of))
     return np.fromiter(map(code_of.__getitem__, cells), np.int64, len(cells))
-
-
-def _recode(code_of: dict[str, int], names: tuple[str, ...]) -> np.ndarray:
-    """Per name of one run, in that run's code order, its code in
-    `code_of`, where a name it lacks takes the next code."""
-    return np.array([code_of.setdefault(name, len(code_of)) for name in names], np.int64)
 
 
 def _running_count(flags, opens):

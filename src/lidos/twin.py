@@ -79,7 +79,6 @@ class MeasurementTable:
         self.domains = domains
         self.codes = codes
         self.values = values
-        self._validated_for: ConfigSpace | None = None
         # Nearest-plan search state, per space searched under: the sorted
         # plans; the nearest-row map, an int64 array of the sorted index of
         # each grid plan's nearest row, and each option's value -> grid
@@ -147,14 +146,13 @@ class MeasurementTable:
             for name, domain in zip(self.option_names, self.domains)))
 
     def validate_space(self, space: ConfigSpace) -> None:
-        """Check every row key is a valid plan of `space` (cached per space).
+        """Check every row key is a valid plan of `space`.
 
-        Each option's domain is checked against the space's; the rows are
-        walked only to name the first plan outside the space."""
-        if self._validated_for == space:
-            return
+        Each option's domain is checked against the space's, by one tuple
+        comparison where they are equal; the rows are walked only to name
+        the first plan outside the space."""
         if len(space.options) != len(self.option_names) or any(
-                not set(domain) <= set(option.domain)
+                domain != option.domain and not set(domain) <= set(option.domain)
                 for option, domain in zip(space.options, self.domains)):
             for plan in self.rows:
                 if not space.validate_plan(plan):
@@ -162,7 +160,6 @@ class MeasurementTable:
                         f"table for {self.environment.id!r} holds plan {plan!r} "
                         "outside the config space"
                     )
-        self._validated_for = space
 
     def nearest(self, plan: Plan, space: ConfigSpace) -> Plan:
         """The measured plan nearest to `plan` by the integer distance
@@ -359,7 +356,31 @@ def load_measurements(path: str | Path, env: Environment) -> MeasurementTable:
                 rows[plan] = value
         except csv.Error as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise utf8_error(path, exc) from None
     return MeasurementTable.from_rows(env, option_names, rows)
+
+
+def utf8_error(path: str | Path, exc: UnicodeDecodeError) -> ValueError:
+    """The error of a read of `path` that `exc` stopped: `path:line:`, the
+    first line that is not UTF-8, and the column of its first bad byte.
+    Lines end at a newline, a carriage return or both. The decoder counts
+    its position within its read chunk, so this reads the file again, as
+    bytes, a line at a time; only a failed read runs it. A file that now
+    decodes gives `exc` back."""
+    with open(path, "rb") as fh:
+        line_no = 1
+        for line in fh:
+            try:
+                line.decode()
+            except UnicodeDecodeError as bad:
+                # Carriage returns before the byte each end a line of their own.
+                line_no += line.count(b"\r", 0, bad.start)
+                column = bad.start - line.rfind(b"\r", 0, bad.start)
+                return ValueError(f"{path}:{line_no}: the line is not UTF-8: {bad.reason} "
+                                  f"at column {column}")
+            line_no += 1 + line.count(b"\r") - line.endswith(b"\r\n")
+    return exc
 
 
 def _parsed_table(fh, env: Environment, option_names: tuple[str, ...]) -> MeasurementTable | None:

@@ -2213,21 +2213,34 @@ class TestStreamedTables:
             lines = [cli.TABLE_BLOCK] * blocks + [rest] * (rest > 0)
             assert [chunk.count("\n") for chunk in chunks] == lines
 
-    @pytest.mark.parametrize("options, domain_size", [
-        (1, 2**16), (2, 2**8), (2, 2**10), (3, 41), (16, 2)])
-    def test_table_text_holds_one_block(self, options, domain_size):
+    @pytest.mark.parametrize("options, domain_size, blocks", [
+        pytest.param(1, 2**16, None, id="1-65536"),
+        pytest.param(2, 2**8, None, id="2-256"),
+        # The widest two-option grid, whose `product` pools are the largest:
+        # its first blocks hold them, and its 1,048,576 plans would take
+        # seconds to format.
+        pytest.param(2, 2**10, 8, id="2-1024"),
+        pytest.param(3, 41, None, id="3-41"),
+        pytest.param(16, 2, None, id="16-2"),
+    ])
+    def test_table_text_holds_one_block(self, options, domain_size, blocks):
         """The text of one block of lines and its list of lines, with the
         shared cells of the last options, whatever the shape: a single
-        option of 65,536 values used to hold a string per value, over 5 MiB."""
+        option of 65,536 values used to hold a string per value, over 5 MiB.
+        Where `blocks` is given, only the header and that many blocks are
+        formatted."""
         values = np.arange(domain_size**options) / 7
         chunks = cli._table_chunks(synth_option_names(options), values, domain_size)
         tracemalloc.start()
         try:
+            if blocks is not None:
+                chunks = itertools.islice(chunks, blocks + 1)
             size = sum(map(len, chunks))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert size > len(values) * (2 * options + 2)
+        plans = len(values) if blocks is None else blocks * cli.TABLE_BLOCK
+        assert size > plans * (2 * options + 2)
         assert peak < cli.TABLE_BLOCK * 320, peak
 
     def test_failure_in_the_last_block_keeps_the_previous_file(self, tmp_path, monkeypatch):

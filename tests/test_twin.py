@@ -129,6 +129,24 @@ class TestLoadErrorsByteForByte:
         assert self.load_error(tmp_path, "a,perf\n0,fast\n") == (
             "m.csv:2: could not convert string to float: 'fast'")
 
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("lines, message", [
+        ([b"a,p\xe9rf", b"0,1.0"],
+         "m.csv:1: the line is not UTF-8: invalid continuation byte at column 4"),
+        ([b"a,perf", b"0,1.0", b"1,\xff2.0", b"2,3.0"],
+         "m.csv:3: the line is not UTF-8: invalid start byte at column 3"),
+        ([b"a,perf", b"0,1.0", b"1,2.0\xe2\x82"],
+         "m.csv:3: the line is not UTF-8: unexpected end of data at column 6"),
+    ], ids=["header", "row", "last-line-cut"])
+    def test_a_line_that_is_not_utf8(self, tmp_path, end, lines, message):
+        """Whatever ends the lines, the error names the line and column of
+        the first byte that UTF-8 does not decode."""
+        path = tmp_path / "m.csv"
+        path.write_bytes(end.join(lines) + (end if lines[-1][-1] < 0x80 else b""))
+        with pytest.raises(ValueError) as exc:
+            load_measurements(path, Environment("e"))
+        assert str(exc.value).replace(str(path), "m.csv") == message
+
     def test_first_plan_outside_the_space(self):
         space = make_space((0, 1), (0, 2))
         table = make_table(make_space((0, 1, 5), (0, 2, 3)),
