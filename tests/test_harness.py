@@ -195,6 +195,27 @@ class TestParseScenario:
         _, tables = load_scenario_tables(spec)
         assert set(tables) == {"A", "B"}
 
+    @pytest.mark.parametrize("separator", ["\x0c", "\x0b", "\x1c", "\x1d", "\x1e", "\u0085",
+                                           "\u2028", "\u2029"])
+    def test_a_line_ends_at_a_newline_alone(self, tmp_path, capsys, separator):
+        """A form feed, a vertical tab, a file, group or record separator,
+        NEL, or a line or paragraph separator is text of its line, as in an
+        editor: one inside a comment leaves the run as it is, and a later
+        error names the line an editor shows. Splitting at every line
+        boundary `str.splitlines` knows read the comment's tail as a line of
+        its own."""
+        manifest = write_small_dataset(tmp_path)
+        text = f"# note{separator}more\n" + manifest.read_text(encoding="utf-8")
+        manifest.write_text(text, encoding="utf-8")
+        scenario = ["--scenario", str(manifest), "--out", str(tmp_path / "out")]
+        assert cli_main(["run", *scenario]) == 0
+        assert parse_scenario(manifest) == parse_scenario(write_small_dataset(tmp_path))
+        manifest.write_text(text + "nonsense\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli_main(["run", *scenario]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {manifest}:12: expected 'key: value', got 'nonsense'\n")
+
 
 class TestPlannerLabels:
     def test_unique_pass_through(self):
