@@ -15,7 +15,7 @@ import numpy as np
 from . import planner
 from .baselines import PLANNER_KINDS, make_planner
 from .fork import run_tasks
-from .planner import TRACE_HEADER, RunTrace, derive_seed, planner_labels
+from .planner import TRACE_HEADER, RunTrace, derive_seed, derived_columns, planner_labels
 from .space import ConfigSpace
 from .stats import Summary, a12, quartiles, scott_knott, speedup, summarize, wilcoxon_rank_sum
 from .twin import (DIRECTIONS, CyberTwin, Environment, MeasurementTable, load_measurements,
@@ -147,7 +147,9 @@ def parse_scenario(path: str | Path, overrides: dict[str, str] | None = None) ->
         text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise utf8_error(path, exc) from None
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    # The read made every line end "\n"; a form feed or U+2028, where
+    # `str.splitlines` would also break, is text of its line, as in an editor.
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -217,8 +219,8 @@ def _int(text: str, where: str) -> int:
 @dataclass
 class ResultBundle:
     """Everything one scenario execution produced: the traces, which hold
-    exactly what `traces.csv` holds and are the source of truth for every
-    downstream statistic."""
+    the columns of `traces.csv` that the run decided, derive the others, and
+    are the source of truth for every downstream statistic."""
 
     spec: ScenarioSpec
     labels: tuple[str, ...]
@@ -289,8 +291,8 @@ def _run_share(spec: ScenarioSpec, share):
     """Load the scenario's tables, then run each (label, kind, repetition)
     task of `share` in order on a fresh twin: init under the first leg's
     environment, each leg to its budget, a change between legs. It yields
-    each trace, every recorded row joined into `events`, so that a worker
-    sends back arrays and no pending tuples.
+    each trace, every recorded row joined into `rows`, so that a worker
+    sends back arrays of the decided columns and no pending tuples.
 
     This is the serial loop, and in a forked run the body of each worker. So
     a table that fails to load or check fails every worker before its first
@@ -308,7 +310,7 @@ def _run_share(spec: ScenarioSpec, share):
         for leg in spec.legs[1:]:
             search.on_environment_change(leg.env_id)
             search.run_scenario_leg(leg.measurement_budget)
-        yield RunTrace(search.trace.events, search.trace.env_ids)
+        yield RunTrace(search.trace.rows, search.trace.env_ids)
 
 
 # -- summaries ---------------------------------------------------------------
@@ -402,17 +404,18 @@ def traces_csv_text(label: str, rep: int, trace: RunTrace) -> str:
     the rep and each env id are quoted once, as `csv_text` quotes a cell; a
     number never needs quotes. The trailing empty cell keeps a lone empty
     cell from being written as ``""``."""
-    events = trace.events
+    rows = trace.rows
+    index, best = derived_columns(rows)
     head = csv_text(None, [(label, rep, "")])[:-2]
     env_ids = [csv_text(None, [(env_id, "")])[:-2] for env_id in trace.env_ids]
-    ft, best_ft = ([repr(v) if v == v else "" for v in events[name].tolist()]
-                   for name in ("ft", "best_ft"))
+    ft, best_ft = ([repr(v) if v == v else "" for v in column.tolist()]
+                   for column in (rows["ft"], best))
     return "".join([
         f"{head},{index},{env_ids[env]},{value},{best},{sent},{change}\n"
         for index, env, value, best, sent, change in zip(
-            events["measurement_index"].tolist(), events["env"].tolist(), ft, best_ft,
-            events["adaptation_sent"].view(np.uint8).tolist(),
-            events["env_change"].view(np.uint8).tolist())])
+            index.tolist(), rows["env"].tolist(), ft, best_ft,
+            rows["adaptation_sent"].view(np.uint8).tolist(),
+            rows["env_change"].view(np.uint8).tolist())])
 
 
 def read_traces_csv(path: str | Path, spec: ScenarioSpec, *, workers: int = 1
@@ -494,11 +497,13 @@ def trajectory_rows(bundle: ResultBundle) -> list[tuple]:
         for rep in range(spec.repetitions):
             trace = bundle.traces[(label, rep)]
             signs = np.array([sign_of[env_id] for env_id in trace.env_ids])
-            measured = trace.events[trace.measurement_mask()]
-            pos = np.searchsorted(measured["measurement_index"], marks, side="right") - 1
+            measured = trace.measurement_mask()
+            best = derived_columns(trace.rows)[1][measured]
+            # The n-th measurement row's measurement_index is n.
+            pos = np.minimum(marks, len(best)) - 1
             reached = pos >= 0
             pos = pos[reached]
-            at_marks[rep, reached] = signs[measured["env"][pos]] * measured["best_ft"][pos]
+            at_marks[rep, reached] = signs[trace.rows["env"][measured][pos]] * best[pos]
         for m, column in zip(marks.tolist(), at_marks.T):
             arr = column[~np.isnan(column)]
             if not len(arr):

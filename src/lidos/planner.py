@@ -41,8 +41,17 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-# One row per trace event. `env` indexes `RunTrace.env_ids`; `ft` and
-# `best_ft` are NaN on environment-change rows, which carry no value.
+# One row per trace event, holding what the run decided. `env` indexes
+# `RunTrace.env_ids`; `ft` is NaN on environment-change rows, which carry no
+# value.
+ROW_DTYPE = np.dtype([
+    ("env", np.int32),
+    ("ft", np.float64),
+    ("adaptation_sent", np.bool_),
+    ("env_change", np.bool_),
+])
+# One row of `traces.csv`: the decided columns and the two that
+# `derived_columns` derives from them.
 TRACE_DTYPE = np.dtype([
     ("measurement_index", np.int64),
     ("env", np.int32),
@@ -54,63 +63,117 @@ TRACE_DTYPE = np.dtype([
 TRACE_HEADER = ("planner", "rep") + TRACE_DTYPE.names
 
 
-class RunTrace:
-    """Ordered event log of one repetition: genuine measurements (index
-    strictly increasing), adaptation emissions, and environment changes.
+def running_count(flags: np.ndarray, opens: np.ndarray) -> np.ndarray:
+    """Per row, how many rows up to and including it are flagged, counted
+    from the last row at or before it that `opens` marks."""
+    total = np.cumsum(flags)
+    return total - (total - flags)[opens][np.cumsum(opens) - 1]
 
-    `events` is a structured array of `TRACE_DTYPE` rows: exactly the
-    columns of `traces.csv`. Recording appends plain tuples; they join
-    `events` the first time it is read.
+
+def derived_columns(rows: np.ndarray, starts: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The `measurement_index` and `best_ft` columns of `rows`, which hold
+    the decided columns of one trace, or of several one after another where
+    `starts` flags the first row of each.
+
+    A row's `measurement_index` is the count of its trace's measurement rows
+    up to it. Its `best_ft` is the least `ft` of its leg's measurement rows
+    so far, +inf before the first, so a planner's adaptation row carries it
+    as its own `ft`; a change row, which opens a leg, holds NaN. As the
+    planner keeps the first plan that reaches a new least, a later equal
+    `ft`, such as -0.0 after 0.0, does not replace it."""
+    if starts is None:
+        starts = np.zeros(len(rows), np.bool_)
+        starts[:1] = True
+    change = rows["env_change"]
+    measured = ~(rows["adaptation_sent"] | change)
+    ft = np.where(measured, rows["ft"], np.inf)
+    opens = starts | change
+    least = ft.copy()
+    bounds = np.flatnonzero(opens).tolist() + [len(rows)]
+    for start, end in zip(bounds, bounds[1:]):
+        np.minimum.accumulate(least[start:end], out=least[start:end])
+    before = np.where(opens, np.inf, np.roll(least, 1))
+    # The row whose ft each row's best is: the last one that lowered the
+    # least, or the leg's opening row, whose ft here is +inf unless it lowers.
+    at = np.maximum.accumulate(np.where((ft < before) | opens, np.arange(len(rows)), 0))
+    best = ft[at]
+    best[change] = np.nan
+    return running_count(measured, starts), best
+
+
+class RunTrace:
+    """Ordered event log of one repetition: genuine measurements, adaptation
+    emissions, and environment changes.
+
+    `rows` is a structured array of `ROW_DTYPE` rows, the columns the run
+    decided; `events` derives from it the `TRACE_DTYPE` rows of
+    `traces.csv`, anew on every read. Recording appends plain tuples; they
+    join `rows` the first time it is read.
     """
 
-    def __init__(self, events: np.ndarray | None = None, env_ids=()) -> None:
-        self._events = events if events is not None else np.empty(0, TRACE_DTYPE)
+    def __init__(self, rows: np.ndarray | None = None, env_ids=()) -> None:
+        self._rows = rows if rows is not None else np.empty(0, ROW_DTYPE)
         self.env_ids: list[str] = list(env_ids)
         self._codes = {env_id: code for code, env_id in enumerate(self.env_ids)}
         self._pending: list[tuple] = []
 
-    def record(self, measurement_index: int, env_id: str,
-               ft: float = math.nan, best_ft: float = math.nan,
+    def record(self, env_id: str, ft: float = math.nan,
                adaptation_sent: bool = False, env_change: bool = False) -> None:
         code = self._codes.get(env_id)
         if code is None:
             code = self._codes[env_id] = len(self.env_ids)
             self.env_ids.append(env_id)
-        self._pending.append((measurement_index, code, ft, best_ft,
-                              adaptation_sent, env_change))
+        self._pending.append((code, ft, adaptation_sent, env_change))
+
+    @property
+    def rows(self) -> np.ndarray:
+        if self._pending:
+            self._rows = np.concatenate(
+                (self._rows, np.array(self._pending, dtype=ROW_DTYPE)))
+            self._pending = []
+        return self._rows
 
     @property
     def events(self) -> np.ndarray:
-        if self._pending:
-            self._events = np.concatenate(
-                (self._events, np.array(self._pending, dtype=TRACE_DTYPE)))
-            self._pending = []
-        return self._events
+        """The trace's `traces.csv` rows, derived anew and not kept."""
+        rows = self.rows
+        events = np.empty(len(rows), TRACE_DTYPE)
+        for name in ROW_DTYPE.names:
+            events[name] = rows[name]
+        events["measurement_index"], events["best_ft"] = derived_columns(rows)
+        return events
 
     def measurement_mask(self) -> np.ndarray:
-        events = self.events
-        return ~(events["adaptation_sent"] | events["env_change"])
+        rows = self.rows
+        return ~(rows["adaptation_sent"] | rows["env_change"])
 
     def measurements_after_change(self, marker: int = 1) -> np.ndarray:
         """Measurement rows between the marker-th environment change and the
         next one (or the end of the trace)."""
         if marker < 1:
             raise ValueError("change marker is 1-based")
-        events = self.events
-        changes = np.flatnonzero(events["env_change"])
+        rows = self.rows
+        changes = np.flatnonzero(rows["env_change"])
         if len(changes) < marker:
             raise ValueError(
                 f"trace holds only {len(changes)} change marker(s), wanted {marker}")
-        end = changes[marker] if len(changes) > marker else len(events)
-        segment = events[changes[marker - 1] + 1:end]
+        end = changes[marker] if len(changes) > marker else len(rows)
+        segment = rows[changes[marker - 1] + 1:end]
         return segment[~segment["adaptation_sent"]]
 
     def final_best(self) -> float:
-        """The last recorded best value: change rows carry none."""
-        valued = np.flatnonzero(~self.events["env_change"])
+        """The best value of the last row that carries one: change rows carry
+        none."""
+        change = self.rows["env_change"]
+        valued = np.flatnonzero(~change)
         if not len(valued):
             raise ValueError("trace holds no measurements")
-        return float(self.events["best_ft"][valued[-1]])
+        last = valued[-1]
+        # Only the rows of its leg up to it decide that best.
+        changes = np.flatnonzero(change[:last])
+        start = changes[-1] + 1 if len(changes) else 0
+        return float(derived_columns(self.rows[start:last + 1])[1][-1])
 
 
 def binary_tournament(keys: list, rng: random.Random) -> int:
@@ -311,7 +374,7 @@ class Planner:
         self.epoch_measurements += 1
         if self.s_best is None or ft < self.s_best.ft:
             self.s_best = ScoredPlan(plan=plan, ft=ft)
-        self.trace.record(twin.counter, twin.current.id, ft, self.s_best.ft)
+        self.trace.record(twin.current.id, ft)
         return ft
 
     def _spawn_plans(self) -> list[Plan]:
@@ -346,7 +409,7 @@ class Planner:
         self.epoch_measurements = 0
         self.s_best = None
         self._last_sent_ft = None
-        self.trace.record(self.twin.counter, self.twin.current.id, env_change=True)
+        self.trace.record(self.twin.current.id, env_change=True)
 
     def _remeasure_population(self) -> None:
         """Measure the population under the new environment. A plan its table
@@ -365,8 +428,7 @@ class Planner:
             return
         if self._last_sent_ft is not None and self.s_best.ft >= self._last_sent_ft:
             return
-        self.trace.record(self.twin.counter, self.twin.current.id,
-                          self.s_best.ft, self.s_best.ft, adaptation_sent=True)
+        self.trace.record(self.twin.current.id, self.s_best.ft, adaptation_sent=True)
         self._last_sent_ft = self.s_best.ft
         self.t = 0
 

@@ -26,7 +26,8 @@ import numpy as np
 from . import planner
 from .baselines import PLANNER_KINDS
 from .fork import run_tasks
-from .planner import TRACE_DTYPE, TRACE_HEADER, RunTrace, planner_labels
+from .planner import (ROW_DTYPE, TRACE_DTYPE, TRACE_HEADER, RunTrace, derived_columns,
+                      planner_labels, running_count)
 from .twin import utf8_error
 
 _HEADER = (",".join(TRACE_HEADER) + "\n").encode()
@@ -71,18 +72,16 @@ def read_traces(path: str | Path, spec, block: int, workers: int
     refuse = partial(_refuse, path, grouped_lines)
 
     measured = ~(events["adaptation_sent"] | events["env_change"])
-    counted = _running_count(measured, first_of_group)
+    counted, best = derived_columns(events, first_of_group)
     refuse(events["measurement_index"] != counted, lambda at: (
         "measurement_index must count the trace's measurement rows: "
         f"expected {counted[at]}, got {events['measurement_index'][at]}"))
-    traces = {(labels[label_codes[start]], int(reps[start])): RunTrace(events[start:end], env_ids)
-              for start, end in zip(starts, starts[1:])}
     declared = {source.environment.id for source in spec.environments}
     for env_id in env_ids:
         if env_id not in declared:
             raise ValueError(f"{path}: environment {env_id!r} is not declared in the scenario")
     legs = [leg.env_id for leg in spec.legs]
-    leg_of = _running_count(events["env_change"], first_of_group)
+    leg_of = running_count(events["env_change"], first_of_group)
     last_of_group = np.append(first_of_group[1:], True)
     refuse(last_of_group & (leg_of != len(legs) - 1), lambda at: (
         f"trace of {labels[label_codes[at]]!r} repetition {reps[at]} ends in leg "
@@ -91,7 +90,7 @@ def read_traces(path: str | Path, spec, block: int, workers: int
     # last row. Per row, `empty` is the number of a leg that ends there with
     # no measurement row, or 0: at a change row the leg before it, counted
     # by the row before, and at a trace's last row its own leg.
-    in_leg = _running_count(measured, first_of_group | events["env_change"])
+    in_leg = running_count(measured, first_of_group | events["env_change"])
     before = np.where(first_of_group, 0, np.roll(in_leg, 1))
     empty = np.where(events["env_change"] & (before == 0), leg_of,
                      np.where(last_of_group & (in_leg == 0), leg_of + 1, 0))
@@ -109,10 +108,6 @@ def read_traces(path: str | Path, spec, block: int, workers: int
         f"of {budget[at]} stops before its budget plus one population ({population})"))
     # A measurement row records the least ft of its leg so far, and an
     # adaptation row sends that best as both its ft and its best_ft.
-    best = np.where(measured, events["ft"], np.inf)
-    opens = np.flatnonzero(first_of_group | events["env_change"]).tolist()
-    for start, end in zip(opens, opens[1:] + [len(best)]):
-        best[start:end] = np.minimum.accumulate(best[start:end])
     sent = events["adaptation_sent"]
     ft, best_ft = events["ft"], events["best_ft"]
     refuse((measured | sent) & (best_ft != best) | sent & (ft != best),
@@ -121,7 +116,12 @@ def read_traces(path: str | Path, spec, block: int, workers: int
                f"{float(best[at])}; got {float(ft[at])} and {float(best_ft[at])}" if sent[at]
                else "best_ft must be the least ft of its leg so far, "
                f"{float(best[at])}; got {float(best_ft[at])}"))
-    return labels, traces
+    # The traces keep the decided columns, and derive the checked two.
+    rows = np.empty(len(events), ROW_DTYPE)
+    for name in ROW_DTYPE.names:
+        rows[name] = events[name]
+    return labels, {(labels[label_codes[start]], int(reps[start])):
+                    RunTrace(rows[start:end], env_ids) for start, end in zip(starts, starts[1:])}
 
 
 def _read_pieces(path: str | Path, block: int, workers: int):
@@ -338,9 +338,3 @@ def _coded(code_of: dict[str, int], cells):
         code_of.setdefault(cell, len(code_of))
     return np.fromiter(map(code_of.__getitem__, cells), np.int64, len(cells))
 
-
-def _running_count(flags, opens):
-    """Per row, how many rows up to and including it are flagged, counted
-    from the last row at or before it that `opens` marks."""
-    total = np.cumsum(flags)
-    return total - (total - flags)[opens][np.cumsum(opens) - 1]

@@ -288,12 +288,10 @@ def test_speedup_metric(benchmark_bundle):
 
     def hand_trace(post):
         trace = RunTrace()
-        trace.record(1, "A", 99.0, 99.0)
-        trace.record(1, "B", env_change=True)
-        best = math.inf
-        for i, ft in enumerate(post, 2):
-            best = min(best, ft)
-            trace.record(i, "B", ft, best)
+        trace.record("A", 99.0)
+        trace.record("B", env_change=True)
+        for ft in post:
+            trace.record("B", ft)
         return trace
 
     base = hand_trace([50.0] * 99 + [10.0] + [20.0] * 20)

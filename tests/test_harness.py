@@ -41,7 +41,7 @@ from lidos.harness import (
     write_bundle_outputs,
 )
 from lidos.harness import ResultBundle
-from lidos.planner import TRACE_DTYPE, RunTrace, derive_seed
+from lidos.planner import ROW_DTYPE, RunTrace, derive_seed
 from lidos.stats import quartiles
 from lidos.twin import Environment, synth_landscape, synth_option_names, synth_tables
 
@@ -705,10 +705,10 @@ def post_change_bundle(spec, posts) -> ResultBundle:
     measurement in leg A, the change, and its post-change values in leg B."""
     def trace(post):
         trace = RunTrace()
-        trace.record(1, "A", 5.0, 5.0)
-        trace.record(1, "B", env_change=True)
-        for i, ft in enumerate(post, 2):
-            trace.record(i, "B", ft, min(post[:i - 1]))
+        trace.record("A", 5.0)
+        trace.record("B", env_change=True)
+        for ft in post:
+            trace.record("B", ft)
         return trace
 
     traces = {}
@@ -733,9 +733,9 @@ class TestSummaries:
     def test_strict_domination_gives_full_effect_and_sole_rank(self, smoke_bundle):
         def fabricated_trace(pre_best, post_best):
             trace = RunTrace()
-            trace.record(1, "A", pre_best, pre_best)
-            trace.record(1, "B", env_change=True)
-            trace.record(2, "B", post_best, post_best)
+            trace.record("A", pre_best)
+            trace.record("B", env_change=True)
+            trace.record("B", post_best)
             return trace
 
         # Two repetitions cannot clear a 99% bootstrap; use a realistic count.
@@ -1758,17 +1758,12 @@ def long_bundle(smoke_bundle) -> ResultBundle:
     traces = {}
     for label in smoke_bundle.labels:
         for rep in range(spec.repetitions):
-            events = np.zeros(250, TRACE_DTYPE)
-            # The change row carries the count of the 125 rows before it.
-            events["measurement_index"] = np.arange(1, 251) - (np.arange(250) >= 125)
-            events["env"][125:] = 1
-            events["ft"] = rng.random(250)
-            # Each leg's best starts afresh, as a planner's does.
-            for leg in (slice(0, 125), slice(126, 250)):
-                events["best_ft"][leg] = np.minimum.accumulate(events["ft"][leg])
-            events["env_change"][125] = True
-            events["ft"][125] = events["best_ft"][125] = np.nan
-            traces[(label, rep)] = RunTrace(events, ("A", "B"))
+            rows = np.zeros(250, ROW_DTYPE)
+            rows["env"][125:] = 1
+            rows["ft"] = rng.random(250)
+            rows["env_change"][125] = True
+            rows["ft"][125] = np.nan
+            traces[(label, rep)] = RunTrace(rows, ("A", "B"))
     return ResultBundle(spec=spec, labels=smoke_bundle.labels, traces=traces)
 
 
@@ -1869,8 +1864,10 @@ class TestStreamedTraces:
         # too, the empty id included, which alone on a row would be `""`.
         trace = RunTrace()
         for index, env_id in enumerate(["", 'say "hi"', "a,b", "x\ny", " ", "\r", "B"]):
-            trace.record(index, env_id, env_change=True)
-            trace.record(index + 1, env_id, 0.5 * index, -0.25, adaptation_sent=index % 2 == 1)
+            trace.record(env_id, env_change=True)
+            trace.record(env_id, 0.5 * index)
+            if index % 2:
+                trace.record(env_id, 0.5 * index, adaptation_sent=True)
         assert traces_csv_text("k,@2", 3, trace) == csv_writer_rows("k,@2", 3, trace)
 
 

@@ -430,18 +430,11 @@ class TestSummarize:
 
 def synthetic_trace(post_change_fts, pre_change_fts=(10.0,), env=("A", "B")):
     trace = RunTrace()
-    index = 0
-    best = math.inf
     for ft in pre_change_fts:
-        index += 1
-        best = min(best, ft)
-        trace.record(index, env[0], ft, best)
-    trace.record(index, env[1], env_change=True)
-    best = math.inf
+        trace.record(env[0], ft)
+    trace.record(env[1], env_change=True)
     for ft in post_change_fts:
-        index += 1
-        best = min(best, ft)
-        trace.record(index, env[1], ft, best)
+        trace.record(env[1], ft)
     return trace
 
 
@@ -464,7 +457,7 @@ class TestSpeedup:
 
     def test_requires_change_marker(self):
         trace = RunTrace()
-        trace.record(1, "A", 1.0, 1.0)
+        trace.record("A", 1.0)
         other = synthetic_trace([1.0])
         with pytest.raises(ValueError, match="change marker"):
             speedup(trace, other)
