@@ -165,15 +165,10 @@ class RunTrace:
     def final_best(self) -> float:
         """The best value of the last row that carries one: change rows carry
         none."""
-        change = self.rows["env_change"]
-        valued = np.flatnonzero(~change)
+        valued = np.flatnonzero(~self.rows["env_change"])
         if not len(valued):
             raise ValueError("trace holds no measurements")
-        last = valued[-1]
-        # Only the rows of its leg up to it decide that best.
-        changes = np.flatnonzero(change[:last])
-        start = changes[-1] + 1 if len(changes) else 0
-        return float(derived_columns(self.rows[start:last + 1])[1][-1])
+        return float(derived_columns(self.rows)[1][valued[-1]])
 
 
 def binary_tournament(keys: list, rng: random.Random) -> int:

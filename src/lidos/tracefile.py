@@ -337,4 +337,3 @@ def _coded(code_of: dict[str, int], cells):
     for cell in dict.fromkeys(cells):
         code_of.setdefault(cell, len(code_of))
     return np.fromiter(map(code_of.__getitem__, cells), np.int64, len(cells))
-

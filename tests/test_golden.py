@@ -14,11 +14,12 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from lidos import harness, tracefile
 from lidos.cli import main as cli_main
-from lidos.harness import bundle_from_traces, parse_scenario, run_scenario
+from lidos.harness import bundle_from_traces, parse_scenario, read_traces_csv, run_scenario
 from lidos.twin import synth_tables
 
 from conftest import child_env, sum_in_order, traces_text
@@ -341,6 +342,30 @@ def test_run_bundle_equals_its_read_back_traces(synth_dir, tmp_path, monkeypatch
             back = read.traces[key]
             assert back.events.tobytes() == trace.events.tobytes(), (workers, key)
             assert back.env_ids == trace.env_ids, (workers, key)
+
+
+@pytest.mark.parametrize("scenario", ["dense", "sparse"])
+def test_traces_derive_the_rows_of_their_file(synth_dir, tmp_path, scenario):
+    """A trace stores only the columns its run decided: serially and over two
+    forked workers, whose traces cross the worker pipes, every trace derives
+    the rows that `read_traces_csv` rebuilds from the file the run wrote,
+    NaN cells equal."""
+    if scenario == "dense":
+        spec = parse_scenario(synth_dir / "scenario.txt", DENSE_OVERRIDES)
+    else:
+        spec = parse_scenario(write_sparse_scenario(tmp_path / "inputs"))
+    path = tmp_path / "traces.csv"
+    for workers in (1, 2):
+        ran = run_scenario(spec, workers=workers)
+        path.write_text(traces_text(ran), encoding="utf-8")
+        _, read = read_traces_csv(path, spec)
+        assert list(read) == list(ran.traces)
+        for key, trace in ran.traces.items():
+            assert trace.rows.dtype.names == ("env", "ft", "adaptation_sent", "env_change")
+            derived, rebuilt = trace.events, read[key].events
+            for name in derived.dtype.names:
+                np.testing.assert_array_equal(derived[name], rebuilt[name],
+                                              err_msg=f"{workers} {key} {name}")
 
 
 def write_workload_scenario(directory, n_options, keep=None):

@@ -1,8 +1,9 @@
 """A seeded mutator of `traces.csv`: lines deleted, duplicated, truncated,
 swapped and blanked, cells quoted, and cells edited with tokens a writer
-never writes. On every mutant `lidos summarize` exits 0 or 2, never with a
-traceback; exit 2 prints one `error:` line; and one worker and two give the
-same exit code, the same stderr and the same output bytes. Blocks of 16 rows
+never writes, a raw 0xff byte among them. On every mutant `lidos summarize`
+exits 0 or 2, never with a traceback; exit 2 prints one `error:` line; and
+one worker and two give the same exit code, the same stderr and the same
+output bytes. Blocks of 16 rows
 make the small run's traces 24 blocks, so a plain mutant forks over two
 workers."""
 
@@ -17,8 +18,9 @@ from lidos.cli import main as cli_main
 
 SEED = 36
 CASES = 200
+# "\udcff" is written as the raw byte 0xff, which no UTF-8 text holds.
 TOKENS = ("nan", "inf", "-0", "2**70", "1e999", "1_0", "0x1", " ", "", "\ufeff", "\u00e9",
-          '"', "\r", "\0", "lidos", "B", "9" * 30)
+          "\udcff", '"', "\r", "\0", "lidos", "B", "9" * 30)
 
 
 def mutate(rng: random.Random, lines: list[str]) -> str:
@@ -78,7 +80,7 @@ def test_mutated_traces_read_alike_over_one_worker_and_two(small_run, capsys):
     rng = random.Random(SEED)
     codes = []
     for case in range(CASES):
-        path.write_bytes(mutate(rng, lines).encode("utf-8"))
+        path.write_bytes(mutate(rng, lines).encode("utf-8", "surrogateescape"))
         results = []
         for workers in (1, 2):
             for p in out.iterdir():

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 
 from lidos import planner as planner_module
 from lidos.baselines import PLANNER_KINDS, make_planner
 from lidos.mmo import ScoredPlan
-from lidos.planner import binary_tournament
+from lidos.planner import ROW_DTYPE, RunTrace, binary_tournament, derived_columns
 from lidos.twin import synth_tables
 
 from conftest import assert_accounting, make_space, make_table, make_twin
@@ -524,3 +526,57 @@ class TestMeasurementAccounting:
 
         assert [epoch.env_id for epoch in twin_probe[twin]] == ["A", "B"]
         assert_accounting(planner.trace, twin, twin_probe[twin])
+
+
+class TestDerivedColumns:
+    """A trace stores the columns its run decided, and `derived_columns`
+    gives back the other two: the counter and the best the planner held."""
+
+    def test_rows_hold_only_the_decided_columns(self):
+        rows = RunTrace().rows
+        assert rows.dtype.names == ("env", "ft", "adaptation_sent", "env_change")
+        assert rows.dtype.itemsize == 14
+
+    @pytest.mark.parametrize("kind", PLANNER_KINDS)
+    def test_derived_columns_are_what_the_planner_held(self, kind):
+        # Ties of 0.0 and -0.0 everywhere: the planner keeps the first plan
+        # that reaches a new least, and so must the derived best, sign and all.
+        domains = (tuple(range(6)), tuple(range(6)))
+        space = make_space(*domains)
+        rng = random.Random(5)
+        tables = [make_table(space, grid_rows(domains, lambda p: rng.choice(
+            (0.0, -0.0, 1.5, 2.5, 4.0))), env_id=env) for env in ("A", "B")]
+        twin = make_twin(space, *tables, current="A")
+        planner = make_planner(kind, space, twin, seed=9, k=5)
+        held = []
+        record = planner.trace.record
+
+        def noting(env_id, ft=math.nan, adaptation_sent=False, env_change=False):
+            best = math.nan if env_change else planner.s_best.ft
+            held.append((twin.counter, best))
+            record(env_id, ft, adaptation_sent, env_change)
+
+        planner.trace.record = noting
+        planner.init_run()
+        planner.run_scenario_leg(25)
+        planner.on_environment_change("B")
+        planner.run_scenario_leg(25)
+        rows = planner.trace.rows
+        assert rows["adaptation_sent"].any() and rows["env_change"].sum() == 1
+        index, best = derived_columns(rows)
+        assert index.tolist() == [counter for counter, _ in held]
+        assert best.tobytes() == np.array([value for _, value in held]).tobytes()
+
+    def test_legs_and_traces_open_afresh(self):
+        rows = np.zeros(9, ROW_DTYPE)
+        rows["ft"] = [0.0, -0.0, 0.0, np.nan, 3.0, 2.0, 2.0, 5.0, -1.0]
+        rows["adaptation_sent"][[2, 6]] = True
+        rows["env_change"][3] = True
+        starts = np.zeros(9, np.bool_)
+        starts[[0, 7]] = True
+        index, best = derived_columns(rows, starts)
+        assert index.tolist() == [1, 2, 2, 2, 3, 4, 4, 1, 2]
+        assert best.tobytes() == np.array(
+            [0.0, 0.0, 0.0, np.nan, 3.0, 2.0, 2.0, 5.0, -1.0]).tobytes()
+        # An adaptation row before its leg's first measurement has no best.
+        assert derived_columns(rows[6:8])[1].tolist() == [math.inf, 5.0]
