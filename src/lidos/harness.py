@@ -15,7 +15,7 @@ import numpy as np
 from . import planner
 from .baselines import PLANNER_KINDS, make_planner
 from .fork import run_tasks
-from .planner import TRACE_HEADER, RunTrace, derive_seed, derived_columns, planner_labels
+from .planner import TRACE_HEADER, RunTrace, derive_seed, planner_labels
 from .space import ConfigSpace
 from .stats import Summary, a12, quartiles, scott_knott, speedup, summarize, wilcoxon_rank_sum
 from .twin import (DIRECTIONS, CyberTwin, Environment, MeasurementTable, load_measurements,
@@ -404,18 +404,17 @@ def traces_csv_text(label: str, rep: int, trace: RunTrace) -> str:
     the rep and each env id are quoted once, as `csv_text` quotes a cell; a
     number never needs quotes. The trailing empty cell keeps a lone empty
     cell from being written as ``""``."""
-    rows = trace.rows
-    index, best = derived_columns(rows)
+    events = trace.events
     head = csv_text(None, [(label, rep, "")])[:-2]
     env_ids = [csv_text(None, [(env_id, "")])[:-2] for env_id in trace.env_ids]
-    ft, best_ft = ([repr(v) if v == v else "" for v in column.tolist()]
-                   for column in (rows["ft"], best))
+    ft, best_ft = ([repr(v) if v == v else "" for v in events[name].tolist()]
+                   for name in ("ft", "best_ft"))
     return "".join([
         f"{head},{index},{env_ids[env]},{value},{best},{sent},{change}\n"
         for index, env, value, best, sent, change in zip(
-            index.tolist(), rows["env"].tolist(), ft, best_ft,
-            rows["adaptation_sent"].view(np.uint8).tolist(),
-            rows["env_change"].view(np.uint8).tolist())])
+            events["measurement_index"].tolist(), events["env"].tolist(), ft, best_ft,
+            events["adaptation_sent"].view(np.uint8).tolist(),
+            events["env_change"].view(np.uint8).tolist())])
 
 
 def read_traces_csv(path: str | Path, spec: ScenarioSpec, *, workers: int = 1
@@ -497,13 +496,11 @@ def trajectory_rows(bundle: ResultBundle) -> list[tuple]:
         for rep in range(spec.repetitions):
             trace = bundle.traces[(label, rep)]
             signs = np.array([sign_of[env_id] for env_id in trace.env_ids])
-            measured = trace.measurement_mask()
-            best = derived_columns(trace.rows)[1][measured]
-            # The n-th measurement row's measurement_index is n.
-            pos = np.minimum(marks, len(best)) - 1
+            measured = trace.events[trace.measurement_mask()]
+            pos = np.searchsorted(measured["measurement_index"], marks, side="right") - 1
             reached = pos >= 0
             pos = pos[reached]
-            at_marks[rep, reached] = signs[trace.rows["env"][measured][pos]] * best[pos]
+            at_marks[rep, reached] = signs[measured["env"][pos]] * measured["best_ft"][pos]
         for m, column in zip(marks.tolist(), at_marks.T):
             arr = column[~np.isnan(column)]
             if not len(arr):
