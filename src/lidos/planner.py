@@ -82,24 +82,27 @@ def derived_columns(rows: np.ndarray, starts: np.ndarray | None = None
     as its own `ft`; a change row, which opens a leg, holds NaN. As the
     planner keeps the first plan that reaches a new least, a later equal
     `ft`, such as -0.0 after 0.0, does not replace it."""
-    if starts is None:
-        starts = np.zeros(len(rows), np.bool_)
-        starts[:1] = True
     change = rows["env_change"]
     measured = ~(rows["adaptation_sent"] | change)
+    if starts is None:
+        opens = change.copy()
+        opens[:1] = True
+        index = np.cumsum(measured)
+    else:
+        opens = starts | change
+        index = running_count(measured, starts)
     ft = np.where(measured, rows["ft"], np.inf)
-    opens = starts | change
     least = ft.copy()
     bounds = np.flatnonzero(opens).tolist() + [len(rows)]
     for start, end in zip(bounds, bounds[1:]):
         np.minimum.accumulate(least[start:end], out=least[start:end])
-    before = np.where(opens, np.inf, np.roll(least, 1))
-    # The row whose ft each row's best is: the last one that lowered the
-    # least, or the leg's opening row, whose ft here is +inf unless it lowers.
-    at = np.maximum.accumulate(np.where((ft < before) | opens, np.arange(len(rows)), 0))
-    best = ft[at]
+    # Each row's best is the ft of the last row that lowered its leg's
+    # least, or of the leg's opening row, +inf there unless it measured.
+    lowered = opens.copy()
+    lowered[1:] |= ft[1:] < least[:-1]
+    best = ft[np.flatnonzero(lowered)[np.cumsum(lowered) - 1]]
     best[change] = np.nan
-    return running_count(measured, starts), best
+    return index, best
 
 
 class RunTrace:
@@ -163,12 +166,17 @@ class RunTrace:
         return segment[~segment["adaptation_sent"]]
 
     def final_best(self) -> float:
-        """The best value of the last row that carries one: change rows carry
-        none."""
-        valued = np.flatnonzero(~self.rows["env_change"])
+        """The best value of the last row that carries one, which change rows
+        do not: the least `ft` of the measurement rows of its leg, the first
+        of equal ones, as the planner keeps it."""
+        change = self.rows["env_change"]
+        valued = np.flatnonzero(~change)
         if not len(valued):
             raise ValueError("trace holds no measurements")
-        return float(derived_columns(self.rows)[1][valued[-1]])
+        opened = np.flatnonzero(change[:valued[-1]])
+        leg = self.rows[opened[-1] + 1 if len(opened) else 0:]
+        ft = leg["ft"][~(leg["adaptation_sent"] | leg["env_change"])]
+        return float(ft[np.argmin(ft)])
 
 
 def binary_tournament(keys: list, rng: random.Random) -> int:

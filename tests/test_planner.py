@@ -566,6 +566,8 @@ class TestDerivedColumns:
         index, best = derived_columns(rows)
         assert index.tolist() == [counter for counter, _ in held]
         assert best.tobytes() == np.array([value for _, value in held]).tobytes()
+        last = [value for _, value in held if value == value][-1]
+        assert repr(planner.trace.final_best()) == repr(last)
 
     def test_legs_and_traces_open_afresh(self):
         rows = np.zeros(9, ROW_DTYPE)
